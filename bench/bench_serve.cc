@@ -1,15 +1,15 @@
 // Serving-layer benchmark: closed-loop HTTP clients against the embedded
 // server (serve/ServingDb + serve/http_server.h), measuring sustained QPS
 // and latency percentiles for grid-sharing dashboard traffic in three
-// scenarios: read coalescing off, coalescing on, and coalescing on while
-// a writer streams /append batches concurrently. Each client sends its
-// dashboard page as one pipelined burst; with coalescing on, the server
-// batch-executes each burst on the connection thread (and the
-// cross-connection ReadCoalescer groups whatever overlaps beyond that).
-// The win is the batch-execution win (PR 5) delivered end-to-end:
-// statements sharing an aggregation grid run as one Db::ExecuteBatch, so
-// coverage + weighting run once per group instead of once per statement.
-// Emits BENCH_serve.json for CI's perf trajectory.
+// client modes: `pipelined` (each page is one pipelined burst, which the
+// server batch-executes on the connection thread), `unpipelined` (one
+// statement per round trip, each executed alone), and
+// `pipelined_with_appends` (pipelined while a writer streams /append
+// batches concurrently). The pipelined/unpipelined ratio is the
+// batch-execution win delivered end-to-end: statements sharing an
+// aggregation grid run as one batch, so coverage + weighting run once per
+// page instead of once per statement. Emits BENCH_serve.json for CI's
+// perf trajectory; exits non-zero on any HTTP error.
 //
 // Environment knobs (see bench_util.h for the shared ones):
 //   PH_SCALE_ROWS     dataset rows (default 200000)
@@ -41,8 +41,8 @@ namespace {
 // The grid-sharing dashboard page: every aggregate of one filtered view
 // (the five-predicate shape — the engine's most coverage-heavy scalar
 // query). All eight statements share one aggregation grid + predicate, so
-// the coalescer's batch execution pays coverage + weighting once per
-// group while only the cheap per-aggregate readout runs per statement.
+// a batch-executed page pays coverage + weighting once while only the
+// cheap per-aggregate readout runs per statement.
 const std::vector<std::string>& GridSharingSqls() {
   static const std::vector<std::string> kSqls = []() {
     const std::string where =
@@ -70,9 +70,7 @@ struct ScenarioResult {
   double p50_us = 0;    ///< page (8-statement round) latency percentiles
   double p99_us = 0;
   double p999_us = 0;
-  uint64_t coalesced_groups = 0;
-  uint64_t coalesced_statements = 0;
-  uint64_t max_group = 0;
+  uint64_t singles = 0;           ///< statements executed alone
   uint64_t batch_groups = 0;      ///< pipelined bursts batch-executed
   uint64_t batch_statements = 0;  ///< statements inside those bursts
   uint64_t cache_hits = 0;
@@ -91,7 +89,7 @@ Db BuildDb(size_t rows) {
   options.synopsis.sample_size = rows / 2;
   // High-resolution synopsis (small M): dashboards trade build time for
   // tighter bounds, and the resulting large aggregation grids are exactly
-  // where coalescing's shared coverage + weighting pays off.
+  // where batch execution's shared coverage + weighting pays off.
   options.synopsis.min_points_override = 64;
   // Serving doesn't need the raw table; keep_table=false makes the
   // copy-on-append snapshots cheap (no O(rows) table copy per append).
@@ -104,14 +102,31 @@ Db BuildDb(size_t rows) {
   return std::move(db).value();
 }
 
+/// Sends one dashboard page down `client`: as one pipelined burst, or one
+/// statement per round trip. True when every statement answered 200.
+bool SendPage(HttpClient* client, const std::vector<std::string>& bodies,
+              bool pipelined) {
+  if (pipelined) {
+    auto resps = client->RequestPipelined("POST", "/query", bodies);
+    if (!resps.ok()) return false;
+    for (const HttpResponse& resp : resps.value()) {
+      if (resp.status != 200) return false;
+    }
+    return true;
+  }
+  for (const std::string& body : bodies) {
+    auto resp = client->Request("POST", "/query", body);
+    if (!resp.ok() || resp->status != 200) return false;
+  }
+  return true;
+}
+
 /// Runs one closed-loop scenario: `clients` connections hammering /query
 /// for `secs` seconds; optionally a writer posting /append batches.
 ScenarioResult RunScenario(const std::string& name, size_t rows,
-                           size_t clients, double secs, bool coalesce,
+                           size_t clients, double secs, bool pipelined,
                            bool with_appends) {
-  ServingOptions serving_options;
-  serving_options.coalesce = coalesce;
-  ServingDb serving(BuildDb(rows), serving_options);
+  ServingDb serving(BuildDb(rows));
   HttpServer server(MakeServingHandler(&serving),
                     MakeServingBatchHandler(&serving));
   Status st = server.Start(0);
@@ -149,18 +164,11 @@ ScenarioResult RunScenario(const std::string& name, size_t rows,
       while (!go.load(std::memory_order_acquire)) {
         std::this_thread::yield();
       }
-      // Each round is one dashboard page: all statements pipelined down
-      // the keep-alive connection (see HttpClient::RequestPipelined).
+      // Each round is one dashboard page down the keep-alive connection.
       while (!stop.load(std::memory_order_acquire)) {
         const double t0 = NowSeconds();
-        auto resps = client.RequestPipelined("POST", "/query", bodies);
+        const bool ok = SendPage(&client, bodies, pipelined);
         const double dt = NowSeconds() - t0;
-        bool ok = resps.ok();
-        if (ok) {
-          for (const HttpResponse& resp : resps.value()) {
-            if (resp.status != 200) ok = false;
-          }
-        }
         if (!ok) {
           errors.fetch_add(1);
         } else {
@@ -221,9 +229,7 @@ ScenarioResult RunScenario(const std::string& name, size_t rows,
   r.p50_us = Percentile(all, 0.50);
   r.p99_us = Percentile(all, 0.99);
   r.p999_us = Percentile(all, 0.999);
-  r.coalesced_groups = stats.coalesced_groups;
-  r.coalesced_statements = stats.coalesced_statements;
-  r.max_group = stats.max_group;
+  r.singles = stats.queries;
   r.batch_groups = stats.batches;
   r.batch_statements = stats.batch_statements;
   r.cache_hits = stats.cache_hits;
@@ -234,19 +240,19 @@ ScenarioResult RunScenario(const std::string& name, size_t rows,
 }  // namespace
 
 int main() {
-  Banner("Serving layer: closed-loop HTTP clients, coalescing on/off");
+  Banner("Serving layer: closed-loop HTTP clients, pipelined vs not");
   const size_t rows = EnvSize("PH_SCALE_ROWS", 200000);
   const size_t clients = EnvSize("PH_SERVE_CLIENTS", 16);
   const double secs =
       static_cast<double>(EnvSize("PH_SERVE_SECS", 2));
 
   std::vector<ScenarioResult> results;
-  results.push_back(RunScenario("uncoalesced", rows, clients, secs,
-                                /*coalesce=*/false, /*with_appends=*/false));
-  results.push_back(RunScenario("coalesced", rows, clients, secs,
-                                /*coalesce=*/true, /*with_appends=*/false));
-  results.push_back(RunScenario("coalesced_with_appends", rows, clients, secs,
-                                /*coalesce=*/true, /*with_appends=*/true));
+  results.push_back(RunScenario("pipelined", rows, clients, secs,
+                                /*pipelined=*/true, /*with_appends=*/false));
+  results.push_back(RunScenario("unpipelined", rows, clients, secs,
+                                /*pipelined=*/false, /*with_appends=*/false));
+  results.push_back(RunScenario("pipelined_with_appends", rows, clients, secs,
+                                /*pipelined=*/true, /*with_appends=*/true));
 
   std::printf("%-24s %9s %10s %10s %10s %10s %7s %6s\n", "scenario",
               "requests", "qps", "p50 us", "p99 us", "p99.9 us", "avggrp",
@@ -255,13 +261,11 @@ int main() {
   std::string rows_json;
   for (const ScenarioResult& r : results) {
     total_errors += r.errors;
-    // Statements per executed group, over both coalescing paths (the
-    // in-connection pipelined-burst batches and the cross-connection
-    // coalescer groups).
-    const uint64_t groups = r.batch_groups + r.coalesced_groups;
+    // Statements per executed group: batch-executed bursts, plus
+    // statements executed alone as groups of one.
+    const uint64_t groups = r.batch_groups + r.singles;
     const double avg_group =
-        groups > 0 ? static_cast<double>(r.batch_statements +
-                                         r.coalesced_statements) /
+        groups > 0 ? static_cast<double>(r.batch_statements + r.singles) /
                          static_cast<double>(groups)
                    : 1.0;
     std::printf("%-24s %9llu %10.0f %10.0f %10.0f %10.0f %7.1f %6llu\n",
@@ -274,36 +278,36 @@ int main() {
         "%s    {\"name\": \"%s\", \"pages\": %llu, \"requests\": %llu, "
         "\"errors\": %llu, "
         "\"seconds\": %.3f, \"qps\": %.1f, \"p50_us\": %.1f, "
-        "\"p99_us\": %.1f, \"p999_us\": %.1f, \"coalesced_groups\": %llu, "
-        "\"max_group\": %llu, \"batch_groups\": %llu, "
+        "\"p99_us\": %.1f, \"p999_us\": %.1f, \"singles\": %llu, "
+        "\"batch_groups\": %llu, "
         "\"batch_statements\": %llu, \"cache_hits\": %llu, "
         "\"appends\": %llu}",
         rows_json.empty() ? "" : ",\n", r.name.c_str(),
         (unsigned long long)r.pages, (unsigned long long)r.requests,
         (unsigned long long)r.errors, r.seconds, r.qps, r.p50_us, r.p99_us,
-        r.p999_us, (unsigned long long)r.coalesced_groups,
-        (unsigned long long)r.max_group, (unsigned long long)r.batch_groups,
+        r.p999_us, (unsigned long long)r.singles,
+        (unsigned long long)r.batch_groups,
         (unsigned long long)r.batch_statements,
         (unsigned long long)r.cache_hits, (unsigned long long)r.appends);
     rows_json += row;
   }
 
-  const double speedup =
-      results[0].qps > 0 ? results[1].qps / results[0].qps : 0;
-  const bool p99_ok = results[1].p99_us <= results[0].p99_us;
+  const double ratio =
+      results[1].qps > 0 ? results[0].qps / results[1].qps : 0;
+  const bool p99_ok = results[0].p99_us <= results[1].p99_us;
   std::printf(
-      "\ncoalescing QPS speedup: %.2fx (target >= 2x), p99 %s (%.0f us vs "
+      "\npipelined/unpipelined QPS: %.2fx, page p99 %s (%.0f us vs "
       "%.0f us)%s\n",
-      speedup, p99_ok ? "improved" : "regressed", results[1].p99_us,
-      results[0].p99_us, total_errors == 0 ? "" : "  [HTTP ERRORS!]");
+      ratio, p99_ok ? "better" : "worse", results[0].p99_us,
+      results[1].p99_us, total_errors == 0 ? "" : "  [HTTP ERRORS!]");
 
   char head[256];
   std::snprintf(head, sizeof(head),
                 "{\n  \"bench\": \"serve\",\n  \"scale_rows\": %zu,\n"
-                "  \"clients\": %zu,\n  \"coalesce_qps_speedup\": %.3f,\n"
+                "  \"clients\": %zu,\n  \"pipelined_qps_ratio\": %.3f,\n"
                 "  \"p99_equal_or_better\": %s,\n  \"errors\": %llu,\n"
                 "  \"scenarios\": [\n",
-                rows, clients, speedup, p99_ok ? "true" : "false",
+                rows, clients, ratio, p99_ok ? "true" : "false",
                 (unsigned long long)total_errors);
   WriteBenchJson("BENCH_serve.json",
                  std::string(head) + rows_json + "\n  ]\n}");

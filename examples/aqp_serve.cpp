@@ -5,7 +5,7 @@
 //   aqp_serve                             # power dataset, 200k rows, :8080
 //   aqp_serve --gen flights --rows 500000 --port 9000
 //   aqp_serve --csv data.csv --port 0    # 0 = kernel-assigned (printed)
-//   aqp_serve --segment-rows 50000 --no-coalesce --window-us 50
+//   aqp_serve --segment-rows 50000
 //
 // Durable serving (crash-safe appends):
 //
@@ -81,11 +81,6 @@ int main(int argc, char** argv) {
       port = std::strtol(next(), nullptr, 10);
     } else if (arg == "--seed") {
       seed = std::strtoull(next(), nullptr, 10);
-    } else if (arg == "--no-coalesce") {
-      serving_options.coalesce = false;
-    } else if (arg == "--window-us") {
-      serving_options.coalesce_window_us =
-          static_cast<uint32_t>(std::strtoul(next(), nullptr, 10));
     } else if (arg == "--dir") {
       serving_options.durability.dir = next();
     } else if (arg == "--fsync") {
@@ -118,7 +113,6 @@ int main(int argc, char** argv) {
           stderr,
           "usage: aqp_serve [--gen name | --csv path] [--rows N]\n"
           "                 [--segment-rows N] [--port P] [--seed S]\n"
-          "                 [--no-coalesce] [--window-us U]\n"
           "                 [--dir path] [--fsync always|interval|never]\n"
           "                 [--checkpoint-ms MS]\n"
           "                 [--max-inflight N] [--max-inflight-appends N]\n"

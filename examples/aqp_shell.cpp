@@ -372,13 +372,13 @@ int main(int argc, char** argv) {
         const ServingStats stats = serving.Stats();
         std::printf(
             "served %llu queries, %llu appends (epoch %llu); "
-            "%llu cache hits, %llu coalesced groups; "
+            "%llu cache hits, %llu batched statements; "
             "%llu idle reaps, %llu malformed closes\n",
             (unsigned long long)stats.queries,
             (unsigned long long)stats.appends,
             (unsigned long long)stats.epoch,
             (unsigned long long)stats.cache_hits,
-            (unsigned long long)stats.coalesced_groups,
+            (unsigned long long)stats.batch_statements,
             (unsigned long long)server.idle_reaped(),
             (unsigned long long)server.malformed_closed());
       } else {

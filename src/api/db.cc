@@ -23,11 +23,6 @@ namespace {
 SegmentedExecOptions MakeExecOptions(const DbOptions& options) {
   SegmentedExecOptions eo;
   eo.engine = options.engine;
-  // The top-level knob wins only when actually set; a kAuto default must
-  // not clobber an explicitly chosen engine.kernels.
-  if (options.kernels != KernelMode::kAuto) {
-    eo.engine.kernels = options.kernels;
-  }
   eo.exec_threads = options.exec_threads;
   eo.prune = options.prune_segments;
   return eo;

@@ -94,7 +94,8 @@ struct DbOptions {
   /// training alternative backends. Costs memory; synopsis-only queries
   /// work without it.
   bool keep_table = true;
-  /// Engine refinement toggles.
+  /// Engine refinement toggles, including the SIMD kernel tier
+  /// (`engine.kernels`).
   AqpEngineOptions engine;
   /// Threads for parallel synopsis construction: with one segment these
   /// fan out the d(d-1)/2 pairwise histogram builds, with several segments
@@ -110,15 +111,6 @@ struct DbOptions {
   /// Threads for cross-segment query execution: 0 = one per hardware
   /// core, 1 = serial. Results are bit-identical for any value.
   unsigned exec_threads = 0;
-  /// SIMD kernel tier for the execution hot loops (common/simd.h):
-  /// kAuto/kWidest picks the widest ISA the binary and CPU support once at
-  /// startup (AVX2 → SSE2/NEON → scalar; overridable via the PWH_KERNELS
-  /// environment variable), kScalar forces the scalar kernels. Results are
-  /// deterministic per tier — bit-identical across runs and exec_threads —
-  /// and tiers agree to 1e-9 relative. When set to anything other than
-  /// kAuto this overrides `engine.kernels`; at the kAuto default,
-  /// `engine.kernels` is honoured.
-  KernelMode kernels = KernelMode::kAuto;
   /// Append behaviour (see AppendMode).
   AppendMode append_mode = AppendMode::kSealSegment;
   /// Planner pruning: skip segments whose per-column min/max provably
@@ -245,7 +237,7 @@ class Db {
   static StatusOr<Db> Open(const std::string& path,
                            AqpEngineOptions engine = {});
   /// Same with full options: open_mode selects mmap vs heap, and the
-  /// engine/exec_threads/kernels/prune_segments knobs apply as usual.
+  /// engine/exec_threads/prune_segments knobs apply as usual.
   static StatusOr<Db> Open(const std::string& path, const DbOptions& options);
   /// Same, from an in-memory serialized blob (always heap-decoded).
   static StatusOr<Db> FromBlob(const std::vector<uint8_t>& blob,

@@ -66,8 +66,9 @@ class HttpClient {
   /// HTTP/1.1 pipelining: sends one request per body back-to-back in a
   /// single write, then reads the responses in order. A dashboard page
   /// firing all its tile statements down one connection pays the socket
-  /// round trip once for the whole burst (and gives the server-side read
-  /// coalescer concurrent statements to group). No reconnect on failure.
+  /// round trip once for the whole burst, and the server batch-executes
+  /// the burst's statements (see MakeServingBatchHandler). No reconnect
+  /// on failure.
   StatusOr<std::vector<HttpResponse>> RequestPipelined(
       const std::string& method, const std::string& path,
       const std::vector<std::string>& bodies,

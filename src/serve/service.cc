@@ -170,6 +170,23 @@ void AppendDegradedFields(std::string* b, const DegradedInfo& degraded) {
   *b += std::to_string(degraded.segments_skipped);
 }
 
+/// The /query response for one statement's outcome. Single requests and
+/// pipelined bursts both answer through here, so their bodies are
+/// byte-identical.
+HttpResponse QueryResponse(const Status& st, uint64_t epoch,
+                           const DegradedInfo& degraded,
+                           const QueryResult& result) {
+  if (!st.ok()) return ErrorResponse(st);
+  HttpResponse resp;
+  resp.body += "{\"epoch\":";
+  resp.body += std::to_string(epoch);
+  AppendDegradedFields(&resp.body, degraded);
+  resp.body += ",\"result\":";
+  AppendQueryResult(&resp.body, result);
+  resp.body += "}";
+  return resp;
+}
+
 HttpResponse HandleQuery(ServingDb* db, const HttpRequest& req) {
   StatusOr<JsonValue> doc = ParseJson(req.body);
   if (!doc.ok()) return ErrorResponse(doc.status());
@@ -183,15 +200,7 @@ HttpResponse HandleQuery(ServingDb* db, const HttpRequest& req) {
   DegradedInfo degraded;
   uint64_t epoch = 0;
   Status st = db->Query(sql->str, ropts, &result, &degraded, &epoch);
-  if (!st.ok()) return ErrorResponse(st);
-  HttpResponse resp;
-  resp.body += "{\"epoch\":";
-  resp.body += std::to_string(epoch);
-  AppendDegradedFields(&resp.body, degraded);
-  resp.body += ",\"result\":";
-  AppendQueryResult(&resp.body, result);
-  resp.body += "}";
-  return resp;
+  return QueryResponse(st, epoch, degraded, result);
 }
 
 HttpResponse HandleBatch(ServingDb* db, const HttpRequest& req) {
@@ -312,9 +321,6 @@ HttpResponse HandleStats(ServingDb* db, ServiceGate* gate) {
   b += ",\"queries\":" + std::to_string(s.queries);
   b += ",\"batches\":" + std::to_string(s.batches);
   b += ",\"batch_statements\":" + std::to_string(s.batch_statements);
-  b += ",\"coalesced_groups\":" + std::to_string(s.coalesced_groups);
-  b += ",\"coalesced_statements\":" + std::to_string(s.coalesced_statements);
-  b += ",\"max_group\":" + std::to_string(s.max_group);
   b += ",\"cache_hits\":" + std::to_string(s.cache_hits);
   b += ",\"cache_misses\":" + std::to_string(s.cache_misses);
   b += ",\"cache_entries\":" + std::to_string(s.cache_entries);
@@ -423,6 +429,28 @@ HttpResponse Dispatch(ServingDb* db, const HttpRequest& req,
                               "' (try /query /batch /append /stats /healthz)");
 }
 
+/// Admission for one gated request: deadline, then the gate, then the
+/// service.handle failpoint. True = admitted (the caller must Release);
+/// false = `*refusal` holds the answer.
+bool AdmitRequest(ServiceGate* gate, bool is_append, const Deadline& deadline,
+                  HttpResponse* refusal) {
+  if (deadline.Expired()) {
+    *refusal = DeadlineResponse(gate);
+    return false;
+  }
+  if (!gate->Admit(is_append)) {
+    *refusal = ShedResponse(gate);
+    return false;
+  }
+  Status injected = failpoint::Fire("service.handle").status;
+  if (!injected.ok()) {
+    gate->Release(is_append);
+    *refusal = ErrorResponse(injected);
+    return false;
+  }
+  return true;
+}
+
 /// Admission + deadline wrapper around Dispatch. /stats and /healthz are
 /// never gated: the operator's view (and the probe that decides whether
 /// to route traffic here at all) must stay reachable during the overload
@@ -433,15 +461,27 @@ HttpResponse HandleRequest(ServingDb* db, const HttpRequest& req,
     return Dispatch(db, req, gate, state, Deadline{});
   }
   const Deadline deadline = Deadline::For(req, gate);
-  if (deadline.Expired()) return DeadlineResponse(gate);
   const bool is_append = req.path == "/append";
-  if (!gate->Admit(is_append)) return ShedResponse(gate);
-  Status injected = failpoint::Fire("service.handle").status;
-  HttpResponse resp = injected.ok()
-                          ? Dispatch(db, req, gate, state, deadline)
-                          : ErrorResponse(injected);
+  HttpResponse resp;
+  if (!AdmitRequest(gate, is_append, deadline, &resp)) return resp;
+  resp = Dispatch(db, req, gate, state, deadline);
   gate->Release(is_append);
   return resp;
+}
+
+/// The statement of a /query request that a pipelined burst can batch: a
+/// POST with a well-formed {"sql": "..."} body and no per-request degraded
+/// opt-in (the batch runs under default ReadOptions).
+bool BatchableSql(const HttpRequest& req, std::string* sql) {
+  if (req.method != "POST" || req.path != "/query" || AllowsDegraded(req)) {
+    return false;
+  }
+  StatusOr<JsonValue> doc = ParseJson(req.body);
+  if (!doc.ok()) return false;
+  const JsonValue* v = doc.value().Find("sql");
+  if (v == nullptr || v->type != JsonValue::Type::kString) return false;
+  *sql = v->str;
+  return true;
 }
 
 }  // namespace
@@ -459,71 +499,37 @@ HttpServer::BatchHandler MakeServingBatchHandler(ServingDb* db,
   return [db, gate, state](const std::vector<HttpRequest>& reqs)
              -> std::vector<HttpResponse> {
     std::vector<HttpResponse> out(reqs.size());
-    // Well-formed /query statements in the group coalesce into one
-    // QueryBatch on this thread (the pipelined-burst analogue of the
-    // cross-connection ReadCoalescer); everything else — other
-    // endpoints, bad bodies — takes the single-request path, producing
-    // byte-identical responses to unpipelined traffic. Admission is
-    // per-request: shed requests answer 503 while their well-behaved
-    // pipeline neighbors still execute.
+    // Batchable /query statements in the burst execute as one QueryBatch
+    // on this thread; everything else takes the single-request path.
+    // Admission is per request, as in HandleRequest: a shed or injected
+    // request answers alone while its pipeline neighbours still execute.
     std::vector<size_t> qidx;
     std::vector<std::string> sqls;
-    const bool coalesce = db->options().coalesce;
     for (size_t i = 0; i < reqs.size(); ++i) {
-      const HttpRequest& req = reqs[i];
-      // A request that opts into degraded reads carries per-request read
-      // options the coalesced path cannot represent — route it through
-      // the single-request path so the header is honored.
-      if (coalesce && req.method == "POST" && req.path == "/query" &&
-          req.FindHeader("X-Allow-Degraded") == nullptr) {
-        StatusOr<JsonValue> doc = ParseJson(req.body);
-        const JsonValue* sql =
-            doc.ok() ? doc.value().Find("sql") : nullptr;
-        if (sql != nullptr && sql->type == JsonValue::Type::kString) {
-          if (gate != nullptr) {
-            const Deadline deadline = Deadline::For(req, gate);
-            if (deadline.Expired()) {
-              out[i] = DeadlineResponse(gate);
-              continue;
-            }
-            if (!gate->Admit(/*is_append=*/false)) {
-              out[i] = ShedResponse(gate);
-              continue;
-            }
-          }
-          qidx.push_back(i);
-          sqls.push_back(sql->str);
-          continue;
-        }
+      std::string sql;
+      if (!BatchableSql(reqs[i], &sql)) {
+        out[i] = HandleRequest(db, reqs[i], gate, state);
+        continue;
       }
-      out[i] = HandleRequest(db, req, gate, state);
+      if (gate != nullptr &&
+          !AdmitRequest(gate, /*is_append=*/false,
+                        Deadline::For(reqs[i], gate), &out[i])) {
+        continue;
+      }
+      qidx.push_back(i);
+      sqls.push_back(std::move(sql));
     }
-    if (sqls.size() == 1) {
-      out[qidx[0]] = Dispatch(db, reqs[qidx[0]], gate, state, Deadline{});
-    } else if (!sqls.empty()) {
-      std::vector<QueryResult> results;
-      std::vector<Status> statement_status;
-      uint64_t epoch = 0;
-      Status st = db->QueryBatch(sqls, &results, &statement_status, &epoch);
-      for (size_t j = 0; j < sqls.size(); ++j) {
-        const Status& ss = st.ok() ? statement_status[j] : st;
-        if (!ss.ok()) {
-          out[qidx[j]] = ErrorResponse(ss);
-          continue;
-        }
-        HttpResponse resp;
-        resp.body += "{\"epoch\":";
-        resp.body += std::to_string(epoch);
-        resp.body += ",\"result\":";
-        AppendQueryResult(&resp.body, results[j]);
-        resp.body += "}";
-        out[qidx[j]] = std::move(resp);
-      }
-    }
-    if (gate != nullptr) {
-      for (size_t j = 0; j < qidx.size(); ++j) {
-        gate->Release(/*is_append=*/false);
-      }
+    if (sqls.empty()) return out;
+    std::vector<QueryResult> results;
+    std::vector<Status> statement_status;
+    DegradedInfo degraded;
+    uint64_t epoch = 0;
+    const Status st = db->QueryBatch(sqls, ReadOptions{}, &results,
+                                     &statement_status, &degraded, &epoch);
+    for (size_t j = 0; j < qidx.size(); ++j) {
+      out[qidx[j]] = QueryResponse(st.ok() ? statement_status[j] : st, epoch,
+                                   degraded, results[j]);
+      if (gate != nullptr) gate->Release(/*is_append=*/false);
     }
     return out;
   };

@@ -101,12 +101,15 @@ HttpServer::Handler MakeServingHandler(ServingDb* db,
                                        ServiceGate* gate = nullptr,
                                        ServiceState* state = nullptr);
 
-/// Builds the pipelining-aware group handler: consecutive POST /query
-/// requests in a pipelined burst coalesce into one batch execution on
-/// the connection's own thread when `db` has coalescing enabled (other
-/// requests, and all traffic with coalescing off, fall back to the
-/// single-request path with byte-identical responses). Install alongside
-/// MakeServingHandler: HttpServer(MakeServingHandler(db, gate),
+/// Builds the pipelining-aware group handler: the POST /query requests of
+/// a pipelined burst execute as one ServingDb::QueryBatch on the
+/// connection's own thread. Other requests, and /query requests carrying
+/// X-Allow-Degraded, take the single-request path. Every response is
+/// byte-identical to sending the request alone, and admission, deadlines
+/// and the service.handle failpoint apply per request. This is the only
+/// read grouping: statements on different connections never share a
+/// batch, so clients that want grouping pipeline or use /batch. Install
+/// alongside MakeServingHandler: HttpServer(MakeServingHandler(db, gate),
 /// MakeServingBatchHandler(db, gate)).
 HttpServer::BatchHandler MakeServingBatchHandler(ServingDb* db,
                                                  ServiceGate* gate = nullptr,

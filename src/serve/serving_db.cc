@@ -115,13 +115,6 @@ ServingDb::ServingDb(Db db, ServingOptions options, uint64_t start_epoch)
     : options_(options),
       snapshot_(std::make_shared<DbSnapshot>(std::move(db), start_epoch)),
       cache_(options.plan_cache_capacity, options.plan_cache_shards) {
-  if (options_.coalesce) {
-    coalescer_ = std::make_unique<ReadCoalescer>(
-        [this](const std::vector<ReadCoalescer::Request*>& group) {
-          ExecuteGroup(group);
-        },
-        options_.coalesce_window_us);
-  }
   if (options_.compaction.enabled && options_.compaction.interval_ms > 0) {
     compactor_ = std::thread([this] { CompactorLoop(); });
   }
@@ -386,39 +379,36 @@ std::shared_ptr<const DbSnapshot> ServingDb::snapshot() const {
 
 Status ServingDb::Query(const std::string& sql, QueryResult* result,
                         uint64_t* epoch) {
-  queries_.fetch_add(1, std::memory_order_relaxed);
-  if (coalescer_ == nullptr) {
-    Status st = QueryUncoalesced(sql, result, epoch);
-    if (!st.ok()) errors_.fetch_add(1, std::memory_order_relaxed);
-    return st;
-  }
-  ReadCoalescer::Request req;
-  req.sql = &sql;
-  req.result = result;
-  coalescer_->Submit(&req);
-  if (!req.status.ok()) {
-    errors_.fetch_add(1, std::memory_order_relaxed);
-    return req.status;
-  }
-  if (epoch != nullptr) *epoch = req.epoch;
-  return Status::OK();
+  return Query(sql, ReadOptions{}, result, /*degraded=*/nullptr, epoch);
 }
 
 Status ServingDb::Query(const std::string& sql, const ReadOptions& ropts,
                         QueryResult* result, DegradedInfo* degraded,
                         uint64_t* epoch) {
+  queries_.fetch_add(1, std::memory_order_relaxed);
+  Status st = QueryOne(sql, ropts, result, degraded, epoch);
+  if (!st.ok()) errors_.fetch_add(1, std::memory_order_relaxed);
+  return st;
+}
+
+Status ServingDb::QueryOne(const std::string& sql, const ReadOptions& ropts,
+                           QueryResult* result, DegradedInfo* degraded,
+                           uint64_t* epoch) {
   std::shared_ptr<const DbSnapshot> snap = Load();
-  if (snap != nullptr && snap->db.has_quarantine()) {
-    queries_.fetch_add(1, std::memory_order_relaxed);
+  if (snap == nullptr) return Status::Internal("ServingDb: no snapshot");
+  if (snap->db.has_quarantine()) {
     if (!(ropts.allow_degraded || snap->db.allow_degraded())) {
-      errors_.fetch_add(1, std::memory_order_relaxed);
       return QuarantineStatus(snap->db);
     }
-    Status st = QueryDegraded(snap, sql, result, degraded, epoch);
-    if (!st.ok()) errors_.fetch_add(1, std::memory_order_relaxed);
-    return st;
+    return QueryDegraded(snap, sql, result, degraded, epoch);
   }
-  return Query(sql, result, epoch);
+  bool hit = false;
+  StatusOr<PreparedQuery> pq = cache_.Get(snap, sql, &hit);
+  (hit ? cache_hits_ : cache_misses_).fetch_add(1, std::memory_order_relaxed);
+  if (!pq.ok()) return pq.status();
+  PH_RETURN_IF_ERROR(pq.value().ExecuteInto(result));
+  if (epoch != nullptr) *epoch = snap->epoch;
+  return Status::OK();
 }
 
 StatusOr<std::shared_ptr<const Db>> ServingDb::DegradedDb(
@@ -446,8 +436,8 @@ Status ServingDb::QueryDegraded(
     const std::shared_ptr<const DbSnapshot>& snap, const std::string& sql,
     QueryResult* result, DegradedInfo* degraded, uint64_t* epoch) {
   // Degraded reads bypass the plan cache (its plans were prepared against
-  // the full snapshot) and the coalescer; correctness over throughput
-  // while the operator deals with the corruption.
+  // the full snapshot); correctness over throughput while the operator
+  // deals with the corruption.
   PH_ASSIGN_OR_RETURN(std::shared_ptr<const Db> ddb, DegradedDb(snap));
   degraded_reads_.fetch_add(1, std::memory_order_relaxed);
   PH_ASSIGN_OR_RETURN(PreparedQuery pq, ddb->Prepare(sql));
@@ -460,93 +450,6 @@ Status ServingDb::QueryDegraded(
   }
   if (epoch != nullptr) *epoch = snap->epoch;
   return Status::OK();
-}
-
-Status ServingDb::QueryUncoalesced(const std::string& sql,
-                                   QueryResult* result, uint64_t* epoch) {
-  std::shared_ptr<const DbSnapshot> snap = Load();
-  if (snap == nullptr) return Status::Internal("ServingDb: no snapshot");
-  if (snap->db.has_quarantine()) {
-    if (!snap->db.allow_degraded()) return QuarantineStatus(snap->db);
-    return QueryDegraded(snap, sql, result, nullptr, epoch);
-  }
-  bool hit = false;
-  StatusOr<PreparedQuery> pq = cache_.Get(snap, sql, &hit);
-  (hit ? cache_hits_ : cache_misses_).fetch_add(1, std::memory_order_relaxed);
-  if (!pq.ok()) return pq.status();
-  PH_RETURN_IF_ERROR(pq.value().ExecuteInto(result));
-  if (epoch != nullptr) *epoch = snap->epoch;
-  return Status::OK();
-}
-
-void ServingDb::ExecuteGroup(
-    const std::vector<ReadCoalescer::Request*>& group) {
-  // One snapshot answers the whole group: every plan below is prepared
-  // against (or cache-matched to) `snap`, so the batch hands the executor
-  // plans from a single epoch, as batch execution requires.
-  std::shared_ptr<const DbSnapshot> snap = Load();
-  if (snap == nullptr) {
-    for (ReadCoalescer::Request* r : group) {
-      r->status = Status::Internal("ServingDb: no snapshot");
-    }
-    return;
-  }
-  if (snap->db.has_quarantine()) {
-    // Coalesced requests carry no per-read options, so only the Db-level
-    // allow_degraded applies here (per-request X-Allow-Degraded bypasses
-    // the coalescer — see the Query overload).
-    if (!snap->db.allow_degraded()) {
-      Status st = QuarantineStatus(snap->db);
-      for (ReadCoalescer::Request* r : group) r->status = st;
-      return;
-    }
-    for (ReadCoalescer::Request* r : group) {
-      r->status = QueryDegraded(snap, *r->sql, r->result, nullptr,
-                                &r->epoch);
-    }
-    return;
-  }
-  std::vector<PreparedQuery> pqs;
-  std::vector<size_t> owner;  // group index of each prepared statement
-  pqs.reserve(group.size());
-  owner.reserve(group.size());
-  for (size_t i = 0; i < group.size(); ++i) {
-    bool hit = false;
-    StatusOr<PreparedQuery> pq = cache_.Get(snap, *group[i]->sql, &hit);
-    (hit ? cache_hits_ : cache_misses_)
-        .fetch_add(1, std::memory_order_relaxed);
-    if (!pq.ok()) {
-      group[i]->status = pq.status();
-      continue;
-    }
-    pqs.push_back(std::move(pq).value());
-    owner.push_back(i);
-  }
-  for (size_t i : owner) group[i]->epoch = snap->epoch;
-  if (pqs.empty()) return;
-
-  // Compiled statements execute as one batch straight into each
-  // requester's result; anything routed through a backend (no compiled
-  // plan) runs individually.
-  std::vector<const SegmentedPlan*> plans;
-  std::vector<QueryResult*> outs;
-  std::vector<size_t> batched;
-  plans.reserve(pqs.size());
-  outs.reserve(pqs.size());
-  for (size_t j = 0; j < pqs.size(); ++j) {
-    if (pqs[j].compiled()) {
-      plans.push_back(&pqs[j].plan());
-      outs.push_back(group[owner[j]]->result);
-      batched.push_back(owner[j]);
-    } else {
-      group[owner[j]]->status = pqs[j].ExecuteInto(group[owner[j]]->result);
-    }
-  }
-  if (plans.empty()) return;
-  Status st = snap->db.executor().ExecuteBatchInto(plans, outs);
-  if (!st.ok()) {
-    for (size_t i : batched) group[i]->status = st;
-  }
 }
 
 Status ServingDb::QueryBatch(const std::vector<std::string>& sqls,
@@ -912,12 +815,6 @@ ServingStats ServingDb::Stats() const {
   s.queries = queries_.load(std::memory_order_relaxed);
   s.batches = batches_.load(std::memory_order_relaxed);
   s.batch_statements = batch_statements_.load(std::memory_order_relaxed);
-  if (coalescer_ != nullptr) {
-    ReadCoalescer::Stats cs = coalescer_->stats();
-    s.coalesced_groups = cs.groups;
-    s.coalesced_statements = cs.statements;
-    s.max_group = cs.max_group;
-  }
   s.cache_hits = cache_hits_.load(std::memory_order_relaxed);
   s.cache_misses = cache_misses_.load(std::memory_order_relaxed);
   s.cache_entries = cache_.size();

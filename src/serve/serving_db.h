@@ -20,11 +20,12 @@
 // checkpoint-<epoch>.pws2 (tmp + fsync + rename) and truncates the WAL;
 // Recover() reopens the newest checkpoint and replays the WAL tail.
 //
-// Repeated statements hit a sharded LRU plan cache (serve/plan_cache.h);
-// concurrent point reads are group-committed into Db batch execution by a
-// read coalescer (serve/coalescer.h), which turns grid-sharing dashboard
-// fan-in into the measured batch-execution win. Both are transparent:
-// responses are bit-identical to uncached, uncoalesced execution.
+// Repeated statements hit a sharded LRU plan cache (serve/plan_cache.h),
+// transparently: responses are bit-identical to uncached execution. Each
+// Query executes alone on its caller's thread; grouping statements into
+// one batch execution is the caller's choice, through QueryBatch (the
+// HTTP layer batches /batch bodies and pipelined /query bursts that way).
+// There is no cross-caller grouping.
 #ifndef PAIRWISEHIST_SERVE_SERVING_DB_H_
 #define PAIRWISEHIST_SERVE_SERVING_DB_H_
 
@@ -38,7 +39,6 @@
 #include <thread>
 #include <vector>
 
-#include "serve/coalescer.h"
 #include "serve/plan_cache.h"
 #include "serve/snapshot.h"
 #include "storage/wal.h"
@@ -63,13 +63,6 @@ struct DurabilityOptions {
 };
 
 struct ServingOptions {
-  /// Group concurrent point queries into batch execution. Off = every
-  /// request executes alone (still snapshot-isolated and cached).
-  bool coalesce = true;
-  /// Extra microseconds the coalescing leader waits for stragglers before
-  /// each drain. 0 = coalesce only requests overlapping an in-flight
-  /// batch (no added latency).
-  uint32_t coalesce_window_us = 0;
   /// Prepared-plan cache size (entries) and shard count.
   size_t plan_cache_capacity = 1024;
   size_t plan_cache_shards = 8;
@@ -116,9 +109,9 @@ struct ServingStats {
   uint64_t queries = 0;           ///< /query statements served
   uint64_t batches = 0;           ///< /batch calls served
   uint64_t batch_statements = 0;  ///< statements across /batch calls
+  /// Always 0 (no cross-caller grouping); kept for existing readers.
   uint64_t coalesced_groups = 0;
   uint64_t coalesced_statements = 0;
-  uint64_t max_group = 0;
   uint64_t cache_hits = 0;
   uint64_t cache_misses = 0;
   uint64_t cache_entries = 0;
@@ -163,8 +156,8 @@ class ServingDb {
  public:
   /// Takes ownership of `db` as epoch `start_epoch` (in-memory serving;
   /// durability options in `options` are ignored — use CreateDurable).
-  /// The Db should use the built-in engine (backends execute uncoalesced)
-  /// and AppendMode::kSealSegment (Append returns Unsupported otherwise,
+  /// The Db should use the built-in engine (backends execute statement by
+  /// statement) and AppendMode::kSealSegment (Append returns Unsupported otherwise,
   /// see Db::WithAppended).
   explicit ServingDb(Db db, ServingOptions options = {},
                      uint64_t start_epoch = 0);
@@ -203,16 +196,16 @@ class ServingDb {
   std::shared_ptr<const DbSnapshot> snapshot() const;
 
   /// Executes one statement against the current snapshot, through the
-  /// plan cache and (when enabled) the read coalescer. `*epoch` (optional)
-  /// reports the snapshot epoch that answered. Fails closed with DataLoss
-  /// when integrity verification has quarantined any segment, unless the
-  /// snapshot's Db was opened with allow_degraded.
+  /// plan cache. `*epoch` (optional) reports the snapshot epoch that
+  /// answered. Fails closed with DataLoss when integrity verification has
+  /// quarantined any segment, unless the snapshot's Db was opened with
+  /// allow_degraded. Same as the ReadOptions overload with defaults.
   Status Query(const std::string& sql, QueryResult* result,
                uint64_t* epoch = nullptr);
 
   /// Same with per-read options: with ropts.allow_degraded (or the Db's
   /// own allow_degraded) a quarantine degrades the answer — the surviving
-  /// segments answer, bypassing the plan cache and the coalescer, and
+  /// segments answer, bypassing the plan cache, and
   /// `*degraded` (optional) reports what was skipped — instead of failing
   /// closed.
   Status Query(const std::string& sql, const ReadOptions& ropts,
@@ -284,10 +277,10 @@ class ServingDb {
   StatusOr<Db> TakeDb();
 
  private:
-  /// Leader-side execution of one coalesced group against one snapshot.
-  void ExecuteGroup(const std::vector<ReadCoalescer::Request*>& group);
-  Status QueryUncoalesced(const std::string& sql, QueryResult* result,
-                          uint64_t* epoch);
+  /// Query's body, without the query/error counters.
+  Status QueryOne(const std::string& sql, const ReadOptions& ropts,
+                  QueryResult* result, DegradedInfo* degraded,
+                  uint64_t* epoch);
   /// The degraded view of `snap` (surviving segments only), cached per
   /// (snapshot, quarantine version) so repeated degraded reads do not
   /// rebuild the executor.
@@ -317,7 +310,6 @@ class ServingDb {
   std::shared_ptr<DbSnapshot> snapshot_;
   std::mutex append_mu_;  ///< serializes Append / Checkpoint / TakeDb
   PlanCache cache_;
-  std::unique_ptr<ReadCoalescer> coalescer_;
 
   // Durability state (null/empty when serving in-memory).
   std::unique_ptr<Wal> wal_;

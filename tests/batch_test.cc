@@ -274,7 +274,7 @@ TEST(BatchEquivalence, SingleSegmentScalarTier) {
   ASSERT_TRUE(t.ok());
   DbOptions opt;
   opt.synopsis.sample_size = 10000;  // Eq. 29 widening active
-  opt.kernels = KernelMode::kScalar;
+  opt.engine.kernels = KernelMode::kScalar;
   auto db = Db::FromTable(*t, opt);
   ASSERT_TRUE(db.ok()) << db.status().ToString();
   size_t checked = 0;
@@ -287,7 +287,7 @@ TEST(BatchEquivalence, SingleSegmentWidestTier) {
   ASSERT_TRUE(t.ok());
   DbOptions opt;
   opt.synopsis.sample_size = 10000;
-  opt.kernels = KernelMode::kWidest;
+  opt.engine.kernels = KernelMode::kWidest;
   auto db = Db::FromTable(*t, opt);
   ASSERT_TRUE(db.ok()) << db.status().ToString();
   size_t checked = 0;

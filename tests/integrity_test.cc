@@ -412,8 +412,7 @@ TEST_F(DegradedServing, FailsClosedThenDegradesWithHeader) {
 }
 
 // DbOptions::allow_degraded makes degradation the db-wide policy: plain
-// reads (including the coalesced path, which carries no per-read
-// options) degrade instead of failing.
+// reads (which carry no per-read options) degrade instead of failing.
 TEST_F(DegradedServing, DbLevelOptInDegradesPlainReads) {
   ServingDb sdb(OpenQuarantined(/*allow_degraded=*/true));
   QueryResult result;
@@ -422,9 +421,9 @@ TEST_F(DegradedServing, DbLevelOptInDegradesPlainReads) {
   EXPECT_GE(sdb.Stats().degraded_reads, 1u);
 }
 
-// In a pipelined burst, a request opting into degraded reads bypasses
-// the coalescer (per-request options don't coalesce) while its neighbors
-// fail closed.
+// In a pipelined burst, a request opting into degraded reads takes the
+// single-request path (the burst batch runs under default read options)
+// while its neighbors fail closed.
 TEST_F(DegradedServing, PipelinedBurstHonorsPerRequestOptIn) {
   ServingDb sdb(OpenQuarantined(/*allow_degraded=*/false));
   auto batch_handler = MakeServingBatchHandler(&sdb);
@@ -438,6 +437,27 @@ TEST_F(DegradedServing, PipelinedBurstHonorsPerRequestOptIn) {
   EXPECT_EQ(out[1].status, 200) << out[1].body;
   EXPECT_NE(out[1].body.find("\"degraded\":true"), std::string::npos);
   EXPECT_EQ(out[2].status, 503);
+}
+
+// With the db-level opt-in, a pipelined burst answers exactly what a
+// single /query answers, degraded markers included: a partial count must
+// say it is partial on every read shape.
+TEST_F(DegradedServing, PipelinedBurstKeepsDegradedMarkers) {
+  ServingDb sdb(OpenQuarantined(/*allow_degraded=*/true));
+  auto handler = MakeServingHandler(&sdb);
+  auto batch_handler = MakeServingBatchHandler(&sdb);
+  const std::string body = "{\"sql\":\"SELECT COUNT(*) FROM power;\"}";
+  const HttpResponse single = handler(Post("/query", body, false));
+  ASSERT_EQ(single.status, 200) << single.body;
+  EXPECT_NE(single.body.find("\"degraded\":true"), std::string::npos);
+
+  std::vector<HttpResponse> out = batch_handler(
+      {Post("/query", body, false), Post("/query", body, false)});
+  ASSERT_EQ(out.size(), 2u);
+  for (const HttpResponse& resp : out) {
+    EXPECT_EQ(resp.status, 200) << resp.body;
+    EXPECT_EQ(resp.body, single.body);
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -576,7 +576,7 @@ TEST(KernelDeterminism, RepeatRunsAndThreadCountsBitIdentical) {
     for (int rep = 0; rep < 2; ++rep) {
       DbOptions opt;
       opt.synopsis.sample_size = 6000;
-      opt.kernels = mode;
+      opt.engine.kernels = mode;
       opt.target_segment_rows = 5000;  // multi-segment
       opt.exec_threads = rep == 0 ? 1 : 4;
       auto db = Db::FromGenerator("power", 20000, 9, opt);
@@ -594,14 +594,14 @@ TEST(KernelDeterminism, RepeatRunsAndThreadCountsBitIdentical) {
   }
 }
 
-// DbOptions::kernels is actually wired through to the engines: scalar and
-// auto Dbs agree within tolerance on a nontrivial workload.
+// DbOptions::engine.kernels is actually wired through to the engines:
+// scalar and auto Dbs agree within tolerance on a nontrivial workload.
 TEST(KernelKnob, DbOptionKernelsIsWired) {
   DbOptions scalar_opt;
   scalar_opt.synopsis.sample_size = 5000;
-  scalar_opt.kernels = KernelMode::kScalar;
+  scalar_opt.engine.kernels = KernelMode::kScalar;
   DbOptions auto_opt = scalar_opt;
-  auto_opt.kernels = KernelMode::kAuto;
+  auto_opt.engine.kernels = KernelMode::kAuto;
   auto a = Db::FromGenerator("power", 15000, 33, scalar_opt);
   auto b = Db::FromGenerator("power", 15000, 33, auto_opt);
   ASSERT_TRUE(a.ok() && b.ok());

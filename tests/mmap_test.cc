@@ -123,7 +123,7 @@ class MmapTest : public ::testing::Test {
                       unsigned exec_threads = 0) {
     DbOptions options;
     options.open_mode = mode;
-    options.kernels = kernels;
+    options.engine.kernels = kernels;
     options.exec_threads = exec_threads;
     auto db = Db::Open(path, options);
     EXPECT_TRUE(db.ok()) << db.status().ToString();

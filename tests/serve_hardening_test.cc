@@ -1,8 +1,8 @@
 // Adversarial serving-layer tests: malformed-input fuzz corpora for the
 // JSON and CSV entry points, raw-socket framing abuse (garbage requests,
 // oversized headers, huge Content-Length), deadline enforcement, load
-// shedding under injected slowness, client retry-with-backoff, idle-peer
-// reaping, and graceful drain. Runs in the ASan CI leg — "never crashes"
+// shedding under injected slowness, fault injection on pipelined reads,
+// client retry-with-backoff, idle-peer reaping, and graceful drain. Runs in the ASan CI leg — "never crashes"
 // here means never crashes under ASan.
 #include <arpa/inet.h>
 #include <netinet/in.h>
@@ -464,6 +464,43 @@ TEST_F(ServeShedding, RetryGivesUpAfterMaxAttempts) {
   ASSERT_TRUE(resp.ok());  // transport worked; the answer is still a 503
   EXPECT_EQ(resp->status, 503);
   occupier.join();
+}
+
+// ---------------------------------------------------------------------------
+// Fault injection on every read shape.
+
+// service.handle fires once per admitted statement whether a read arrives
+// alone, as a pipelined /query burst, or as the only /query of a burst
+// beside another endpoint; the gated /stats beside it is unaffected.
+TEST(ServeFailpoint, ServiceHandleFiresOnPipelinedReads) {
+  ServingDb serving(MakePowerDb(4000));
+  ServiceGate gate;
+  HttpServer::Handler handler = MakeServingHandler(&serving, &gate);
+  HttpServer::BatchHandler batch_handler =
+      MakeServingBatchHandler(&serving, &gate);
+  const HttpRequest query =
+      MakeReq("POST", "/query", "{\"sql\":\"SELECT COUNT(*) FROM power;\"}");
+  const HttpRequest stats = MakeReq("GET", "/stats");
+
+  ASSERT_TRUE(failpoint::Set("service.handle", "error").ok());
+  const int single = handler(query).status;
+  const std::vector<HttpResponse> burst = batch_handler({query, query});
+  const std::vector<HttpResponse> mixed = batch_handler({query, stats});
+  failpoint::ClearAll();
+
+  EXPECT_EQ(single, 500);
+  ASSERT_EQ(burst.size(), 2u);
+  EXPECT_EQ(burst[0].status, 500) << burst[0].body;
+  EXPECT_EQ(burst[1].status, 500) << burst[1].body;
+  ASSERT_EQ(mixed.size(), 2u);
+  EXPECT_EQ(mixed[0].status, 500) << mixed[0].body;
+  EXPECT_EQ(mixed[1].status, 200) << mixed[1].body;
+
+  // Disarmed, the same burst answers; every admission was released.
+  for (const HttpResponse& resp : batch_handler({query, query})) {
+    EXPECT_EQ(resp.status, 200) << resp.body;
+  }
+  EXPECT_EQ(gate.stats().inflight, 0u);
 }
 
 // ---------------------------------------------------------------------------

@@ -1,8 +1,8 @@
 // Serving-layer validation (src/serve/): snapshot-isolated concurrent
 // reads under appends (bit-equality against per-epoch replay), plan-cache
-// hits and epoch invalidation, coalesced execution identical to
-// uncoalesced, JSON parse/format, and full HTTP round-trips including
-// error statuses. The reader/writer tests are the designated TSan
+// hits and epoch invalidation, concurrent and pipelined execution
+// identical to plain execution, JSON parse/format, and full HTTP
+// round-trips including error statuses. The reader/writer tests are the designated TSan
 // workload for the serve subsystem.
 #include <atomic>
 #include <cmath>
@@ -16,7 +16,6 @@
 
 #include "api/db.h"
 #include "datagen/datasets.h"
-#include "serve/coalescer.h"
 #include "serve/http_client.h"
 #include "serve/http_server.h"
 #include "serve/json.h"
@@ -251,49 +250,13 @@ TEST(PlanCache, EvictsLeastRecentlyUsed) {
 }
 
 // ---------------------------------------------------------------------------
-// Coalescer
+// ServingDb: concurrent queries == plain Db, and stats accounting.
 
-TEST(Coalescer, GroupsConcurrentSubmitters) {
-  std::atomic<int> calls{0};
-  ReadCoalescer coalescer(
-      [&](const std::vector<ReadCoalescer::Request*>& group) {
-        calls.fetch_add(1);
-        for (ReadCoalescer::Request* r : group) {
-          r->status = Status::OK();
-          r->epoch = 42;
-        }
-      },
-      /*window_us=*/200000);  // generous window: stragglers always group
-
-  constexpr int kThreads = 4;
-  std::vector<std::thread> threads;
-  std::vector<ReadCoalescer::Request> reqs(kThreads);
-  std::vector<std::string> sqls(kThreads, "q");
-  for (int t = 0; t < kThreads; ++t) {
-    reqs[t].sql = &sqls[t];
-    threads.emplace_back([&, t] { coalescer.Submit(&reqs[t]); });
-  }
-  for (std::thread& t : threads) t.join();
-  for (const auto& r : reqs) {
-    EXPECT_TRUE(r.status.ok());
-    EXPECT_EQ(r.epoch, 42u);
-  }
-  const ReadCoalescer::Stats stats = coalescer.stats();
-  EXPECT_EQ(stats.statements, static_cast<uint64_t>(kThreads));
-  EXPECT_EQ(stats.groups, static_cast<uint64_t>(calls.load()));
-  EXPECT_GE(stats.max_group, 2u);  // 200 ms window: threads overlap
-  EXPECT_LT(stats.groups, static_cast<uint64_t>(kThreads));
-}
-
-// ---------------------------------------------------------------------------
-// ServingDb: coalesced == uncoalesced == plain Db, and stats accounting.
-
-TEST(ServingDbTest, CoalescedMatchesPlainExecution) {
+TEST(ServingDbTest, ConcurrentQueriesMatchPlainExecution) {
   const std::vector<std::string>& sqls = ServeSqls();
   Db reference = MakePowerDb(20000, 8000);
 
   ServingOptions options;
-  options.coalesce = true;
   ServingDb serving(MakePowerDb(20000, 8000), options);
 
   std::vector<QueryResult> reference_results(sqls.size());
@@ -330,7 +293,7 @@ TEST(ServingDbTest, CoalescedMatchesPlainExecution) {
         }
         if (!equal) {
           std::lock_guard<std::mutex> lock(failures_mu);
-          failures.push_back(sqls[qi] + ": coalesced result differs");
+          failures.push_back(sqls[qi] + ": result differs");
         }
       }
     });
@@ -341,7 +304,6 @@ TEST(ServingDbTest, CoalescedMatchesPlainExecution) {
 
   const ServingStats stats = serving.Stats();
   EXPECT_EQ(stats.queries, static_cast<uint64_t>(kThreads * kIters));
-  EXPECT_EQ(stats.coalesced_statements, stats.queries);
   EXPECT_EQ(stats.cache_hits + stats.cache_misses, stats.queries);
   EXPECT_GE(stats.cache_hits, stats.queries - 8 * sqls.size());
   EXPECT_EQ(stats.errors, 0u);
@@ -464,6 +426,38 @@ TEST(ServingDbTest, QueryBatchAndTakeDb) {
   auto taken = serving.TakeDb();
   ASSERT_TRUE(taken.ok()) << taken.status().ToString();
   EXPECT_EQ(taken->total_rows(), 10000u);
+}
+
+// Default ServingOptions batch a pipelined /query burst: the whole burst
+// runs as one QueryBatch, and every response byte-equals what the
+// single-request handler answers for the same request.
+TEST(ServingDbTest, DefaultOptionsBatchPipelinedBurst) {
+  ServingDb serving(MakePowerDb(12000, 6000));
+  HttpServer::Handler handler = MakeServingHandler(&serving);
+  HttpServer::BatchHandler batch_handler = MakeServingBatchHandler(&serving);
+  std::vector<HttpRequest> burst;
+  for (const std::string& sql : ServeSqls()) {
+    HttpRequest req;
+    req.method = "POST";
+    req.path = "/query";
+    req.body = "{\"sql\":";
+    AppendJsonString(&req.body, sql);
+    req.body += "}";
+    burst.push_back(std::move(req));
+  }
+
+  const ServingStats before = serving.Stats();
+  const std::vector<HttpResponse> out = batch_handler(burst);
+  const ServingStats after = serving.Stats();
+  EXPECT_EQ(after.batches - before.batches, 1u);
+  EXPECT_EQ(after.batch_statements - before.batch_statements, burst.size());
+  EXPECT_EQ(after.queries, before.queries);
+
+  ASSERT_EQ(out.size(), burst.size());
+  for (size_t i = 0; i < burst.size(); ++i) {
+    EXPECT_EQ(out[i].status, 200) << out[i].body;
+    EXPECT_EQ(out[i].body, handler(burst[i]).body) << "burst position " << i;
+  }
 }
 
 // ---------------------------------------------------------------------------
