@@ -127,12 +127,16 @@ int main(int argc, char** argv) {
 
   // Durable mode: recover existing state when the directory has a
   // checkpoint, otherwise create fresh durable state from the dataset.
+  // One DbOptions for every path: a recovered server re-seals its WAL
+  // batches in the same --segment-rows chunks as the live one did.
+  DbOptions options;
+  options.target_segment_rows = segment_rows;
   std::unique_ptr<ServingDb> serving;
   if (!serving_options.durability.dir.empty()) {
     if (serving_options.durability.checkpoint_interval_ms == 0) {
       serving_options.durability.checkpoint_interval_ms = 30000;
     }
-    auto recovered = ServingDb::Recover(serving_options);
+    auto recovered = ServingDb::Recover(serving_options, options);
     if (recovered.ok()) {
       serving = std::move(recovered).value();
       const RecoveryInfo& info = serving->recovery_info();
@@ -146,8 +150,6 @@ int main(int argc, char** argv) {
           info.tail_truncated ? ", torn tail truncated" : "",
           (unsigned long long)serving->Stats().epoch);
     } else if (recovered.status().code() == StatusCode::kNotFound) {
-      DbOptions options;
-      options.target_segment_rows = segment_rows;
       auto opened = csv.empty() ? Db::FromGenerator(gen, rows, seed, options)
                                 : Db::FromCsv(csv, options);
       if (!opened.ok()) {
@@ -172,8 +174,6 @@ int main(int argc, char** argv) {
       return 1;
     }
   } else {
-    DbOptions options;
-    options.target_segment_rows = segment_rows;
     auto opened = csv.empty() ? Db::FromGenerator(gen, rows, seed, options)
                               : Db::FromCsv(csv, options);
     if (!opened.ok()) {

@@ -18,18 +18,6 @@
 
 namespace pairwisehist {
 
-namespace {
-
-SegmentedExecOptions MakeExecOptions(const DbOptions& options) {
-  SegmentedExecOptions eo;
-  eo.engine = options.engine;
-  eo.exec_threads = options.exec_threads;
-  eo.prune = options.prune_segments;
-  return eo;
-}
-
-}  // namespace
-
 // ---------------------------------------------------------------------------
 // PreparedQuery
 
@@ -64,58 +52,69 @@ StatusOr<QueryResult> PreparedQuery::ExecuteExact() const {
 // ---------------------------------------------------------------------------
 // Opening
 
-StatusOr<Db> Db::Build(Table table, const DbOptions& opts) {
-  Db db;
-  db.name_ = table.name();
-
-  DbOptions options = opts;
+Db::Config Db::MakeConfig(std::string name, const DbOptions& options) {
+  Config config;
+  config.name = std::move(name);
+  config.append_cfg = options.synopsis;
   if (options.build_threads != 0) {
-    options.synopsis.build_threads = options.build_threads;
+    config.append_cfg.build_threads = options.build_threads;
   }
-  db.append_cfg_ = options.synopsis;
-  db.target_segment_rows_ = options.target_segment_rows;
-  db.append_mode_ = options.append_mode;
-  db.compact_ = options.compact;
+  config.target_segment_rows = options.target_segment_rows;
+  config.allow_degraded = options.allow_degraded;
+  config.compact = options.compact;
+  config.exec.engine = options.engine;
+  config.exec.exec_threads = options.exec_threads;
+  config.exec.prune = options.prune_segments;
   if (options.compact.enabled) {
-    db.ledger_ = std::make_shared<FeedbackLedger>();
+    config.exec.ledger = std::make_shared<FeedbackLedger>();
   }
+  return config;
+}
 
+Db Db::Assemble(Config config, SynopsisSet set) {
+  Db db;
+  db.config_ = std::move(config);
+  db.set_ = std::make_unique<SynopsisSet>(std::move(set));
+  db.exec_ = std::make_unique<SegmentedExecutor>(db.set_.get(),
+                                                 db.config_.exec);
+  return db;
+}
+
+StatusOr<Db> Db::Build(Table table, const DbOptions& options) {
+  Config config = MakeConfig(table.name(), options);
+  const PairwiseHistConfig& cfg = config.append_cfg;
+
+  std::unique_ptr<CompressedTable> compressed;
   if (options.compress) {
     PH_ASSIGN_OR_RETURN(PreprocessedTable pre, Preprocess(table));
     PH_ASSIGN_OR_RETURN(CompressedTable gd,
                         CompressedTable::Compress(pre, options.gd));
-    db.compressed_ = std::make_unique<CompressedTable>(std::move(gd));
+    compressed = std::make_unique<CompressedTable>(std::move(gd));
   }
 
   PH_ASSIGN_OR_RETURN(
       SegmentedTable st,
       SegmentedTable::Partition(&table, options.target_segment_rows));
+  SynopsisSet set;
   if (options.compress && st.NumSegments() == 1) {
     // Monolithic compressed build: seed the bin edges with the GreedyGD
     // bases (the paper's compression ↔ AQP integration).
-    PH_ASSIGN_OR_RETURN(
-        PairwiseHist ph,
-        PairwiseHist::BuildFromCompressed(*db.compressed_, options.synopsis));
+    PH_ASSIGN_OR_RETURN(PairwiseHist ph,
+                        PairwiseHist::BuildFromCompressed(*compressed, cfg));
     SegmentMeta meta;
     meta.row_begin = 0;
     meta.row_end = table.NumRows();
     meta.ranges = ComputeColumnRanges(table, 0, table.NumRows());
-    db.set_ = std::make_unique<SynopsisSet>(
-        SynopsisSet::FromSingle(std::move(ph), std::move(meta)));
+    set = SynopsisSet::FromSingle(std::move(ph), std::move(meta));
   } else {
-    PH_ASSIGN_OR_RETURN(SynopsisSet set,
-                        SynopsisSet::Build(st, options.synopsis,
-                                           options.synopsis.build_threads));
-    db.set_ = std::make_unique<SynopsisSet>(std::move(set));
+    PH_ASSIGN_OR_RETURN(set, SynopsisSet::Build(st, cfg, cfg.build_threads));
   }
 
+  Db db = Assemble(std::move(config), std::move(set));
+  db.compressed_ = std::move(compressed);
   if (options.keep_table) {
     db.table_ = std::make_unique<Table>(std::move(table));
   }
-  SegmentedExecOptions eo = MakeExecOptions(options);
-  eo.ledger = db.ledger_;
-  db.exec_ = std::make_unique<SegmentedExecutor>(db.set_.get(), eo);
-  db.allow_degraded_ = options.allow_degraded;
   return db;
 }
 
@@ -135,50 +134,32 @@ StatusOr<Db> Db::FromGenerator(const std::string& name, size_t rows,
 }
 
 StatusOr<Db> Db::FromSet(SynopsisSet set, const DbOptions& options) {
-  Db db;
-  db.set_ = std::make_unique<SynopsisSet>(std::move(set));
-  db.compact_ = options.compact;
-  if (options.compact.enabled) {
-    db.ledger_ = std::make_shared<FeedbackLedger>();
-  }
-  SegmentedExecOptions eo = MakeExecOptions(options);
-  eo.ledger = db.ledger_;
-  db.exec_ = std::make_unique<SegmentedExecutor>(db.set_.get(), eo);
-  db.name_ = "synopsis";
-  db.allow_degraded_ = options.allow_degraded;
-  // Recover append build parameters from the newest stored segment so
-  // post-Open appends seal segments consistent with the original build
-  // (the original DbOptions are not serialized). When the segment sampled
-  // every row we cannot tell "sample everything" from "cap above N";
-  // recover as 0 (sample everything), which only ever increases accuracy.
-  // M is recovered as a fraction of Ns so it keeps scaling with batch
-  // size; the sampling seed is not recoverable and stays at its default.
-  const PairwiseHist& newest =
-      db.set_->synopsis(db.set_->NumSegments() - 1);
-  db.append_cfg_.sample_size =
-      newest.sample_rows() == newest.total_rows() ? 0
-                                                  : newest.sample_rows();
-  db.append_cfg_.min_points_override = 0;
-  db.append_cfg_.min_points_fraction =
+  Config config = MakeConfig("synopsis", options);
+  // Recover the append build parameters the file records from its newest
+  // segment, so post-Open appends seal segments consistent with the
+  // original build (the original DbOptions are not serialized). When the
+  // segment sampled every row we cannot tell "sample everything" from
+  // "cap above N"; recover as 0 (sample everything), which only ever
+  // increases accuracy. M is recovered as a fraction of Ns so it keeps
+  // scaling with batch size; the sampling seed is not recorded and comes
+  // from `options`.
+  const PairwiseHist& newest = set.synopsis(set.NumSegments() - 1);
+  PairwiseHistConfig& cfg = config.append_cfg;
+  cfg.sample_size =
+      newest.sample_rows() == newest.total_rows() ? 0 : newest.sample_rows();
+  cfg.min_points_override = 0;
+  cfg.min_points_fraction =
       newest.sample_rows() > 0
           ? static_cast<double>(newest.min_points()) / newest.sample_rows()
           : 0.01;
-  db.append_cfg_.alpha = newest.alpha();
-  return db;
+  cfg.alpha = newest.alpha();
+  return Assemble(std::move(config), std::move(set));
 }
 
 StatusOr<Db> Db::FromBlob(const std::vector<uint8_t>& blob,
-                          AqpEngineOptions engine) {
+                          const DbOptions& options) {
   PH_ASSIGN_OR_RETURN(SynopsisSet set, SynopsisSet::Deserialize(blob));
-  DbOptions options;
-  options.engine = engine;
   return FromSet(std::move(set), options);
-}
-
-StatusOr<Db> Db::Open(const std::string& path, AqpEngineOptions engine) {
-  DbOptions options;
-  options.engine = engine;
-  return Open(path, options);
 }
 
 StatusOr<Db> Db::Open(const std::string& path, const DbOptions& options) {
@@ -363,8 +344,7 @@ StatusOr<Table> Db::CanonicalizeBatch(const Table& batch) const {
     // the same category strings in a different order (e.g. a CSV where
     // 'fault' appears before 'ok'), and the synopsis/GD transforms map
     // *codes*, not strings. Categories unseen at fit time extend the
-    // canonical dictionary; the kMutateBins path clamps them at encode
-    // time (update.cc semantics) while segment sealing fits them fresh.
+    // canonical dictionary, and the sealed segment fits them fresh.
     Column col(src.name(), DataType::kCategorical, src.decimals());
     col.SetDictionary(tr.dictionary);
     for (size_t r = 0; r < src.size(); ++r) {
@@ -419,27 +399,18 @@ Status Db::Append(const Table& batch) {
   // time any component is mutated the batch is known-applicable: a late
   // failure would leave synopsis, compressed store and raw table counting
   // different rows with no way to roll back.
-  const size_t last = set_->NumSegments() - 1;
   PH_RETURN_IF_ERROR(ValidateAppendSchema(batch));
   if (batch.NumRows() == 0) return Status::OK();
   PH_ASSIGN_OR_RETURN(Table canonical, CanonicalizeBatch(batch));
 
-  if (append_mode_ == AppendMode::kMutateBins) {
-    // The paper's in-place bin mutation (kept for compatibility; accuracy
-    // drifts as appended data departs from the fitted bin edges).
-    PH_RETURN_IF_ERROR(
-        set_->mutable_synopsis(last)->UpdateFromTable(canonical));
-    set_->ExtendLastMeta(canonical);
-  } else {
-    // Seal the batch as fresh segments with newly fitted bin edges;
-    // SealSegments is all-or-nothing, so a build failure leaves every
-    // maintained structure untouched.
-    PH_ASSIGN_OR_RETURN(
-        SegmentedTable st,
-        SegmentedTable::Partition(&canonical, target_segment_rows_));
-    PH_RETURN_IF_ERROR(set_->SealSegments(st, append_cfg_));
-    PH_RETURN_IF_ERROR(exec_->Refresh());
-  }
+  // Seal the batch as fresh segments with newly fitted bin edges;
+  // SealSegments is all-or-nothing, so a build failure leaves every
+  // maintained structure untouched.
+  PH_ASSIGN_OR_RETURN(
+      SegmentedTable st,
+      SegmentedTable::Partition(&canonical, config_.target_segment_rows));
+  PH_RETURN_IF_ERROR(set_->SealSegments(st, config_.append_cfg));
+  PH_RETURN_IF_ERROR(exec_->Refresh());
 
   if (compressed_ != nullptr) {
     PH_ASSIGN_OR_RETURN(PreprocessedTable pre,
@@ -449,7 +420,7 @@ Status Db::Append(const Table& batch) {
   if (table_ != nullptr) {
     PH_RETURN_IF_ERROR(AppendTableRows(table_.get(), canonical));
   }
-  if (compact_.enabled && append_mode_ == AppendMode::kSealSegment) {
+  if (config_.compact.enabled) {
     // Drain eligible compactions right away (Append is already the
     // exclusive writer). Bounded: one Append seals O(1) segments, so at
     // most a few merges cascade; the cap only guards pathological configs.
@@ -471,38 +442,24 @@ StatusOr<Db> Db::WithAppended(const Table& batch) const {
     return Status::Unsupported(
         "WithAppended: the compressed store is single-owner; use Append");
   }
-  if (append_mode_ == AppendMode::kMutateBins) {
-    return Status::Unsupported(
-        "WithAppended requires AppendMode::kSealSegment (snapshot sharing "
-        "relies on sealed segments staying immutable)");
-  }
   PH_RETURN_IF_ERROR(ValidateAppendSchema(batch));
 
-  Db out;
-  out.name_ = name_;
-  out.append_cfg_ = append_cfg_;
-  out.target_segment_rows_ = target_segment_rows_;
-  out.append_mode_ = append_mode_;
-  out.allow_degraded_ = allow_degraded_;
-  out.compact_ = compact_;
-  out.ledger_ = ledger_;  // shared: feedback accumulates across snapshots
   if (batch.NumRows() == 0) {
-    out.set_ = std::make_unique<SynopsisSet>(set_->Share());
+    Db out = Assemble(config_, set_->Share());
     if (table_ != nullptr) out.table_ = std::make_unique<Table>(*table_);
-  } else {
-    PH_ASSIGN_OR_RETURN(Table canonical, CanonicalizeBatch(batch));
-    PH_ASSIGN_OR_RETURN(
-        SegmentedTable st,
-        SegmentedTable::Partition(&canonical, target_segment_rows_));
-    PH_ASSIGN_OR_RETURN(SynopsisSet set, set_->WithSealed(st, append_cfg_));
-    out.set_ = std::make_unique<SynopsisSet>(std::move(set));
-    if (table_ != nullptr) {
-      out.table_ = std::make_unique<Table>(*table_);
-      PH_RETURN_IF_ERROR(AppendTableRows(out.table_.get(), canonical));
-    }
+    return out;
   }
-  out.exec_ = std::make_unique<SegmentedExecutor>(out.set_.get(),
-                                                  exec_->options());
+  PH_ASSIGN_OR_RETURN(Table canonical, CanonicalizeBatch(batch));
+  PH_ASSIGN_OR_RETURN(
+      SegmentedTable st,
+      SegmentedTable::Partition(&canonical, config_.target_segment_rows));
+  PH_ASSIGN_OR_RETURN(SynopsisSet set,
+                      set_->WithSealed(st, config_.append_cfg));
+  Db out = Assemble(config_, std::move(set));
+  if (table_ != nullptr) {
+    out.table_ = std::make_unique<Table>(*table_);
+    PH_RETURN_IF_ERROR(AppendTableRows(out.table_.get(), canonical));
+  }
   return out;
 }
 
@@ -516,29 +473,19 @@ StatusOr<Db> Db::WithoutQuarantined() const {
     return Status::DataLoss(
         "every segment is quarantined; nothing left to serve");
   }
-  Db out;
-  out.name_ = name_;
-  out.append_cfg_ = append_cfg_;
-  out.target_segment_rows_ = target_segment_rows_;
-  out.append_mode_ = append_mode_;
-  out.allow_degraded_ = allow_degraded_;
-  out.compact_ = compact_;
-  out.ledger_ = ledger_;
-  out.set_ = std::make_unique<SynopsisSet>(std::move(healthy));
-  out.exec_ = std::make_unique<SegmentedExecutor>(out.set_.get(),
-                                                  exec_->options());
-  return out;
+  return Assemble(config_, std::move(healthy));
 }
 
 // ---------------------------------------------------------------------------
 // Segment lifecycle: tiered compaction + error-driven refit
 
 std::optional<CompactionSpec> Db::PickCompactionSpec() const {
-  if (!compact_.enabled) return std::nullopt;
+  if (!config_.compact.enabled) return std::nullopt;
   auto rebuildable = [this](uint64_t rb, uint64_t re) {
     return table_ != nullptr && rb < re && re <= table_->NumRows();
   };
-  return PickCompaction(*set_, compact_, ledger_.get(), rebuildable);
+  return PickCompaction(*set_, config_.compact, feedback_ledger().get(),
+                        rebuildable);
 }
 
 StatusOr<CompactedRun> Db::BuildCompaction(const CompactionSpec& spec) const {
@@ -570,12 +517,13 @@ StatusOr<CompactedRun> Db::BuildCompaction(const CompactionSpec& spec,
   // pure function of (build seed, row range) so replaying a recorded spec
   // rebuilds a bit-identical synopsis; the error-driven budget boost was
   // captured in the spec at pick time for the same reason.
-  PairwiseHistConfig cfg = append_cfg_;
+  PairwiseHistConfig cfg = config_.append_cfg;
   cfg.min_points_override = 0;
   const double boost = std::max(1.0, spec.budget_boost);
   cfg.min_points_fraction =
-      std::max(compact_.min_points_floor, cfg.min_points_fraction / boost);
-  cfg.seed = CompactionSeed(append_cfg_.seed, spec.row_begin, spec.row_end);
+      std::max(config_.compact.min_points_floor,
+               cfg.min_points_fraction / boost);
+  cfg.seed = CompactionSeed(cfg.seed, spec.row_begin, spec.row_end);
   PH_ASSIGN_OR_RETURN(PairwiseHist ph,
                       PairwiseHist::BuildFromTable(rows, cfg));
   CompactedRun run;
@@ -602,7 +550,9 @@ StatusOr<bool> Db::CompactOnce(CompactionSpec* applied,
                                       std::move(run.synopsis),
                                       std::move(run.meta)));
   PH_RETURN_IF_ERROR(exec_->Refresh());
-  if (ledger_ != nullptr) ledger_->Forget(spec->row_begin, spec->row_end);
+  if (feedback_ledger() != nullptr) {
+    feedback_ledger()->Forget(spec->row_begin, spec->row_end);
+  }
   if (applied != nullptr) *applied = *spec;
   return true;
 }
@@ -632,19 +582,11 @@ StatusOr<Db> Db::WithCompactionApplied(const CompactionSpec& spec,
       SynopsisSet set,
       set_->WithReplacedRun(run_idx.first, run_idx.second,
                             std::move(run.synopsis), std::move(run.meta)));
-  Db out;
-  out.name_ = name_;
-  out.append_cfg_ = append_cfg_;
-  out.target_segment_rows_ = target_segment_rows_;
-  out.append_mode_ = append_mode_;
-  out.allow_degraded_ = allow_degraded_;
-  out.compact_ = compact_;
-  out.ledger_ = ledger_;
-  out.set_ = std::make_unique<SynopsisSet>(std::move(set));
+  Db out = Assemble(config_, std::move(set));
   if (table_ != nullptr) out.table_ = std::make_unique<Table>(*table_);
-  out.exec_ = std::make_unique<SegmentedExecutor>(out.set_.get(),
-                                                  exec_->options());
-  if (ledger_ != nullptr) ledger_->Forget(spec.row_begin, spec.row_end);
+  if (feedback_ledger() != nullptr) {
+    feedback_ledger()->Forget(spec.row_begin, spec.row_end);
+  }
   return out;
 }
 

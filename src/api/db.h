@@ -18,9 +18,10 @@
 //
 // Segmentation: a Db holds one sealed PairwiseHist per row segment
 // (DbOptions::target_segment_rows; 0 = the paper's single monolithic
-// synopsis). Appends seal each batch as a new segment with fresh bin edges
-// by default — no accuracy drift — and queries fan out across segments in
-// parallel with deterministic merged results (see query/segment_exec.h).
+// synopsis). Appends seal each batch as new segments with fresh bin edges
+// — no accuracy drift — and a sealed segment never changes afterwards;
+// queries fan out across segments in parallel with deterministic merged
+// results (see query/segment_exec.h).
 #ifndef PAIRWISEHIST_API_DB_H_
 #define PAIRWISEHIST_API_DB_H_
 
@@ -42,18 +43,6 @@
 #include "storage/table.h"
 
 namespace pairwisehist {
-
-/// How Db::Append folds a new batch into the synopsis.
-enum class AppendMode {
-  /// Seal the batch as one (or more) new segments with freshly fitted bin
-  /// edges. Accuracy does not degrade as appended data drifts from the
-  /// original distribution. The default.
-  kSealSegment,
-  /// The paper's Sec.-3.6 behaviour: mutate the last segment's existing
-  /// bins in place (PairwiseHist::Update). Cheap, but bin edges are never
-  /// re-refined, so accuracy drifts under distribution shift.
-  kMutateBins,
-};
 
 /// How Db::Open materializes a synopsis file.
 enum class OpenMode {
@@ -111,8 +100,6 @@ struct DbOptions {
   /// Threads for cross-segment query execution: 0 = one per hardware
   /// core, 1 = serial. Results are bit-identical for any value.
   unsigned exec_threads = 0;
-  /// Append behaviour (see AppendMode).
-  AppendMode append_mode = AppendMode::kSealSegment;
   /// Planner pruning: skip segments whose per-column min/max provably
   /// cannot satisfy the WHERE clause.
   bool prune_segments = true;
@@ -207,7 +194,7 @@ class PreparedQuery {
 ///    internally, and lazy plan extension after Append synchronizes on
 ///    each SegmentedPlan's own mutex with release/acquire publication.
 ///  - Append and SetBackend are exclusive writers: no other call (const or
-///    not) may run concurrently with them — Append mutates the synopsis
+///    not) may run concurrently with them — Append grows the synopsis
 ///    set, raw table and compressed store in place.
 ///  - For readers that must never block during appends, take copy-on-append
 ///    snapshots with WithAppended (sealed segments are immutable and
@@ -233,15 +220,16 @@ class Db {
   /// Opens a synopsis previously written by Save(): full query capability,
   /// no raw data (exact fallback unavailable). Accepts PWS3 (zero-copy
   /// memory-mapped by default — see OpenMode), the PWS2 multi-segment
-  /// container and PR-1-era single-synopsis PWH1 files.
+  /// container and PR-1-era single-synopsis PWH1 files. open_mode selects
+  /// mmap vs heap; the query, append and lifecycle options apply as for a
+  /// built Db (appends seal in target_segment_rows chunks), except that
+  /// the sampling budget, M and α of appended segments are recovered from
+  /// the file's newest segment.
   static StatusOr<Db> Open(const std::string& path,
-                           AqpEngineOptions engine = {});
-  /// Same with full options: open_mode selects mmap vs heap, and the
-  /// engine/exec_threads/prune_segments knobs apply as usual.
-  static StatusOr<Db> Open(const std::string& path, const DbOptions& options);
+                           const DbOptions& options = {});
   /// Same, from an in-memory serialized blob (always heap-decoded).
   static StatusOr<Db> FromBlob(const std::vector<uint8_t>& blob,
-                               AqpEngineOptions engine = {});
+                               const DbOptions& options = {});
 
   // ---- Persistence ------------------------------------------------------
   /// Writes the synopsis: kPws3 (default) is the memory-mappable format,
@@ -291,12 +279,11 @@ class Db {
   StatusOr<QueryResult> ExecuteExact(const Query& query) const;
 
   // ---- Incremental ingestion -------------------------------------------
-  /// Folds a new batch (same schema) into every maintained structure.
-  /// kSealSegment (default): the batch becomes one or more new sealed
-  /// segments with fresh bin edges. kMutateBins: the last segment's bins
-  /// absorb the rows in place (the paper's Sec.-3.6 update). Either way
-  /// the compressed store (when present) and the kept raw table grow, and
-  /// prepared queries stay valid and see the new data.
+  /// Folds a new batch (same schema) into every maintained structure: the
+  /// batch becomes one or more new sealed segments with fresh bin edges
+  /// (existing segments are never modified), the compressed store (when
+  /// present) and the kept raw table grow, and prepared queries stay
+  /// valid and see the new data.
   Status Append(const Table& batch);
 
   /// Copy-on-append snapshot: returns a NEW Db whose synopsis shares every
@@ -307,9 +294,8 @@ class Db {
   /// match what Append(batch) would have produced, so old and new Db
   /// answer identically over the shared prefix. The kept raw table (when
   /// present) is deep-copied — O(total rows); open with keep_table = false
-  /// for cheap snapshots. Unsupported with a compressed store, an active
-  /// backend, or AppendMode::kMutateBins (snapshot sharing requires
-  /// immutable segments). This is the building block of serve/ServingDb.
+  /// for cheap snapshots. Unsupported with a compressed store or an active
+  /// backend. This is the building block of serve/ServingDb.
   StatusOr<Db> WithAppended(const Table& batch) const;
 
   /// Name and type of every column an Append batch must supply, in synopsis
@@ -357,13 +343,15 @@ class Db {
 
   /// This Db's compaction options / error-feedback ledger (ledger is null
   /// unless DbOptions::compact.enabled).
-  const CompactionOptions& compaction_options() const { return compact_; }
+  const CompactionOptions& compaction_options() const {
+    return config_.compact;
+  }
   const std::shared_ptr<FeedbackLedger>& feedback_ledger() const {
-    return ledger_;
+    return config_.exec.ledger;
   }
   /// Segments sitting in merge-eligible runs (the compaction backlog).
   size_t CompactionBacklogSize() const {
-    return CompactionBacklog(*set_, compact_);
+    return CompactionBacklog(*set_, config_.compact);
   }
 
   // ---- Pluggable AQP backends ------------------------------------------
@@ -379,7 +367,7 @@ class Db {
   const AqpMethod* backend() const { return backend_.get(); }
 
   // ---- Introspection ----------------------------------------------------
-  const std::string& name() const { return name_; }
+  const std::string& name() const { return config_.name; }
   /// Number of sealed segments (1 for a monolithic Db).
   size_t num_segments() const { return set_->NumSegments(); }
   /// Segment i's synopsis / metadata.
@@ -421,18 +409,39 @@ class Db {
   uint64_t quarantine_version() const { return set_->quarantine_version(); }
   uint64_t scrub_errors() const { return set_->scrub_errors(); }
   /// The DbOptions::allow_degraded this Db was opened with.
-  bool allow_degraded() const { return allow_degraded_; }
+  bool allow_degraded() const { return config_.allow_degraded; }
   /// The degraded-serving view: a NEW synopsis-only Db sharing every
   /// non-quarantined segment with this one. Fails InvalidArgument when
   /// nothing is quarantined (use `this`) or every segment is quarantined.
   StatusOr<Db> WithoutQuarantined() const;
 
  private:
+  /// The configuration a Db carries beyond its data. Every Db derived from
+  /// another (WithAppended, WithoutQuarantined, WithCompactionApplied)
+  /// inherits it whole.
+  struct Config {
+    std::string name;
+    /// Build parameters for segments sealed by appends.
+    PairwiseHistConfig append_cfg;
+    size_t target_segment_rows = 0;
+    bool allow_degraded = false;
+    CompactionOptions compact;
+    /// Executor options; exec.ledger is the error-feedback ledger
+    /// (created when compact.enabled, shared across derived Dbs so
+    /// feedback survives snapshot swaps).
+    SegmentedExecOptions exec;
+  };
+
   Db() = default;
+  /// The Config every constructor starts from: `options` resolved once.
+  static Config MakeConfig(std::string name, const DbOptions& options);
+  /// A Db over `set` with `config` (the shared tail of every constructor
+  /// and derivation; the raw table and compressed store are the caller's).
+  static Db Assemble(Config config, SynopsisSet set);
   static StatusOr<Db> Build(Table table, const DbOptions& options);
   /// Shared tail of every synopsis-only open path: wraps an already
-  /// deserialized/mapped set and recovers append build parameters from its
-  /// newest segment.
+  /// deserialized/mapped set and recovers the sampling budget, M and α
+  /// of appended segments from its newest segment.
   static StatusOr<Db> FromSet(SynopsisSet set, const DbOptions& options);
   /// Checks that `batch`'s columns match the synopsis schema by name/type.
   Status ValidateAppendSchema(const Table& batch) const;
@@ -442,7 +451,7 @@ class Db {
   /// dictionary append-only).
   StatusOr<Table> CanonicalizeBatch(const Table& batch) const;
 
-  std::string name_;
+  Config config_;
   // unique_ptr members keep component addresses stable across Db moves so
   // prepared queries can hold plain pointers.
   std::unique_ptr<SynopsisSet> set_;
@@ -450,16 +459,6 @@ class Db {
   std::unique_ptr<Table> table_;
   std::unique_ptr<CompressedTable> compressed_;
   std::unique_ptr<AqpMethod> backend_;
-  // Retained build options for appends.
-  PairwiseHistConfig append_cfg_;
-  size_t target_segment_rows_ = 0;
-  AppendMode append_mode_ = AppendMode::kSealSegment;
-  bool allow_degraded_ = false;
-  // Segment lifecycle: options + error-feedback ledger (created when
-  // compact.enabled; shared across copy-on-append/compact snapshots so
-  // feedback survives snapshot swaps).
-  CompactionOptions compact_;
-  std::shared_ptr<FeedbackLedger> ledger_;
 };
 
 }  // namespace pairwisehist

@@ -8,8 +8,9 @@
 //    identical in both modes;
 //  - any mutating call (resize, assign, push_back, non-const operator[],
 //    mut_data, vec) first *promotes* a borrowed view to a private owned
-//    copy — copy-on-write, so the legacy kMutateBins append path can fold
-//    rows into a mapped segment and only then pays for the copy.
+//    copy — copy-on-write, so a caller can copy a mapped synopsis and
+//    update the copy (PairwiseHist::Update) without touching the mapping,
+//    paying for each array copy only when it is first written.
 //
 // Lifetime: a borrowed VecView does NOT keep its backing memory alive.
 // The object that binds views (SynopsisSet's PWS3 open path) must hold the

@@ -1,6 +1,5 @@
 #include "core/synopsis_set.h"
 
-#include <algorithm>
 #include <utility>
 
 #include "common/parallel.h"
@@ -102,14 +101,12 @@ Status SynopsisSet::SealSegments(const SegmentedTable& st,
                                /*row_base=*/total_rows(), &fresh));
   // Phase 2: commit.
   for (Segment& seg : fresh) segments_.push_back(std::move(seg));
-  ++meta_generation_;
   return Status::OK();
 }
 
 SynopsisSet SynopsisSet::Share() const {
   SynopsisSet out;
   out.segments_ = segments_;  // shares every (immutable) synopsis
-  out.meta_generation_ = meta_generation_;
   out.structure_generation_ = structure_generation_;
   out.mapped_bytes_ = mapped_bytes_;  // shared segments keep borrowing
   out.integrity_ = integrity_;  // one quarantine state across snapshots
@@ -155,7 +152,6 @@ Status SynopsisSet::ReplaceRun(size_t begin, size_t end,
   segments_[begin] = std::move(seg);
   segments_.erase(segments_.begin() + static_cast<ptrdiff_t>(begin) + 1,
                   segments_.begin() + static_cast<ptrdiff_t>(end));
-  ++meta_generation_;
   ++structure_generation_;
   return Status::OK();
 }
@@ -219,7 +215,6 @@ uint64_t SynopsisSet::scrub_errors() const {
 
 SynopsisSet SynopsisSet::ShareHealthy() const {
   SynopsisSet out;
-  out.meta_generation_ = meta_generation_;
   out.structure_generation_ = structure_generation_;
   out.mapped_bytes_ = mapped_bytes_;
   for (size_t i = 0; i < segments_.size(); ++i) {
@@ -234,28 +229,6 @@ StatusOr<SynopsisSet> SynopsisSet::WithSealed(
   SynopsisSet out = Share();
   PH_RETURN_IF_ERROR(out.SealSegments(st, cfg));
   return out;
-}
-
-void SynopsisSet::ExtendLastMeta(const Table& batch) {
-  if (segments_.empty()) return;
-  ++meta_generation_;
-  SegmentMeta& meta = segments_.back().meta;
-  meta.row_end += batch.NumRows();
-  ColumnRanges batch_ranges =
-      ComputeColumnRanges(batch, 0, batch.NumRows());
-  ColumnRanges& r = meta.ranges;
-  for (size_t c = 0; c < r.valid.size() && c < batch_ranges.valid.size();
-       ++c) {
-    if (!batch_ranges.valid[c]) continue;
-    if (!r.valid[c]) {
-      r.min[c] = batch_ranges.min[c];
-      r.max[c] = batch_ranges.max[c];
-      r.valid[c] = 1;
-    } else {
-      r.min[c] = std::min(r.min[c], batch_ranges.min[c]);
-      r.max[c] = std::max(r.max[c], batch_ranges.max[c]);
-    }
-  }
 }
 
 uint64_t SynopsisSet::total_rows() const {

@@ -7,7 +7,9 @@
 // exact pre-segmentation behaviour when NumSegments() == 1. Appends seal
 // new segments with fresh bin edges instead of mutating existing bins, so
 // accuracy does not drift as appended data departs from the original
-// distribution (the PairwiseHist::Update footgun).
+// distribution (the PairwiseHist::Update footgun). A sealed segment is
+// immutable: the set only ever gains segments (sealing) or replaces a run
+// of them wholesale (compaction), so sets share segments freely.
 //
 // Persistence: container magic "PWS2" wrapping one standard PWH1 blob per
 // segment plus its row range and pruning ranges. Deserialize also accepts a
@@ -68,8 +70,7 @@ class SynopsisSet {
 
   // ---- Copy-on-append snapshots -----------------------------------------
   /// Returns a set sharing every sealed segment with this one (segments
-  /// are immutable once sealed, so sharing is safe as long as no caller
-  /// uses the kMutateBins mutation path on either set).
+  /// are immutable once sealed, so sharing is always safe).
   SynopsisSet Share() const;
   /// Copy-on-append: returns a NEW set that shares this set's sealed
   /// segments and additionally seals every segment of `st`, leaving
@@ -87,11 +88,10 @@ class SynopsisSet {
   StatusOr<std::pair<size_t, size_t>> FindRun(uint64_t row_begin,
                                               uint64_t row_end) const;
   /// Replaces segments [begin, end) with one already-built merged segment
-  /// covering the same rows. Bumps meta_generation() AND
-  /// structure_generation(): executors must rebuild engines and recompile
-  /// every plan (indices shifted), not just extend the tail. The replaced
-  /// segment carries no integrity span, so replacing a quarantined segment
-  /// drains it from the quarantine set.
+  /// covering the same rows. Bumps structure_generation(): executors must
+  /// rebuild engines and recompile every plan (indices shifted), not just
+  /// extend the tail. The replaced segment carries no integrity span, so
+  /// replacing a quarantined segment drains it from the quarantine set.
   Status ReplaceRun(size_t begin, size_t end,
                     std::shared_ptr<PairwiseHist> merged, SegmentMeta meta);
   /// Copy-on-compact: a NEW set sharing every segment except the replaced
@@ -99,9 +99,9 @@ class SynopsisSet {
   StatusOr<SynopsisSet> WithReplacedRun(size_t begin, size_t end,
                                         std::shared_ptr<PairwiseHist> merged,
                                         SegmentMeta meta) const;
-  /// Bumped whenever existing segments are REPLACED (compaction) — unlike
-  /// meta_generation(), which also covers pure growth. A change means
-  /// cached per-segment engines/plans are structurally stale.
+  /// Bumped whenever existing segments are REPLACED (compaction); pure
+  /// growth (sealing) leaves it alone. A change means cached per-segment
+  /// engines/plans are structurally stale.
   uint64_t structure_generation() const { return structure_generation_; }
   /// Whether segment i (by CURRENT index) is quarantined. Integrity spans
   /// are remembered per segment, so this stays correct after compaction
@@ -113,21 +113,10 @@ class SynopsisSet {
   const PairwiseHist& synopsis(size_t i) const {
     return *segments_[i].synopsis;
   }
-  /// Mutable access for the legacy kMutateBins append path.
-  PairwiseHist* mutable_synopsis(size_t i) {
-    return segments_[i].synopsis.get();
-  }
   const SegmentMeta& meta(size_t i) const { return segments_[i].meta; }
-  /// Extends the last segment's row range and pruning ranges after a
-  /// kMutateBins update folded `batch` into its synopsis.
-  void ExtendLastMeta(const Table& batch);
 
   /// Total N across segments.
   uint64_t total_rows() const;
-  /// Bumped whenever segment metadata changes (segments sealed or a
-  /// kMutateBins update widened the last segment's ranges). Cached
-  /// planner state (per-segment prune flags) re-validates against this.
-  uint64_t meta_generation() const { return meta_generation_; }
   /// Column count (identical across segments by construction).
   size_t num_columns() const {
     return segments_.empty() ? 0 : segments_[0].synopsis->num_columns();
@@ -193,9 +182,7 @@ class SynopsisSet {
  private:
   friend class Pws3Codec;
   /// shared_ptr because sealed segments are immutable and shared across
-  /// copy-on-append snapshots (WithSealed); only the legacy kMutateBins
-  /// path mutates a synopsis in place, and that path never coexists with
-  /// snapshot sharing (Db::WithAppended rejects kMutateBins).
+  /// copy-on-append snapshots (WithSealed).
   struct Segment {
     /// "This segment is not backed by an integrity span" (heap-built:
     /// sealed appends and compaction-merged segments).
@@ -219,7 +206,6 @@ class SynopsisSet {
                           uint64_t row_base, std::vector<Segment>* out);
 
   std::vector<Segment> segments_;
-  uint64_t meta_generation_ = 0;
   /// Bumped by ReplaceRun (compaction); see structure_generation().
   uint64_t structure_generation_ = 0;
   /// Size of the PWS3 mapping backing this set's segments (0 = heap).

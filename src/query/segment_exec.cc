@@ -131,26 +131,24 @@ Status SegmentedExecutor::Refresh() {
 
 Status SegmentedExecutor::EnsurePlans(SegmentedPlan::State* st) const {
   const size_t nseg = engines_.size();
-  const uint64_t gen = set_->meta_generation();
   const uint64_t sgen = structure_seen_;
   if (st->planned.load(std::memory_order_acquire) >= nseg &&
-      st->meta_gen.load(std::memory_order_acquire) == gen &&
       st->structure_gen.load(std::memory_order_acquire) == sgen) {
     return Status::OK();
   }
   std::lock_guard<std::mutex> lock(st->mu);
   size_t planned = st->planned.load(std::memory_order_relaxed);
   if (planned >= nseg &&
-      st->meta_gen.load(std::memory_order_relaxed) == gen &&
       st->structure_gen.load(std::memory_order_relaxed) == sgen) {
     return Status::OK();
   }
   if (st->structure_gen.load(std::memory_order_relaxed) != sgen) {
-    // Compaction replaced segments: every compiled plan may target a
-    // retired segment. Discard and recompile the whole set (this is what
-    // keeps prepared queries valid across Db::Compact — a cached plan can
-    // never read a retired segment).
+    // Compaction replaced segments: every compiled plan and prune flag may
+    // describe a retired segment. Discard and recompile the whole set
+    // (this is what keeps prepared queries valid across Db::Compact — a
+    // cached plan can never read a retired segment).
     st->plans.clear();
+    st->skip.clear();
     planned = 0;
   }
 
@@ -162,20 +160,14 @@ Status SegmentedExecutor::EnsurePlans(SegmentedPlan::State* st) const {
     fresh.push_back(std::move(plan));
   }
   for (CompiledQuery& plan : fresh) st->plans.push_back(std::move(plan));
-  // Metadata changed (segments sealed, or a kMutateBins append widened
-  // the last segment's ranges): recompute every prune flag, not just the
-  // tail, so a previously pruned segment that gained matching rows is
-  // re-admitted.
-  st->skip.assign(nseg, 0);
-  if (options_.prune && st->query.where.has_value()) {
-    for (size_t i = 0; i < nseg; ++i) {
-      st->skip[i] =
-          MayMatch(*st->query.where, set_->synopsis(i), set_->meta(i))
-              ? 0
-              : 1;
-    }
+  // Prune flags for the new segments only: sealed segments are immutable,
+  // so a flag computed once stays valid until a compaction replaces it.
+  const bool prune = options_.prune && st->query.where.has_value();
+  for (size_t i = planned; i < nseg; ++i) {
+    st->skip.push_back(
+        prune && !MayMatch(*st->query.where, set_->synopsis(i),
+                           set_->meta(i)));
   }
-  st->meta_gen.store(gen, std::memory_order_release);
   st->structure_gen.store(sgen, std::memory_order_release);
   st->planned.store(nseg, std::memory_order_release);
   return Status::OK();

@@ -9,8 +9,11 @@
 // monolithic synopsis (including the zero-allocation fast path).
 //
 // Plans extend lazily: Db::Append seals new segments, and the first
-// execution after an append compiles the missing per-segment plans under
-// the plan's own mutex. The steady-state check is one acquire load.
+// execution after an append compiles the missing per-segment plans (and
+// their prune flags — an existing segment never changes, so its flag never
+// goes stale) under the plan's own mutex. A compaction replaces segments
+// and so recompiles every plan and flag. The steady-state check is two
+// acquire loads (planned count, structure generation).
 #ifndef PAIRWISEHIST_QUERY_SEGMENT_EXEC_H_
 #define PAIRWISEHIST_QUERY_SEGMENT_EXEC_H_
 
@@ -64,10 +67,6 @@ class SegmentedPlan {
     Query query;
     std::mutex mu;                     // guards extension
     std::atomic<size_t> planned{0};    // release-published plan count
-    /// SynopsisSet::meta_generation() the skip flags were computed at; a
-    /// kMutateBins append widens segment ranges without growing the set,
-    /// so prune flags re-validate against this, not just the count.
-    std::atomic<uint64_t> meta_gen{0};
     /// SynopsisSet::structure_generation() the plans were compiled at. A
     /// compaction REPLACES segments (indices shift, engines rebuild), so
     /// on mismatch every plan — not just the tail — recompiles. This is
@@ -126,7 +125,7 @@ class SegmentedExecutor {
   const SegmentedExecOptions& options() const { return options_; }
 
  private:
-  /// Compiles plans (and prune flags) for segments in [planned, current);
+  /// Compiles plans and prune flags for segments in [planned, current);
   /// after a compaction, discards and recompiles the whole plan set.
   Status EnsurePlans(SegmentedPlan::State* st) const;
 

@@ -174,13 +174,6 @@ StatusOr<std::unique_ptr<ServingDb>> ServingDb::CreateDurable(
 }
 
 StatusOr<std::unique_ptr<ServingDb>> ServingDb::Recover(
-    ServingOptions options, AqpEngineOptions engine) {
-  DbOptions db_options;
-  db_options.engine = engine;
-  return Recover(std::move(options), db_options);
-}
-
-StatusOr<std::unique_ptr<ServingDb>> ServingDb::Recover(
     ServingOptions options, const DbOptions& db_options) {
   const std::string& dir = options.durability.dir;
   if (dir.empty()) {

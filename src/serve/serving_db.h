@@ -17,7 +17,7 @@
 // framed into a write-ahead log and fsynced per policy BEFORE the new
 // snapshot is published, so an acknowledged append survives a crash. A
 // background checkpointer periodically persists the full synopsis as
-// checkpoint-<epoch>.pws2 (tmp + fsync + rename) and truncates the WAL;
+// checkpoint-<epoch>.pws3 (tmp + fsync + rename) and truncates the WAL;
 // Recover() reopens the newest checkpoint and replays the WAL tail.
 //
 // Repeated statements hit a sharded LRU plan cache (serve/plan_cache.h),
@@ -48,7 +48,7 @@ namespace pairwisehist {
 /// Crash-safety knobs. An empty `dir` means in-memory serving (the
 /// pre-durability behavior, and still the default).
 struct DurabilityOptions {
-  /// Directory holding wal.log + checkpoint-<epoch>.pws2 files.
+  /// Directory holding wal.log + checkpoint-<epoch>.pws3 files.
   std::string dir;
   /// WAL fsync policy: when an append is acknowledged relative to the
   /// bytes being on stable storage (see WalOptions::Fsync).
@@ -157,8 +157,7 @@ class ServingDb {
   /// Takes ownership of `db` as epoch `start_epoch` (in-memory serving;
   /// durability options in `options` are ignored — use CreateDurable).
   /// The Db should use the built-in engine (backends execute statement by
-  /// statement) and AppendMode::kSealSegment (Append returns Unsupported otherwise,
-  /// see Db::WithAppended).
+  /// statement).
   explicit ServingDb(Db db, ServingOptions options = {},
                      uint64_t start_epoch = 0);
   ~ServingDb();
@@ -182,14 +181,15 @@ class ServingDb {
   /// final WAL record is truncated and reported in recovery_info(); any
   /// recovery that would silently lose an acknowledged epoch fails with
   /// DataLoss naming the corrupt checkpoint file.
+  ///
+  /// `db_options` are the Db::Open options of the checkpoint, so they
+  /// should match the options the state was created with: WAL replay
+  /// re-seals each logged batch in target_segment_rows chunks exactly as
+  /// the live server did. Candidates are verified synchronously during
+  /// recovery regardless of db_options.scrub; with scrub_repeat_ms > 0
+  /// continuous scrubbing starts on the recovered state.
   static StatusOr<std::unique_ptr<ServingDb>> Recover(
-      ServingOptions options, AqpEngineOptions engine = {});
-  /// Same with full open options (scrub knobs, allow_degraded, kernels…).
-  /// Candidates are verified synchronously during recovery regardless of
-  /// db_options.scrub; with scrub_repeat_ms > 0 continuous scrubbing
-  /// starts on the recovered state.
-  static StatusOr<std::unique_ptr<ServingDb>> Recover(
-      ServingOptions options, const DbOptions& db_options);
+      ServingOptions options, const DbOptions& db_options = {});
 
   /// The current snapshot (wait-free atomic load). Holding the returned
   /// pointer pins that epoch — including across subsequent appends.
@@ -237,7 +237,7 @@ class ServingDb {
   /// trace, after it the batch is recovered (acknowledged ⊆ recovered).
   Status Append(const Table& batch);
 
-  /// Persists the current snapshot as checkpoint-<epoch>.pws2 and
+  /// Persists the current snapshot as checkpoint-<epoch>.pws3 and
   /// truncates the WAL (durable mode only; Unsupported otherwise). Blocks
   /// concurrent appends for the duration; readers are unaffected.
   Status Checkpoint();

@@ -182,6 +182,35 @@ TEST_F(ApiTest, SaveOpenRoundTripPreservesAnswers) {
   std::remove(path.c_str());
 }
 
+// A reopened Db appends like the Db that saved it: Open takes the same
+// DbOptions, so target_segment_rows splits a large batch into the same
+// segments and the answers match.
+TEST(ApiOpen, AppendAfterOpenHonorsTargetSegmentRows) {
+  DbOptions options;
+  options.target_segment_rows = 1000;
+  auto built = Db::FromGenerator("power", 4000, 7, options);
+  ASSERT_TRUE(built.ok());
+  ASSERT_EQ(built->num_segments(), 4u);
+  const std::string path = ::testing::TempDir() + "/api_open_segments.pws3";
+  ASSERT_TRUE(built->Save(path).ok());
+  auto opened = Db::Open(path, options);
+  ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+
+  auto batch = MakeDataset("power", 2500, 100);
+  ASSERT_TRUE(batch.ok());
+  ASSERT_TRUE(built->Append(batch.value()).ok());
+  ASSERT_TRUE(opened->Append(batch.value()).ok());
+  EXPECT_EQ(built->num_segments(), 7u);
+  EXPECT_EQ(opened->num_segments(), built->num_segments());
+  for (const char* sql : kWorkload) {
+    auto a = built->ExecuteSql(sql);
+    auto b = opened->ExecuteSql(sql);
+    ASSERT_TRUE(a.ok() && b.ok()) << sql;
+    ExpectSameResult(a.value(), b.value(), sql);
+  }
+  std::remove(path.c_str());
+}
+
 TEST_F(ApiTest, BlobRoundTrip) {
   std::vector<uint8_t> blob = db_->ToBlob();
   auto restored = Db::FromBlob(blob);

@@ -295,9 +295,9 @@ TEST_F(IntegrityTest, BackgroundScrubberDetectsRot) {
 }
 
 // Copy-on-write promotion re-verifies the source blocks at the moment of
-// the copy: with one corrupt byte per 64 KB block, any in-place update of
-// a mapped synopsis must raise a checksum error before the copied bytes
-// are trusted.
+// the copy: with one corrupt byte per 64 KB block, updating a copy of a
+// mapped synopsis (the copy still borrows the mapping) must raise a
+// checksum error before the copied bytes are trusted.
 TEST_F(IntegrityTest, CowPromotionVerifiesSourceBlocks) {
   const std::string path = ::testing::TempDir() + "/integrity_cow.pws3";
   std::vector<uint8_t> bytes = *image_;
@@ -315,8 +315,8 @@ TEST_F(IntegrityTest, CowPromotionVerifiesSourceBlocks) {
   ASSERT_TRUE(batch.ok());
   // The update path promotes every touched borrowed array; each
   // promotion verifies the blocks it copies from and finds the rot.
-  (void)set->mutable_synopsis(set->NumSegments() - 1)
-      ->UpdateFromTable(batch.value());
+  PairwiseHist copy = set->synopsis(set->NumSegments() - 1);
+  (void)copy.UpdateFromTable(batch.value());
   EXPECT_GE(set->scrub_errors(), 1u);
   EXPECT_TRUE(set->has_quarantine());
   std::remove(path.c_str());

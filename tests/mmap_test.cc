@@ -200,30 +200,39 @@ TEST_F(MmapTest, AppendAfterMmapOpenStaysBitEqual) {
   }
 }
 
-// The kMutateBins update path writes through VecView mutators into arrays
-// that borrow the read-only mapping: every touched array must copy-on-write
-// promote (ASan/SEGV would catch a write to the mapping) and end up
-// byte-identical to the same mutation applied to a heap-opened set.
-TEST_F(MmapTest, MutateBinsPromotesBorrowedArrays) {
+// A copy of a mapped synopsis borrows the read-only mapping too, so the
+// Sec.-3.6 update (PairwiseHist::Update) writes through VecView mutators
+// into borrowed arrays: every touched array must copy-on-write promote
+// (ASan/SEGV would catch a write to the mapping) and end up byte-identical
+// to the same update applied to a copy of the heap-opened segment, while
+// the mapped set itself stays unchanged.
+TEST_F(MmapTest, UpdatedCopyPromotesBorrowedArrays) {
   auto mapped = SynopsisSet::OpenMapped(*pws3_path_);
   ASSERT_TRUE(mapped.ok()) << mapped.status().ToString();
   ASSERT_TRUE(mapped->mapped());
   auto heap = SynopsisSet::Deserialize(ReadAll(*pws3_path_));
   ASSERT_TRUE(heap.ok());
   EXPECT_FALSE(heap->mapped());
+  const std::vector<uint8_t> mapped_before = mapped->Serialize();
 
   auto batch = MakeDataset("power", 1000, 123);
   ASSERT_TRUE(batch.ok());
   const size_t last = mapped->NumSegments() - 1;
-  ASSERT_TRUE(
-      mapped->mutable_synopsis(last)->UpdateFromTable(batch.value()).ok());
-  ASSERT_TRUE(
-      heap->mutable_synopsis(last)->UpdateFromTable(batch.value()).ok());
+  PairwiseHist mapped_copy = mapped->synopsis(last);
+  PairwiseHist heap_copy = heap->synopsis(last);
+  ASSERT_TRUE(mapped_copy.UpdateFromTable(batch.value()).ok());
+  ASSERT_TRUE(heap_copy.UpdateFromTable(batch.value()).ok());
 
-  // Same bytes out of both sets: the promotion copied the mapped arrays
-  // exactly before mutating them.
-  EXPECT_EQ(mapped->Serialize(), heap->Serialize());
-  EXPECT_EQ(mapped->SerializeMapped(), heap->SerializeMapped());
+  // Same bytes out of both copies: the promotion copied the mapped arrays
+  // exactly before updating them.
+  EXPECT_EQ(mapped_copy.Serialize(), heap_copy.Serialize());
+  EXPECT_EQ(
+      SynopsisSet::FromSingle(std::move(mapped_copy), mapped->meta(last))
+          .SerializeMapped(),
+      SynopsisSet::FromSingle(std::move(heap_copy), heap->meta(last))
+          .SerializeMapped());
+  // The sealed, mapped segment itself is untouched.
+  EXPECT_EQ(mapped->Serialize(), mapped_before);
 }
 
 TEST_F(MmapTest, CorruptFilesRejectedCleanly) {

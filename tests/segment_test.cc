@@ -547,38 +547,28 @@ TEST(SegmentAppend, DictionaryGrowsAcrossSegments) {
 }
 
 // ---------------------------------------------------------------------------
-// (e') Append modes: seal (default, fresh edges) vs mutate-bins (legacy).
+// (e') Append seals the batch as a fresh segment; the existing one is
+// left exactly as it was.
 
-TEST(SegmentAppend, SealVsMutateModes) {
+TEST(SegmentAppend, SealsBatchAsFreshSegment) {
   DbOptions seal;
   seal.synopsis.sample_size = 0;
-  auto db_seal = Db::FromTable(ControlledTable(10000, 41), seal);
-  ASSERT_TRUE(db_seal.ok());
+  auto db = Db::FromTable(ControlledTable(10000, 41), seal);
+  ASSERT_TRUE(db.ok());
+  const std::vector<uint8_t> first = db->synopsis(0).Serialize();
 
-  DbOptions mutate = seal;
-  mutate.append_mode = AppendMode::kMutateBins;
-  auto db_mut = Db::FromTable(ControlledTable(10000, 41), mutate);
-  ASSERT_TRUE(db_mut.ok());
+  auto count = db->Prepare("SELECT COUNT(*) FROM ctl;");
+  ASSERT_TRUE(count.ok());
 
-  auto count_seal = db_seal->Prepare("SELECT COUNT(*) FROM ctl;");
-  auto count_mut = db_mut->Prepare("SELECT COUNT(*) FROM ctl;");
-  ASSERT_TRUE(count_seal.ok() && count_mut.ok());
+  ASSERT_TRUE(db->Append(ControlledTable(4000, 42)).ok());
+  EXPECT_EQ(db->num_segments(), 2u);  // sealed a fresh segment
+  EXPECT_EQ(db->total_rows(), 14000u);
+  EXPECT_EQ(db->synopsis(0).Serialize(), first);  // sealed = immutable
 
-  Table batch = ControlledTable(4000, 42);
-  ASSERT_TRUE(db_seal->Append(batch).ok());
-  ASSERT_TRUE(db_mut->Append(batch).ok());
-
-  EXPECT_EQ(db_seal->num_segments(), 2u);  // sealed a fresh segment
-  EXPECT_EQ(db_mut->num_segments(), 1u);   // mutated in place
-  EXPECT_EQ(db_seal->total_rows(), 14000u);
-  EXPECT_EQ(db_mut->total_rows(), 14000u);
-
-  // Prepared queries survive both append modes and see the new rows.
-  auto a = count_seal->Execute();
-  auto b = count_mut->Execute();
-  ASSERT_TRUE(a.ok() && b.ok());
+  // The prepared query survives the append and sees the new rows.
+  auto a = count->Execute();
+  ASSERT_TRUE(a.ok());
   EXPECT_DOUBLE_EQ(a->Scalar().estimate, 14000.0);
-  EXPECT_DOUBLE_EQ(b->Scalar().estimate, 14000.0);
 }
 
 // ---------------------------------------------------------------------------
@@ -648,10 +638,12 @@ TEST(SegmentPruning, DisjointRangesPruneWithoutChangingResults) {
   }
 }
 
-// A kMutateBins append widens the last segment's ranges without growing
-// the set: prepared queries must re-validate their prune flags and
-// re-admit segments that now contain matching rows.
-TEST(SegmentPruning, MutateBinsAppendReAdmitsPrunedSegments) {
+// A prepared query's prune flags across a sealing append and a
+// compaction: an append computes flags only for the new segment (sealed
+// segments never change, so their flags stay valid), and a compaction
+// replaces segments, so every flag is recomputed. Each answer equals a
+// freshly prepared query's.
+TEST(SegmentPruning, FlagsFollowSealingAppendAndCompaction) {
   auto make = [](size_t n, double lo, double hi, uint64_t seed) {
     Rng rng(seed);
     Table t("ev");
@@ -662,33 +654,51 @@ TEST(SegmentPruning, MutateBinsAppendReAdmitsPrunedSegments) {
     t.AddColumn(std::move(x));
     return t;
   };
+  const char* kSql = "SELECT COUNT(x) FROM ev WHERE x > 150;";
   DbOptions options;
   options.synopsis.sample_size = 0;
   options.target_segment_rows = 2000;
-  options.append_mode = AppendMode::kMutateBins;
+  options.exec_threads = 1;
   auto db = Db::FromTable(make(4000, 0, 100, 5), options);
   ASSERT_TRUE(db.ok());
   ASSERT_EQ(db->num_segments(), 2u);
 
-  auto pq = db->Prepare("SELECT COUNT(x) FROM ev WHERE x > 150;");
+  auto pq = db->Prepare(kSql);
   ASSERT_TRUE(pq.ok());
-  auto before = pq->Execute();
-  ASSERT_TRUE(before.ok());
-  EXPECT_DOUBLE_EQ(before->Scalar().estimate, 0.0);
-  EXPECT_EQ(pq->plan().PrunedSegments(), 2u);
+  auto expect_fresh = [&](const char* stage) {
+    auto kept = pq->Execute();
+    auto fresh = db->ExecuteSql(kSql);
+    ASSERT_TRUE(kept.ok() && fresh.ok()) << stage;
+    EXPECT_EQ(kept->Scalar().estimate, fresh->Scalar().estimate) << stage;
+    EXPECT_EQ(kept->Scalar().lower, fresh->Scalar().lower) << stage;
+    EXPECT_EQ(kept->Scalar().upper, fresh->Scalar().upper) << stage;
+    EXPECT_EQ(pq->plan().PlannedSegments(), db->num_segments()) << stage;
+  };
 
-  // Mutate-bins append folds x in [150, 200) into the LAST segment;
-  // values clamp into the fitted bin domain, but the segment is no
-  // longer provably empty for x > 150 and must not stay pruned.
+  // Both old segments hold only x < 100: provably no match.
+  expect_fresh("before append");
+  EXPECT_EQ(pq->plan().PrunedSegments(), 2u);
+  EXPECT_DOUBLE_EQ(pq->Execute()->Scalar().estimate, 0.0);
+
+  // The sealed batch (x in [150, 200)) is the only segment admitted.
   ASSERT_TRUE(db->Append(make(1000, 150, 200, 6)).ok());
-  EXPECT_EQ(db->num_segments(), 2u);
-  auto after = pq->Execute();
-  ASSERT_TRUE(after.ok());
-  EXPECT_LT(pq->plan().PrunedSegments(), 2u);
-  // A freshly prepared identical query agrees with the surviving plan.
-  auto fresh = db->ExecuteSql("SELECT COUNT(x) FROM ev WHERE x > 150;");
-  ASSERT_TRUE(fresh.ok());
-  EXPECT_DOUBLE_EQ(after->Scalar().estimate, fresh->Scalar().estimate);
+  ASSERT_EQ(db->num_segments(), 3u);
+  expect_fresh("after append");
+  EXPECT_EQ(pq->plan().PrunedSegments(), 2u);
+  EXPECT_GT(pq->Execute()->Scalar().estimate, 0.0);
+
+  // Merge segments 1 and 2 (rows [2000, 5000)): the merged segment takes
+  // index 1, which was pruned before, and now holds matching rows.
+  CompactionSpec spec;
+  spec.row_begin = 2000;
+  spec.row_end = 5000;
+  auto did = db->CompactOnce(nullptr, &spec);
+  ASSERT_TRUE(did.ok()) << did.status().ToString();
+  ASSERT_TRUE(did.value());
+  ASSERT_EQ(db->num_segments(), 2u);
+  expect_fresh("after compaction");
+  EXPECT_EQ(pq->plan().PrunedSegments(), 1u);
+  EXPECT_GT(pq->Execute()->Scalar().estimate, 0.0);
 }
 
 // ---------------------------------------------------------------------------

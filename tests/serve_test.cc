@@ -167,18 +167,6 @@ TEST(WithAppended, MatchesInPlaceAppendAndLeavesBaseUntouched) {
   EXPECT_EQ(exact->Scalar().estimate, 15000.0);
 }
 
-TEST(WithAppended, RejectsMutateBinsMode) {
-  DbOptions options;
-  options.append_mode = AppendMode::kMutateBins;
-  auto db = Db::FromGenerator("power", 8000, 7, options);
-  ASSERT_TRUE(db.ok());
-  auto batch = MakeDataset("power", 1000, 5);
-  ASSERT_TRUE(batch.ok());
-  auto snap = db->WithAppended(batch.value());
-  EXPECT_FALSE(snap.ok());
-  EXPECT_EQ(snap.status().code(), StatusCode::kUnsupported);
-}
-
 // ---------------------------------------------------------------------------
 // PlanCache
 

@@ -358,6 +358,47 @@ TEST(DurableServing, CreateAppendRecoverPreservesAnswers) {
   RemoveDirIfPresent(dir);
 }
 
+// Recovery re-seals the WAL tail exactly as the live server sealed it:
+// Recover opens the checkpoint with the caller's DbOptions, so a logged
+// batch larger than target_segment_rows splits into the same segments and
+// the recovered server answers bit-identically.
+TEST(DurableServing, RecoverHonorsTargetSegmentRows) {
+  const std::string dir = TestPath("durable_segment_rows");
+  RemoveDirIfPresent(dir);
+  ServingOptions opts;
+  opts.durability.dir = dir;
+  DbOptions db_options;
+  db_options.target_segment_rows = 1000;
+
+  std::vector<QueryResult> before(RecoverySqls().size());
+  {
+    auto db = Db::FromGenerator("power", 4000, 7, db_options);
+    ASSERT_TRUE(db.ok()) << db.status().ToString();
+    ASSERT_EQ(db->num_segments(), 4u);
+    auto sdb = ServingDb::CreateDurable(std::move(db).value(), opts);
+    ASSERT_TRUE(sdb.ok()) << sdb.status().ToString();
+    auto batch = MakeDataset("power", 2500, 100);
+    ASSERT_TRUE(batch.ok());
+    ASSERT_TRUE(sdb.value()->Append(batch.value()).ok());
+    EXPECT_EQ(sdb.value()->Stats().segments, 7u);
+    for (size_t q = 0; q < RecoverySqls().size(); ++q) {
+      ASSERT_TRUE(sdb.value()->Query(RecoverySqls()[q], &before[q]).ok());
+    }
+  }  // dropped without a checkpoint: the batch lives only in the WAL
+
+  auto recovered = ServingDb::Recover(opts, db_options);
+  ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
+  EXPECT_EQ(recovered.value()->recovery_info().checkpoint_epoch, 0u);
+  EXPECT_EQ(recovered.value()->recovery_info().wal_records_applied, 1u);
+  EXPECT_EQ(recovered.value()->Stats().segments, 7u);
+  for (size_t q = 0; q < RecoverySqls().size(); ++q) {
+    QueryResult after;
+    ASSERT_TRUE(recovered.value()->Query(RecoverySqls()[q], &after).ok());
+    ExpectBitEqual(before[q], after, RecoverySqls()[q]);
+  }
+  RemoveDirIfPresent(dir);
+}
+
 TEST(DurableServing, CreateRefusesNonEmptyDir) {
   const std::string dir = TestPath("durable_nonempty");
   RemoveDirIfPresent(dir);
