@@ -32,9 +32,9 @@
 // This buys a load-bearing invariant: a kernel over [begin, end) returns
 // the exact same double as the kernel over any wider range whose extra
 // elements contribute exact zeros (adding +0.0 to a lane accumulator, or
-// carrying +0.0 across prefix-scan blocks, is an identity). The engine's
-// reference path reduces full bin ranges [0, k) with zero weight outside
-// the touched span while the fast path reduces only [begin, end); the
+// carrying +0.0 across prefix-scan blocks, is an identity). The test
+// oracle (tests/oracle/) reduces full bin ranges [0, k) with zero weight
+// outside the touched span while the engine reduces only [begin, end); the
 // fastpath equivalence suite asserts their results are identical doubles,
 // and phase alignment is what keeps that true under SIMD.
 //
@@ -167,7 +167,7 @@ struct KernelOps {
   /// reductions (a sub-range whose excluded elements hit zero entries of
   /// bj reduces identically to the full range). Not currently on the
   /// engine's hot path — the cell scans moved to dense prefix
-  /// differences (query/engine.cc ReduceRow), which beat hardware
+  /// differences (query/engine.cc ReduceRowsAll), which beat hardware
   /// gathers on gather-mitigated CPUs — but kept, tested and benched as
   /// the building block for sparse-index consumers.
   void (*gather_dot3)(const uint64_t* cnt, const uint32_t* col,
@@ -175,14 +175,15 @@ struct KernelOps {
                       size_t begin, size_t end, double out[3]);
 
   // ---- Multi-row reductions (column-major cell prefixes) ----------------
-  // The batched counterpart of the engine's per-row ReduceRow walk: one
+  // The batched counterpart of a per-row prefix walk: one
   // call updates the accumulators of EVERY aggregation bin for one
   // coverage event, vectorizing across rows. `pre_b` / `pre_e` are two
   // boundary rows of a column-major cell prefix (PairView::AggPrefixCol),
   // so pre_e[t] - pre_b[t] is row t's exact integer cell mass over the
   // event's pred-bin range. Per-element accumulation order is preserved
-  // (lanes never cross rows), so driving the events in ReduceRow's order
-  // leaves every row's accumulator bit-identical to the per-row walk.
+  // (lanes never cross rows), so driving the events in the per-row walk's
+  // order leaves every row's accumulator bit-identical to that walk (the
+  // test oracle's ReduceRow, tests/oracle/).
 
   /// Fully-covered run: ap/al/ah[t] += double(pre_e[t] - pre_b[t]).
   void (*run_mass3)(const uint64_t* pre_b, const uint64_t* pre_e, double* ap,

@@ -120,9 +120,9 @@ std::vector<double> InitialEdges(const std::vector<uint64_t>* base_values,
 
 // Per 1-d bin of the pair dimension's column: fraction of 1-d rows that the
 // pair's marginal counts cover (i.e. rows where the OTHER column is also
-// non-null). Mirrors the reference accumulation in the query engine
-// (parent-grouped sums in ascending refined-bin order) so the fast path
-// reads identical doubles.
+// non-null). Mirrors the accumulation of the test oracle's dense
+// cross-column walk (parent-grouped sums in ascending refined-bin order,
+// tests/oracle/) so the engine reads identical doubles.
 std::vector<double> NonNullFractions(const HistogramDim& pair_dim,
                                      const HistogramDim& h1) {
   const size_t k1 = h1.NumBins();

@@ -87,7 +87,7 @@ struct CoverageSpan {
   /// per bin, and downstream consumers (Eq. 29 weighting) turn whole runs
   /// into weights straight from the bin counts. Runs are ascending and
   /// disjoint (at most one per predicate piece). Note: zero-count bins
-  /// inside a run also read 1 (the reference path leaves them 0); every
+  /// inside a run also read 1 (ComputeCoverage leaves them 0); every
   /// consumer multiplies coverage by the bin count or its cells, so the
   /// difference never reaches a result.
   uint32_t* runs = nullptr;
@@ -112,7 +112,7 @@ void ComputeCoverageInto(const HistogramDim& dim, const IntervalSet& pred,
 /// fully covered, computed from count_prefix span sums (requires
 /// HistogramDim::BuildCountPrefix). Returns false when any bin is only
 /// partially covered — callers then take the general coverage path. The
-/// accumulated total is identical to the reference COUNT weighting total
+/// accumulated total is identical to the general COUNT weighting total
 /// (integer additions below 2^53 are exact in double under any grouping).
 bool CountFullyCovered(const HistogramDim& dim, const IntervalSet& pred,
                        double* total);

@@ -8,6 +8,7 @@
 #include <mutex>
 
 #include "common/stats.h"
+#include "query/engine_internal.h"
 #include "query/exec_scratch.h"
 #include "query/sql_parser.h"
 
@@ -26,21 +27,6 @@ double Z99() {
   return z;
 }
 
-std::string FormatGroupLabel(const ColumnTransform& tr, uint64_t code) {
-  if (tr.type == DataType::kCategorical) {
-    auto name = tr.DecodeCategory(code);
-    if (name.ok()) return name.value();
-  }
-  double raw = tr.Decode(code);
-  char buf[64];
-  if (raw == static_cast<long long>(raw)) {
-    std::snprintf(buf, sizeof(buf), "%lld", static_cast<long long>(raw));
-  } else {
-    std::snprintf(buf, sizeof(buf), "%.10g", raw);
-  }
-  return buf;
-}
-
 // Effective per-bin value interval and midpoint after intersecting the bin
 // with the aggregation column's own conjunctive predicate (within-bin
 // uniformity model). Falls back to the raw metadata when there is no clip
@@ -49,6 +35,9 @@ struct BinVals {
   double v_lo;
   double v_hi;
   double mid;
+  /// Share of the bin's integer-uniform value range the clip keeps; 1 when
+  /// the clip does not cut the bin.
+  double kept = 1.0;
 };
 
 BinVals EffectiveBin(const HistogramDim& hist, size_t t,
@@ -69,35 +58,103 @@ BinVals EffectiveBin(const HistogramDim& hist, size_t t,
     hi = std::max(hi, b);
   }
   if (total_len <= 0) return out;  // no overlap: keep raw metadata
+  out.kept = total_len / (out.v_hi - out.v_lo + 1.0);
   out.v_lo = lo;
   out.v_hi = hi;
   out.mid = weighted / total_len;
   return out;
 }
 
-// ---------------------------------------------------------------------------
-// Range-restricted execution views (exec_scratch.h). Bins outside
-// [begin, end) are implicitly exactly zero; every accumulation below only
-// adds zero terms for them, and the kernels' phase-aligned lane semantics
-// (common/simd.h) make adding those zeros an exact identity, so
-// restricting the loops leaves all results identical to full scans — on
-// every kernel tier, which is what keeps the fast path and the reference
-// path bit-equal.
+/// Eq. 29 widening parameters, shared by every weighting of one synopsis.
+struct WidenParams {
+  bool widen = false;
+  double z = 0.0;
+  double fpc = 0.0;
+};
 
-/// Per-bin satisfaction probabilities with bounds, backed by the scratch
-/// arena (fast path) or the Prob vectors (reference path).
-using ProbSpan = ProbTable;
-/// Per-bin weightings (w, w−, w+) backed by the scratch arena or, on the
-/// reference path, the Weightings vectors.
-using WtSpan = WeightTable;
+WidenParams WidenParamsOf(const PairwiseHist& ph) {
+  WidenParams wp;
+  const double rho = ph.sampling_ratio();
+  const double n_total = static_cast<double>(ph.total_rows());
+  const double n_sample = static_cast<double>(ph.sample_rows());
+  wp.widen = rho < 1.0 && n_total > 1;
+  wp.z = Z99();
+  wp.fpc = wp.widen ? (n_total - n_sample) / (n_total - 1.0) : 0.0;
+  return wp;
+}
+
+/// One plan pipeline's slice of a batched weighting call.
+WeightRow MakeWeightRow(const HistogramDim& dim, const ProbTable& prob,
+                        const WeightTable& wt) {
+  WeightRow row;
+  row.h = dim.counts.data();
+  row.p = prob.p;
+  row.pl = prob.lo;
+  row.ph = prob.hi;
+  row.w = wt.w;
+  row.lo = wt.lo;
+  row.hi = wt.hi;
+  row.begin = prob.begin;
+  row.end = prob.end;
+  row.runs = prob.runs;
+  row.n_runs = prob.n_runs;
+  return row;
+}
+
+}  // namespace
 
 // ---------------------------------------------------------------------------
-// Aggregation (Table 3), shared by the reference path (full range over the
-// Weightings vectors) and the fast path (touched range over arena spans).
+// Stages shared with the test oracle (declared in engine_internal.h).
+//
+// Execution works on range-restricted views (exec_scratch.h): bins outside
+// [begin, end) are implicitly exactly zero, every accumulation only adds
+// zero terms for them, and the kernels' phase-aligned lane semantics
+// (common/simd.h) make adding those zeros an exact identity. Restricting
+// the loops therefore leaves every result identical to a full scan — on
+// every kernel tier, which is what keeps the engine bit-equal to the
+// oracle's dense [0, k) scans.
+
+namespace engine_internal {
+
+std::string FormatGroupLabel(const ColumnTransform& tr, uint64_t code) {
+  if (tr.type == DataType::kCategorical) {
+    auto name = tr.DecodeCategory(code);
+    if (name.ok()) return name.value();
+  }
+  double raw = tr.Decode(code);
+  char buf[64];
+  if (raw == static_cast<long long>(raw)) {
+    std::snprintf(buf, sizeof(buf), "%lld", static_cast<long long>(raw));
+  } else {
+    std::snprintf(buf, sizeof(buf), "%.10g", raw);
+  }
+  return buf;
+}
+
+// A WHERE-level clip wins because it precedes the group leaf in the
+// combined tree.
+const IntervalSet* ResolveAggClip(const std::optional<IntervalSet>& clip,
+                                  const NormalizedPredicate* extra_group_leaf,
+                                  size_t agg_col) {
+  if (clip.has_value()) return &*clip;
+  if (extra_group_leaf != nullptr && extra_group_leaf->column == agg_col) {
+    return &extra_group_leaf->intervals;
+  }
+  return nullptr;
+}
+
+bool ResolveSingle(bool plan_single,
+                   const NormalizedPredicate* extra_group_leaf,
+                   size_t agg_col) {
+  return plan_single && (extra_group_leaf == nullptr ||
+                         extra_group_leaf->column == agg_col);
+}
+
+// Aggregation (Table 3) over the touched range of the weightings.
 
 AggResult AggregateImpl(const PairwiseHist& ph, const AqpEngineOptions& options,
                         const KernelOps& ks, AggFunc func, size_t agg_col,
-                        const AggGrid& grid, const WtSpan& wt,
+                        const AggGrid& grid, const WeightTable& wt,
                         bool single_column, const IntervalSet* agg_clip,
                         ExecArena& arena) {
   const HistogramDim& hist = *grid.dim;
@@ -156,7 +213,10 @@ AggResult AggregateImpl(const PairwiseHist& ph, const AqpEngineOptions& options,
     const bool cached = hist.HasCentreCache();
     // Recomputes one bin the clip actually cuts (the raw Theorem-1 bounds
     // are query-independent: the centre cache supplies them when present,
-    // same doubles as WeightedCentreBounds).
+    // same doubles as WeightedCentreBounds). A cut bin's estimate uses the
+    // clipped midpoint, so its bounds are the raw bin's deviations from
+    // its own midpoint, scaled to the kept share of the bin and centred on
+    // the clipped midpoint: lower <= centre <= upper by construction.
     auto slow_bin = [&](size_t t) {
       BinVals bv = EffectiveBin(hist, t, agg_clip);
       e_v_lo[t] = bv.v_lo;
@@ -169,8 +229,16 @@ AggResult AggregateImpl(const PairwiseHist& ph, const AqpEngineOptions& options,
       } else {
         cb = ph.WeightedCentreBounds(hist, t);
       }
-      e_c_lo[t] = std::clamp(cb.lo, bv.v_lo, bv.v_hi);
-      e_c_hi[t] = std::clamp(cb.hi, e_c_lo[t], bv.v_hi);
+      if (bv.kept < 1.0) {
+        const double raw_mid = hist.Midpoint(t);
+        e_c_lo[t] = std::clamp(bv.mid - (raw_mid - cb.lo) * bv.kept,
+                               bv.v_lo, bv.mid);
+        e_c_hi[t] = std::clamp(bv.mid + (cb.hi - raw_mid) * bv.kept, bv.mid,
+                               bv.v_hi);
+      } else {
+        e_c_lo[t] = std::clamp(cb.lo, bv.v_lo, bv.v_hi);
+        e_c_hi[t] = std::clamp(cb.hi, e_c_lo[t], bv.v_hi);
+      }
     };
     if (cached) {
       // Bulk path: a bin fully inside one clip piece (or outside every
@@ -258,6 +326,11 @@ AggResult AggregateImpl(const PairwiseHist& ph, const AqpEngineOptions& options,
       if (!std::isfinite(lo)) {
         lo = hi = num / total;
       }
+      // Every bin has c− <= c <= c+, but the extreme weightings reweight
+      // the bins: when w− keeps relatively more mass on high-centre bins
+      // than w does, Σw−c−/Σw− lands above the estimate Σwc/Σw (seen on
+      // multi-predicate statements; AnswerContract in property_test.cc).
+      // Widening to include the estimate keeps lower <= estimate <= upper.
       r.lower = decode(std::min(lo, num / total));
       r.upper = decode(std::max(hi, num / total));
       return r;
@@ -450,6 +523,33 @@ AggResult AggregateImpl(const PairwiseHist& ph, const AqpEngineOptions& options,
   return r;
 }
 
+// Eq. 29 weightings over the touched range (untouched bins carry exactly
+// zero weight). Fully-covered runs collapse to the bin counts themselves —
+// at β = 1 the widening variance term is exactly zero and every clamp is
+// the identity, so the bulk counts_to_weights3 kernel reproduces the
+// general formula bit-for-bit while skipping its arithmetic.
+void WeightsInto(const PairwiseHist& ph, const HistogramDim& dim,
+                 const ProbTable& prob, const WeightTable& wt,
+                 const KernelOps& ks) {
+  const WidenParams wp = WidenParamsOf(ph);
+  WeightRow row = MakeWeightRow(dim, prob, wt);
+  // Single-row batch: the kernel's per-row walk is exactly the run walk
+  // this function used to do inline, so single-query and batched
+  // executions share one weighting code path on every tier.
+  ks.weights_batch(&row, 1, wp.z, wp.fpc, wp.widen ? 1 : 0);
+}
+
+
+}  // namespace engine_internal
+
+using engine_internal::AggregateImpl;
+using engine_internal::FormatGroupLabel;
+using engine_internal::ResolveAggClip;
+using engine_internal::ResolveSingle;
+using engine_internal::WeightsInto;
+
+namespace {
+
 // Fills mergeable sufficient statistics (see partial_agg.h) from computed
 // weightings: the matching mass (COUNT semantics, de-sampled by 1/ρ), the
 // function-specific AggResult and — for VAR / MEDIAN — the extra
@@ -457,7 +557,7 @@ AggResult AggregateImpl(const PairwiseHist& ph, const AqpEngineOptions& options,
 void FillPartialFromWeights(const PairwiseHist& ph,
                             const AqpEngineOptions& options,
                             const KernelOps& ks, AggFunc func, size_t agg_col,
-                            const AggGrid& grid, const WtSpan& wt, bool single,
+                            const AggGrid& grid, const WeightTable& wt, bool single,
                             const IntervalSet* agg_clip, ExecArena& arena,
                             PartialAggregate* out) {
   const double rho = ph.sampling_ratio();
@@ -503,128 +603,20 @@ void FillPartialFromWeights(const PairwiseHist& ph,
   }
 }
 
-// Eq. 29 weightings over the touched range (identical formulas to the
-// reference WeightsFromProb; untouched bins carry exactly zero weight).
-// Fully-covered runs collapse to the bin counts themselves — at β = 1 the
-// widening variance term is exactly zero and every clamp is the identity,
-// so the bulk counts_to_weights3 kernel reproduces the general formula
-// bit-for-bit while skipping its arithmetic.
-/// Eq. 29 widening parameters, shared by every weighting of one synopsis.
-struct WidenParams {
-  bool widen = false;
-  double z = 0.0;
-  double fpc = 0.0;
-};
-
-WidenParams WidenParamsOf(const PairwiseHist& ph) {
-  WidenParams wp;
-  const double rho = ph.sampling_ratio();
-  const double n_total = static_cast<double>(ph.total_rows());
-  const double n_sample = static_cast<double>(ph.sample_rows());
-  wp.widen = rho < 1.0 && n_total > 1;
-  wp.z = Z99();
-  wp.fpc = wp.widen ? (n_total - n_sample) / (n_total - 1.0) : 0.0;
-  return wp;
-}
-
-/// One plan pipeline's slice of a batched weighting call.
-WeightRow MakeWeightRow(const HistogramDim& dim, const ProbSpan& prob,
-                        const WtSpan& wt) {
-  WeightRow row;
-  row.h = dim.counts.data();
-  row.p = prob.p;
-  row.pl = prob.lo;
-  row.ph = prob.hi;
-  row.w = wt.w;
-  row.lo = wt.lo;
-  row.hi = wt.hi;
-  row.begin = prob.begin;
-  row.end = prob.end;
-  row.runs = prob.runs;
-  row.n_runs = prob.n_runs;
-  return row;
-}
-
-void WeightsInto(const PairwiseHist& ph, const HistogramDim& dim,
-                 const ProbSpan& prob, const WtSpan& wt, const KernelOps& ks) {
-  const WidenParams wp = WidenParamsOf(ph);
-  WeightRow row = MakeWeightRow(dim, prob, wt);
-  // Single-row batch: the kernel's per-row walk is exactly the run walk
-  // this function used to do inline, so single-query and batched
-  // executions share one weighting code path on every tier.
-  ks.weights_batch(&row, 1, wp.z, wp.fpc, wp.widen ? 1 : 0);
-}
-
-// ---------------------------------------------------------------------------
-// Shared sparse-row reduction. Reduces one aggregation bin's cells against
-// per-pred-bin coverage values using the dense per-row cell prefix
-// (PairView::AggPrefix): fully-covered runs (β = β− = β+ = 1) collapse to
-// one exact integer prefix difference each, and only the few partial
-// coverage bins around the runs read individual cells (also as prefix
-// differences). The accumulation is plain sequential scalar — identical
-// on every kernel tier — and the fast path and the reference path call it
-// with identical coverage spans (ComputeCoverageInto produces the same
-// values and run descriptors for both), so the two paths stay bit-equal
-// while range predicates skip the entire per-cell scan.
-
-/// Reduces one row against the coverage span: candidate segments bound
-/// the walk (bins between segments have exactly zero coverage, so
-/// scattered multi-piece predicates skip their gaps), and runs inside
-/// them collapse to prefix differences. Returns true when the row has
-/// any cell in [cov_begin, cov_end).
-bool ReduceRow(const PairView& pair, size_t ta, const CoverageSpan& cov,
-               double acc[3]) {
-  const uint64_t* pre = pair.AggPrefix(ta);
-  acc[0] = acc[1] = acc[2] = 0.0;
-  if (pre[cov.end] == pre[cov.begin]) return false;
-  auto partial_bins = [&](size_t b, size_t e) {
-    for (size_t tp = b; tp < e; ++tp) {
-      uint64_t cell = pre[tp + 1] - pre[tp];
-      if (cell == 0) continue;
-      double c = static_cast<double>(cell);
-      acc[0] += c * cov.beta[tp];
-      acc[1] += c * cov.lo[tp];
-      acc[2] += c * cov.hi[tp];
-    }
-  };
-  size_t r = 0;
-  auto segment = [&](size_t sb, size_t se) {
-    size_t t = sb;
-    for (; r < cov.n_runs && cov.runs[2 * r] < se; ++r) {
-      const size_t f0 = cov.runs[2 * r];
-      const size_t f1 = cov.runs[2 * r + 1];
-      partial_bins(t, f0);
-      uint64_t mass = pre[f1] - pre[f0];
-      if (mass != 0) {
-        double total = static_cast<double>(mass);
-        acc[0] += total;
-        acc[1] += total;
-        acc[2] += total;
-      }
-      t = f1;
-    }
-    partial_bins(t, se);
-  };
-  if (cov.n_segs == 0) {
-    segment(cov.begin, cov.end);
-  } else {
-    for (size_t s = 0; s < cov.n_segs; ++s) {
-      segment(cov.segs[2 * s], cov.segs[2 * s + 1]);
-    }
-  }
-  return true;
-}
-
-/// Multi-row counterpart of ReduceRow over the column-major cell prefixes
-/// (PairView::AggPrefixCol): one sweep per coverage event updates EVERY
-/// aggregation row's accumulators at once, vectorized across rows by the
-/// run_mass3 / cell_axpy3 kernels. Events are driven in exactly
-/// ReduceRow's order and lanes never cross rows, so each row's accumulator
-/// receives the same addend sequence as the per-row walk — extra zero
-/// addends for cells ReduceRow skips are exact identities on non-negative
-/// accumulators — keeping the two reductions bit-identical on every tier
-/// (the reference path still runs ReduceRow, which cross-checks this).
-/// Accumulators must be zero-initialized over [0, n_rows).
+/// Sparse-row reduction of a pair's cells against per-pred-bin coverage,
+/// for every aggregation row at once, over the column-major cell prefixes
+/// (PairView::AggPrefixCol). Fully-covered runs (β = β− = β+ = 1) collapse
+/// to one exact integer prefix difference each, only the partial coverage
+/// bins around the runs read individual cells (also as prefix
+/// differences), and candidate segments bound the walk (bins between
+/// segments have exactly zero coverage). One sweep per coverage event
+/// updates EVERY row's accumulators, vectorized across rows by the
+/// run_mass3 / cell_axpy3 kernels. Lanes never cross rows, so each row
+/// receives the same addend sequence as the oracle's per-row walk
+/// (tests/oracle/, ReduceRow) — extra zero addends for cells that walk
+/// skips are exact identities on non-negative accumulators — keeping the
+/// two bit-identical on every tier. Accumulators must be zero-initialized
+/// over [0, n_rows).
 void ReduceRowsAll(const PairView& pair, size_t n_rows,
                    const CoverageSpan& cov, const KernelOps& ks, double* ap,
                    double* al, double* ah) {
@@ -658,15 +650,15 @@ void ReduceRowsAll(const PairView& pair, size_t n_rows,
 }
 
 // ---------------------------------------------------------------------------
-// Fast-path per-leaf probabilities: cell prefix index + localized coverage.
+// Per-leaf probabilities: cell prefix index + localized coverage.
 
-ProbSpan LeafProbFast(const PairwiseHist& ph, ExecArena& arena,
+ProbTable LeafProbFast(const PairwiseHist& ph, ExecArena& arena,
                       const KernelOps& ks, size_t agg_col, size_t col,
                       const IntervalSet& intervals,
                       const std::vector<uint32_t>& g2ta, const AggGrid& grid) {
   const HistogramDim& gdim = *grid.dim;
   const size_t k = gdim.NumBins();
-  ProbSpan out;
+  ProbTable out;
 
   if (col == agg_col) {
     // Same-column predicate: localized coverage over the aggregation grid.
@@ -697,7 +689,7 @@ ProbSpan LeafProbFast(const PairwiseHist& ph, ExecArena& arena,
     // The grid is this leaf's own pair: reduce the covered pred bins'
     // cells into exact per-grid-bin probabilities for ALL grid bins at
     // once via the column-major prefixes (ReduceRowsAll — bit-identical
-    // to the reference path's per-row ReduceRow scan of the same rows).
+    // to the oracle's per-row scan of the same rows).
     const HistogramDim& pred_dim = grid.pair.pred_dim();
     const size_t kp = pred_dim.NumBins();
     CoverageSpan cov;
@@ -722,7 +714,7 @@ ProbSpan LeafProbFast(const PairwiseHist& ph, ExecArena& arena,
     // Rows with no cell in the covered pred range stay exactly zero; the
     // touched range is bounded by the first/last row with any such cell
     // (an exact integer test on the boundary prefix rows — the same test
-    // ReduceRow's early return makes per row).
+    // the oracle's per-row walk makes before reducing a row).
     const uint64_t* pre_b = grid.pair.AggPrefixCol(cov.begin);
     const uint64_t* pre_e = grid.pair.AggPrefixCol(cov.end);
     size_t gmin = 0;
@@ -740,10 +732,14 @@ ProbSpan LeafProbFast(const PairwiseHist& ph, ExecArena& arena,
     return out;
   }
 
-  // Cross-column leaf on a different pair (see the reference LeafProb for
-  // the semantics): conditional probability per refined bin of that pair's
-  // agg dimension, rescaled by the precomputed per-parent non-null
-  // fraction, transferred onto the grid through the compile-time g2ta map.
+  // Cross-column leaf on a different pair: conditional probability per
+  // refined bin of THAT pair's agg dimension (Eq. 27), rescaled by the
+  // precomputed per-parent non-null fraction, then transferred onto the
+  // grid through the compile-time g2ta map (both dimensions refine the
+  // same 1-d edges; a grid bin that straddles pair bins takes the value at
+  // its midpoint). This keeps the full resolution of every pairwise
+  // histogram instead of collapsing non-grid leaves to 1-d-parent
+  // granularity.
   PairView pair = ph.GetPair(agg_col, col);
   const HistogramDim& pred_dim = pair.pred_dim();
   const HistogramDim& agg_dim = pair.agg_dim();
@@ -770,9 +766,9 @@ ProbSpan LeafProbFast(const PairwiseHist& ph, ExecArena& arena,
   size_t ta_min = ka, ta_max = 0;
   if (cov.begin < cov.end) {
     // All rows reduced in one column-major sweep; the per-parent 1-d
-    // accumulation then only touches rows with any covered cell (the same
-    // rows ReduceRow would have reported), in ascending ta order so the
-    // parent sums see the same addend sequence as the per-row walk.
+    // accumulation then only touches rows with any covered cell, in
+    // ascending ta order so the parent sums see the same addend sequence
+    // as the oracle's per-row walk.
     ReduceRowsAll(pair, ka, cov, ks, pa, pa_lo, pa_hi);
     const uint64_t* pre_b = pair.AggPrefixCol(cov.begin);
     const uint64_t* pre_e = pair.AggPrefixCol(cov.end);
@@ -850,7 +846,7 @@ ProbSpan LeafProbFast(const PairwiseHist& ph, ExecArena& arena,
 // AND/OR combination (Eq. 28) over touched ranges. Outside a child's range
 // its probability is exactly zero, so an AND shrinks to the intersection
 // and an OR's missing factors are exactly (1 - 0) = 1.
-ProbSpan EvalNodeFast(const PairwiseHist& ph, ExecArena& arena,
+ProbTable EvalNodeFast(const PairwiseHist& ph, ExecArena& arena,
                       const KernelOps& ks, size_t agg_col,
                       const NormalizedPredicate& node, const AggGrid& grid) {
   if (node.type == NormalizedPredicate::Type::kLeaf) {
@@ -859,14 +855,14 @@ ProbSpan EvalNodeFast(const PairwiseHist& ph, ExecArena& arena,
   }
   const size_t k = grid.dim->NumBins();
   const bool is_and = node.type == NormalizedPredicate::Type::kAnd;
-  ProbSpan acc;
+  ProbTable acc;
   acc.p = arena.Alloc(k);
   acc.lo = arena.Alloc(k);
   acc.hi = arena.Alloc(k);
   bool first = true;
   size_t rb = 0, re = 0;
   for (const NormalizedPredicate& child : node.children) {
-    ProbSpan cp = EvalNodeFast(ph, arena, ks, agg_col, child, grid);
+    ProbTable cp = EvalNodeFast(ph, arena, ks, agg_col, child, grid);
     if (is_and) {
       if (cp.begin >= cp.end) {
         rb = re = 0;  // one empty factor zeroes the whole conjunction
@@ -924,19 +920,19 @@ ProbSpan EvalNodeFast(const PairwiseHist& ph, ExecArena& arena,
   return acc;
 }
 
-// Shared fast-path probability stage: satisfaction probabilities for the
+// Shared probability stage: satisfaction probabilities for the
 // WHERE tree (optionally conjoined with the per-value GROUP BY leaf), all
 // in the arena. Used by ComputeWeightSpanFast (single query) and the batch
-// path (which collects one ProbSpan per distinct predicate set, then
+// path (which collects one ProbTable per distinct predicate set, then
 // weights every row with a single batched kernel call).
-ProbSpan ComputeProbSpanFast(const PairwiseHist& ph, ExecArena& arena,
+ProbTable ComputeProbSpanFast(const PairwiseHist& ph, ExecArena& arena,
                              const KernelOps& ks, size_t agg_col,
                              const NormalizedPredicate* where,
                              const NormalizedPredicate* extra_group_leaf,
                              const std::vector<uint32_t>* extra_g2ta,
                              const AggGrid& grid) {
   const size_t k = grid.dim->NumBins();
-  ProbSpan prob;
+  ProbTable prob;
   if (where != nullptr) {
     prob = EvalNodeFast(ph, arena, ks, agg_col, *where, grid);
   } else {
@@ -961,7 +957,7 @@ ProbSpan ComputeProbSpanFast(const PairwiseHist& ph, ExecArena& arena,
   if (extra_group_leaf != nullptr) {
     const std::vector<uint32_t>& map =
         (extra_g2ta != nullptr) ? *extra_g2ta : extra_group_leaf->g2ta;
-    ProbSpan gp = LeafProbFast(ph, arena, ks, agg_col,
+    ProbTable gp = LeafProbFast(ph, arena, ks, agg_col,
                                extra_group_leaf->column,
                                extra_group_leaf->intervals, map, grid);
     // The product is no longer pure coverage: drop any run descriptors.
@@ -980,44 +976,22 @@ ProbSpan ComputeProbSpanFast(const PairwiseHist& ph, ExecArena& arena,
   return prob;
 }
 
-// Shared fast-path pipeline: probabilities then Eq. 29 weights, all in the
-// arena. Used by ExecuteScalarFast and ExecutePartialScalar so the two can
+// Shared weighting pipeline: probabilities then Eq. 29 weights, all in the
+// arena. Used by ExecuteScalar and ExecutePartialScalar so the two can
 // never diverge.
-WtSpan ComputeWeightSpanFast(const PairwiseHist& ph, ExecArena& arena,
+WeightTable ComputeWeightSpanFast(const PairwiseHist& ph, ExecArena& arena,
                              const KernelOps& ks, size_t agg_col,
                              const NormalizedPredicate* where,
                              const NormalizedPredicate* extra_group_leaf,
                              const std::vector<uint32_t>* extra_g2ta,
                              const AggGrid& grid) {
-  ProbSpan prob = ComputeProbSpanFast(ph, arena, ks, agg_col, where,
+  ProbTable prob = ComputeProbSpanFast(ph, arena, ks, agg_col, where,
                                       extra_group_leaf, extra_g2ta, grid);
-  WtSpan wt = WeightTable::Make(arena, grid.dim->NumBins());
+  WeightTable wt = WeightTable::Make(arena, grid.dim->NumBins());
   wt.begin = prob.begin;
   wt.end = prob.end;
   WeightsInto(ph, *grid.dim, prob, wt, ks);
   return wt;
-}
-
-// Aggregation-column clip: a WHERE-level clip wins (it precedes the group
-// leaf in the combined tree); otherwise a group leaf on the aggregation
-// column supplies it.
-const IntervalSet* ResolveAggClip(const std::optional<IntervalSet>& clip,
-                                  const NormalizedPredicate* extra_group_leaf,
-                                  size_t agg_col) {
-  if (clip.has_value()) return &*clip;
-  if (extra_group_leaf != nullptr && extra_group_leaf->column == agg_col) {
-    return &extra_group_leaf->intervals;
-  }
-  return nullptr;
-}
-
-// Single-column special cases also require the group leaf (if any) to be
-// on the aggregation column.
-bool ResolveSingle(bool plan_single,
-                   const NormalizedPredicate* extra_group_leaf,
-                   size_t agg_col) {
-  return plan_single && (extra_group_leaf == nullptr ||
-                         extra_group_leaf->column == agg_col);
 }
 
 // Value equality of normalized predicate trees (columns, exact interval
@@ -1040,22 +1014,6 @@ bool NodeEqual(const NormalizedPredicate& a, const NormalizedPredicate& b) {
 
 }  // namespace
 
-double Weightings::Total() const {
-  double s = 0;
-  for (double v : w) s += v;
-  return s;
-}
-double Weightings::TotalLo() const {
-  double s = 0;
-  for (double v : lo) s += v;
-  return s;
-}
-double Weightings::TotalHi() const {
-  double s = 0;
-  for (double v : hi) s += v;
-  return s;
-}
-
 // ---------------------------------------------------------------------------
 // Execution scratch: a per-execution arena plus a reusable GROUP BY leaf
 // and the batch-execution bookkeeping, pooled per engine (ObjectPool) so
@@ -1065,9 +1023,8 @@ double Weightings::TotalHi() const {
 /// One batch group: scalar plans sharing a weight pipeline.
 struct AqpEngine::BatchGroup {
   std::vector<size_t> members;
-  ProbTable prob;      // fast path: shared probabilities (arena-backed)
-  WeightTable wt;      // shared weight row (SoA block row / ref vectors)
-  Weightings ref_wt;   // reference-path backing storage
+  ProbTable prob;  // shared probabilities (arena-backed)
+  WeightTable wt;  // shared weight row (SoA block row)
   bool need_wt = false;
 };
 
@@ -1234,7 +1191,7 @@ AqpEngine::Grid AqpEngine::ChooseGrid(size_t agg_col, const Node* root,
 }
 
 // ---------------------------------------------------------------------------
-// Fast-path transfer maps (grid bin → refined agg bin of a leaf's pair),
+// Transfer maps (grid bin → refined agg bin of a leaf's pair),
 // precomputed at compile time so execution avoids per-bin binary searches.
 
 std::vector<uint32_t> AqpEngine::TransferMap(size_t agg_col, size_t col,
@@ -1261,218 +1218,6 @@ void AqpEngine::FillTransferMaps(Node* node, size_t agg_col,
     return;
   }
   for (Node& c : node->children) FillTransferMaps(&c, agg_col, grid);
-}
-
-// ---------------------------------------------------------------------------
-// Per-bin satisfaction probabilities (reference path).
-
-AqpEngine::Prob AqpEngine::LeafProb(size_t agg_col, const Node& leaf,
-                                    const Grid& grid) const {
-  const HistogramDim& gdim = *grid.dim;
-  const size_t k = gdim.NumBins();
-  Prob prob;
-  prob.p.assign(k, 0.0);
-  prob.lo.assign(k, 0.0);
-  prob.hi.assign(k, 0.0);
-
-  if (leaf.column == agg_col) {
-    // Same-column predicate: coverage over the aggregation grid itself.
-    Coverage cov = ComputeCoverage(gdim, leaf.intervals, ph_->min_points(),
-                                   ph_->critical_cache());
-    prob.p = cov.beta;
-    prob.lo = cov.lo;
-    prob.hi = cov.hi;
-    return prob;
-  }
-
-  if (grid.IsPair() && leaf.column == grid.pair_pred_col) {
-    // The grid is this leaf's own pair: exact per-grid-bin probabilities
-    // from the cell matrix (Eq. 27 on the refined grid), each grid bin's
-    // sparse row reduced by the same ReduceRow the fast path uses — with
-    // identical coverage values and run descriptors, so the two paths are
-    // bit-equal by construction.
-    const HistogramDim& pred_dim = grid.pair.pred_dim();
-    const size_t kp = pred_dim.NumBins();
-    std::vector<double> cbeta(kp, 0.0), clo(kp, 0.0), chi(kp, 0.0);
-    std::vector<uint32_t> cruns(2 * leaf.intervals.pieces.size());
-    std::vector<uint32_t> csegs(2 * leaf.intervals.pieces.size());
-    CoverageSpan cov;
-    cov.beta = cbeta.data();
-    cov.lo = clo.data();
-    cov.hi = chi.data();
-    cov.runs = cruns.empty() ? nullptr : cruns.data();
-    cov.segs = csegs.empty() ? nullptr : csegs.data();
-    cov.max_runs = cov.max_segs = leaf.intervals.pieces.size();
-    ComputeCoverageInto(pred_dim, leaf.intervals, ph_->min_points(),
-                        ph_->critical_cache(), &cov);
-    for (size_t g = 0; g < k; ++g) {
-      double acc[3];
-      if (!ReduceRow(grid.pair, g, cov, acc)) {
-        continue;  // prob vectors are zero-initialized
-      }
-      prob.p[g] = acc[0];
-      prob.lo[g] = acc[1];
-      prob.hi[g] = acc[2];
-    }
-    ks_->norm_prob3(gdim.counts.data(), prob.p.data(), prob.lo.data(),
-                    prob.hi.data(), prob.p.data(), prob.lo.data(),
-                    prob.hi.data(), 0, k);
-    return prob;
-  }
-
-  // Cross-column leaf on a different pair: compute the conditional
-  // probability per refined bin of THAT pair's agg dimension (Eq. 27), then
-  // transfer onto the grid by locating each grid bin inside the pair's agg
-  // dimension (both are refinements of the same 1-d edges; a grid bin that
-  // straddles pair bins takes the value at its midpoint). This keeps the
-  // full resolution of every pairwise histogram instead of collapsing
-  // non-grid leaves to 1-d-parent granularity.
-  PairView pair = ph_->GetPair(agg_col, leaf.column);
-  const HistogramDim& pred_dim = pair.pred_dim();
-  const HistogramDim& agg_dim = pair.agg_dim();
-  const size_t kp = pred_dim.NumBins();
-  std::vector<double> cbeta(kp, 0.0), clo(kp, 0.0), chi(kp, 0.0);
-  std::vector<uint32_t> cruns(2 * leaf.intervals.pieces.size());
-  std::vector<uint32_t> csegs(2 * leaf.intervals.pieces.size());
-  CoverageSpan cov;
-  cov.beta = cbeta.data();
-  cov.lo = clo.data();
-  cov.hi = chi.data();
-  cov.runs = cruns.empty() ? nullptr : cruns.data();
-  cov.segs = csegs.empty() ? nullptr : csegs.data();
-  cov.max_runs = cov.max_segs = leaf.intervals.pieces.size();
-  ComputeCoverageInto(pred_dim, leaf.intervals, ph_->min_points(),
-                      ph_->critical_cache(), &cov);
-  const size_t ka = agg_dim.NumBins();
-  std::vector<double> pa(ka, 0.0), pa_lo(ka, 0.0), pa_hi(ka, 0.0);
-  // Parent-level aggregation (exact null semantics) and the per-parent
-  // fraction of 1-d rows that have the predicate column non-null — the
-  // refined per-bin probabilities are conditioned on "both non-null" and
-  // must be rescaled by that fraction before applying to full 1-d counts
-  // (rows whose predicate column is null never satisfy the predicate).
-  const HistogramDim& agg1d = ph_->hist1d(agg_col);
-  const size_t k1 = agg1d.NumBins();
-  std::vector<double> num1(k1, 0.0), num1_lo(k1, 0.0), num1_hi(k1, 0.0);
-  std::vector<double> pair_rows1(k1, 0.0);
-  for (size_t ta = 0; ta < ka; ++ta) {
-    double acc[3];
-    ReduceRow(pair, ta, cov, acc);
-    double h = static_cast<double>(agg_dim.counts[ta]);
-    pa[ta] = acc[0];
-    pa_lo[ta] = acc[1];
-    pa_hi[ta] = acc[2];
-    size_t parent = agg_dim.parent.empty() ? ta : agg_dim.parent[ta];
-    num1[parent] += acc[0];
-    num1_lo[parent] += acc[1];
-    num1_hi[parent] += acc[2];
-    pair_rows1[parent] += h;
-  }
-  ks_->norm_prob3(agg_dim.counts.data(), pa.data(), pa_lo.data(),
-                  pa_hi.data(), pa.data(), pa_lo.data(), pa_hi.data(), 0,
-                  ka);
-  std::vector<double> p1(k1), p1_lo(k1), p1_hi(k1);
-  ks_->norm_prob3(agg1d.counts.data(), num1.data(), num1_lo.data(),
-                  num1_hi.data(), p1.data(), p1_lo.data(), p1_hi.data(), 0,
-                  k1);
-  std::vector<double> non_null_frac(k1, 1.0);
-  for (size_t t = 0; t < k1; ++t) {
-    double h = static_cast<double>(agg1d.counts[t]);
-    if (h <= 0) continue;
-    non_null_frac[t] = std::clamp(pair_rows1[t] / h, 0.0, 1.0);
-  }
-
-  for (size_t g = 0; g < k; ++g) {
-    double mid = (gdim.edges[g] + gdim.edges[g + 1]) / 2.0;
-    size_t ta = agg_dim.BinIndex(mid);
-    size_t parent = gdim.parent.empty() ? g : gdim.parent[g];
-    if (agg_dim.counts[ta] > 0) {
-      double scale = non_null_frac[parent];
-      prob.p[g] = pa[ta] * scale;
-      prob.lo[g] = pa_lo[ta] * scale;
-      prob.hi[g] = pa_hi[ta] * scale;
-    } else {
-      prob.p[g] = p1[parent];
-      prob.lo[g] = p1_lo[parent];
-      prob.hi[g] = p1_hi[parent];
-    }
-  }
-  return prob;
-}
-
-AqpEngine::Prob AqpEngine::EvalNode(size_t agg_col, const Node& node,
-                                    const Grid& grid) const {
-  if (node.type == Node::Type::kLeaf) return LeafProb(agg_col, node, grid);
-
-  const size_t k = grid.dim->NumBins();
-  Prob acc;
-  const bool is_and = node.type == Node::Type::kAnd;
-  // AND accumulates the product; OR accumulates the complement product
-  // (Eq. 28), both starting at 1.
-  acc.p.assign(k, 1.0);
-  acc.lo.assign(k, 1.0);
-  acc.hi.assign(k, 1.0);
-  for (const Node& child : node.children) {
-    Prob cp = EvalNode(agg_col, child, grid);
-    for (size_t t = 0; t < k; ++t) {
-      if (is_and) {
-        acc.p[t] *= cp.p[t];
-        acc.lo[t] *= cp.lo[t];
-        acc.hi[t] *= cp.hi[t];
-      } else {
-        acc.p[t] *= 1.0 - cp.p[t];
-        acc.lo[t] *= 1.0 - cp.hi[t];  // complement swaps the bounds
-        acc.hi[t] *= 1.0 - cp.lo[t];
-      }
-    }
-  }
-  if (!is_and) {
-    for (size_t t = 0; t < k; ++t) {
-      acc.p[t] = 1.0 - acc.p[t];
-      double lo = 1.0 - acc.hi[t];
-      double hi = 1.0 - acc.lo[t];
-      acc.lo[t] = lo;
-      acc.hi[t] = hi;
-    }
-  }
-  return acc;
-}
-
-// ---------------------------------------------------------------------------
-// Weightings.
-
-Weightings AqpEngine::WeightsFromProb(const HistogramDim& dim,
-                                      const Prob& prob) const {
-  const size_t k = dim.NumBins();
-  Weightings wt;
-  wt.w.resize(k);
-  wt.lo.resize(k);
-  wt.hi.resize(k);
-  ProbSpan view;
-  view.p = const_cast<double*>(prob.p.data());
-  view.lo = const_cast<double*>(prob.lo.data());
-  view.hi = const_cast<double*>(prob.hi.data());
-  view.begin = 0;
-  view.end = k;
-  WtSpan out{wt.w.data(), wt.lo.data(), wt.hi.data(), 0, k};
-  WeightsInto(*ph_, dim, view, out, *ks_);
-  return wt;
-}
-
-StatusOr<Weightings> AqpEngine::ComputeWeightings(size_t agg_col,
-                                                  const Query& query) const {
-  Grid grid;
-  grid.dim = &ph_->hist1d(agg_col);  // test hook: fixed 1-d layout
-  const size_t k = grid.dim->NumBins();
-  Prob prob;
-  if (query.where.has_value()) {
-    PH_ASSIGN_OR_RETURN(Node root, Normalize(*query.where));
-    prob = EvalNode(agg_col, root, grid);
-  } else {
-    prob.p.assign(k, 1.0);
-    prob.lo.assign(k, 1.0);
-    prob.hi.assign(k, 1.0);
-  }
-  return WeightsFromProb(*grid.dim, prob);
 }
 
 // ---------------------------------------------------------------------------
@@ -1552,9 +1297,7 @@ StatusOr<CompiledQuery> AqpEngine::Compile(const Query& query) const {
     }
     plan.grid_ = ChooseGrid(plan.agg_col_, &*combined, plan.has_or_);
   } else {
-    plan.grid_ = ChooseGrid(plan.agg_col_,
-                            plan.where_.has_value() ? &*plan.where_ : nullptr,
-                            plan.has_or_);
+    plan.grid_ = ChooseGrid(plan.agg_col_, plan.where(), plan.has_or_);
   }
 
   // Same-column clip from the WHERE tree (the per-value GROUP BY leaf is
@@ -1566,7 +1309,7 @@ StatusOr<CompiledQuery> AqpEngine::Compile(const Query& query) const {
 
   plan.single_column_ = !query.count_star && query.SingleColumn();
 
-  // Fast-path transfer maps: one per cross-column leaf plus one for the
+  // Transfer maps: one per cross-column leaf plus one for the
   // per-value GROUP BY leaf (same column every execution).
   if (plan.where_.has_value()) {
     FillTransferMaps(&*plan.where_, plan.agg_col_, plan.grid_);
@@ -1580,53 +1323,7 @@ StatusOr<CompiledQuery> AqpEngine::Compile(const Query& query) const {
 // ---------------------------------------------------------------------------
 // Execution: coverage + weighting + aggregation over a compiled plan.
 
-Weightings AqpEngine::ComputeWeightsRef(const CompiledQuery& plan,
-                                        const Node* extra_group_leaf) const {
-  const size_t agg_col = plan.agg_col_;
-  const Grid& grid = plan.grid_;
-  const size_t k = grid.dim->NumBins();
-
-  // Satisfaction probabilities: the normalized WHERE tree, ANDed with the
-  // per-value group leaf. The conjunction distributes over the per-bin
-  // products of Eq. 28, so evaluating the two factors separately is
-  // identical to evaluating one combined tree.
-  Prob prob;
-  if (plan.where_.has_value()) {
-    prob = EvalNode(agg_col, *plan.where_, grid);
-  } else {
-    prob.p.assign(k, 1.0);
-    prob.lo.assign(k, 1.0);
-    prob.hi.assign(k, 1.0);
-  }
-  if (extra_group_leaf != nullptr) {
-    Prob gp = EvalNode(agg_col, *extra_group_leaf, grid);
-    for (size_t t = 0; t < k; ++t) {
-      prob.p[t] *= gp.p[t];
-      prob.lo[t] *= gp.lo[t];
-      prob.hi[t] *= gp.hi[t];
-    }
-  }
-  return WeightsFromProb(*grid.dim, prob);
-}
-
-StatusOr<AggResult> AqpEngine::ExecuteScalar(const CompiledQuery& plan,
-                                             const Node* extra_group_leaf,
-                                             ExecScratch& scratch) const {
-  const size_t agg_col = plan.agg_col_;
-  const Grid& grid = plan.grid_;
-  const size_t k = grid.dim->NumBins();
-
-  Weightings wt = ComputeWeightsRef(plan, extra_group_leaf);
-  const IntervalSet* agg_clip =
-      ResolveAggClip(plan.agg_clip_, extra_group_leaf, agg_col);
-  bool single = ResolveSingle(plan.single_column_, extra_group_leaf, agg_col);
-  scratch.arena.Reset();
-  WtSpan view{wt.w.data(), wt.lo.data(), wt.hi.data(), 0, k};
-  return AggregateImpl(*ph_, options_, *ks_, plan.query_.func, agg_col, grid,
-                       view, single, agg_clip, scratch.arena);
-}
-
-StatusOr<AggResult> AqpEngine::ExecuteScalarFast(
+AggResult AqpEngine::ExecuteScalar(
     const CompiledQuery& plan, const Node* extra_group_leaf,
     const std::vector<uint32_t>* extra_g2ta, ExecScratch& scratch) const {
   ExecArena& arena = scratch.arena;
@@ -1641,10 +1338,9 @@ StatusOr<AggResult> AqpEngine::ExecuteScalarFast(
     if (TryCountShortcutFast(plan, &r)) return r;
   }
 
-  WtSpan wt = ComputeWeightSpanFast(
-      *ph_, arena, *ks_, agg_col,
-      plan.where_.has_value() ? &*plan.where_ : nullptr, extra_group_leaf,
-      extra_g2ta, grid);
+  WeightTable wt = ComputeWeightSpanFast(*ph_, arena, *ks_, agg_col,
+                                         plan.where(), extra_group_leaf,
+                                         extra_g2ta, grid);
   const IntervalSet* agg_clip =
       ResolveAggClip(plan.agg_clip_, extra_group_leaf, agg_col);
   bool single = ResolveSingle(plan.single_column_, extra_group_leaf, agg_col);
@@ -1660,27 +1356,17 @@ Status AqpEngine::ExecutePartialScalar(
   arena.Reset();
   const size_t agg_col = plan.agg_col_;
   const Grid& grid = plan.grid_;
-  const size_t k = grid.dim->NumBins();
 
   const IntervalSet* agg_clip =
       ResolveAggClip(plan.agg_clip_, extra_group_leaf, agg_col);
   const bool single =
       ResolveSingle(plan.single_column_, extra_group_leaf, agg_col);
 
-  // Same weighting pipelines as ExecuteScalarFast / ExecuteScalar, ending
-  // in mergeable statistics instead of a finalized AggResult.
-  WtSpan wt;
-  Weightings ref_store;  // reference-path backing storage
-  if (options_.use_fast_path) {
-    wt = ComputeWeightSpanFast(
-        *ph_, arena, *ks_, agg_col,
-        plan.where_.has_value() ? &*plan.where_ : nullptr, extra_group_leaf,
-        extra_g2ta, grid);
-  } else {
-    ref_store = ComputeWeightsRef(plan, extra_group_leaf);
-    wt = WtSpan{ref_store.w.data(), ref_store.lo.data(),
-                ref_store.hi.data(), 0, k};
-  }
+  // Same weighting pipeline as ExecuteScalar, ending in mergeable
+  // statistics instead of a finalized AggResult.
+  WeightTable wt = ComputeWeightSpanFast(*ph_, arena, *ks_, agg_col,
+                                         plan.where(), extra_group_leaf,
+                                         extra_g2ta, grid);
   FillPartialFromWeights(*ph_, options_, *ks_, plan.query_.func, agg_col,
                          grid, wt, single, agg_clip, arena, out);
   return Status::OK();
@@ -1754,37 +1440,20 @@ Status AqpEngine::ExecuteInto(const CompiledQuery& plan,
       result->groups.resize(used);
       return Status::OK();
     }
-    AggResult agg;
-    if (options_.use_fast_path) {
-      PH_ASSIGN_OR_RETURN(agg,
-                          ExecuteScalarFast(plan, nullptr, nullptr, scratch));
-    } else {
-      PH_ASSIGN_OR_RETURN(agg, ExecuteScalar(plan, nullptr, scratch));
-    }
-    slot(agg).clear();
+    slot(ExecuteScalar(plan, nullptr, nullptr, scratch)).clear();
     result->groups.resize(used);
     return Status::OK();
   }
 
   const ColumnTransform& tr = ph_->transform(plan.group_col_);
   for (uint64_t code = 1; code <= plan.group_values_; ++code) {
-    AggResult agg;
-    if (options_.use_fast_path) {
-      Node& leaf = scratch.group_leaf;
-      leaf.column = plan.group_col_;
-      leaf.intervals.pieces.clear();
-      leaf.intervals.pieces.emplace_back(static_cast<double>(code),
-                                         static_cast<double>(code));
-      PH_ASSIGN_OR_RETURN(
-          agg, ExecuteScalarFast(plan, &leaf, &plan.group_g2ta_, scratch));
-    } else {
-      Node leaf;
-      leaf.type = Node::Type::kLeaf;
-      leaf.column = plan.group_col_;
-      leaf.intervals = IntervalSet::Of(static_cast<double>(code),
+    Node& leaf = scratch.group_leaf;
+    leaf.column = plan.group_col_;
+    leaf.intervals.pieces.clear();
+    leaf.intervals.pieces.emplace_back(static_cast<double>(code),
                                        static_cast<double>(code));
-      PH_ASSIGN_OR_RETURN(agg, ExecuteScalar(plan, &leaf, scratch));
-    }
+    const AggResult agg =
+        ExecuteScalar(plan, &leaf, &plan.group_g2ta_, scratch);
     bool empty_count =
         plan.query_.func == AggFunc::kCount && agg.estimate <= 0.5;
     if (agg.empty_selection || empty_count) continue;
@@ -1906,42 +1575,27 @@ void AqpEngine::WeightBatchGroups(
         std::max(max_bins, plans[g.members.front()]->grid_.dim->NumBins());
   }
   if (n_wt == 0) return;
-  if (options_.use_fast_path) {
-    // Per-batch arena sizing, then one probability pipeline per group and
-    // a single batched Eq.-29 weighting call over the plan-major SoA
-    // block.
-    arena.Reserve(BatchArenaBytes(max_bins, n_wt));
-    WeightTableBlock block(arena, max_bins, n_wt);
-    scratch.rows.clear();
-    scratch.rows.reserve(n_wt);
-    size_t slot = 0;
-    for (size_t gi = 0; gi < scratch.n_groups; ++gi) {
-      BatchGroup& g = scratch.groups[gi];
-      if (!g.need_wt) continue;
-      const CompiledQuery& head = *plans[g.members.front()];
-      g.prob = ComputeProbSpanFast(
-          *ph_, arena, *ks_, head.agg_col_,
-          head.where_.has_value() ? &*head.where_ : nullptr, nullptr,
-          nullptr, head.grid_);
-      g.wt = block.Row(slot++);
-      g.wt.begin = g.prob.begin;
-      g.wt.end = g.prob.end;
-      scratch.rows.push_back(MakeWeightRow(*head.grid_.dim, g.prob, g.wt));
-    }
-    const WidenParams wp = WidenParamsOf(*ph_);
-    ks_->weights_batch(scratch.rows.data(), scratch.rows.size(), wp.z,
-                       wp.fpc, wp.widen ? 1 : 0);
-  } else {
-    for (size_t gi = 0; gi < scratch.n_groups; ++gi) {
-      BatchGroup& g = scratch.groups[gi];
-      if (!g.need_wt) continue;
-      const CompiledQuery& head = *plans[g.members.front()];
-      g.ref_wt = ComputeWeightsRef(head, nullptr);
-      g.wt = WeightTable{g.ref_wt.w.data(), g.ref_wt.lo.data(),
-                         g.ref_wt.hi.data(), 0,
-                         head.grid_.dim->NumBins()};
-    }
+  // Per-batch arena sizing, then one probability pipeline per group and a
+  // single batched Eq.-29 weighting call over the plan-major SoA block.
+  arena.Reserve(BatchArenaBytes(max_bins, n_wt));
+  WeightTableBlock block(arena, max_bins, n_wt);
+  scratch.rows.clear();
+  scratch.rows.reserve(n_wt);
+  size_t slot = 0;
+  for (size_t gi = 0; gi < scratch.n_groups; ++gi) {
+    BatchGroup& g = scratch.groups[gi];
+    if (!g.need_wt) continue;
+    const CompiledQuery& head = *plans[g.members.front()];
+    g.prob = ComputeProbSpanFast(*ph_, arena, *ks_, head.agg_col_,
+                                 head.where(), nullptr, nullptr, head.grid_);
+    g.wt = block.Row(slot++);
+    g.wt.begin = g.prob.begin;
+    g.wt.end = g.prob.end;
+    scratch.rows.push_back(MakeWeightRow(*head.grid_.dim, g.prob, g.wt));
   }
+  const WidenParams wp = WidenParamsOf(*ph_);
+  ks_->weights_batch(scratch.rows.data(), scratch.rows.size(), wp.z, wp.fpc,
+                     wp.widen ? 1 : 0);
 }
 
 Status AqpEngine::ExecuteBatchInto(
@@ -1973,14 +1627,14 @@ Status AqpEngine::ExecuteBatchInto(
   if (scratch.n_groups == 0) return Status::OK();
 
   // COUNT shortcut members resolve immediately (the shortcut precedes
-  // weighting in the single-query fast path too); a group whose members
+  // weighting in the single-query path too); a group whose members
   // all shortcut never computes weights.
   scratch.pending.assign(n, 0);
   for (size_t gi = 0; gi < scratch.n_groups; ++gi) {
     BatchGroup& g = scratch.groups[gi];
     for (size_t i : g.members) {
       AggResult agg;
-      if (options_.use_fast_path && TryCountShortcutFast(*plans[i], &agg)) {
+      if (TryCountShortcutFast(*plans[i], &agg)) {
         FillScalarResult(results[i], agg);
       } else {
         scratch.pending[i] = 1;

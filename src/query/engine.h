@@ -22,6 +22,12 @@
 //  * var_within_bin — add the within-bin uniform variance term
 //    (v+ − v−)²/12 to VAR (Table 3's formula alone sees only between-bin
 //    variance and reports 0 for single-bin columns).
+//
+// There is one execution path: a zero-allocation pipeline over a pooled
+// scratch arena (cell prefix index, interval-localized coverage,
+// range-restricted weighting and aggregation). A dense per-bin reference
+// implementation lives in tests/oracle/ as a test-only oracle; the
+// equivalence suite asserts the two agree to the exact double.
 #ifndef PAIRWISEHIST_QUERY_ENGINE_H_
 #define PAIRWISEHIST_QUERY_ENGINE_H_
 
@@ -42,35 +48,17 @@ namespace pairwisehist {
 
 class ExecArena;  // query/exec_scratch.h
 
-/// Per-bin weightings over the chosen aggregation grid, with bounds
-/// (w, w−, w+ in the paper's notation).
-struct Weightings {
-  std::vector<double> w;
-  std::vector<double> lo;
-  std::vector<double> hi;
-
-  double Total() const;
-  double TotalLo() const;
-  double TotalHi() const;
-};
-
 /// Engine behaviour toggles (see the header comment).
 struct AqpEngineOptions {
   bool use_pair_grid = true;
   bool clip_agg_values = true;
   bool var_within_bin = true;
-  /// Zero-allocation execution fast path: pooled scratch arena, cell
-  /// prefix index and interval-localized coverage. Produces results
-  /// identical to the reference path (asserted by the equivalence suite);
-  /// off switches Execute back to the straightforward reference
-  /// implementation.
-  bool use_fast_path = true;
   /// SIMD kernel tier for the execution loops (see common/simd.h):
   /// runtime-detected widest by default, kScalar forces the scalar
   /// kernels. Per-tier results are deterministic (bit-identical across
   /// runs and exec_threads); scalar and SIMD tiers agree to 1e-9 relative
-  /// (lane reassociation only). Both the fast path and the reference path
-  /// use the same tier, preserving their exact equivalence.
+  /// (lane reassociation only). The test oracle (tests/oracle/) runs the
+  /// same tier, preserving its exact equivalence with the engine.
   KernelMode kernels = KernelMode::kAuto;
 };
 
@@ -83,9 +71,9 @@ struct NormalizedPredicate {
   size_t column = 0;     // leaf
   IntervalSet intervals; // leaf
   std::vector<NormalizedPredicate> children;
-  /// Fast-path compile-time cache for cross-column leaves: grid bin →
-  /// refined aggregation bin of this leaf's pairwise histogram (empty for
-  /// leaves that don't transfer across pairs). Filled by AqpEngine::Compile.
+  /// Compile-time cache for cross-column leaves: grid bin → refined
+  /// aggregation bin of this leaf's pairwise histogram (empty for leaves
+  /// that don't transfer across pairs). Filled by AqpEngine::Compile.
   std::vector<uint32_t> g2ta;
 };
 
@@ -120,6 +108,20 @@ class CompiledQuery {
   bool uses_pair_grid() const { return grid_.IsPair(); }
   bool grouped() const { return group_values_ > 0; }
 
+  // Compiled state, read-only (the test oracle re-executes plans from it).
+  /// Normalized WHERE clause, or nullptr when the query has none.
+  const NormalizedPredicate* where() const {
+    return where_.has_value() ? &*where_ : nullptr;
+  }
+  const AggGrid& grid() const { return grid_; }
+  /// Consolidated same-column clip on the aggregation column, if any.
+  const std::optional<IntervalSet>& agg_clip() const { return agg_clip_; }
+  /// Single-column query (predicates only on the aggregation column).
+  bool single_column() const { return single_column_; }
+  /// GROUP BY column index and its number of codes (grouped plans only).
+  size_t group_column() const { return group_col_; }
+  uint64_t group_values() const { return group_values_; }
+
  private:
   friend class AqpEngine;
 
@@ -135,7 +137,7 @@ class CompiledQuery {
   // GROUP BY state: group_values_ == 0 means not grouped.
   size_t group_col_ = 0;
   uint64_t group_values_ = 0;
-  /// Fast-path transfer map for the per-value GROUP BY leaf (same shape as
+  /// Transfer map for the per-value GROUP BY leaf (same shape as
   /// NormalizedPredicate::g2ta; empty when unused).
   std::vector<uint32_t> group_g2ta_;
 };
@@ -161,9 +163,9 @@ class AqpEngine {
   StatusOr<QueryResult> Execute(const CompiledQuery& plan) const;
 
   /// Executes a compiled plan into a caller-owned result, reusing its
-  /// group storage. With a warm result object and the fast path enabled,
-  /// steady-state scalar (non-GROUP-BY) execution performs zero heap
-  /// allocations; grouped execution still builds per-group label strings.
+  /// group storage. With a warm result object, steady-state scalar
+  /// (non-GROUP-BY) execution performs zero heap allocations; grouped
+  /// execution still builds per-group label strings.
   Status ExecuteInto(const CompiledQuery& plan, QueryResult* result) const;
 
   /// Per-segment execution for cross-segment merging: runs the same
@@ -209,22 +211,12 @@ class AqpEngine {
   /// call site; everything funnels through Compile/Execute.
   StatusOr<QueryResult> ExecuteSql(const std::string& sql) const;
 
-  /// Exposed for tests and ablations: weightings for `query`'s predicate
-  /// over the 1-d histogram of `agg_col` (the paper's Eq. 28 layout).
-  StatusOr<Weightings> ComputeWeightings(size_t agg_col,
-                                         const Query& query) const;
-
   const PairwiseHist& synopsis() const { return *ph_; }
   const AqpEngineOptions& options() const { return options_; }
 
  private:
   using Node = NormalizedPredicate;
   using Grid = AggGrid;
-
-  /// Per-bin satisfaction probabilities with bounds, on some grid.
-  struct Prob {
-    std::vector<double> p, lo, hi;
-  };
 
   /// Reusable per-execution scratch (arena + batch bookkeeping); leased
   /// from a per-engine pool so concurrent executions never share one.
@@ -242,26 +234,16 @@ class AqpEngine {
   static const IntervalSet* FindAggClip(const Node& node, size_t agg_col);
 
   Grid ChooseGrid(size_t agg_col, const Node* root, bool has_or) const;
-  Prob EvalNode(size_t agg_col, const Node& node, const Grid& grid) const;
-  Prob LeafProb(size_t agg_col, const Node& leaf, const Grid& grid) const;
-  Weightings WeightsFromProb(const HistogramDim& dim,
-                             const Prob& prob) const;
-  /// Reference-path probabilities + Eq. 29 weights for a plan, optionally
-  /// conjoined with the per-value GROUP BY leaf (shared by ExecuteScalar
-  /// and the reference branch of ExecutePartialScalar).
-  Weightings ComputeWeightsRef(const CompiledQuery& plan,
-                               const Node* extra_group_leaf) const;
-
-  /// Fast-path compile support: grid bin → refined agg bin of the
-  /// (agg_col, col) pair (empty when the leaf doesn't transfer).
+  /// Compile support: grid bin → refined agg bin of the (agg_col, col)
+  /// pair (empty when the leaf doesn't transfer).
   std::vector<uint32_t> TransferMap(size_t agg_col, size_t col,
                                     const Grid& grid) const;
   void FillTransferMaps(Node* node, size_t agg_col, const Grid& grid) const;
 
-  /// Fast-path O(log k) COUNT shortcut (single same-column predicate whose
-  /// pieces fully cover every touched bin); returns true and fills `out`
-  /// when it applies. Shared by ExecuteScalarFast and the batch path so
-  /// the two can never diverge.
+  /// O(log k) COUNT shortcut (single same-column predicate whose pieces
+  /// fully cover every touched bin); returns true and fills `out` when it
+  /// applies. Shared by ExecuteScalar and the batch path so the two can
+  /// never diverge.
   bool TryCountShortcutFast(const CompiledQuery& plan, AggResult* out) const;
 
   /// One batch group: scalar plans sharing a weight pipeline (defined in
@@ -278,26 +260,21 @@ class AqpEngine {
   /// per-call allocations the per-query loop avoids).
   void GroupBatchPlans(const std::vector<const CompiledQuery*>& plans,
                        ExecScratch& scratch) const;
-  /// Weight stage for every group with need_wt set: the fast path carves
-  /// one plan-major SoA block and fills all rows with a single batched
-  /// Eq.-29 kernel call; the reference path computes per-group
-  /// Weightings. Probability/weight spans live in the scratch arena.
+  /// Weight stage for every group with need_wt set: carves one plan-major
+  /// SoA block and fills all rows with a single batched Eq.-29 kernel
+  /// call. Probability/weight spans live in the scratch arena.
   void WeightBatchGroups(const std::vector<const CompiledQuery*>& plans,
                          ExecScratch& scratch) const;
 
-  /// Reference execution path (vector-based, one allocation per stage).
-  StatusOr<AggResult> ExecuteScalar(const CompiledQuery& plan,
-                                    const Node* extra_group_leaf,
-                                    ExecScratch& scratch) const;
-  /// Zero-allocation fast path over the scratch arena (cell prefix
+  /// Zero-allocation scalar execution over the scratch arena (cell prefix
   /// index, localized coverage, range-restricted weighting/aggregation).
-  StatusOr<AggResult> ExecuteScalarFast(const CompiledQuery& plan,
-                                        const Node* extra_group_leaf,
-                                        const std::vector<uint32_t>* extra_g2ta,
-                                        ExecScratch& scratch) const;
-  /// Scalar (or per-group) partial: same weighting pipeline as the two
-  /// paths above (fast or reference, per options), ending in mergeable
-  /// sufficient statistics instead of a finalized AggResult.
+  AggResult ExecuteScalar(const CompiledQuery& plan,
+                          const Node* extra_group_leaf,
+                          const std::vector<uint32_t>* extra_g2ta,
+                          ExecScratch& scratch) const;
+  /// Scalar (or per-group) partial: same weighting pipeline as
+  /// ExecuteScalar, ending in mergeable sufficient statistics instead of a
+  /// finalized AggResult.
   Status ExecutePartialScalar(const CompiledQuery& plan,
                               const Node* extra_group_leaf,
                               const std::vector<uint32_t>* extra_g2ta,

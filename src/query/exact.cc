@@ -70,18 +70,18 @@ bool EvalCondition(const ResolvedNode& n, const Table& table, size_t row) {
   return false;
 }
 
-bool EvalNode(const ResolvedNode& n, const Table& table, size_t row) {
+bool RowMatches(const ResolvedNode& n, const Table& table, size_t row) {
   switch (n.type) {
     case PredicateNode::Type::kCondition:
       return EvalCondition(n, table, row);
     case PredicateNode::Type::kAnd:
       for (const auto& c : n.children) {
-        if (!EvalNode(c, table, row)) return false;
+        if (!RowMatches(c, table, row)) return false;
       }
       return true;
     case PredicateNode::Type::kOr:
       for (const auto& c : n.children) {
-        if (EvalNode(c, table, row)) return true;
+        if (RowMatches(c, table, row)) return true;
       }
       return false;
   }
@@ -191,7 +191,7 @@ StatusOr<QueryResult> ExecuteExact(const Table& table, const Query& query) {
   // group code -> (values, row count). Ungrouped uses the single key 0.
   std::map<double, std::pair<std::vector<double>, uint64_t>> groups;
   for (size_t r = 0; r < table.NumRows(); ++r) {
-    if (where.has_value() && !EvalNode(*where, table, r)) continue;
+    if (where.has_value() && !RowMatches(*where, table, r)) continue;
     double key = 0;
     if (group_col != nullptr) {
       if (group_col->IsNull(r)) continue;  // NULL groups are dropped
@@ -229,7 +229,7 @@ StatusOr<double> ExactSelectivity(const Table& table, const Query& query) {
   PH_ASSIGN_OR_RETURN(ResolvedNode node, Resolve(table, *query.where));
   uint64_t hits = 0;
   for (size_t r = 0; r < table.NumRows(); ++r) {
-    if (EvalNode(node, table, r)) ++hits;
+    if (RowMatches(node, table, r)) ++hits;
   }
   return static_cast<double>(hits) / table.NumRows();
 }

@@ -149,8 +149,8 @@ struct ProbTable {
 
 /// Per-bin weightings (w, w−, w+) over the aggregation grid. The three
 /// lanes live in one 64-byte-aligned SoA block (each lane padded to a
-/// whole number of cache lines) when arena-backed via Make; the reference
-/// path instead points the lanes at its Weightings vectors.
+/// whole number of cache lines) when arena-backed via Make; the test
+/// oracle instead points the lanes at its own full-grid vectors.
 struct WeightTable {
   double* w = nullptr;
   double* lo = nullptr;

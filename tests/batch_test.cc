@@ -417,22 +417,6 @@ TEST(BatchDedup, DuplicateStatementsShareOnePlan) {
 }
 
 // ---------------------------------------------------------------------------
-// Reference path (use_fast_path = false) batches identically too.
-
-TEST(BatchRefPath, ReferenceEngineBatchesIdentically) {
-  auto t = MakeDataset("power", 25000, 13);
-  ASSERT_TRUE(t.ok());
-  DbOptions opt;
-  opt.synopsis.sample_size = 6000;
-  opt.engine.use_fast_path = false;
-  auto db = Db::FromTable(*t, opt);
-  ASSERT_TRUE(db.ok()) << db.status().ToString();
-  size_t checked = 0;
-  RunBatchEquivalence(db.value(), t.value(), 17, 60, &checked);
-  EXPECT_GE(checked, 40u);
-}
-
-// ---------------------------------------------------------------------------
 // API edges.
 
 TEST(BatchApi, EmptyBatchAndBackendGating) {

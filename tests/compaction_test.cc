@@ -597,7 +597,11 @@ TEST(ServingCompaction, QuarantineDrainsThroughRetainedRows) {
     failpoint::ClearAll();
   }
 
-  auto recovered = ServingDb::Recover(so);
+  // The rot below targets the mapped checkpoint, so recovery must map it
+  // whatever PWH_OPEN says about kAuto opens.
+  DbOptions mapped;
+  mapped.open_mode = OpenMode::kMmap;
+  auto recovered = ServingDb::Recover(so, mapped);
   ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
   ServingDb& sdb = *recovered.value();
   const uint64_t total = kBaseRows + kAppends * kBatchRows;

@@ -11,6 +11,7 @@
 #include "query/engine.h"
 #include "query/exact.h"
 #include "query/sql_parser.h"
+#include "tests/oracle/reference_engine.h"
 
 namespace pairwisehist {
 namespace {
@@ -245,10 +246,11 @@ TEST_F(EngineTest, NestedAndOrCombination) {
 }
 
 TEST_F(EngineTest, WeightingsMatchManualExpectation) {
-  // With no predicate, the weightings equal the 1-d counts.
+  // With no predicate, the oracle's 1-d weightings equal the 1-d counts.
   auto q = ParseSql("SELECT COUNT(x) FROM ctl;");
   ASSERT_TRUE(q.ok());
-  auto wt = engine_->ComputeWeightings(0, *q);
+  oracle::ReferenceEngine ref(ph_);
+  auto wt = ref.ComputeWeightings(0, *q);
   ASSERT_TRUE(wt.ok());
   const HistogramDim& h = ph_->hist1d(0);
   ASSERT_EQ(wt->w.size(), h.NumBins());
@@ -256,6 +258,25 @@ TEST_F(EngineTest, WeightingsMatchManualExpectation) {
     EXPECT_DOUBLE_EQ(wt->w[t], static_cast<double>(h.counts[t]));
   }
   EXPECT_DOUBLE_EQ(wt->Total(), 40000.0);
+}
+
+// A bin cut by the aggregation column's own predicate: x is uniform over
+// one 1-d bin, so `x < 500` keeps the lower half of it. The clipped
+// midpoint drives the estimate, and the SUM/AVG bounds must be centred on
+// that same clipped bin — bracketing both the estimate and the exact
+// answer — not on the raw bin's Theorem-1 centre clamped into the clip.
+TEST_F(EngineTest, ClippedAggregateBoundsBracketEstimate) {
+  ASSERT_EQ(ph_->hist1d(0).NumBins(), 1u);
+  for (const char* sql : {"SELECT SUM(x) FROM ctl WHERE x < 500;",
+                          "SELECT AVG(x) FROM ctl WHERE x < 500;"}) {
+    AggResult r = Approx(sql);
+    double exact = Exact(sql);
+    EXPECT_LE(r.lower, r.estimate) << sql;
+    EXPECT_LE(r.estimate, r.upper) << sql;
+    EXPECT_LE(r.lower, exact) << sql;
+    EXPECT_GE(r.upper, exact) << sql;
+    EXPECT_LT(RelativeErrorPct(exact, r.estimate), 1.0) << sql;
+  }
 }
 
 // Sampling widening: a sampled synopsis must produce wider bounds.

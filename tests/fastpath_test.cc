@@ -1,8 +1,9 @@
-// Fast-path validation: the zero-allocation execution path (scratch arena,
-// cell prefix index, interval-localized coverage, COUNT prefix-sum
-// shortcut) must produce results IDENTICAL to the reference path — same
-// doubles, not approximately equal — across every query shape, plus stay
-// allocation-free in steady state and safe under concurrent execution.
+// Fast-path validation: the engine's zero-allocation execution path
+// (scratch arena, cell prefix index, interval-localized coverage, COUNT
+// prefix-sum shortcut) must produce results IDENTICAL to the dense test
+// oracle (tests/oracle/) — same doubles, not approximately equal — across
+// every query shape, plus stay allocation-free in steady state and safe
+// under concurrent execution.
 #include <atomic>
 #include <cmath>
 #include <cstdlib>
@@ -19,6 +20,7 @@
 #include "datagen/datasets.h"
 #include "query/engine.h"
 #include "query/sql_parser.h"
+#include "tests/oracle/reference_engine.h"
 
 // ---------------------------------------------------------------------------
 // Global allocation counter (this binary only): counts every operator-new
@@ -191,14 +193,12 @@ void ExpectIdentical(const QueryResult& ref, const QueryResult& fast,
   }
 }
 
-// Runs `n` random queries against both engines and asserts identical
-// output (including which queries fail, and how).
+// Runs `n` random queries against the oracle and the engine and asserts
+// identical output (including which queries fail, and how).
 void RunEquivalence(const PairwiseHist& ph, const Table& table, uint64_t seed,
                     size_t n) {
-  AqpEngineOptions ref_opt;
-  ref_opt.use_fast_path = false;
-  AqpEngine ref(&ph, ref_opt);
-  AqpEngine fast(&ph);  // fast path on by default
+  oracle::ReferenceEngine ref(&ph);
+  AqpEngine fast(&ph);
 
   std::vector<ColumnStats> stats = CollectStats(table);
   Rng rng(seed);
@@ -275,7 +275,7 @@ TEST(FastPathEquivalence, SerializeRoundTripRebuildsIndex) {
   ASSERT_TRUE(ph.ok()) << ph.status().ToString();
   auto back = PairwiseHist::Deserialize(ph->Serialize());
   ASSERT_TRUE(back.ok()) << back.status().ToString();
-  // Fast vs reference on the deserialized synopsis: proves the exec index
+  // Engine vs oracle on the deserialized synopsis: proves the exec index
   // rebuilt at decode time is consistent with the decoded cells.
   RunEquivalence(back.value(), t, 23, 200);
 }
@@ -289,7 +289,7 @@ TEST(FastPathEquivalence, AfterIncrementalUpdate) {
   Table batch = ControlledTable(4000, 38);
   ASSERT_TRUE(ph->UpdateFromTable(batch).ok());
   // Counts changed; the rebuilt sparse index and prefix sums must agree
-  // with the reference dense scans.
+  // with the oracle's dense scans.
   RunEquivalence(ph.value(), t, 31, 200);
 }
 
@@ -301,9 +301,7 @@ TEST(FastPathEquivalence, CountShortcutShapes) {
   cfg.sample_size = 5000;
   auto ph = PairwiseHist::BuildFromTable(t, cfg);
   ASSERT_TRUE(ph.ok()) << ph.status().ToString();
-  AqpEngineOptions ref_opt;
-  ref_opt.use_fast_path = false;
-  AqpEngine ref(&ph.value(), ref_opt);
+  oracle::ReferenceEngine ref(&ph.value());
   AqpEngine fast(&ph.value());
   const char* kShapes[] = {
       "SELECT COUNT(x) FROM ctl WHERE x >= 0;",
@@ -319,6 +317,40 @@ TEST(FastPathEquivalence, CountShortcutShapes) {
   for (const char* sql : kShapes) {
     auto a = ref.ExecuteSql(sql);
     auto b = fast.ExecuteSql(sql);
+    ASSERT_TRUE(a.ok() && b.ok()) << sql;
+    ExpectIdentical(a.value(), b.value(), sql);
+  }
+}
+
+// Seven prepared shapes on a 100k-row sampled power synopsis (ρ = 0.1):
+// COUNT on one predicate and on a disjunction, cross-column AVG, a
+// five-predicate SUM, single-column VAR, cross-column MEDIAN and a GROUP BY.
+TEST(FastPathEquivalence, PowerPreparedShapes) {
+  const size_t rows = 100000;
+  DbOptions options;
+  options.synopsis.sample_size = rows / 10;
+  auto db = Db::FromGenerator("power", rows, 71, options);
+  ASSERT_TRUE(db.ok()) << db.status().ToString();
+  const AqpEngine& fast = db->engine();
+  oracle::ReferenceEngine ref(&db->synopsis(), fast.options());
+  const char* kShapes[] = {
+      "SELECT COUNT(voltage) FROM power WHERE voltage > 240;",
+      "SELECT COUNT(voltage) FROM power WHERE hour < 4 OR hour > 20;",
+      "SELECT AVG(global_active_power) FROM power WHERE hour >= 18;",
+      "SELECT SUM(global_active_power) FROM power WHERE hour >= 6 AND "
+      "voltage > 236 AND global_intensity > 0.4 AND sub_metering_3 < 20 "
+      "AND day_of_week < 6;",
+      "SELECT VAR(voltage) FROM power WHERE voltage > 238;",
+      "SELECT MEDIAN(global_active_power) FROM power WHERE hour < 12;",
+      "SELECT AVG(global_active_power) FROM power GROUP BY day_of_week;",
+  };
+  for (const char* sql : kShapes) {
+    auto q = ParseSql(sql);
+    ASSERT_TRUE(q.ok()) << sql;
+    auto plan = fast.Compile(*q);
+    ASSERT_TRUE(plan.ok()) << sql;
+    auto a = ref.Execute(plan.value());
+    auto b = fast.Execute(plan.value());
     ASSERT_TRUE(a.ok() && b.ok()) << sql;
     ExpectIdentical(a.value(), b.value(), sql);
   }

@@ -291,7 +291,11 @@ TEST_F(MmapTest, MultiProcessSharedOpen) {
   ASSERT_GE(pid, 0);
   if (pid == 0) {
     // Child: open + query; report via exit code only (no gtest here).
-    auto db = Db::Open(*pws3_path_);
+    // The child asserts a mapping, so it asks for one explicitly rather
+    // than relying on kAuto (which PWH_OPEN=heap redirects).
+    DbOptions options;
+    options.open_mode = OpenMode::kMmap;
+    auto db = Db::Open(*pws3_path_, options);
     if (!db.ok() || !db->mapped()) _exit(1);
     auto r = db->ExecuteSql(sql);
     _exit(r.ok() && r->Scalar().estimate == 24000.0 ? 0 : 2);
