@@ -154,10 +154,11 @@ class PreparedQuery {
   StatusOr<QueryResult> Execute() const;
 
   /// Same, into a caller-owned result whose group storage is reused. With
-  /// a warm result object and a single-segment Db the built-in engine's
-  /// fast path performs zero heap allocations per call for scalar
-  /// (non-GROUP-BY) queries; grouped and multi-segment executions still
-  /// allocate merge scratch.
+  /// a warm result object the built-in engine performs zero heap
+  /// allocations per call for scalar (non-GROUP-BY) queries whenever at
+  /// most one segment is live after pruning (always, on a single-segment
+  /// Db); grouped executions build label strings, and merging several
+  /// live segments allocates merge scratch.
   Status ExecuteInto(QueryResult* result) const;
 
   /// Runs the query exactly against the kept raw table (Unsupported when

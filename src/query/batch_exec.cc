@@ -17,7 +17,7 @@ Status SegmentedExecutor::ExecuteBatchInto(
     return Status::InvalidArgument("batch plans/results size mismatch");
   }
   if (plans.empty()) return Status::OK();
-  PoolLease<BatchExecScratch> lease(batch_pool_.get());
+  PoolLease<FanOutScratch> lease(scratch_pool_.get());
   return ExecuteBatchImpl(plans.data(), results.data(), plans.size(), *lease);
 }
 
@@ -25,8 +25,8 @@ Status SegmentedExecutor::ExecuteBatchInto(const SegmentedPlan* plans,
                                            QueryResult* results,
                                            size_t n) const {
   if (n == 0) return Status::OK();
-  PoolLease<BatchExecScratch> lease(batch_pool_.get());
-  BatchExecScratch& scratch = *lease;
+  PoolLease<FanOutScratch> lease(scratch_pool_.get());
+  FanOutScratch& scratch = *lease;
   scratch.plan_ptrs.resize(n);
   scratch.result_ptrs.resize(n);
   for (size_t i = 0; i < n; ++i) {
@@ -40,7 +40,7 @@ Status SegmentedExecutor::ExecuteBatchInto(const SegmentedPlan* plans,
 Status SegmentedExecutor::ExecuteBatchImpl(const SegmentedPlan* const* plans,
                                            QueryResult* const* results,
                                            size_t nq,
-                                           BatchExecScratch& scratch) const {
+                                           FanOutScratch& scratch) const {
   for (size_t q = 0; q < nq; ++q) {
     if (plans[q] == nullptr || !plans[q]->valid()) {
       return Status::Internal("SegmentedPlan used before Prepare");
@@ -52,33 +52,18 @@ Status SegmentedExecutor::ExecuteBatchImpl(const SegmentedPlan* const* plans,
     PH_RETURN_IF_ERROR(EnsurePlans(plans[q]->state_.get()));
   }
 
-  const size_t nseg = engines_.size();
-  if (nseg == 1) {
-    // Monolithic special case: the whole batch in one engine call.
-    scratch.cps.resize(nq);
-    scratch.outs.resize(nq);
-    for (size_t q = 0; q < nq; ++q) {
-      scratch.cps[q] = &plans[q]->state_->plans[0];
-      scratch.outs[q] = results[q];
-    }
-    return engines_[0]->ExecuteBatchInto(scratch.cps, scratch.outs);
-  }
-
   // Fan the batch × segment tasks over the pool: one task per segment,
   // each running the whole batch's mergeable partials on that segment
   // through the engine's batched partial path (so grid sharing is
   // amortized inside every segment too). Pruned (plan, segment) pairs
-  // contribute nothing, exactly like single-plan execution. The merge
-  // below reads every (query, segment) slot, so stale groups from a
-  // previous lease are cleared up front.
+  // contribute nothing, exactly like single-plan execution: their slots
+  // are cleared, and the engine overwrites every other slot in place.
+  const size_t nseg = engines_.size();
   scratch.parts.resize(nq);
   scratch.statuses.assign(nseg, Status::OK());
   scratch.task_cps.resize(nseg);
   scratch.task_outs.resize(nseg);
-  for (size_t q = 0; q < nq; ++q) {
-    scratch.parts[q].resize(nseg);
-    for (PartialResult& pr : scratch.parts[q]) pr.groups.clear();
-  }
+  for (size_t q = 0; q < nq; ++q) scratch.parts[q].resize(nseg);
   auto work = [&](size_t s) {
     std::vector<const CompiledQuery*>& cps = scratch.task_cps[s];
     std::vector<PartialResult*>& outs = scratch.task_outs[s];
@@ -86,7 +71,10 @@ Status SegmentedExecutor::ExecuteBatchImpl(const SegmentedPlan* const* plans,
     outs.clear();
     for (size_t q = 0; q < nq; ++q) {
       SegmentedPlan::State* st = plans[q]->state_.get();
-      if (st->skip[s]) continue;
+      if (st->skip[s]) {
+        scratch.parts[q][s].groups.clear();
+        continue;
+      }
       cps.push_back(&st->plans[s]);
       outs.push_back(&scratch.parts[q][s]);
     }
@@ -110,7 +98,7 @@ Status SegmentedExecutor::ExecuteBatchImpl(const SegmentedPlan* const* plans,
   for (const Status& s : scratch.statuses) {
     if (!s.ok()) return s;
   }
-  if (options_.ledger != nullptr) {
+  if (options_.ledger != nullptr && nseg > 1) {
     for (size_t q = 0; q < nq; ++q) {
       const SegmentedPlan::State& st = *plans[q]->state_;
       if (st.query.group_by.empty()) RecordFeedback(st, scratch.parts[q]);
@@ -123,8 +111,8 @@ Status SegmentedExecutor::ExecuteBatchImpl(const SegmentedPlan* const* plans,
   const KernelOps* ks = &GetKernels(options_.engine.kernels);
   for (size_t q = 0; q < nq; ++q) {
     const Query& query = plans[q]->state_->query;
-    MergePartialResults(query.func, !query.group_by.empty(), scratch.parts[q],
-                        results[q], ks);
+    MergePartialResults(query.func, !query.group_by.empty(),
+                        scratch.parts[q].data(), nseg, results[q], ks);
   }
   return Status::OK();
 }

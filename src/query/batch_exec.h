@@ -5,11 +5,12 @@
 // and Eq.-29 weighting work that is identical for every query sharing an
 // aggregation grid and predicate set. A PreparedBatch carries many
 // statements prepared together: execution groups their per-segment plans
-// by grid (AqpEngine::ExecuteBatchInto), computes each distinct predicate
-// set's pipeline once, weights all of them with a single batched kernel
-// call over a plan-major SoA block, and runs only the cheap per-query
-// aggregation individually. Duplicate statements (same normalized SQL)
-// share one plan outright.
+// by grid (AqpEngine::ExecutePartialBatchInto), computes each distinct
+// predicate set's pipeline once, weights all of them with a single batched
+// kernel call over a plan-major SoA block, runs only the cheap per-query
+// aggregation individually, and merges each statement's per-segment
+// partials exactly as single-statement execution does. Duplicate
+// statements (same normalized SQL) share one plan outright.
 //
 // The safety rail: batch results are BIT-IDENTICAL to executing every
 // statement on its own with PreparedQuery::ExecuteInto — on every kernel

@@ -550,30 +550,54 @@ using engine_internal::WeightsInto;
 
 namespace {
 
+// Fills a partial whose answer is a count (the exact predicate-free
+// COUNT(*), the O(log k) COUNT shortcut, or COUNT's Table-3 rule): the
+// count is its own answer.
+void FillPartialFromCount(const AggResult& r, bool empty,
+                          PartialAggregate* out) {
+  out->count = r.estimate;
+  out->count_lo = r.lower;
+  out->count_hi = r.upper;
+  out->empty = empty;
+  out->value = r;
+  out->mean = AggResult{};
+  out->median_bins.clear();
+}
+
 // Fills mergeable sufficient statistics (see partial_agg.h) from computed
 // weightings: the matching mass (COUNT semantics, de-sampled by 1/ρ), the
-// function-specific AggResult and — for VAR / MEDIAN — the extra
-// statistics the cross-segment merge needs.
+// synopsis's own Table-3 answer and — for VAR / MEDIAN — the extra
+// statistics the cross-segment merge needs. Overwrites `out` in place so
+// warm median_bins keep their capacity.
 void FillPartialFromWeights(const PairwiseHist& ph,
                             const AqpEngineOptions& options,
                             const KernelOps& ks, AggFunc func, size_t agg_col,
                             const AggGrid& grid, const WeightTable& wt, bool single,
                             const IntervalSet* agg_clip, ExecArena& arena,
                             PartialAggregate* out) {
+  const AggResult value = AggregateImpl(ph, options, ks, func, agg_col, grid,
+                                       wt, single, agg_clip, arena);
+  if (func == AggFunc::kCount) {
+    FillPartialFromCount(value, value.empty_selection, out);
+    return;
+  }
   const double rho = ph.sampling_ratio();
-  // Fused single-pass totals (previously three separate sweeps).
+  // Fused single-pass totals, the same reduction COUNT's Table-3 rule runs.
   double tot[3];
   ks.sum3(wt.w, wt.lo, wt.hi, wt.begin, wt.end, tot);
   out->count = tot[0] / rho;
   out->count_lo = tot[1] / rho;
   out->count_hi = tot[2] / rho;
   out->empty = tot[0] <= kWeightEps;
-  out->value = AggResult{};
+  out->value = value;
   out->mean = AggResult{};
   out->median_bins.clear();
-  if (func == AggFunc::kCount || out->empty) return;
+  if (out->empty) return;
 
-  if (func == AggFunc::kMedian) {
+  if (func == AggFunc::kVar) {
+    out->mean = AggregateImpl(ph, options, ks, AggFunc::kAvg, agg_col, grid,
+                              wt, single, agg_clip, arena);
+  } else if (func == AggFunc::kMedian) {
     // Export the touched weighted bins in the raw value domain; the merge
     // walks the combined weighted CDF exactly like Table 3's rule.
     const HistogramDim& hist = *grid.dim;
@@ -592,14 +616,6 @@ void FillPartialFromWeights(const PairwiseHist& ph,
       mb.unique = hist.unique[t];
       out->median_bins.push_back(mb);
     }
-    return;
-  }
-
-  out->value = AggregateImpl(ph, options, ks, func, agg_col, grid, wt,
-                             single, agg_clip, arena);
-  if (func == AggFunc::kVar) {
-    out->mean = AggregateImpl(ph, options, ks, AggFunc::kAvg, agg_col, grid,
-                              wt, single, agg_clip, arena);
   }
 }
 
@@ -977,8 +993,8 @@ ProbTable ComputeProbSpanFast(const PairwiseHist& ph, ExecArena& arena,
 }
 
 // Shared weighting pipeline: probabilities then Eq. 29 weights, all in the
-// arena. Used by ExecuteScalar and ExecutePartialScalar so the two can
-// never diverge.
+// arena. Used by ExecutePartialScalar; the batch path runs the same
+// probability stage and one batched call of the same weighting kernel.
 WeightTable ComputeWeightSpanFast(const PairwiseHist& ph, ExecArena& arena,
                              const KernelOps& ks, size_t agg_col,
                              const NormalizedPredicate* where,
@@ -1015,10 +1031,10 @@ bool NodeEqual(const NormalizedPredicate& a, const NormalizedPredicate& b) {
 }  // namespace
 
 // ---------------------------------------------------------------------------
-// Execution scratch: a per-execution arena plus a reusable GROUP BY leaf
-// and the batch-execution bookkeeping, pooled per engine (ObjectPool) so
-// concurrent executions never share one and steady-state execution
-// allocates nothing.
+// Execution scratch: a per-execution arena plus a reusable GROUP BY leaf,
+// ExecuteInto's one-part partial and the batch-execution bookkeeping,
+// pooled per engine (ObjectPool) so concurrent executions never share one
+// and steady-state execution allocates nothing.
 
 /// One batch group: scalar plans sharing a weight pipeline.
 struct AqpEngine::BatchGroup {
@@ -1031,10 +1047,12 @@ struct AqpEngine::BatchGroup {
 struct AqpEngine::ExecScratch {
   ExecArena arena;
   Node group_leaf;
+  /// ExecuteInto's partial: warm group slots keep their storage.
+  PartialResult partial;
 
-  // Batch-execution bookkeeping (ExecuteBatchInto and the partial
-  // variant): kept in the pooled scratch so repeated batches reuse the
-  // group/pointer vector capacity instead of allocating per call.
+  // Batch-execution bookkeeping (ExecutePartialBatchInto): kept in the
+  // pooled scratch so repeated batches reuse the group/pointer vector
+  // capacity instead of allocating per call.
   // groups[0..n_groups) are live for the current call; the tail keeps its
   // warmed member-vector capacity for the next batch.
   std::vector<BatchGroup> groups;
@@ -1323,93 +1341,82 @@ StatusOr<CompiledQuery> AqpEngine::Compile(const Query& query) const {
 // ---------------------------------------------------------------------------
 // Execution: coverage + weighting + aggregation over a compiled plan.
 
-AggResult AqpEngine::ExecuteScalar(
-    const CompiledQuery& plan, const Node* extra_group_leaf,
-    const std::vector<uint32_t>* extra_g2ta, ExecScratch& scratch) const {
-  ExecArena& arena = scratch.arena;
-  arena.Reset();
-  const size_t agg_col = plan.agg_col_;
-  const Grid& grid = plan.grid_;
-  const AggFunc func = plan.query_.func;
+namespace {
 
-  // O(log k) COUNT shortcut (see TryCountShortcutFast).
-  if (extra_group_leaf == nullptr) {
-    AggResult r;
-    if (TryCountShortcutFast(plan, &r)) return r;
-  }
-
-  WeightTable wt = ComputeWeightSpanFast(*ph_, arena, *ks_, agg_col,
-                                         plan.where(), extra_group_leaf,
-                                         extra_g2ta, grid);
-  const IntervalSet* agg_clip =
-      ResolveAggClip(plan.agg_clip_, extra_group_leaf, agg_col);
-  bool single = ResolveSingle(plan.single_column_, extra_group_leaf, agg_col);
-  return AggregateImpl(*ph_, options_, *ks_, func, agg_col, grid, wt, single,
-                       agg_clip, arena);
+/// The single group of a scalar partial, reusing warm storage.
+PartialAggregate& ScalarSlot(PartialResult* out) {
+  out->groups.resize(1);
+  out->groups[0].label.clear();
+  return out->groups[0].agg;
 }
 
-Status AqpEngine::ExecutePartialScalar(
-    const CompiledQuery& plan, const Node* extra_group_leaf,
-    const std::vector<uint32_t>* extra_g2ta, ExecScratch& scratch,
-    PartialAggregate* out) const {
+}  // namespace
+
+void AqpEngine::ExecutePartialScalar(const CompiledQuery& plan,
+                                     const Node* extra_group_leaf,
+                                     const std::vector<uint32_t>* extra_g2ta,
+                                     ExecScratch& scratch,
+                                     PartialAggregate* out) const {
+  // O(log k) COUNT shortcut (see TryCountShortcutFast).
+  AggResult counted;
+  if (extra_group_leaf == nullptr && TryCountShortcutFast(plan, &counted)) {
+    FillPartialFromCount(counted, counted.empty_selection, out);
+    return;
+  }
+
   ExecArena& arena = scratch.arena;
   arena.Reset();
   const size_t agg_col = plan.agg_col_;
   const Grid& grid = plan.grid_;
-
   const IntervalSet* agg_clip =
       ResolveAggClip(plan.agg_clip_, extra_group_leaf, agg_col);
   const bool single =
       ResolveSingle(plan.single_column_, extra_group_leaf, agg_col);
-
-  // Same weighting pipeline as ExecuteScalar, ending in mergeable
-  // statistics instead of a finalized AggResult.
   WeightTable wt = ComputeWeightSpanFast(*ph_, arena, *ks_, agg_col,
                                          plan.where(), extra_group_leaf,
                                          extra_g2ta, grid);
   FillPartialFromWeights(*ph_, options_, *ks_, plan.query_.func, agg_col,
                          grid, wt, single, agg_clip, arena, out);
-  return Status::OK();
+}
+
+void AqpEngine::PartialInto(const CompiledQuery& plan, ExecScratch& scratch,
+                            PartialResult* out) const {
+  if (!plan.grouped()) {
+    PartialAggregate& agg = ScalarSlot(out);
+    if (plan.query_.count_star && !plan.where_.has_value()) {
+      // COUNT(*) with no predicate: this synopsis's exact row count.
+      const double n = static_cast<double>(ph_->total_rows());
+      FillPartialFromCount(AggResult{n, n, n, false}, n == 0, &agg);
+    } else {
+      ExecutePartialScalar(plan, nullptr, nullptr, scratch, &agg);
+    }
+    return;
+  }
+
+  const ColumnTransform& tr = ph_->transform(plan.group_col_);
+  Node& leaf = scratch.group_leaf;
+  leaf.column = plan.group_col_;
+  size_t used = 0;
+  for (uint64_t code = 1; code <= plan.group_values_; ++code) {
+    leaf.intervals.pieces.clear();
+    leaf.intervals.pieces.emplace_back(static_cast<double>(code),
+                                       static_cast<double>(code));
+    if (used == out->groups.size()) out->groups.emplace_back();
+    PartialResult::Group& g = out->groups[used];
+    ExecutePartialScalar(plan, &leaf, &plan.group_g2ta_, scratch, &g.agg);
+    // Keep any group with estimated mass — even one below the grouped
+    // COUNT display threshold: segments accumulate before filtering.
+    if (g.agg.empty) continue;
+    g.label = FormatGroupLabel(tr, code);
+    ++used;
+  }
+  out->groups.resize(used);
 }
 
 Status AqpEngine::ExecutePartialInto(const CompiledQuery& plan,
                                      PartialResult* out) const {
   ScratchLease lease(this);
-  ExecScratch& scratch = *lease;
-
-  out->groups.clear();
-  if (!plan.grouped()) {
-    PartialAggregate agg;
-    // COUNT(*) with no predicate: this segment's exact row count.
-    if (plan.query_.count_star && !plan.where_.has_value()) {
-      agg.count = agg.count_lo = agg.count_hi =
-          static_cast<double>(ph_->total_rows());
-      agg.empty = ph_->total_rows() == 0;
-    } else {
-      PH_RETURN_IF_ERROR(
-          ExecutePartialScalar(plan, nullptr, nullptr, scratch, &agg));
-    }
-    out->groups.push_back(
-        PartialResult::Group{std::string(), std::move(agg)});
-    return Status::OK();
-  }
-
-  const ColumnTransform& tr = ph_->transform(plan.group_col_);
-  for (uint64_t code = 1; code <= plan.group_values_; ++code) {
-    Node& leaf = scratch.group_leaf;
-    leaf.column = plan.group_col_;
-    leaf.intervals.pieces.clear();
-    leaf.intervals.pieces.emplace_back(static_cast<double>(code),
-                                       static_cast<double>(code));
-    PartialAggregate agg;
-    PH_RETURN_IF_ERROR(
-        ExecutePartialScalar(plan, &leaf, &plan.group_g2ta_, scratch, &agg));
-    // Keep any group with estimated mass — even one below the grouped
-    // COUNT display threshold: segments accumulate before filtering.
-    if (agg.empty) continue;
-    out->groups.push_back(
-        PartialResult::Group{FormatGroupLabel(tr, code), std::move(agg)});
-  }
+  PartialInto(plan, *lease, out);
   return Status::OK();
 }
 
@@ -1417,49 +1424,10 @@ Status AqpEngine::ExecuteInto(const CompiledQuery& plan,
                               QueryResult* result) const {
   ScratchLease lease(this);
   ExecScratch& scratch = *lease;
-
-  // Reuse the caller's group storage: overwrite warm slots in place and
-  // only grow (or shrink) when the group count changes.
-  size_t used = 0;
-  auto slot = [&](const AggResult& agg) -> std::string& {
-    if (used < result->groups.size()) {
-      result->groups[used].agg = agg;
-    } else {
-      result->groups.push_back(QueryResult::Group{std::string(), agg});
-    }
-    return result->groups[used++].label;
-  };
-
-  if (!plan.grouped()) {
-    // COUNT(*) with no predicate: exact row count.
-    if (plan.query_.count_star && !plan.where_.has_value()) {
-      AggResult r;
-      r.estimate = r.lower = r.upper =
-          static_cast<double>(ph_->total_rows());
-      slot(r).clear();
-      result->groups.resize(used);
-      return Status::OK();
-    }
-    slot(ExecuteScalar(plan, nullptr, nullptr, scratch)).clear();
-    result->groups.resize(used);
-    return Status::OK();
-  }
-
-  const ColumnTransform& tr = ph_->transform(plan.group_col_);
-  for (uint64_t code = 1; code <= plan.group_values_; ++code) {
-    Node& leaf = scratch.group_leaf;
-    leaf.column = plan.group_col_;
-    leaf.intervals.pieces.clear();
-    leaf.intervals.pieces.emplace_back(static_cast<double>(code),
-                                       static_cast<double>(code));
-    const AggResult agg =
-        ExecuteScalar(plan, &leaf, &plan.group_g2ta_, scratch);
-    bool empty_count =
-        plan.query_.func == AggFunc::kCount && agg.estimate <= 0.5;
-    if (agg.empty_selection || empty_count) continue;
-    slot(agg) = FormatGroupLabel(tr, code);
-  }
-  result->groups.resize(used);
+  PartialInto(plan, scratch, &scratch.partial);
+  // A merge of one part is the identity: this synopsis's own answer.
+  MergePartialResults(plan.query_.func, plan.grouped(), &scratch.partial, 1,
+                      result, ks_);
   return Status::OK();
 }
 
@@ -1486,7 +1454,7 @@ StatusOr<QueryResult> AqpEngine::ExecuteSql(const std::string& sql) const {
 // predicate set while only the cheap Table-3 aggregation runs per plan.
 // Every shared stage is a deterministic pure function of the shared
 // inputs, and the per-plan stages run the exact single-query code, so
-// results are bit-identical to looping ExecuteInto.
+// results are bit-identical to looping ExecutePartialInto.
 
 bool AqpEngine::TryCountShortcutFast(const CompiledQuery& plan,
                                      AggResult* out) const {
@@ -1508,33 +1476,6 @@ bool AqpEngine::TryCountShortcutFast(const CompiledQuery& plan,
   out->empty_selection = total <= kWeightEps;
   return true;
 }
-
-StatusOr<std::vector<CompiledQuery>> AqpEngine::CompileBatch(
-    const std::vector<Query>& queries) const {
-  std::vector<CompiledQuery> plans;
-  plans.reserve(queries.size());
-  for (const Query& q : queries) {
-    PH_ASSIGN_OR_RETURN(CompiledQuery plan, Compile(q));
-    plans.push_back(std::move(plan));
-  }
-  return plans;
-}
-
-namespace {
-
-/// Scalar result written the way ExecuteInto's slot() writes it: one
-/// unlabeled group, reusing warm storage.
-void FillScalarResult(QueryResult* out, const AggResult& agg) {
-  if (out->groups.empty()) {
-    out->groups.push_back(QueryResult::Group{std::string(), agg});
-  } else {
-    out->groups[0].agg = agg;
-    out->groups[0].label.clear();
-  }
-  out->groups.resize(1);
-}
-
-}  // namespace
 
 void AqpEngine::GroupBatchPlans(const std::vector<const CompiledQuery*>& plans,
                                 ExecScratch& scratch) const {
@@ -1598,98 +1539,6 @@ void AqpEngine::WeightBatchGroups(
                      wp.widen ? 1 : 0);
 }
 
-Status AqpEngine::ExecuteBatchInto(
-    const std::vector<const CompiledQuery*>& plans,
-    const std::vector<QueryResult*>& results) const {
-  if (plans.size() != results.size()) {
-    return Status::InvalidArgument("batch plans/results size mismatch");
-  }
-  const size_t n = plans.size();
-  for (size_t i = 0; i < n; ++i) {
-    if (plans[i] == nullptr || results[i] == nullptr) {
-      return Status::InvalidArgument("batch plan/result is null");
-    }
-  }
-
-  // Group scalar plans by shared weight pipeline; everything the batch
-  // path does not cover runs the single-query path — trivially identical
-  // to the loop. All bookkeeping lives in the pooled scratch so repeated
-  // batches are allocation-free in steady state.
-  ScratchLease lease(this);
-  ExecScratch& scratch = *lease;
-  ExecArena& arena = scratch.arena;
-  arena.Reset();
-
-  GroupBatchPlans(plans, scratch);
-  for (size_t i : scratch.singles) {
-    PH_RETURN_IF_ERROR(ExecuteInto(*plans[i], results[i]));
-  }
-  if (scratch.n_groups == 0) return Status::OK();
-
-  // COUNT shortcut members resolve immediately (the shortcut precedes
-  // weighting in the single-query path too); a group whose members
-  // all shortcut never computes weights.
-  scratch.pending.assign(n, 0);
-  for (size_t gi = 0; gi < scratch.n_groups; ++gi) {
-    BatchGroup& g = scratch.groups[gi];
-    for (size_t i : g.members) {
-      AggResult agg;
-      if (TryCountShortcutFast(*plans[i], &agg)) {
-        FillScalarResult(results[i], agg);
-      } else {
-        scratch.pending[i] = 1;
-        g.need_wt = true;
-      }
-    }
-  }
-
-  WeightBatchGroups(plans, scratch);
-
-  // Table-3 aggregation per plan, deduping identical (func, single) plans
-  // within a group (everything else in the aggregation's input is a group
-  // invariant, so equal keys mean bit-identical results). At most
-  // #functions × 2 single-flags distinct results per group, so the dedup
-  // cache is a fixed stack array — no allocation on the hot path.
-  constexpr size_t kMaxDone =
-      2 * (static_cast<size_t>(AggFunc::kVar) + 1);
-  static_assert(static_cast<size_t>(AggFunc::kVar) == 6,
-                "AggFunc grew: update kMaxDone's last-enumerator anchor");
-  for (size_t gi = 0; gi < scratch.n_groups; ++gi) {
-    const BatchGroup& g = scratch.groups[gi];
-    if (!g.need_wt) continue;
-    struct Done {
-      AggFunc func;
-      bool single;
-      AggResult agg;
-    };
-    Done done[kMaxDone];
-    size_t n_done = 0;
-    for (size_t i : g.members) {
-      if (!scratch.pending[i]) continue;
-      const CompiledQuery& p = *plans[i];
-      const bool single = p.single_column_;
-      AggResult agg;
-      bool copied = false;
-      for (size_t d = 0; d < n_done; ++d) {
-        if (done[d].func == p.query_.func && done[d].single == single) {
-          agg = done[d].agg;
-          copied = true;
-          break;
-        }
-      }
-      if (!copied) {
-        const IntervalSet* clip =
-            p.agg_clip_.has_value() ? &*p.agg_clip_ : nullptr;
-        agg = AggregateImpl(*ph_, options_, *ks_, p.query_.func, p.agg_col_,
-                            p.grid_, g.wt, single, clip, arena);
-        done[n_done++] = Done{p.query_.func, single, agg};
-      }
-      FillScalarResult(results[i], agg);
-    }
-  }
-  return Status::OK();
-}
-
 Status AqpEngine::ExecutePartialBatchInto(
     const std::vector<const CompiledQuery*>& plans,
     const std::vector<PartialResult*>& out) const {
@@ -1703,36 +1552,49 @@ Status AqpEngine::ExecutePartialBatchInto(
     }
   }
 
+  // Group scalar plans by shared weight pipeline; everything the batch
+  // path does not cover runs the single-query path — trivially identical
+  // to the loop. All bookkeeping lives in the pooled scratch so repeated
+  // batches are allocation-free in steady state.
   ScratchLease lease(this);
   ExecScratch& scratch = *lease;
+  GroupBatchPlans(plans, scratch);
+  for (size_t i : scratch.singles) PartialInto(*plans[i], scratch, out[i]);
+  if (scratch.n_groups == 0) return Status::OK();
   ExecArena& arena = scratch.arena;
   arena.Reset();
 
-  GroupBatchPlans(plans, scratch);
-  for (size_t i : scratch.singles) {
-    PH_RETURN_IF_ERROR(ExecutePartialInto(*plans[i], out[i]));
-  }
-  if (scratch.n_groups == 0) return Status::OK();
-
-  // The partial path has no COUNT shortcut, so every group needs weights.
+  // COUNT shortcut members resolve immediately (the shortcut precedes
+  // weighting in the single-query path too); a group whose members
+  // all shortcut never computes weights.
+  scratch.pending.assign(n, 0);
   for (size_t gi = 0; gi < scratch.n_groups; ++gi) {
-    scratch.groups[gi].need_wt = true;
+    BatchGroup& g = scratch.groups[gi];
+    for (size_t i : g.members) {
+      AggResult counted;
+      if (TryCountShortcutFast(*plans[i], &counted)) {
+        FillPartialFromCount(counted, counted.empty_selection,
+                             &ScalarSlot(out[i]));
+      } else {
+        scratch.pending[i] = 1;
+        g.need_wt = true;
+      }
+    }
   }
+
   WeightBatchGroups(plans, scratch);
 
+  // Table-3 aggregation per plan over its group's shared weights.
   for (size_t gi = 0; gi < scratch.n_groups; ++gi) {
     const BatchGroup& g = scratch.groups[gi];
     for (size_t i : g.members) {
+      if (!scratch.pending[i]) continue;
       const CompiledQuery& p = *plans[i];
       const IntervalSet* clip =
           p.agg_clip_.has_value() ? &*p.agg_clip_ : nullptr;
-      out[i]->groups.clear();
-      PartialAggregate agg;
       FillPartialFromWeights(*ph_, options_, *ks_, p.query_.func, p.agg_col_,
                              p.grid_, g.wt, p.single_column_, clip, arena,
-                             &agg);
-      out[i]->groups.push_back(
-          PartialResult::Group{std::string(), std::move(agg)});
+                             &ScalarSlot(out[i]));
     }
   }
   return Status::OK();

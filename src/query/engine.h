@@ -163,44 +163,30 @@ class AqpEngine {
   StatusOr<QueryResult> Execute(const CompiledQuery& plan) const;
 
   /// Executes a compiled plan into a caller-owned result, reusing its
-  /// group storage. With a warm result object, steady-state scalar
-  /// (non-GROUP-BY) execution performs zero heap allocations; grouped
-  /// execution still builds per-group label strings.
+  /// group storage: the per-segment partial pipeline (ExecutePartialInto)
+  /// into pooled scratch, then a merge of that one part, which returns
+  /// the part's own answer unchanged. With a warm result object,
+  /// steady-state scalar (non-GROUP-BY) execution performs zero heap
+  /// allocations; grouped execution still builds per-group label strings.
   Status ExecuteInto(const CompiledQuery& plan, QueryResult* result) const;
 
-  /// Per-segment execution for cross-segment merging: runs the same
-  /// coverage + weighting pipeline as ExecuteInto but emits mergeable
-  /// sufficient statistics (see partial_agg.h) instead of finalized
-  /// AggResults. One PartialResult group per emitted label ("" for scalar
-  /// queries); grouped execution omits groups with no estimated mass.
+  /// Per-segment execution: coverage + weighting + Table-3 aggregation,
+  /// emitted as mergeable sufficient statistics (see partial_agg.h) whose
+  /// `value` is this synopsis's own finalized answer. One PartialResult
+  /// group per emitted label ("" for scalar queries); grouped execution
+  /// omits groups with no estimated mass. Group slots are overwritten in
+  /// place, so a warm `out` keeps its storage.
   Status ExecutePartialInto(const CompiledQuery& plan,
                             PartialResult* out) const;
 
-  // ---- Batch execution --------------------------------------------------
-  // Many plans in one call: scalar plans are grouped by aggregation grid
-  // and coverage/weighting is computed once per distinct normalized
-  // predicate set, the distinct weight tables living in one plan-major SoA
-  // block filled by a single batched Eq.-29 kernel call; only the cheap
-  // Table-3 aggregation then runs per plan (with duplicate (func, flags)
-  // plans answered by copy). Grouped queries and predicate-free COUNT(*)
-  // fall back to the single-query path inside the batch. Results[i] is
-  // BIT-IDENTICAL to calling ExecuteInto(*plans[i], results[i]) in a loop
-  // — on every kernel tier (asserted by tests/batch_test.cc).
-
-  /// Compiles every query (same as Compile in a loop; convenience for
-  /// batch callers).
-  StatusOr<std::vector<CompiledQuery>> CompileBatch(
-      const std::vector<Query>& queries) const;
-
-  /// Executes a batch of compiled plans into caller-owned results.
-  /// `plans.size()` must equal `results.size()`; every plan must have been
-  /// compiled by this engine.
-  Status ExecuteBatchInto(const std::vector<const CompiledQuery*>& plans,
-                          const std::vector<QueryResult*>& results) const;
-
-  /// Batched counterpart of ExecutePartialInto (the per-segment entry the
-  /// cross-segment batch fan-out uses). Same sharing as ExecuteBatchInto;
-  /// out[i] is bit-identical to ExecutePartialInto(*plans[i], out[i]).
+  /// Batched ExecutePartialInto: scalar plans are grouped by aggregation
+  /// grid and coverage/weighting is computed once per distinct normalized
+  /// predicate set, the distinct weight tables living in one plan-major
+  /// SoA block filled by a single batched Eq.-29 kernel call; only the
+  /// cheap Table-3 aggregation then runs per plan. Grouped queries and
+  /// predicate-free COUNT(*) run the single-query path inside the batch.
+  /// out[i] is BIT-IDENTICAL to ExecutePartialInto(*plans[i], out[i]) —
+  /// on every kernel tier (asserted by tests/batch_test.cc).
   Status ExecutePartialBatchInto(const std::vector<const CompiledQuery*>& plans,
                                  const std::vector<PartialResult*>& out) const;
 
@@ -218,8 +204,9 @@ class AqpEngine {
   using Node = NormalizedPredicate;
   using Grid = AggGrid;
 
-  /// Reusable per-execution scratch (arena + batch bookkeeping); leased
-  /// from a per-engine pool so concurrent executions never share one.
+  /// Reusable per-execution scratch (arena, ExecuteInto's one-part
+  /// partial, batch bookkeeping); leased from a per-engine pool so
+  /// concurrent executions never share one.
   struct ExecScratch;
   using ScratchPool = ObjectPool<ExecScratch>;
   /// RAII lease of one ExecScratch (allocates only when the pool is dry).
@@ -242,14 +229,12 @@ class AqpEngine {
 
   /// O(log k) COUNT shortcut (single same-column predicate whose pieces
   /// fully cover every touched bin); returns true and fills `out` when it
-  /// applies. Shared by ExecuteScalar and the batch path so the two can
+  /// applies. Shared by the single-query and batch paths so the two can
   /// never diverge.
   bool TryCountShortcutFast(const CompiledQuery& plan, AggResult* out) const;
 
   /// One batch group: scalar plans sharing a weight pipeline (defined in
-  /// engine.cc). The grouping and weighting stages are shared by
-  /// ExecuteBatchInto and ExecutePartialBatchInto so single-segment and
-  /// per-segment batches can never group or weight differently.
+  /// engine.cc).
   struct BatchGroup;
   /// Groups batchable scalar plans by (aggregation column, grid,
   /// value-equal normalized WHERE); plans the batch path does not cover
@@ -266,20 +251,17 @@ class AqpEngine {
   void WeightBatchGroups(const std::vector<const CompiledQuery*>& plans,
                          ExecScratch& scratch) const;
 
-  /// Zero-allocation scalar execution over the scratch arena (cell prefix
-  /// index, localized coverage, range-restricted weighting/aggregation).
-  AggResult ExecuteScalar(const CompiledQuery& plan,
-                          const Node* extra_group_leaf,
-                          const std::vector<uint32_t>* extra_g2ta,
-                          ExecScratch& scratch) const;
-  /// Scalar (or per-group) partial: same weighting pipeline as
-  /// ExecuteScalar, ending in mergeable sufficient statistics instead of a
-  /// finalized AggResult.
-  Status ExecutePartialScalar(const CompiledQuery& plan,
-                              const Node* extra_group_leaf,
-                              const std::vector<uint32_t>* extra_g2ta,
-                              ExecScratch& scratch,
-                              PartialAggregate* out) const;
+  /// ExecutePartialInto over an already-leased scratch.
+  void PartialInto(const CompiledQuery& plan, ExecScratch& scratch,
+                   PartialResult* out) const;
+  /// Scalar (or per-group) partial over the scratch arena: the COUNT
+  /// shortcut, else cell prefix index, localized coverage and
+  /// range-restricted weighting, ending in Table-3 aggregation plus the
+  /// extra statistics the cross-segment merge needs.
+  void ExecutePartialScalar(const CompiledQuery& plan,
+                            const Node* extra_group_leaf,
+                            const std::vector<uint32_t>* extra_g2ta,
+                            ExecScratch& scratch, PartialAggregate* out) const;
 
   const PairwiseHist* ph_;
   AqpEngineOptions options_;

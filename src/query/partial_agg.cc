@@ -68,7 +68,9 @@ double WeightedAvgExtreme(std::vector<double> vals, std::vector<double> wlo,
 // works on already-decoded exported bins — but any change to the median
 // RULE (half-mass tie handling, the unique==2 two-value case, the
 // w_lo/w_hi bound walk) must be applied to both, and the 1-vs-N-segment
-// equivalence suite in tests/segment_test.cc guards their agreement.
+// equivalence suite in tests/segment_test.cc guards their agreement. It
+// only ever runs over two or more parts with mass: one such part answers
+// with its own engine result.
 AggResult MergeMedian(const std::vector<const PartialAggregate*>& parts,
                       const KernelOps& ks) {
   // Gather every touched bin; sort by value interval for the CDF walk.
@@ -146,12 +148,13 @@ AggResult MergePartials(AggFunc func,
   if (ks == nullptr) ks = &ScalarKernels();
   if (func == AggFunc::kCount) {
     AggResult r;
+    r.empty_selection = true;
     for (const PartialAggregate* p : parts) {
       r.estimate += p->count;
       r.lower += p->count_lo;
       r.upper += p->count_hi;
+      r.empty_selection = r.empty_selection && p->empty;
     }
-    r.empty_selection = r.estimate <= kMassEps;
     return r;
   }
 
@@ -161,10 +164,10 @@ AggResult MergePartials(AggFunc func,
     if (!p->empty) live.push_back(p);
   }
   if (live.empty()) return EmptyResult(func);
-  if (func == AggFunc::kMedian) return MergeMedian(live, *ks);
   if (live.size() == 1) {
     return live[0]->value;  // single contributing segment: pass through
   }
+  if (func == AggFunc::kMedian) return MergeMedian(live, *ks);
 
   AggResult r;
   switch (func) {
@@ -271,43 +274,63 @@ AggResult MergePartials(AggFunc func,
 }
 
 void MergePartialResults(AggFunc func, bool grouped,
-                         const std::vector<PartialResult>& parts,
+                         const PartialResult* parts, size_t n,
                          QueryResult* out, const KernelOps* ks) {
-  out->groups.clear();
-
-  // Label -> index into the merged order (first seen, walking segments in
-  // order — deterministic), then collect per-label partial lists. Hashed
-  // lookup keeps high-cardinality GROUP BY merges linear.
-  std::vector<std::string> labels;
-  std::vector<std::vector<const PartialAggregate*>> by_label;
-  std::unordered_map<std::string, size_t> index;
-  for (const PartialResult& part : parts) {
-    for (const PartialResult::Group& g : part.groups) {
-      auto [it, inserted] = index.emplace(g.label, labels.size());
-      if (inserted) {
-        labels.push_back(g.label);
-        by_label.emplace_back();
-      }
-      by_label[it->second].push_back(&g.agg);
+  // Overwrite the caller's warm group slots; grouped results drop groups
+  // with no answer, mirroring the per-segment filtering.
+  size_t used = 0;
+  auto emit = [&](const std::string& label, const AggResult& agg) {
+    if (grouped && (agg.empty_selection ||
+                    (func == AggFunc::kCount && agg.estimate <= 0.5))) {
+      return;
     }
-  }
+    if (used == out->groups.size()) {
+      out->groups.push_back(QueryResult::Group{label, agg});
+    } else {
+      out->groups[used].label = label;
+      out->groups[used].agg = agg;
+    }
+    ++used;
+  };
 
-  if (!grouped && labels.empty()) {
+  const PartialResult* carrier = nullptr;
+  size_t carriers = 0;
+  for (size_t i = 0; i < n; ++i) {
+    if (parts[i].groups.empty()) continue;
+    carrier = &parts[i];
+    ++carriers;
+  }
+  if (carriers == 0) {
     // Every segment was pruned or empty: a scalar query still returns one
     // group.
-    out->groups.push_back(
-        QueryResult::Group{std::string(), EmptyResult(func)});
-    return;
-  }
-
-  for (size_t i = 0; i < labels.size(); ++i) {
-    AggResult agg = MergePartials(func, by_label[i], ks);
-    if (grouped) {
-      bool empty_count = func == AggFunc::kCount && agg.estimate <= 0.5;
-      if (agg.empty_selection || empty_count) continue;
+    if (!grouped) emit(std::string(), EmptyResult(func));
+  } else if (carriers == 1) {
+    // A merge of one part is the identity: the segment's own answers.
+    for (const PartialResult::Group& g : carrier->groups) {
+      emit(g.label, g.agg.value);
     }
-    out->groups.push_back(QueryResult::Group{labels[i], agg});
+  } else {
+    // Label -> index into the merged order (first seen, walking segments
+    // in order — deterministic), then collect per-label partial lists.
+    // Hashed lookup keeps high-cardinality GROUP BY merges linear.
+    std::vector<std::string> labels;
+    std::vector<std::vector<const PartialAggregate*>> by_label;
+    std::unordered_map<std::string, size_t> index;
+    for (size_t i = 0; i < n; ++i) {
+      for (const PartialResult::Group& g : parts[i].groups) {
+        auto [it, inserted] = index.emplace(g.label, labels.size());
+        if (inserted) {
+          labels.push_back(g.label);
+          by_label.emplace_back();
+        }
+        by_label[it->second].push_back(&g.agg);
+      }
+    }
+    for (size_t i = 0; i < labels.size(); ++i) {
+      emit(labels[i], MergePartials(func, by_label[i], ks));
+    }
   }
+  out->groups.resize(used);
 }
 
 }  // namespace pairwisehist

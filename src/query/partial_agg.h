@@ -1,10 +1,16 @@
 // Mergeable per-segment partial aggregates.
 //
-// Cross-segment execution splits a query into one ExecutePartialInto call
-// per sealed segment (coverage + weighting on that segment's own synopsis)
-// followed by a deterministic serial MergePartials step. The merge rules:
+// Every read splits a query into one ExecutePartialInto call per live
+// segment (coverage + weighting + aggregation on that segment's own
+// synopsis) followed by a deterministic serial merge. A one-segment Db is
+// simply a merge of one part. The merge rules:
 //
-//   COUNT     exact: sums of per-segment estimates and bounds.
+//   one part  identity: when at most one segment carries groups, each
+//             group's `value` (the segment's own finalized answer) passes
+//             through unchanged.
+//   COUNT     exact: sums of per-segment estimates and bounds over every
+//             part (an empty part can still carry upper-bound mass);
+//             empty_selection when every part is empty.
 //   SUM       exact: sums (an empty segment contributes zero).
 //   AVG       count-weighted mean of segment means; bounds from the
 //             box-constrained weighted-average extremes (segment weights
@@ -18,6 +24,9 @@
 //             its touched bins as (value interval, de-sampled weight)
 //             triples in the raw domain; the merged weighted CDF is walked
 //             exactly like the single-segment Table-3 rule.
+//
+// Non-COUNT functions draw only from parts with mass; a single part with
+// mass returns its own `value`, MEDIAN included.
 //
 // Group results merge by label (first-seen order across segments in
 // segment order), so per-segment categorical dictionaries only need to
@@ -34,11 +43,12 @@
 
 namespace pairwisehist {
 
-/// Sufficient statistics of one query over one segment. `count` carries
-/// the estimated matching-row mass (COUNT semantics, already de-sampled by
-/// 1/ρ of the owning segment) for every function; `value` carries the
-/// function-specific AggResult; `mean` is filled for VAR only; and
-/// `median_bins` only for MEDIAN.
+/// Sufficient statistics of one query over one segment. `value` is the
+/// segment's own finalized AggResult for every function (COUNT, MEDIAN
+/// and empty selections included); `count` carries the estimated
+/// matching-row mass (COUNT semantics, already de-sampled by 1/ρ of the
+/// owning segment); `mean` is filled for VAR only; and `median_bins` only
+/// for MEDIAN.
 struct PartialAggregate {
   bool empty = true;  ///< no estimated matching mass in this segment
   double count = 0, count_lo = 0, count_hi = 0;
@@ -66,21 +76,23 @@ struct PartialResult {
 };
 
 /// Merges per-segment partials for one (group, function) into a final
-/// AggResult. Empty partials contribute nothing; all-empty yields
-/// empty_selection (COUNT: estimate 0). `ks` selects the kernel tier for
-/// the MEDIAN CDF merge (it can walk thousands of exported bins); null
-/// means scalar. The merge itself is always serial and deterministic.
+/// AggResult. Empty partials contribute nothing (except COUNT upper-bound
+/// mass); all-empty yields empty_selection (COUNT: estimate 0). `ks`
+/// selects the kernel tier for the MEDIAN CDF merge (it can walk
+/// thousands of exported bins); null means scalar. The merge itself is
+/// always serial and deterministic.
 AggResult MergePartials(AggFunc func,
                         const std::vector<const PartialAggregate*>& parts,
                         const KernelOps* ks = nullptr);
 
-/// Merges whole per-segment results by label into `out` (cleared first).
-/// Group order: first seen, walking segments in order. Grouped COUNT
-/// results drop groups whose merged estimate is <= 0.5, and grouped
-/// non-COUNT results drop empty-selection groups, mirroring the
-/// single-segment engine's filtering.
+/// Merges the `n` per-segment results `parts` by label into `out`,
+/// overwriting its warm group slots. Group order: first seen, walking
+/// segments in order. When at most one part carries groups, each group's
+/// own `value` passes through and nothing is allocated. Grouped COUNT
+/// results drop groups whose estimate is <= 0.5, and grouped non-COUNT
+/// results drop empty-selection groups.
 void MergePartialResults(AggFunc func, bool grouped,
-                         const std::vector<PartialResult>& parts,
+                         const PartialResult* parts, size_t n,
                          QueryResult* out, const KernelOps* ks = nullptr);
 
 }  // namespace pairwisehist

@@ -192,18 +192,22 @@ Status SegmentedExecutor::ExecuteInto(const SegmentedPlan& plan,
   SegmentedPlan::State* st = plan.state_.get();
   PH_RETURN_IF_ERROR(EnsurePlans(st));
 
+  // Per-call bookkeeping comes from pooled scratch, so a warm read
+  // allocates nothing beyond what the engines and the merge need.
+  PoolLease<FanOutScratch> lease(scratch_pool_.get());
+  FanOutScratch& scratch = *lease;
+  if (scratch.parts.empty()) scratch.parts.emplace_back();
+  std::vector<PartialResult>& parts = scratch.parts[0];
   const size_t nseg = engines_.size();
-  if (nseg == 1) {
-    // Monolithic special case: the plain engine path, byte-identical to
-    // the pre-segmentation behaviour (including zero allocations).
-    return engines_[0]->ExecuteInto(st->plans[0], result);
-  }
-
-  std::vector<PartialResult> parts(nseg);
-  std::vector<Status> statuses(nseg, Status::OK());
+  parts.resize(nseg);
+  scratch.statuses.assign(nseg, Status::OK());
   auto work = [&](size_t i) {
-    if (st->skip[i]) return;  // pruned: contributes nothing
-    statuses[i] = engines_[i]->ExecutePartialInto(st->plans[i], &parts[i]);
+    if (st->skip[i]) {
+      parts[i].groups.clear();  // pruned: contributes nothing
+      return;
+    }
+    scratch.statuses[i] =
+        engines_[i]->ExecutePartialInto(st->plans[i], &parts[i]);
   };
   size_t live = 0;
   for (size_t i = 0; i < nseg; ++i) live += st->skip[i] ? 0 : 1;
@@ -212,18 +216,21 @@ Status SegmentedExecutor::ExecuteInto(const SegmentedPlan& plan,
   } else {
     for (size_t i = 0; i < nseg; ++i) work(i);
   }
-  for (const Status& s : statuses) {
+  for (const Status& s : scratch.statuses) {
     if (!s.ok()) return s;
   }
-  if (options_.ledger != nullptr && st->query.group_by.empty()) {
+  // The ledger feeds the compaction picker, which only has work once
+  // there are several segments.
+  if (options_.ledger != nullptr && nseg > 1 && st->query.group_by.empty()) {
     RecordFeedback(*st, parts);
   }
 
   // Deterministic serial merge in segment order: results are bit-equal for
   // any exec_threads value. The merge runs on the same kernel tier as the
   // per-segment executions.
-  MergePartialResults(st->query.func, !st->query.group_by.empty(), parts,
-                      result, &GetKernels(options_.engine.kernels));
+  MergePartialResults(st->query.func, !st->query.group_by.empty(),
+                      parts.data(), nseg, result,
+                      &GetKernels(options_.engine.kernels));
   return Status::OK();
 }
 

@@ -4,9 +4,10 @@
 // segment has its own code domain), pruned against per-segment min/max
 // ranges, executed as mergeable partials — in parallel on a persistent
 // work-stealing pool — and merged serially in segment order, so results
-// are bit-identical for every exec_threads value. A one-segment set
-// short-circuits to the plain engine path and behaves exactly like the
-// monolithic synopsis (including the zero-allocation fast path).
+// are bit-identical for every exec_threads value. There is one read path
+// for any segment count: a one-segment set (or a read pruned to one live
+// segment) is a merge of one part, which returns that segment's own
+// engine answer unchanged and allocates nothing in steady state.
 //
 // Plans extend lazily: Db::Append seals new segments, and the first
 // execution after an append compiles the missing per-segment plans (and
@@ -96,19 +97,19 @@ class SegmentedExecutor {
   /// compiled lazily at execution time).
   StatusOr<SegmentedPlan> Prepare(const Query& query) const;
 
-  /// Executes: single segment delegates to the plain engine; multiple
-  /// segments fan partials out over the pool and merge deterministically.
+  /// Executes: per-segment partials (fanned out over the pool when more
+  /// than one segment is live), then a deterministic serial merge.
   Status ExecuteInto(const SegmentedPlan& plan, QueryResult* result) const;
   StatusOr<QueryResult> Execute(const SegmentedPlan& plan) const;
 
   /// Batch execution (implemented in batch_exec.cc): plans execute as one
-  /// batch per segment through AqpEngine::ExecuteBatchInto /
-  /// ExecutePartialBatchInto, so grid-sharing plans amortize their
-  /// coverage + weighting within every segment. Multiple segments fan the
-  /// batch × segment partial tasks over the pool and merge each query
-  /// serially in segment order; results[i] is bit-identical to
-  /// ExecuteInto(*plans[i], results[i]) for any exec_threads. Plans extend
-  /// lazily after appends exactly like single-plan execution.
+  /// batch per segment through AqpEngine::ExecutePartialBatchInto, so
+  /// grid-sharing plans amortize their coverage + weighting within every
+  /// segment. The batch × segment partial tasks fan out over the pool and
+  /// each query merges serially in segment order; results[i] is
+  /// bit-identical to ExecuteInto(*plans[i], results[i]) for any
+  /// exec_threads. Plans extend lazily after appends exactly like
+  /// single-plan execution.
   Status ExecuteBatchInto(const std::vector<const SegmentedPlan*>& plans,
                           const std::vector<QueryResult*>& results) const;
 
@@ -134,15 +135,14 @@ class SegmentedExecutor {
   void RecordFeedback(const SegmentedPlan::State& st,
                       const std::vector<PartialResult>& parts) const;
 
-  /// Per-call bookkeeping for batch execution, leased from a pool so
-  /// repeated batches reuse warmed capacity and concurrent const callers
-  /// never share mutable state. Vectors only ever grow; stale partial
-  /// groups are cleared on reuse (the merge reads every slot).
-  struct BatchExecScratch {
+  /// Per-call bookkeeping for single-plan and batch execution, leased
+  /// from a pool so repeated reads reuse warmed capacity and concurrent
+  /// const callers never share mutable state. Vectors only ever grow;
+  /// engines overwrite live partial slots in place and pruned slots are
+  /// cleared (the merge reads every slot).
+  struct FanOutScratch {
     std::vector<const SegmentedPlan*> plan_ptrs;  // contiguous overload
     std::vector<QueryResult*> result_ptrs;        // contiguous overload
-    std::vector<const CompiledQuery*> cps;        // single-segment batch
-    std::vector<QueryResult*> outs;               // single-segment batch
     std::vector<std::vector<PartialResult>> parts;  // [query][segment]
     std::vector<std::vector<const CompiledQuery*>> task_cps;  // per segment
     std::vector<std::vector<PartialResult*>> task_outs;       // per segment
@@ -150,7 +150,7 @@ class SegmentedExecutor {
   };
   Status ExecuteBatchImpl(const SegmentedPlan* const* plans,
                           QueryResult* const* results, size_t n,
-                          BatchExecScratch& scratch) const;
+                          FanOutScratch& scratch) const;
 
   const SynopsisSet* set_;
   SegmentedExecOptions options_;
@@ -160,9 +160,9 @@ class SegmentedExecutor {
   /// Persistent fan-out pool; created by the constructor / Refresh once
   /// the set holds more than one segment (and exec_threads != 1).
   std::unique_ptr<TaskPool> pool_;
-  /// Batch scratch pool (unique_ptr keeps the executor movable).
-  std::unique_ptr<ObjectPool<BatchExecScratch>> batch_pool_ =
-      std::make_unique<ObjectPool<BatchExecScratch>>();
+  /// Fan-out scratch pool (unique_ptr keeps the executor movable).
+  std::unique_ptr<ObjectPool<FanOutScratch>> scratch_pool_ =
+      std::make_unique<ObjectPool<FanOutScratch>>();
 };
 
 }  // namespace pairwisehist

@@ -2,8 +2,8 @@
 // statements as one batch must produce results BIT-IDENTICAL to looping
 // per-query PreparedQuery::ExecuteInto — same doubles, not approximately
 // equal — across every compiled kernel tier, across exec_threads on a
-// segmented Db, and across Db::Append (lazy plan extension). Plus the
-// duplicate-statement dedup, the reference-path batch, and API edges.
+// segmented Db, and across Db::Append (lazy plan extension). Plus directed
+// dashboard batches, the duplicate-statement dedup, and API edges.
 // Batch scratch is pooled (common/object_pool.h), so repeated ExecuteInto
 // calls must also be allocation-free in steady state — asserted below
 // with the same counting allocator as fastpath_test.
@@ -325,6 +325,76 @@ TEST(BatchEquivalence, MultiSegmentExecThreads) {
     size_t checked = 0;
   RunBatchEquivalence(db.value(), t.value(), 201, 100, &checked);
     EXPECT_GE(checked, 70u);
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Directed dashboard batches on a 200k-row sampled power synopsis (ρ = 0.1)
+// at 1 and 4 segments: every aggregate of one tile's filter (with repeated
+// tiles), distinct predicates on one grid, and a mixed page over several
+// columns — 28 statements, each batch bit-identical to the loop.
+
+TEST(BatchEquivalence, DashboardPagesMatchLoop) {
+  const std::vector<std::vector<std::string>> kBatches = {
+      {
+          "SELECT COUNT(global_active_power) FROM power WHERE hour >= 18;",
+          "SELECT SUM(global_active_power) FROM power WHERE hour >= 18;",
+          "SELECT AVG(global_active_power) FROM power WHERE hour >= 18;",
+          "SELECT VAR(global_active_power) FROM power WHERE hour >= 18;",
+          "SELECT MIN(global_active_power) FROM power WHERE hour >= 18;",
+          "SELECT MAX(global_active_power) FROM power WHERE hour >= 18;",
+          "SELECT MEDIAN(global_active_power) FROM power WHERE hour >= 18;",
+          "SELECT AVG(global_active_power) FROM power WHERE hour >= 18;",
+          "SELECT COUNT(global_active_power) FROM power WHERE hour >= 18;",
+          "SELECT SUM(global_active_power) FROM power WHERE hour >= 18;",
+      },
+      {
+          "SELECT AVG(global_active_power) FROM power WHERE hour >= 18;",
+          "SELECT AVG(global_active_power) FROM power WHERE hour >= 6;",
+          "SELECT AVG(global_active_power) FROM power WHERE hour < 12;",
+          "SELECT SUM(global_active_power) FROM power WHERE hour >= 20;",
+          "SELECT COUNT(global_active_power) FROM power WHERE hour < 4;",
+          "SELECT MEDIAN(global_active_power) FROM power WHERE hour >= 8;",
+          "SELECT VAR(global_active_power) FROM power WHERE hour < 22;",
+          "SELECT MAX(global_active_power) FROM power WHERE hour >= 12;",
+      },
+      {
+          "SELECT COUNT(voltage) FROM power WHERE voltage > 240;",
+          "SELECT AVG(voltage) FROM power WHERE voltage > 240;",
+          "SELECT AVG(global_active_power) FROM power WHERE hour >= 18;",
+          "SELECT SUM(global_active_power) FROM power WHERE hour >= 18;",
+          "SELECT MEDIAN(global_active_power) FROM power WHERE hour >= 18;",
+          "SELECT SUM(global_active_power) FROM power WHERE hour >= 6 AND "
+          "voltage > 236 AND global_intensity > 0.4;",
+          "SELECT COUNT(voltage) FROM power WHERE hour < 4 OR hour > 20;",
+          "SELECT VAR(sub_metering_3) FROM power WHERE day_of_week < 6;",
+          "SELECT AVG(sub_metering_3) FROM power WHERE day_of_week < 6;",
+          "SELECT MAX(global_intensity) FROM power WHERE hour >= 18;",
+      },
+  };
+  const size_t rows = 200000;
+  for (size_t nseg : {1u, 4u}) {
+    SCOPED_TRACE("segments=" + std::to_string(nseg));
+    DbOptions opt;
+    opt.synopsis.sample_size = rows / 10;
+    opt.target_segment_rows = nseg == 1 ? 0 : rows / nseg;
+    auto db = Db::FromGenerator("power", rows, 71, opt);
+    ASSERT_TRUE(db.ok()) << db.status().ToString();
+    ASSERT_EQ(db->num_segments(), nseg);
+    for (const std::vector<std::string>& sqls : kBatches) {
+      auto batch = db->PrepareBatch(sqls);
+      ASSERT_TRUE(batch.ok()) << batch.status().ToString();
+      auto got = batch->Execute();
+      ASSERT_TRUE(got.ok()) << got.status().ToString();
+      ASSERT_EQ(got->size(), sqls.size());
+      for (size_t i = 0; i < sqls.size(); ++i) {
+        auto pq = db->Prepare(sqls[i]);
+        ASSERT_TRUE(pq.ok()) << sqls[i];
+        QueryResult want;
+        ASSERT_TRUE(pq->ExecuteInto(&want).ok()) << sqls[i];
+        ExpectIdentical(want, (*got)[i], sqls[i]);
+      }
+    }
   }
 }
 

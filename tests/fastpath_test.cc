@@ -359,34 +359,114 @@ TEST(FastPathEquivalence, PowerPreparedShapes) {
 // ---------------------------------------------------------------------------
 // Zero allocations in steady state.
 
+// Scalar shapes on a one-segment power Db, executed warm.
+const char* const kSteadyStateShapes[] = {
+    // COUNT shortcut + general branch-1 coverage.
+    "SELECT COUNT(voltage) FROM power WHERE voltage > 240;",
+    // Cross-column transfer (branch 3) with pair grid.
+    "SELECT AVG(global_active_power) FROM power WHERE hour >= 18;",
+    // Deep conjunction across five columns.
+    "SELECT SUM(global_active_power) FROM power WHERE hour >= 6 AND "
+    "voltage > 236 AND global_intensity > 0.4 AND sub_metering_3 < 20 "
+    "AND day_of_week < 6;",
+    // Disjunction.
+    "SELECT COUNT(voltage) FROM power WHERE hour < 4 OR hour > 20;",
+    // Heavier aggregators.
+    "SELECT VAR(voltage) FROM power WHERE voltage > 238;",
+    "SELECT MEDIAN(global_active_power) FROM power WHERE hour < 12;",
+    "SELECT MIN(voltage) FROM power WHERE hour = 3;",
+};
+
 TEST(FastPathAllocation, ScalarExecuteIntoIsAllocationFree) {
 #if !PH_COUNTING_ALLOCATOR
   GTEST_SKIP() << "counting allocator disabled under AddressSanitizer";
 #endif
   auto db = Db::FromGenerator("power", 30000, 3);
   ASSERT_TRUE(db.ok()) << db.status().ToString();
-  const char* kShapes[] = {
-      // COUNT shortcut + general branch-1 coverage.
-      "SELECT COUNT(voltage) FROM power WHERE voltage > 240;",
-      // Cross-column transfer (branch 3) with pair grid.
-      "SELECT AVG(global_active_power) FROM power WHERE hour >= 18;",
-      // Deep conjunction across five columns.
-      "SELECT SUM(global_active_power) FROM power WHERE hour >= 6 AND "
-      "voltage > 236 AND global_intensity > 0.4 AND sub_metering_3 < 20 "
-      "AND day_of_week < 6;",
-      // Disjunction.
-      "SELECT COUNT(voltage) FROM power WHERE hour < 4 OR hour > 20;",
-      // Heavier aggregators.
-      "SELECT VAR(voltage) FROM power WHERE voltage > 238;",
-      "SELECT MEDIAN(global_active_power) FROM power WHERE hour < 12;",
-      "SELECT MIN(voltage) FROM power WHERE hour = 3;",
-  };
-  for (const char* sql : kShapes) {
+  for (const char* sql : kSteadyStateShapes) {
     auto prepared = db->Prepare(sql);
     ASSERT_TRUE(prepared.ok()) << sql;
     QueryResult result;
     // Warm up: grows the arena blocks, the scratch pool and the result
     // storage to their steady-state sizes.
+    for (int i = 0; i < 3; ++i) {
+      ASSERT_TRUE(prepared->ExecuteInto(&result).ok()) << sql;
+    }
+    size_t before = g_alloc_count.load(std::memory_order_relaxed);
+    for (int i = 0; i < 100; ++i) {
+      Status st = prepared->ExecuteInto(&result);
+      ASSERT_TRUE(st.ok()) << sql;
+    }
+    size_t after = g_alloc_count.load(std::memory_order_relaxed);
+    EXPECT_EQ(after - before, 0u)
+        << sql << "  (" << (after - before) << " allocations in 100 calls)";
+  }
+}
+
+// The engine entry point on its own (partial into pooled scratch, then a
+// merge of one part), on the same shapes as above.
+TEST(FastPathAllocation, EngineExecuteIntoIsAllocationFree) {
+#if !PH_COUNTING_ALLOCATOR
+  GTEST_SKIP() << "counting allocator disabled under AddressSanitizer";
+#endif
+  auto db = Db::FromGenerator("power", 30000, 3);
+  ASSERT_TRUE(db.ok()) << db.status().ToString();
+  const AqpEngine& engine = db->engine();
+  for (const char* sql : kSteadyStateShapes) {
+    auto q = ParseSql(sql);
+    ASSERT_TRUE(q.ok()) << sql;
+    auto compiled = engine.Compile(*q);
+    ASSERT_TRUE(compiled.ok()) << sql;
+    QueryResult r;
+    for (int i = 0; i < 3; ++i) {
+      ASSERT_TRUE(engine.ExecuteInto(compiled.value(), &r).ok()) << sql;
+    }
+    size_t before = g_alloc_count.load(std::memory_order_relaxed);
+    for (int i = 0; i < 100; ++i) {
+      Status st = engine.ExecuteInto(compiled.value(), &r);
+      ASSERT_TRUE(st.ok()) << sql;
+    }
+    size_t after = g_alloc_count.load(std::memory_order_relaxed);
+    EXPECT_EQ(after - before, 0u)
+        << sql << "  (" << (after - before) << " allocations in 100 calls)";
+  }
+}
+
+// A four-segment Db read pruned to one live segment is a merge of one
+// part: as allocation-free as a one-segment Db, for every aggregate.
+TEST(FastPathAllocation, PrunedToOneSegmentIsAllocationFree) {
+#if !PH_COUNTING_ALLOCATOR
+  GTEST_SKIP() << "counting allocator disabled under AddressSanitizer";
+#endif
+  Rng rng(83);
+  Table t("ev");
+  Column id("id", DataType::kInt64, 0);
+  Column x("x", DataType::kFloat64, 2);
+  Column y("y", DataType::kFloat64, 1);
+  for (size_t r = 0; r < 40000; ++r) {
+    id.Append(static_cast<double>(r));
+    x.Append(std::round(rng.Uniform(0, 100) * 100) / 100);
+    y.Append(std::round(rng.Uniform(0, 50) * 10) / 10);
+  }
+  t.AddColumn(std::move(id));
+  t.AddColumn(std::move(x));
+  t.AddColumn(std::move(y));
+  DbOptions options;
+  options.synopsis.sample_size = 4000;
+  options.target_segment_rows = 10000;
+  options.exec_threads = 1;
+  auto db = Db::FromTable(std::move(t), options);
+  ASSERT_TRUE(db.ok()) << db.status().ToString();
+  ASSERT_EQ(db->num_segments(), 4u);
+
+  for (const char* f : {"COUNT", "SUM", "AVG", "VAR", "MIN", "MAX",
+                        "MEDIAN"}) {
+    const std::string sql = std::string("SELECT ") + f +
+                            "(x) FROM ev WHERE id >= 31000 AND x < 45.5;";
+    auto prepared = db->Prepare(sql);
+    ASSERT_TRUE(prepared.ok()) << sql;
+    ASSERT_EQ(prepared->plan().PrunedSegments(), 3u) << sql;
+    QueryResult result;
     for (int i = 0; i < 3; ++i) {
       ASSERT_TRUE(prepared->ExecuteInto(&result).ok()) << sql;
     }

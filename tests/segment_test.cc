@@ -6,11 +6,14 @@
 // bit-identical doubles for any exec_threads value, (d) round-trip the
 // multi-segment persistence container and still open PR-1-era
 // single-synopsis blobs, (e) resolve categorical predicates and GROUP BY
-// labels across segments whose dictionaries grew after an append, and
-// (f) prune provably-non-matching segments without changing any result.
+// labels across segments whose dictionaries grew after an append,
+// (f) prune provably-non-matching segments without changing any result,
+// and (g) answer a read with mass in one segment with that segment's own
+// engine result, bit for bit.
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <iomanip>
 #include <limits>
 #include <string>
 #include <vector>
@@ -699,6 +702,99 @@ TEST(SegmentPruning, FlagsFollowSealingAppendAndCompaction) {
   expect_fresh("after compaction");
   EXPECT_EQ(pq->plan().PrunedSegments(), 1u);
   EXPECT_GT(pq->Execute()->Scalar().estimate, 0.0);
+}
+
+// A read with mass in exactly one segment answers with that segment's own
+// engine result, bit for bit, for every aggregate: the merge of one part
+// is the identity. Two WHERE clauses prune to one live segment; the other
+// two keep an empty neighbour live through the pruning slack (the merge
+// then draws only from the segment with mass).
+TEST(SegmentPruning, PrunedToOneSegmentEqualsThatSegment) {
+  Rng rng(83);
+  Table t("ev");
+  Column id("id", DataType::kInt64, 0);
+  Column x("x", DataType::kFloat64, 2);
+  Column y("y", DataType::kFloat64, 1);
+  for (size_t r = 0; r < 40000; ++r) {
+    id.Append(static_cast<double>(r));
+    x.Append(std::round(rng.Uniform(0, 100) * 100) / 100);
+    y.Append(std::round(rng.Uniform(0, 50) * 10) / 10);
+  }
+  t.AddColumn(std::move(id));
+  t.AddColumn(std::move(x));
+  t.AddColumn(std::move(y));
+
+  DbOptions options;
+  options.synopsis.sample_size = 4000;
+  options.target_segment_rows = 10000;
+  options.exec_threads = 1;
+  auto db = Db::FromTable(std::move(t), options);
+  ASSERT_TRUE(db.ok()) << db.status().ToString();
+  ASSERT_EQ(db->num_segments(), 4u);
+
+  struct Clause {
+    const char* where;
+    size_t segment;  // the one segment with mass
+    size_t pruned;
+  };
+  const Clause kClauses[] = {
+      {"id >= 31000 AND x < 45.5", 3, 3},
+      {"id < 9000 AND x > 60", 0, 3},
+      {"id >= 30000", 3, 2},
+      {"id >= 30000 AND y > 25", 3, 2},
+  };
+  const char* kFuncs[] = {"COUNT", "SUM", "AVG", "VAR",
+                          "MIN",   "MAX", "MEDIAN"};
+  std::vector<std::string> sqls;
+  std::vector<size_t> owner;
+  for (const Clause& c : kClauses) {
+    for (const char* f : kFuncs) {
+      sqls.push_back(std::string("SELECT ") + f + "(x) FROM ev WHERE " +
+                     c.where + ";");
+      owner.push_back(c.segment);
+    }
+  }
+  auto batch = db->PrepareBatch(sqls);
+  ASSERT_TRUE(batch.ok()) << batch.status().ToString();
+  auto batched = batch->Execute();
+  ASSERT_TRUE(batched.ok()) << batched.status().ToString();
+
+  auto expect_same = [](const QueryResult& want, const QueryResult& got,
+                        const std::string& ctx) {
+    ASSERT_EQ(want.groups.size(), 1u) << ctx;
+    ASSERT_EQ(got.groups.size(), 1u) << ctx;
+    const AggResult& a = want.Scalar();
+    const AggResult& b = got.Scalar();
+    EXPECT_EQ(a.empty_selection, b.empty_selection) << ctx;
+    EXPECT_TRUE(SameDouble(a.estimate, b.estimate))
+        << ctx << std::setprecision(17) << "  segment=" << a.estimate
+        << " db=" << b.estimate;
+    EXPECT_TRUE(SameDouble(a.lower, b.lower))
+        << ctx << std::setprecision(17) << "  segment=" << a.lower
+        << " db=" << b.lower;
+    EXPECT_TRUE(SameDouble(a.upper, b.upper))
+        << ctx << std::setprecision(17) << "  segment=" << a.upper
+        << " db=" << b.upper;
+  };
+  for (size_t i = 0; i < sqls.size(); ++i) {
+    auto q = ParseSql(sqls[i]);
+    ASSERT_TRUE(q.ok()) << sqls[i];
+    const AqpEngine& seg = db->executor().engine(owner[i]);
+    auto plan = seg.Compile(*q);
+    ASSERT_TRUE(plan.ok()) << sqls[i];
+    auto want = seg.Execute(plan.value());
+    ASSERT_TRUE(want.ok()) << sqls[i];
+    ASSERT_FALSE(want->Scalar().empty_selection) << sqls[i];
+
+    auto pq = db->Prepare(sqls[i]);
+    ASSERT_TRUE(pq.ok()) << sqls[i];
+    EXPECT_EQ(pq->plan().PrunedSegments(), kClauses[i / 7].pruned)
+        << sqls[i];
+    auto got = pq->Execute();
+    ASSERT_TRUE(got.ok()) << sqls[i];
+    expect_same(want.value(), got.value(), sqls[i] + " [Prepare]");
+    expect_same(want.value(), (*batched)[i], sqls[i] + " [PrepareBatch]");
+  }
 }
 
 // ---------------------------------------------------------------------------
