@@ -5,8 +5,11 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <cctype>
+#include <charconv>
 #include <chrono>
 #include <cstring>
+#include <system_error>
 
 #include "common/failpoint.h"
 
@@ -14,7 +17,7 @@ namespace pairwisehist {
 
 namespace {
 
-bool EqualsIgnoreCase(const std::string& a, const std::string& b) {
+bool EqualsIgnoreCase(std::string_view a, std::string_view b) {
   if (a.size() != b.size()) return false;
   for (size_t i = 0; i < a.size(); ++i) {
     if (std::tolower(static_cast<unsigned char>(a[i])) !=
@@ -25,7 +28,7 @@ bool EqualsIgnoreCase(const std::string& a, const std::string& b) {
   return true;
 }
 
-std::string Trim(const std::string& s) {
+std::string_view Trim(std::string_view s) {
   size_t b = 0, e = s.size();
   while (b < e && (s[b] == ' ' || s[b] == '\t')) ++b;
   while (e > b && (s[e - 1] == ' ' || s[e - 1] == '\t' || s[e - 1] == '\r')) {
@@ -34,91 +37,114 @@ std::string Trim(const std::string& s) {
   return s.substr(b, e - b);
 }
 
+/// Empties every field, keeping the header list's capacity.
+void ClearMessage(HttpMessage* msg) {
+  msg->start_line.clear();
+  msg->headers.clear();
+  msg->body.clear();
+}
+
+Status HeadersTooLarge() {
+  return Status::OutOfRange("HTTP: headers exceed " +
+                            std::to_string(kMaxHttpHeaderBytes) + " bytes");
+}
+
 }  // namespace
 
-const std::string* HttpMessage::FindHeader(const std::string& name) const {
+const std::string* FindHttpHeader(
+    const std::vector<std::pair<std::string, std::string>>& headers,
+    std::string_view name) {
   for (const auto& h : headers) {
     if (EqualsIgnoreCase(h.first, name)) return &h.second;
   }
   return nullptr;
 }
 
+const std::string* HttpMessage::FindHeader(std::string_view name) const {
+  return FindHttpHeader(headers, name);
+}
+
 int HttpConn::ParseBuffered(HttpMessage* msg, Status* st) {
-  msg->start_line.clear();
-  msg->headers.clear();
-  msg->body.clear();
-  const size_t header_end = buf_.find("\r\n\r\n");
-  if (header_end == std::string::npos) {
-    if (buf_.size() > kMaxHttpHeaderBytes) {
-      *st = Status::OutOfRange("HTTP: headers exceed " +
-                               std::to_string(kMaxHttpHeaderBytes) +
-                               " bytes");
+  const std::string_view buf = std::string_view(buf_).substr(pos_);
+  const size_t header_end = buf.find("\r\n\r\n");
+  if (header_end == std::string_view::npos) {
+    ClearMessage(msg);
+    if (buf.size() > kMaxHttpHeaderBytes) {
+      *st = HeadersTooLarge();
       return -1;
     }
     return 0;
   }
   if (header_end > kMaxHttpHeaderBytes) {
-    *st = Status::OutOfRange("HTTP: headers exceed " +
-                             std::to_string(kMaxHttpHeaderBytes) + " bytes");
+    ClearMessage(msg);
+    *st = HeadersTooLarge();
     return -1;
   }
 
-  // Parse start line + headers.
-  const std::string head = buf_.substr(0, header_end);
-  size_t line_start = 0;
-  bool first = true;
-  while (line_start <= head.size()) {
+  // Parse start line + headers as views over the buffer. Header slots of
+  // a reused message are overwritten in place, keeping their capacity.
+  const std::string_view head = buf.substr(0, header_end);
+  size_t nheaders = 0;
+  auto fail = [&](const char* what) {
+    ClearMessage(msg);
+    *st = Status::InvalidArgument(what);
+    return -1;
+  };
+  for (size_t line_start = 0;;) {
     size_t line_end = head.find("\r\n", line_start);
-    if (line_end == std::string::npos) line_end = head.size();
-    const std::string line = head.substr(line_start, line_end - line_start);
-    if (first) {
-      msg->start_line = line;
-      first = false;
+    if (line_end == std::string_view::npos) line_end = head.size();
+    const std::string_view line =
+        head.substr(line_start, line_end - line_start);
+    if (line_start == 0) {
+      msg->start_line.assign(line);
     } else if (!line.empty()) {
       const size_t colon = line.find(':');
-      if (colon == std::string::npos) {
-        *st = Status::InvalidArgument("HTTP: malformed header line");
-        return -1;
+      if (colon == std::string_view::npos) {
+        return fail("HTTP: malformed header line");
       }
-      msg->headers.emplace_back(Trim(line.substr(0, colon)),
-                                Trim(line.substr(colon + 1)));
+      if (nheaders == msg->headers.size()) {
+        if (msg->headers.capacity() == 0) msg->headers.reserve(8);
+        msg->headers.emplace_back();
+      }
+      auto& h = msg->headers[nheaders++];
+      h.first.assign(Trim(line.substr(0, colon)));
+      h.second.assign(Trim(line.substr(colon + 1)));
     }
     if (line_end == head.size()) break;
     line_start = line_end + 2;
   }
-  if (msg->start_line.empty()) {
-    *st = Status::InvalidArgument("HTTP: empty start line");
-    return -1;
-  }
+  msg->headers.resize(nheaders);
+  const std::string_view start_line = msg->start_line;
+  if (start_line.empty()) return fail("HTTP: empty start line");
   // Either "METHOD /path HTTP/x.y" (request) or "HTTP/x.y CODE text"
   // (response): three tokens with an HTTP-version at one end. Anything
   // else is not HTTP — reject instead of mis-routing garbage.
   {
-    const size_t sp1 = msg->start_line.find(' ');
-    const size_t sp2 =
-        sp1 == std::string::npos ? sp1 : msg->start_line.find(' ', sp1 + 1);
-    const bool request_shape =
-        sp2 != std::string::npos &&
-        msg->start_line.compare(sp2 + 1, 5, "HTTP/") == 0;
-    const bool response_shape = msg->start_line.compare(0, 5, "HTTP/") == 0;
+    const size_t sp1 = start_line.find(' ');
+    const size_t sp2 = sp1 == std::string_view::npos
+                           ? sp1
+                           : start_line.find(' ', sp1 + 1);
+    const bool request_shape = sp2 != std::string_view::npos &&
+                               start_line.substr(sp2 + 1, 5) == "HTTP/";
+    const bool response_shape = start_line.substr(0, 5) == "HTTP/";
     if (!request_shape && !response_shape) {
-      *st = Status::InvalidArgument("HTTP: malformed start line");
-      return -1;
+      return fail("HTTP: malformed start line");
     }
   }
 
-  // Body: exactly Content-Length bytes (0 when absent). The cap is
-  // enforced here, before Read buffers a single body byte beyond it.
+  // Body: exactly Content-Length bytes (0 when absent), all digits. The
+  // cap is enforced here, before Read buffers a single body byte beyond
+  // it.
   size_t body_len = 0;
   if (const std::string* cl = msg->FindHeader("Content-Length")) {
-    char* end = nullptr;
-    errno = 0;
-    const unsigned long long v = std::strtoull(cl->c_str(), &end, 10);
-    if (end == cl->c_str() || *end != '\0' || errno == ERANGE) {
-      *st = Status::InvalidArgument("HTTP: bad Content-Length");
-      return -1;
+    unsigned long long v = 0;
+    const char* end = cl->data() + cl->size();
+    const std::from_chars_result r = std::from_chars(cl->data(), end, v);
+    if (r.ec != std::errc() || r.ptr != end) {
+      return fail("HTTP: bad Content-Length");
     }
     if (v > kMaxHttpBodyBytes) {
+      ClearMessage(msg);
       *st = Status::OutOfRange("HTTP: body of " + std::to_string(v) +
                                " bytes exceeds " +
                                std::to_string(kMaxHttpBodyBytes));
@@ -127,9 +153,12 @@ int HttpConn::ParseBuffered(HttpMessage* msg, Status* st) {
     body_len = static_cast<size_t>(v);
   }
   const size_t msg_end = header_end + 4;
-  if (buf_.size() < msg_end + body_len) return 0;
-  msg->body = buf_.substr(msg_end, body_len);
-  buf_.erase(0, msg_end + body_len);  // keep pipelined bytes for next Read
+  if (buf.size() < msg_end + body_len) {
+    ClearMessage(msg);
+    return 0;
+  }
+  msg->body.assign(buf.substr(msg_end, body_len));
+  pos_ += msg_end + body_len;  // pipelined bytes stay for the next parse
   return 1;
 }
 
@@ -146,6 +175,11 @@ Status HttpConn::Read(HttpMessage* msg, bool* closed,
   };
   const auto start = std::chrono::steady_clock::now();
   auto last_progress = start;
+  // Drop the messages consumed since the last Read: pipelined followers
+  // are parsed by offset, so the buffer moves once per Read, and within
+  // this call buf_ holds only unconsumed bytes.
+  buf_.erase(0, pos_);
+  pos_ = 0;
 
   while (true) {
     Status st = Status::OK();
@@ -216,9 +250,6 @@ bool HttpConn::TryReadBuffered(HttpMessage* msg, Status* st) {
   while ((n = ::recv(fd_, chunk, sizeof(chunk), MSG_DONTWAIT)) > 0) {
     buf_.append(chunk, static_cast<size_t>(n));
     if (static_cast<size_t>(n) < sizeof(chunk)) break;
-  }
-  if (n < 0 && errno == EINTR) {
-    // A signal beat the non-blocking recv; the buffered bytes still count.
   }
   parsed = ParseBuffered(msg, st);
   return parsed > 0;

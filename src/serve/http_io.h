@@ -15,6 +15,7 @@
 #include <cstdint>
 #include <functional>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -33,8 +34,14 @@ struct HttpMessage {
   std::string body;
 
   /// Case-insensitive header lookup; nullptr when absent.
-  const std::string* FindHeader(const std::string& name) const;
+  const std::string* FindHeader(std::string_view name) const;
 };
+
+/// Case-insensitive lookup in a header list; nullptr when absent. Shared
+/// by HttpMessage and HttpRequest.
+const std::string* FindHttpHeader(
+    const std::vector<std::pair<std::string, std::string>>& headers,
+    std::string_view name);
 
 /// Knobs for HttpConn::Read. All optional; zero/null = wait forever.
 struct ReadDeadlines {
@@ -86,12 +93,16 @@ class HttpConn {
   int fd() const { return fd_; }
 
  private:
-  /// Parses one complete message out of buf_ (consuming it). Returns
-  /// 1 = parsed, 0 = need more bytes, -1 = malformed/oversized (*st set).
+  /// Parses one complete message at pos_ (consuming it by advancing
+  /// pos_). Returns 1 = parsed, 0 = need more bytes, -1 = malformed or
+  /// oversized (*st set); *msg is empty unless 1. The start line and
+  /// headers are parsed as views over buf_, and a reused *msg keeps its
+  /// strings' capacity.
   int ParseBuffered(HttpMessage* msg, Status* st);
 
   int fd_;
   std::string buf_;
+  size_t pos_ = 0;  ///< start of the unconsumed bytes in buf_
 };
 
 }  // namespace pairwisehist

@@ -8,7 +8,6 @@
 #include <sys/time.h>
 #include <unistd.h>
 
-#include <cctype>
 #include <cstring>
 #include <utility>
 
@@ -32,17 +31,6 @@ const char* HttpStatusText(int status) {
 }
 
 namespace {
-
-bool EqualsIgnoreCase(const std::string& a, const std::string& b) {
-  if (a.size() != b.size()) return false;
-  for (size_t i = 0; i < a.size(); ++i) {
-    if (std::tolower(static_cast<unsigned char>(a[i])) !=
-        std::tolower(static_cast<unsigned char>(b[i]))) {
-      return false;
-    }
-  }
-  return true;
-}
 
 /// Splits "METHOD SP target SP version"; false when malformed.
 bool ParseRequestLine(const HttpMessage& msg, HttpRequest* req) {
@@ -76,11 +64,8 @@ void SetIoTimeout(int fd, uint32_t io_timeout_ms) {
 
 }  // namespace
 
-const std::string* HttpRequest::FindHeader(const std::string& name) const {
-  for (const auto& h : headers) {
-    if (EqualsIgnoreCase(h.first, name)) return &h.second;
-  }
-  return nullptr;
+const std::string* HttpRequest::FindHeader(std::string_view name) const {
+  return FindHttpHeader(headers, name);
 }
 
 HttpServer::HttpServer(Handler handler, BatchHandler batch_handler,
@@ -198,8 +183,10 @@ void HttpServer::ServeConn(size_t slot) {
     pending += resp.body;
   };
 
+  // Reused across requests so their strings keep their capacity.
+  HttpMessage msg, more;
+  std::vector<HttpRequest> reqs;
   while (!stop_.load(std::memory_order_relaxed)) {
-    HttpMessage msg;
     bool closed = false;
     Status st = conn.Read(&msg, &closed, deadlines);
     if (!st.ok()) {
@@ -235,7 +222,7 @@ void HttpServer::ServeConn(size_t slot) {
     // stops at a Connection: close request or a malformed one; requests
     // before the malformed one are still answered, then the connection
     // closes after a 400.
-    std::vector<HttpRequest> reqs;
+    reqs.clear();
     Status bad = Status::OK();
     bool close_after = false;
     auto take = [&](HttpMessage* m) {
@@ -252,7 +239,6 @@ void HttpServer::ServeConn(size_t slot) {
       return !close_after;
     };
     if (take(&msg) && batch_handler_ != nullptr) {
-      HttpMessage more;
       Status parse_st;
       while (reqs.size() < options_.max_pipeline_group &&
              conn.TryReadBuffered(&more, &parse_st)) {

@@ -17,6 +17,7 @@
 #include <functional>
 #include <mutex>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -34,7 +35,7 @@ struct HttpRequest {
   std::chrono::steady_clock::time_point arrival;
 
   /// Case-insensitive header lookup; nullptr when absent.
-  const std::string* FindHeader(const std::string& name) const;
+  const std::string* FindHeader(std::string_view name) const;
 };
 
 struct HttpResponse {

@@ -3,15 +3,20 @@
 //
 // Deliberately tiny (no external deps, same spirit as the embedded HTTP
 // server): the serving API only needs objects, arrays, strings, numbers,
-// booleans and null. Numbers are written with %.17g so doubles round-trip
-// bit-exactly — the serve tests compare HTTP responses for bit-equality
-// with single-threaded execution, so formatting must be deterministic.
-// NaN / Inf (legal AggResult values for empty selections) serialize as
-// null, which JSON requires.
+// booleans and null. One recursive-descent grammar serves both entry
+// points: ParseJson builds a tree, ParseJsonStringMember scans a body for
+// one string member without building one (the /query hot path). Numbers
+// are written in the shortest form that round-trips (std::to_chars) and
+// read with std::from_chars, so doubles survive a write/read bit-exactly
+// and neither direction depends on the locale — the serve tests compare
+// HTTP responses for bit-equality with single-threaded execution, so
+// formatting must be deterministic. NaN / Inf (legal AggResult values for
+// empty selections) serialize as null, which JSON requires.
 #ifndef PAIRWISEHIST_SERVE_JSON_H_
 #define PAIRWISEHIST_SERVE_JSON_H_
 
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -37,10 +42,21 @@ struct JsonValue {
 /// Parses one JSON document (trailing whitespace allowed, nothing else).
 StatusOr<JsonValue> ParseJson(const std::string& text);
 
+/// The first top-level member named `key` of the JSON object in `text`,
+/// decoded into *out (its capacity is reused), without building a tree.
+/// Returns exactly what ParseJson(text) + Find(key) + a kString check
+/// would decide: ParseJson's own InvalidArgument (same message and offset)
+/// when `text` is not one well-formed document — a syntax error anywhere
+/// outranks everything else — and NotFound when the document is not an
+/// object or that member is missing or not a string.
+Status ParseJsonStringMember(std::string_view text, std::string_view key,
+                             std::string* out);
+
 /// Appends `s` as a quoted, escaped JSON string.
 void AppendJsonString(std::string* out, const std::string& s);
 
-/// Appends a double: %.17g, or null for NaN / Inf.
+/// Appends a double in the shortest form that parses back to the same bits
+/// (std::to_chars), or null for NaN / Inf.
 void AppendJsonNumber(std::string* out, double v);
 
 /// Appends a QueryResult as {"groups":[{"label":...,"estimate":...,

@@ -27,41 +27,43 @@ PlanCache::AliasShard& PlanCache::AliasShardFor(const std::string& raw) {
   return *alias_shards_[std::hash<std::string>{}(raw) % alias_shards_.size()];
 }
 
-std::optional<PreparedQuery> PlanCache::FindCached(
+std::shared_ptr<const PreparedQuery> PlanCache::FindCached(
     const std::shared_ptr<const DbSnapshot>& snap, const std::string& key,
     bool* hit) {
   Shard& shard = ShardFor(key);
   std::lock_guard<std::mutex> lock(shard.mu);
-  for (Entry& e : shard.entries) {
-    // Same snapshot object == same epoch: plans prepared against an
-    // older (or newer) snapshot are not reusable for this request.
-    if (e.snap.get() == snap.get() && e.key == key) {
-      e.last_used = ++shard.tick;
-      if (hit != nullptr) *hit = true;
-      return e.pq;  // copy; entry keeps pinning the snapshot
-    }
+  auto it = shard.entries.find(key);
+  // Same snapshot object == same epoch: plans prepared against an older
+  // (or newer) snapshot are not reusable for this request.
+  if (it == shard.entries.end() || it->second.snap.get() != snap.get()) {
+    return nullptr;
   }
-  return std::nullopt;
+  it->second.last_used = ++shard.tick;
+  if (hit != nullptr) *hit = true;
+  return it->second.pq;  // shared; the entry keeps pinning the snapshot
 }
 
-StatusOr<PreparedQuery> PlanCache::Get(
+StatusOr<std::shared_ptr<const PreparedQuery>> PlanCache::Get(
     const std::shared_ptr<const DbSnapshot>& snap, const std::string& sql,
     bool* hit) {
   if (hit != nullptr) *hit = false;
   if (snap == nullptr) return Status::Internal("PlanCache: null snapshot");
 
   // Fast path: the exact request text was seen before, so the normalized
-  // key is known without parsing.
+  // key is known without parsing. It is read in place under the alias
+  // lock (alias -> shard, the order the miss path below takes too); only
+  // a stale entry copies it, to re-prepare.
   std::string key;
   {
     AliasShard& alias = AliasShardFor(sql);
     std::lock_guard<std::mutex> lock(alias.mu);
     auto it = alias.map.find(sql);
-    if (it != alias.map.end()) key = it->second;
-  }
-  if (!key.empty()) {
-    if (std::optional<PreparedQuery> cached = FindCached(snap, key, hit)) {
-      return *std::move(cached);
+    if (it != alias.map.end()) {
+      if (std::shared_ptr<const PreparedQuery> cached =
+              FindCached(snap, it->second, hit)) {
+        return cached;
+      }
+      key = it->second;
     }
   }
 
@@ -78,8 +80,9 @@ StatusOr<PreparedQuery> PlanCache::Get(
     alias.map.emplace(sql, key);
     // The normalized entry may exist already (inserted under a different
     // raw spelling).
-    if (std::optional<PreparedQuery> cached = FindCached(snap, key, hit)) {
-      return *std::move(cached);
+    if (std::shared_ptr<const PreparedQuery> cached =
+            FindCached(snap, key, hit)) {
+      return cached;
     }
   }
 
@@ -87,32 +90,26 @@ StatusOr<PreparedQuery> PlanCache::Get(
   // while), then publish. Concurrent misses on the same key may prepare
   // twice; the last insert wins, which is harmless — plans are
   // deterministic for a given (query, snapshot).
-  PH_ASSIGN_OR_RETURN(PreparedQuery pq, snap->db.Prepare(std::move(query)));
+  PH_ASSIGN_OR_RETURN(PreparedQuery prepared,
+                      snap->db.Prepare(std::move(query)));
+  auto pq = std::make_shared<const PreparedQuery>(std::move(prepared));
   {
     Shard& shard = ShardFor(key);
     std::lock_guard<std::mutex> lock(shard.mu);
-    Entry* slot = nullptr;
-    for (Entry& e : shard.entries) {
-      if (e.key == key) {  // stale epoch: replace in place
-        slot = &e;
-        break;
-      }
-    }
-    if (slot == nullptr) {
+    auto it = shard.entries.find(key);  // a stale epoch is replaced in place
+    if (it == shard.entries.end()) {
       if (shard.entries.size() >= per_shard_capacity_) {
-        slot = &*std::min_element(shard.entries.begin(), shard.entries.end(),
-                                  [](const Entry& a, const Entry& b) {
-                                    return a.last_used < b.last_used;
-                                  });
-      } else {
-        shard.entries.emplace_back();
-        slot = &shard.entries.back();
+        shard.entries.erase(std::min_element(
+            shard.entries.begin(), shard.entries.end(),
+            [](const auto& a, const auto& b) {
+              return a.second.last_used < b.second.last_used;
+            }));
       }
+      it = shard.entries.emplace(std::move(key), Entry{}).first;
     }
-    slot->key = key;
-    slot->snap = snap;
-    slot->pq = pq;
-    slot->last_used = ++shard.tick;
+    it->second.snap = snap;
+    it->second.pq = pq;
+    it->second.last_used = ++shard.tick;
   }
   return pq;
 }

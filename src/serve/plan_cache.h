@@ -11,13 +11,16 @@
 // lazily re-prepare, exactly like SegmentedPlan's own lazy extension — the
 // old entry's pinned snapshot is released when the entry is replaced or
 // evicted.
+//
+// Entries hold one immutable plan behind a shared_ptr: a hit hands out a
+// reference to it (no copy of the Query AST or the key), looked up through
+// a per-shard hash map, so a steady-state hit allocates nothing.
 #ifndef PAIRWISEHIST_SERVE_PLAN_CACHE_H_
 #define PAIRWISEHIST_SERVE_PLAN_CACHE_H_
 
 #include <cstdint>
 #include <memory>
 #include <mutex>
-#include <optional>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -39,13 +42,19 @@ class PlanCache {
   /// parsed and prepared outside the shard lock, then inserted. `*hit`
   /// reports whether the plan came from the cache.
   ///
+  /// The plan is shared and immutable: a hit returns the cached entry's
+  /// own plan (a reference-count increment, no copy and no allocation),
+  /// which stays alive after the entry is evicted or replaced. It reads
+  /// `snap`'s Db, so execute it only while holding `snap`.
+  ///
   /// A raw-text alias index (exact request string -> normalized key)
   /// fronts the normalized lookup: dashboards resend byte-identical SQL,
   /// so steady-state hits skip the parse entirely. Aliases are
   /// snapshot-independent (parsing doesn't depend on data), so appends
   /// never invalidate them.
-  StatusOr<PreparedQuery> Get(const std::shared_ptr<const DbSnapshot>& snap,
-                              const std::string& sql, bool* hit);
+  StatusOr<std::shared_ptr<const PreparedQuery>> Get(
+      const std::shared_ptr<const DbSnapshot>& snap, const std::string& sql,
+      bool* hit);
 
   /// Drops every entry (and the snapshot references they pin).
   void Clear();
@@ -55,14 +64,14 @@ class PlanCache {
 
  private:
   struct Entry {
-    std::string key;  ///< normalized SQL (Query::ToSql)
     std::shared_ptr<const DbSnapshot> snap;  ///< pins plan validity
-    PreparedQuery pq;
+    std::shared_ptr<const PreparedQuery> pq;
     uint64_t last_used = 0;
   };
   struct Shard {
     mutable std::mutex mu;
-    std::vector<Entry> entries;
+    /// Normalized SQL (Query::ToSql) -> entry.
+    std::unordered_map<std::string, Entry> entries;
     uint64_t tick = 0;  ///< shard-local LRU clock
   };
 
@@ -73,8 +82,10 @@ class PlanCache {
 
   Shard& ShardFor(const std::string& key);
   AliasShard& AliasShardFor(const std::string& raw);
-  /// Copies the cached plan for (snap, normalized key), or nullopt.
-  std::optional<PreparedQuery> FindCached(
+  /// The cached plan for (snap, normalized key), or null. Takes the
+  /// key's shard lock; callers holding an alias lock keep the alias ->
+  /// shard order.
+  std::shared_ptr<const PreparedQuery> FindCached(
       const std::shared_ptr<const DbSnapshot>& snap, const std::string& key,
       bool* hit);
 

@@ -170,37 +170,52 @@ void AppendDegradedFields(std::string* b, const DegradedInfo& degraded) {
   *b += std::to_string(degraded.segments_skipped);
 }
 
-/// The /query response for one statement's outcome. Single requests and
-/// pipelined bursts both answer through here, so their bodies are
-/// byte-identical.
-HttpResponse QueryResponse(const Status& st, uint64_t epoch,
-                           const DegradedInfo& degraded,
-                           const QueryResult& result) {
-  if (!st.ok()) return ErrorResponse(st);
-  HttpResponse resp;
-  resp.body += "{\"epoch\":";
-  resp.body += std::to_string(epoch);
-  AppendDegradedFields(&resp.body, degraded);
-  resp.body += ",\"result\":";
-  AppendQueryResult(&resp.body, result);
-  resp.body += "}";
-  return resp;
+/// Bytes one group adds in AppendQueryResult, label aside: the keys plus
+/// three numbers of at most 24 characters each.
+constexpr size_t kQueryGroupJsonBytes = 130;
+
+/// Writes the /query response for one statement's outcome into *resp.
+/// Single requests and pipelined bursts both answer through here, so
+/// their bodies are byte-identical. The body is reserved once and written
+/// in place.
+void WriteQueryResponse(const Status& st, uint64_t epoch,
+                        const DegradedInfo& degraded,
+                        const QueryResult& result, HttpResponse* resp) {
+  if (!st.ok()) {
+    *resp = ErrorResponse(st);
+    return;
+  }
+  std::string& b = resp->body;
+  size_t bytes = 96;  // epoch, degraded fields, wrappers
+  for (const QueryResult::Group& g : result.groups) {
+    bytes += kQueryGroupJsonBytes + 2 * g.label.size();  // room for escapes
+  }
+  b.clear();
+  b.reserve(bytes);
+  b += "{\"epoch\":";
+  b += std::to_string(epoch);
+  AppendDegradedFields(&b, degraded);
+  b += ",\"result\":";
+  AppendQueryResult(&b, result);
+  b += "}";
 }
 
 HttpResponse HandleQuery(ServingDb* db, const HttpRequest& req) {
-  StatusOr<JsonValue> doc = ParseJson(req.body);
-  if (!doc.ok()) return ErrorResponse(doc.status());
-  const JsonValue* sql = doc.value().Find("sql");
-  if (sql == nullptr || sql->type != JsonValue::Type::kString) {
+  std::string sql;
+  const Status parsed = ParseJsonStringMember(req.body, "sql", &sql);
+  if (parsed.code() == StatusCode::kNotFound) {
     return SimpleError(400, "body must be {\"sql\": \"...\"}");
   }
+  if (!parsed.ok()) return ErrorResponse(parsed);
   ReadOptions ropts;
   ropts.allow_degraded = AllowsDegraded(req);
   QueryResult result;
   DegradedInfo degraded;
   uint64_t epoch = 0;
-  Status st = db->Query(sql->str, ropts, &result, &degraded, &epoch);
-  return QueryResponse(st, epoch, degraded, result);
+  Status st = db->Query(sql, ropts, &result, &degraded, &epoch);
+  HttpResponse resp;
+  WriteQueryResponse(st, epoch, degraded, result, &resp);
+  return resp;
 }
 
 HttpResponse HandleBatch(ServingDb* db, const HttpRequest& req) {
@@ -476,12 +491,7 @@ bool BatchableSql(const HttpRequest& req, std::string* sql) {
   if (req.method != "POST" || req.path != "/query" || AllowsDegraded(req)) {
     return false;
   }
-  StatusOr<JsonValue> doc = ParseJson(req.body);
-  if (!doc.ok()) return false;
-  const JsonValue* v = doc.value().Find("sql");
-  if (v == nullptr || v->type != JsonValue::Type::kString) return false;
-  *sql = v->str;
-  return true;
+  return ParseJsonStringMember(req.body, "sql", sql).ok();
 }
 
 }  // namespace
@@ -505,6 +515,8 @@ HttpServer::BatchHandler MakeServingBatchHandler(ServingDb* db,
     // request answers alone while its pipeline neighbours still execute.
     std::vector<size_t> qidx;
     std::vector<std::string> sqls;
+    qidx.reserve(reqs.size());
+    sqls.reserve(reqs.size());
     for (size_t i = 0; i < reqs.size(); ++i) {
       std::string sql;
       if (!BatchableSql(reqs[i], &sql)) {
@@ -527,8 +539,8 @@ HttpServer::BatchHandler MakeServingBatchHandler(ServingDb* db,
     const Status st = db->QueryBatch(sqls, ReadOptions{}, &results,
                                      &statement_status, &degraded, &epoch);
     for (size_t j = 0; j < qidx.size(); ++j) {
-      out[qidx[j]] = QueryResponse(st.ok() ? statement_status[j] : st, epoch,
-                                   degraded, results[j]);
+      WriteQueryResponse(st.ok() ? statement_status[j] : st, epoch, degraded,
+                         results[j], &out[qidx[j]]);
       if (gate != nullptr) gate->Release(/*is_append=*/false);
     }
     return out;

@@ -396,10 +396,11 @@ Status ServingDb::QueryOne(const std::string& sql, const ReadOptions& ropts,
     return QueryDegraded(snap, sql, result, degraded, epoch);
   }
   bool hit = false;
-  StatusOr<PreparedQuery> pq = cache_.Get(snap, sql, &hit);
+  StatusOr<std::shared_ptr<const PreparedQuery>> pq =
+      cache_.Get(snap, sql, &hit);
   (hit ? cache_hits_ : cache_misses_).fetch_add(1, std::memory_order_relaxed);
   if (!pq.ok()) return pq.status();
-  PH_RETURN_IF_ERROR(pq.value().ExecuteInto(result));
+  PH_RETURN_IF_ERROR(pq.value()->ExecuteInto(result));
   if (epoch != nullptr) *epoch = snap->epoch;
   return Status::OK();
 }
@@ -494,13 +495,20 @@ Status ServingDb::QueryBatch(const std::vector<std::string>& sqls,
     return Status::OK();
   }
 
-  std::vector<PreparedQuery> pqs;
-  std::vector<size_t> owner;
+  // Shared cached plans: `pqs` keeps each one alive for the batch while
+  // `plans` points into it.
+  std::vector<std::shared_ptr<const PreparedQuery>> pqs;
+  std::vector<const SegmentedPlan*> plans;
+  std::vector<QueryResult*> outs;
+  std::vector<size_t> batched;
   pqs.reserve(sqls.size());
-  owner.reserve(sqls.size());
+  plans.reserve(sqls.size());
+  outs.reserve(sqls.size());
+  batched.reserve(sqls.size());
   for (size_t i = 0; i < sqls.size(); ++i) {
     bool hit = false;
-    StatusOr<PreparedQuery> pq = cache_.Get(snap, sqls[i], &hit);
+    StatusOr<std::shared_ptr<const PreparedQuery>> pq =
+        cache_.Get(snap, sqls[i], &hit);
     (hit ? cache_hits_ : cache_misses_)
         .fetch_add(1, std::memory_order_relaxed);
     if (!pq.ok()) {
@@ -508,20 +516,13 @@ Status ServingDb::QueryBatch(const std::vector<std::string>& sqls,
       errors_.fetch_add(1, std::memory_order_relaxed);
       continue;
     }
-    pqs.push_back(std::move(pq).value());
-    owner.push_back(i);
-  }
-  std::vector<const SegmentedPlan*> plans;
-  std::vector<QueryResult*> outs;
-  std::vector<size_t> batched;
-  for (size_t j = 0; j < pqs.size(); ++j) {
-    if (pqs[j].compiled()) {
-      plans.push_back(&pqs[j].plan());
-      outs.push_back(&(*results)[owner[j]]);
-      batched.push_back(owner[j]);
+    const PreparedQuery& q = *pqs.emplace_back(std::move(pq).value());
+    if (q.compiled()) {
+      plans.push_back(&q.plan());
+      outs.push_back(&(*results)[i]);
+      batched.push_back(i);
     } else {
-      (*statement_status)[owner[j]] =
-          pqs[j].ExecuteInto(&(*results)[owner[j]]);
+      (*statement_status)[i] = q.ExecuteInto(&(*results)[i]);
     }
   }
   if (!plans.empty()) {

@@ -21,7 +21,10 @@
 // Recover() reopens the newest checkpoint and replays the WAL tail.
 //
 // Repeated statements hit a sharded LRU plan cache (serve/plan_cache.h),
-// transparently: responses are bit-identical to uncached execution. Each
+// transparently: responses are bit-identical to uncached execution. A hit
+// executes the cache's shared plan in place — no parse and no plan copy —
+// so a hit into a warm QueryResult allocates nothing whenever the engine
+// does not (see PreparedQuery::ExecuteInto). Each
 // Query executes alone on its caller's thread; grouping statements into
 // one batch execution is the caller's choice, through QueryBatch (the
 // HTTP layer batches /batch bodies and pipelined /query bursts that way).

@@ -26,6 +26,7 @@
 #include "serve/http_client.h"
 #include "serve/http_io.h"
 #include "serve/http_server.h"
+#include "serve/json.h"
 #include "serve/service.h"
 #include "serve/serving_db.h"
 
@@ -109,30 +110,9 @@ class RawConn {
 // Malformed-input fuzz: every corpus entry must answer 4xx — never 5xx,
 // never a crash, and the serving stack must stay usable afterwards.
 
-class ServeFuzz : public ::testing::Test {
- protected:
-  void SetUp() override {
-    serving_ = std::make_unique<ServingDb>(MakePowerDb(4000));
-    handler_ = MakeServingHandler(serving_.get());
-  }
-  void ExpectRejected(const std::string& path, const std::string& body,
-                      const char* tag) {
-    const HttpResponse resp = handler_(MakeReq("POST", path, body));
-    EXPECT_GE(resp.status, 400) << tag << ": " << resp.body;
-    EXPECT_LT(resp.status, 500) << tag << ": " << resp.body;
-  }
-  void ExpectAlive() {
-    const HttpResponse resp = handler_(
-        MakeReq("POST", "/query", "{\"sql\":\"SELECT COUNT(*) FROM power;\"}"));
-    EXPECT_EQ(resp.status, 200) << resp.body;
-  }
-
-  std::unique_ptr<ServingDb> serving_;
-  HttpServer::Handler handler_;
-};
-
-TEST_F(ServeFuzz, MalformedJsonNeverCrashesAlwaysRejected) {
-  const std::vector<std::string> corpus = {
+// Malformed /query bodies: every one must be rejected with a 4xx.
+const std::vector<std::string>& MalformedJsonCorpus() {
+  static const std::vector<std::string> kCorpus = {
       "",                                  // empty body
       "{",                                 // truncated object
       "{\"sql\":",                         // truncated value
@@ -156,6 +136,33 @@ TEST_F(ServeFuzz, MalformedJsonNeverCrashesAlwaysRejected) {
       std::string(100, '['),               // deep unbalanced nesting
       "{\"sql\": tru}",                    // broken literal
   };
+  return kCorpus;
+}
+
+class ServeFuzz : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    serving_ = std::make_unique<ServingDb>(MakePowerDb(4000));
+    handler_ = MakeServingHandler(serving_.get());
+  }
+  void ExpectRejected(const std::string& path, const std::string& body,
+                      const char* tag) {
+    const HttpResponse resp = handler_(MakeReq("POST", path, body));
+    EXPECT_GE(resp.status, 400) << tag << ": " << resp.body;
+    EXPECT_LT(resp.status, 500) << tag << ": " << resp.body;
+  }
+  void ExpectAlive() {
+    const HttpResponse resp = handler_(
+        MakeReq("POST", "/query", "{\"sql\":\"SELECT COUNT(*) FROM power;\"}"));
+    EXPECT_EQ(resp.status, 200) << resp.body;
+  }
+
+  std::unique_ptr<ServingDb> serving_;
+  HttpServer::Handler handler_;
+};
+
+TEST_F(ServeFuzz, MalformedJsonNeverCrashesAlwaysRejected) {
+  const std::vector<std::string>& corpus = MalformedJsonCorpus();
   for (size_t i = 0; i < corpus.size(); ++i) {
     ExpectRejected("/query", corpus[i],
                    ("json corpus " + std::to_string(i)).c_str());
@@ -172,6 +179,72 @@ TEST_F(ServeFuzz, MalformedJsonNeverCrashesAlwaysRejected) {
                    ("batch corpus " + std::to_string(i)).c_str());
   }
   ExpectAlive();
+}
+
+// The /query body scan (ParseJsonStringMember) decides exactly what the
+// tree parse does: ParseJson, then Find("sql"), then the string check.
+// Same SQL, or the same Status code and message (offsets included), for
+// the malformed corpus and for valid bodies that put other members,
+// whitespace, escapes and duplicate keys around "sql".
+Status SqlByTreeParse(const std::string& body, std::string* sql) {
+  auto doc = ParseJson(body);
+  if (!doc.ok()) return doc.status();
+  const JsonValue* v = doc->Find("sql");
+  if (v == nullptr || v->type != JsonValue::Type::kString) {
+    return Status::NotFound("JSON: no string member \"sql\"");
+  }
+  *sql = v->str;
+  return Status::OK();
+}
+
+TEST(ServeJsonScan, StringMemberMatchesTreeParse) {
+  std::vector<std::string> bodies = MalformedJsonCorpus();
+  const std::string deep = std::string(70, '[') + std::string(70, ']');
+  const std::vector<std::string> variants = {
+      "{\"sql\":\"SELECT 1\"}",
+      "{\"a\":1,\"sql\":\"S\"}",
+      "{\"sql\":\"S\",\"b\":[1,{\"c\":[true,false,null]},\"x\"]}",
+      "{\"pre\":{\"sql\":\"nested\"},\"list\":[{\"sql\":7}],\"sql\":\"top\"}",
+      "{\"pre\":{\"sql\":\"only nested\"}}",
+      "[{\"sql\":\"in an array\"}]",
+      " \n\t{ \r\n\"sql\" \t:\n \"S\" \r, \"n\" : [ 1 , { } ] }\n ",
+      "{\"sql\":\"a\\/b\\\"c\\\\d\\u00e9\\ud83d\\ude00\\n\\t\\b\\f\\r\"}",
+      "{\"s\\u0071l\":\"escaped key\"}",
+      "{\"sql\":\"first\",\"sql\":42}",
+      "{\"sql\":42,\"sql\":\"second\"}",
+      "{\"sql\":\"first\",\"sql\":\"second\"}",
+      "{\"n\":-1.5e-3,\"sql\":\"S\",\"m\":1e-99999,\"z\":0}",
+      "{\"sql\":\"S\",\"x\":01}",
+      "{\"sql\":\"S\",\"x\":+1}",
+      "{\"sql\":\"S\",\"x\":1e99999}",
+      "{\"sql\":\"S\",\"x\":\"\\q\"}",
+      "{\"sql\":\"S\",\"x\":" + deep + "}",
+      "{\"x\":" + deep + ",\"sql\":\"S\"}",
+      "{\"sql\":\"S\"",
+      "{\"sql\":\"S\"} {}",
+      "{\"sql\":\"\"}",
+      "{}",
+      "null",
+  };
+  bodies.insert(bodies.end(), variants.begin(), variants.end());
+  for (const std::string& body : bodies) {
+    std::string want, got = "stale";
+    const Status want_st = SqlByTreeParse(body, &want);
+    const Status got_st = ParseJsonStringMember(body, "sql", &got);
+    EXPECT_EQ(got_st.code(), want_st.code()) << body;
+    EXPECT_EQ(got_st.message(), want_st.message()) << body;
+    if (want_st.ok() && got_st.ok()) EXPECT_EQ(got, want) << body;
+  }
+  // A spot check that the variants cover each outcome.
+  std::string sql;
+  EXPECT_TRUE(ParseJsonStringMember(variants[9], "sql", &sql).ok());
+  EXPECT_EQ(sql, "first");
+  EXPECT_EQ(ParseJsonStringMember(variants[10], "sql", &sql).code(),
+            StatusCode::kNotFound);
+  EXPECT_EQ(ParseJsonStringMember(variants[13], "sql", &sql).code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_TRUE(ParseJsonStringMember(variants[8], "sql", &sql).ok());
+  EXPECT_EQ(sql, "escaped key");
 }
 
 TEST_F(ServeFuzz, MalformedCsvNeverCrashesAlwaysRejected) {

@@ -5,9 +5,14 @@
 // round-trips including error statuses. The reader/writer tests are the designated TSan
 // workload for the serve subsystem.
 #include <atomic>
+#include <cfloat>
 #include <cmath>
+#include <cstdint>
+#include <cstring>
+#include <limits>
 #include <memory>
 #include <mutex>
+#include <random>
 #include <string>
 #include <thread>
 #include <vector>
@@ -113,8 +118,9 @@ TEST(ServeJson, FormatsNumbersAndStrings) {
   std::string out;
   AppendJsonNumber(&out, 0.1);
   AppendJsonNumber(&out, std::nan(""));
-  EXPECT_EQ(out, "0.10000000000000001null");
-  // %.17g round-trips doubles bit-exactly.
+  EXPECT_EQ(out, "0.1null");
+  // Numbers are written shortest round-trip; a longer spelling of the same
+  // double still parses back to it.
   auto parsed = ParseJson("0.10000000000000001");
   ASSERT_TRUE(parsed.ok());
   EXPECT_EQ(parsed.value().number, 0.1);
@@ -133,6 +139,96 @@ TEST(ServeJson, FormatsNumbersAndStrings) {
   EXPECT_EQ(out,
             "{\"groups\":[{\"label\":\"\",\"estimate\":2.5,\"lower\":2,"
             "\"upper\":3,\"empty\":false}]}");
+}
+
+// AppendJsonNumber -> ParseJson is the identity on every finite double,
+// down to the bit (sign of zero, subnormals, the largest finite values).
+TEST(ServeJson, NumbersRoundTripBitExactly) {
+  auto bits = [](double d) {
+    uint64_t u = 0;
+    std::memcpy(&u, &d, sizeof(u));
+    return u;
+  };
+  std::vector<double> values = {
+      0.0,
+      -0.0,
+      std::numeric_limits<double>::denorm_min(),
+      -std::numeric_limits<double>::denorm_min(),
+      2.2250738585072009e-308,  // largest subnormal
+      DBL_MIN,
+      -DBL_MIN,
+      DBL_MAX,
+      -DBL_MAX,
+      DBL_EPSILON,
+      9007199254740992.0,  // 2^53
+      -9007199254740991.0,
+      0.1,
+      0.2,
+      0.3,
+      1.1,
+      -2.675,
+      1e21,
+      1e-7,
+      123456.789,
+  };
+  for (int e = 0; e <= 53; ++e) values.push_back(std::ldexp(1.0, e) - 1);
+  std::mt19937_64 rng(20240611);
+  for (int i = 0; i < 100000; ++i) {
+    const uint64_t u = rng();
+    double d = 0;
+    std::memcpy(&d, &u, sizeof(d));
+    values.push_back(d);
+  }
+  size_t finite = 0;
+  std::string out;
+  for (const double v : values) {
+    out.clear();
+    AppendJsonNumber(&out, v);
+    if (!std::isfinite(v)) {
+      EXPECT_EQ(out, "null");
+      continue;
+    }
+    ++finite;
+    auto parsed = ParseJson(out);
+    ASSERT_TRUE(parsed.ok()) << out << ": " << parsed.status().ToString();
+    ASSERT_EQ(parsed->type, JsonValue::Type::kNumber) << out;
+    ASSERT_EQ(bits(parsed->number), bits(v)) << out;
+  }
+  EXPECT_GT(finite, 99000u);
+  out.clear();
+  AppendJsonNumber(&out, std::numeric_limits<double>::infinity());
+  AppendJsonNumber(&out, -std::numeric_limits<double>::infinity());
+  EXPECT_EQ(out, "nullnull");
+}
+
+// Numbers follow the JSON grammar: no leading '+', no leading zeros, digits
+// on both sides of '.', and no magnitude beyond DBL_MAX. A magnitude below
+// the smallest subnormal reads as a zero of the same sign.
+TEST(ServeJson, NumbersFollowTheJsonGrammar) {
+  for (const char* bad :
+       {"+1", "01", "-01", "1.", ".5", "-", "-.5", "1e", "1e+", "1.e3",
+        "1.2.3", "1e5e2", "0x10", "1e99999", "-1e99999", "1e309",
+        "[1, +2]", "{\"a\": 00}"}) {
+    EXPECT_FALSE(ParseJson(bad).ok()) << bad;
+  }
+  auto number = [](const char* text) {
+    auto parsed = ParseJson(text);
+    EXPECT_TRUE(parsed.ok()) << text << ": " << parsed.status().ToString();
+    return parsed.ok() ? parsed->number : std::nan("");
+  };
+  EXPECT_EQ(number("0"), 0.0);
+  EXPECT_TRUE(std::signbit(number("-0")));
+  EXPECT_EQ(number("-1.5e2"), -150.0);
+  EXPECT_EQ(number("1E+2"), 100.0);
+  EXPECT_EQ(number("25e-2"), 0.25);
+  EXPECT_EQ(number("0.001"), 0.001);
+  EXPECT_EQ(number("1e308"), 1e308);
+  EXPECT_EQ(number("123456789012345678901234567890"), 1.2345678901234568e29);
+  EXPECT_EQ(number("1e-99999"), 0.0);
+  EXPECT_FALSE(std::signbit(number("1e-99999")));
+  EXPECT_TRUE(std::signbit(number("-1e-99999")));
+  EXPECT_EQ(number("-1e-99999"), 0.0);
+  EXPECT_EQ(number("4.9e-324"), std::numeric_limits<double>::denorm_min());
 }
 
 // ---------------------------------------------------------------------------
@@ -190,7 +286,7 @@ TEST(PlanCache, HitsMissesAndEpochInvalidation) {
 
   QueryResult direct_result, cached_result;
   ASSERT_TRUE(snap0->db.ExecuteSql("SELECT AVG(voltage) FROM power;").ok());
-  ASSERT_TRUE(again.value().ExecuteInto(&cached_result).ok());
+  ASSERT_TRUE(again.value()->ExecuteInto(&cached_result).ok());
   auto direct = snap0->db.ExecuteSql("SELECT AVG(voltage) FROM power;");
   ASSERT_TRUE(direct.ok());
   ExpectBitEqual(cached_result, direct.value(), "cached vs direct");
@@ -208,7 +304,7 @@ TEST(PlanCache, HitsMissesAndEpochInvalidation) {
   EXPECT_FALSE(hit);
   EXPECT_EQ(cache.size(), 1u);
   QueryResult r1;
-  ASSERT_TRUE(fresh.value().ExecuteInto(&r1).ok());
+  ASSERT_TRUE(fresh.value()->ExecuteInto(&r1).ok());
   auto direct1 = snap1->db.ExecuteSql("SELECT AVG(voltage) FROM power;");
   ASSERT_TRUE(direct1.ok());
   ExpectBitEqual(r1, direct1.value(), "post-append cached vs direct");
@@ -478,7 +574,7 @@ TEST_F(HttpRoundTrip, QueryMatchesDirectExecutionBitExactly) {
   EXPECT_EQ(resp->status, 200);
 
   // The response must byte-equal locally formatting the direct answer —
-  // same numbers through the same %.17g formatter.
+  // same numbers through the same shortest round-trip formatter.
   QueryResult direct;
   uint64_t epoch = 0;
   ASSERT_TRUE(serving_->Query(sql, &direct, &epoch).ok());
