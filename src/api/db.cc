@@ -46,7 +46,7 @@ StatusOr<QueryResult> PreparedQuery::ExecuteExact() const {
         "exact execution requires the raw table (Db was opened "
         "synopsis-only or with keep_table = false)");
   }
-  return pairwisehist::ExecuteExact(*table_, query_);
+  return pairwisehist::ExecuteExact(*table_, query());
 }
 
 // ---------------------------------------------------------------------------
@@ -218,12 +218,12 @@ StatusOr<PreparedQuery> Db::Prepare(const std::string& sql) const {
 StatusOr<PreparedQuery> Db::Prepare(Query query) const {
   PreparedQuery pq;
   pq.table_ = table_.get();
-  pq.query_ = std::move(query);
   if (backend_ != nullptr) {
     pq.backend_ = backend_.get();
+    pq.query_ = std::move(query);
   } else {
     pq.exec_ = exec_.get();
-    PH_ASSIGN_OR_RETURN(pq.plan_, exec_->Prepare(pq.query_));
+    PH_ASSIGN_OR_RETURN(pq.plan_, exec_->Prepare(std::move(query)));
   }
   return pq;
 }
@@ -255,12 +255,12 @@ StatusOr<PreparedBatch> Db::PrepareBatch(std::vector<Query> queries) const {
   }
   PreparedBatch batch;
   batch.exec_ = exec_.get();
-  batch.queries_ = std::move(queries);
-  batch.plan_of_query_.reserve(batch.queries_.size());
+  batch.plan_of_query_.reserve(queries.size());
   // Duplicate-plan dedup: statements with identical normalized SQL share
-  // one SegmentedPlan (results are copied at execution time).
+  // one SegmentedPlan (results are copied at execution time). ToSql is
+  // injective, so equal keys mean equal queries.
   std::vector<std::string> keys;
-  for (const Query& q : batch.queries_) {
+  for (Query& q : queries) {
     const std::string key = q.ToSql();
     size_t idx = keys.size();
     for (size_t i = 0; i < keys.size(); ++i) {
@@ -270,7 +270,7 @@ StatusOr<PreparedBatch> Db::PrepareBatch(std::vector<Query> queries) const {
       }
     }
     if (idx == keys.size()) {
-      PH_ASSIGN_OR_RETURN(SegmentedPlan plan, exec_->Prepare(q));
+      PH_ASSIGN_OR_RETURN(SegmentedPlan plan, exec_->Prepare(std::move(q)));
       batch.plans_.push_back(std::move(plan));
       keys.push_back(key);
     }

@@ -165,8 +165,9 @@ class PreparedQuery {
   /// the Db was opened without one).
   StatusOr<QueryResult> ExecuteExact() const;
 
-  const Query& query() const { return query_; }
-  std::string ToSql() const { return query_.ToSql(); }
+  /// The statement as parsed: held once, by the plan when compiled().
+  const Query& query() const { return plan_.valid() ? plan_.query() : query_; }
+  std::string ToSql() const { return query().ToSql(); }
   /// True when Execute() uses the parse-once compiled plans (the built-in
   /// PairwiseHist engine); false when a swapped-in backend answers.
   bool compiled() const { return plan_.valid(); }
@@ -179,7 +180,7 @@ class PreparedQuery {
   const SegmentedExecutor* exec_ = nullptr;  // built-in execution path
   const AqpMethod* backend_ = nullptr;       // set when a backend is active
   const Table* table_ = nullptr;             // exact fallback (may be null)
-  Query query_;
+  Query query_;         // set iff backend_ != nullptr; else plan_ holds it
   SegmentedPlan plan_;  // valid iff backend_ == nullptr
 };
 

@@ -1,7 +1,8 @@
 #include "query/ast.h"
 
 #include <algorithm>
-#include <cstdio>
+#include <charconv>
+#include <cmath>
 
 namespace pairwisehist {
 
@@ -56,14 +57,33 @@ void CollectColumns(const PredicateNode& node, std::vector<std::string>* out) {
   for (const auto& child : node.children) CollectColumns(child, out);
 }
 
-std::string FormatNumber(double v) {
-  char buf[64];
-  if (v == static_cast<long long>(v) && std::abs(v) < 1e15) {
-    std::snprintf(buf, sizeof(buf), "%lld", static_cast<long long>(v));
-  } else {
-    std::snprintf(buf, sizeof(buf), "%.10g", v);
+/// True when `pred` holds for every condition of the tree (depth-first,
+/// stopping at the first that fails).
+template <typename Pred>
+bool AllConditions(const PredicateNode& node, const Pred& pred) {
+  if (node.type == PredicateNode::Type::kCondition) {
+    return pred(node.condition);
   }
-  return buf;
+  for (const auto& child : node.children) {
+    if (!AllConditions(child, pred)) return false;
+  }
+  return true;
+}
+
+// Writes a numeric literal that ParseSql reads back to the same double:
+// integral values below 1e15 in magnitude (but -0) as plain integers, every
+// other value in the shortest form that round-trips (std::to_chars). ToSql is the plan-cache
+// and batch-dedup key, so two distinct literals must never print alike.
+void AppendNumber(double v, std::string* out) {
+  char buf[32];  // the shortest round-trip form needs at most 24
+  std::to_chars_result r;
+  if (std::abs(v) < 1e15 && v == std::trunc(v) &&
+      !(v == 0 && std::signbit(v))) {
+    r = std::to_chars(buf, buf + sizeof(buf), static_cast<long long>(v));
+  } else {
+    r = std::to_chars(buf, buf + sizeof(buf), v);
+  }
+  out->append(buf, r.ptr);
 }
 
 void NodeToSql(const PredicateNode& node, bool parenthesize,
@@ -76,10 +96,13 @@ void NodeToSql(const PredicateNode& node, bool parenthesize,
     *out += ' ';
     if (c.is_string) {
       *out += '\'';
-      *out += c.text_value;
+      for (char ch : c.text_value) {
+        *out += ch;
+        if (ch == '\'') *out += '\'';  // doubled, as ParseSql reads it
+      }
       *out += '\'';
     } else {
-      *out += FormatNumber(c.value);
+      AppendNumber(c.value, out);
     }
     return;
   }
@@ -104,12 +127,14 @@ std::vector<std::string> Query::PredicateColumns() const {
 }
 
 bool Query::SingleColumn() const {
-  std::vector<std::string> cols = PredicateColumns();
-  if (count_star) return cols.size() <= 1;
-  for (const auto& c : cols) {
-    if (c != agg_column) return false;
-  }
-  return true;
+  if (!where.has_value()) return true;
+  // COUNT(*) is single-column when its predicates share one column; any
+  // other aggregate when they all sit on the aggregation column.
+  const std::string* column = count_star ? nullptr : &agg_column;
+  return AllConditions(*where, [&](const Condition& c) {
+    if (column == nullptr) column = &c.column;
+    return c.column == *column;
+  });
 }
 
 std::string Query::ToSql() const {

@@ -56,7 +56,11 @@ struct Query {
   /// True if the query touches a single column only (aggregation and every
   /// predicate) — enables the Table-3 "1-d" special cases for MIN/MAX.
   bool SingleColumn() const;
-  /// Round-trips the query to SQL text.
+  /// The query as SQL text. For any query ParseSql produces, ParseSql
+  /// reads the text back to the same query bit for bit: numbers are in
+  /// shortest round-trip form and quotes inside string literals doubled.
+  /// Distinct parsed queries therefore never share a text, which is what
+  /// lets the serving plan cache and Db::PrepareBatch key on it.
   std::string ToSql() const;
 };
 

@@ -42,8 +42,10 @@ class PreparedBatch {
   size_t size() const { return plan_of_query_.size(); }
   /// Number of distinct plans after duplicate-statement dedup.
   size_t NumDistinctPlans() const { return plans_.size(); }
-  /// Statement i as parsed.
-  const Query& query(size_t i) const { return queries_[i]; }
+  /// Statement i as parsed (duplicates share their plan's Query).
+  const Query& query(size_t i) const {
+    return plans_[plan_of_query_[i]].query();
+  }
   bool valid() const { return exec_ != nullptr; }
 
   /// Executes every statement as one batch. `results` is resized to
@@ -57,7 +59,6 @@ class PreparedBatch {
   const SegmentedExecutor* exec_ = nullptr;
   std::vector<SegmentedPlan> plans_;   ///< distinct plans
   std::vector<size_t> plan_of_query_;  ///< statement i -> index in plans_
-  std::vector<Query> queries_;         ///< statements in submission order
 };
 
 }  // namespace pairwisehist

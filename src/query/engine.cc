@@ -1102,6 +1102,29 @@ AqpEngine::~AqpEngine() = default;
 AqpEngine::AqpEngine(AqpEngine&&) noexcept = default;
 AqpEngine& AqpEngine::operator=(AqpEngine&&) noexcept = default;
 
+namespace {
+
+/// Calls f(leaf) for every leaf of a normalized tree, depth-first.
+template <typename F>
+void ForEachLeaf(const NormalizedPredicate& node, const F& f) {
+  if (node.type == NormalizedPredicate::Type::kLeaf) {
+    f(node);
+    return;
+  }
+  for (const NormalizedPredicate& c : node.children) ForEachLeaf(c, f);
+}
+
+/// The first condition of a WHERE tree, depth-first (nullptr if none).
+const Condition* FirstCondition(const PredicateNode& node) {
+  if (node.type == PredicateNode::Type::kCondition) return &node.condition;
+  for (const PredicateNode& c : node.children) {
+    if (const Condition* first = FirstCondition(c)) return first;
+  }
+  return nullptr;
+}
+
+}  // namespace
+
 // ---------------------------------------------------------------------------
 // Predicate normalization with delayed transformation.
 
@@ -1122,27 +1145,31 @@ StatusOr<AqpEngine::Node> AqpEngine::Normalize(
   out.type = is_and ? Node::Type::kAnd : Node::Type::kOr;
 
   // Consolidate leaf children that touch the same column (the paper's
-  // delayed transformation): intersect for AND, union for OR.
-  std::vector<Node> leaves;
+  // delayed transformation): intersect for AND, union for OR. Subtrees
+  // come first, then the consolidated leaves, each in first-seen order:
+  // children[0, subtrees) are subtrees, the rest leaves.
+  out.children.reserve(node.children.size());
+  size_t subtrees = 0;
   for (const auto& child : node.children) {
     PH_ASSIGN_OR_RETURN(Node c, Normalize(child));
-    if (c.type == Node::Type::kLeaf) {
-      bool merged = false;
-      for (Node& existing : leaves) {
-        if (existing.column == c.column) {
-          existing.intervals =
-              is_and ? IntervalSet::Intersect(existing.intervals, c.intervals)
-                     : IntervalSet::Union(existing.intervals, c.intervals);
-          merged = true;
-          break;
-        }
-      }
-      if (!merged) leaves.push_back(std::move(c));
-    } else {
+    if (c.type != Node::Type::kLeaf) {
       out.children.push_back(std::move(c));
+      std::rotate(out.children.begin() + subtrees, out.children.end() - 1,
+                  out.children.end());
+      ++subtrees;
+      continue;
+    }
+    auto same = std::find_if(
+        out.children.begin() + subtrees, out.children.end(),
+        [&](const Node& leaf) { return leaf.column == c.column; });
+    if (same == out.children.end()) {
+      out.children.push_back(std::move(c));
+    } else {
+      same->intervals =
+          is_and ? IntervalSet::Intersect(same->intervals, c.intervals)
+                 : IntervalSet::Union(same->intervals, c.intervals);
     }
   }
-  for (Node& leaf : leaves) out.children.push_back(std::move(leaf));
   if (out.children.size() == 1) return std::move(out.children[0]);
   return out;
 }
@@ -1153,15 +1180,6 @@ bool AqpEngine::HasOr(const Node& node) {
     if (HasOr(c)) return true;
   }
   return false;
-}
-
-void AqpEngine::CollectLeaves(const Node& node,
-                              std::vector<const Node*>* leaves) {
-  if (node.type == Node::Type::kLeaf) {
-    leaves->push_back(&node);
-    return;
-  }
-  for (const Node& c : node.children) CollectLeaves(c, leaves);
 }
 
 const IntervalSet* AqpEngine::FindAggClip(const Node& node, size_t agg_col) {
@@ -1183,28 +1201,32 @@ const IntervalSet* AqpEngine::FindAggClip(const Node& node, size_t agg_col) {
 // Grid selection.
 
 AqpEngine::Grid AqpEngine::ChooseGrid(size_t agg_col, const Node* root,
-                                      bool has_or) const {
+                                      bool has_or, size_t group_col) const {
   Grid grid;
   grid.dim = &ph_->hist1d(agg_col);
-  if (!options_.use_pair_grid || root == nullptr) return grid;
+  if (!options_.use_pair_grid) return grid;
 
-  std::vector<const Node*> leaves;
-  CollectLeaves(*root, &leaves);
-  for (const Node* leaf : leaves) {
-    if (leaf->column == agg_col) continue;
-    PairView pv = ph_->GetPair(agg_col, leaf->column);
-    if (!pv.valid()) continue;
+  // The first predicate column (depth-first, then the GROUP BY column)
+  // whose pair with the aggregation column refines it most wins.
+  auto consider = [&](size_t col) {
+    if (col == agg_col) return;
+    PairView pv = ph_->GetPair(agg_col, col);
+    if (!pv.valid()) return;
     // The pair grid counts rows where BOTH columns are non-null. Under a
     // pure conjunction that exclusion is exact (a null predicate column
     // fails the predicate anyway); under OR it would wrongly drop rows
     // that satisfy a different branch, so only null-free columns qualify.
-    if (has_or && ph_->transform(leaf->column).has_nulls) continue;
+    if (has_or && ph_->transform(col).has_nulls) return;
     if (pv.agg_dim().NumBins() > grid.dim->NumBins()) {
       grid.dim = &pv.agg_dim();
       grid.pair = pv;
-      grid.pair_pred_col = leaf->column;
+      grid.pair_pred_col = col;
     }
+  };
+  if (root != nullptr) {
+    ForEachLeaf(*root, [&](const Node& leaf) { consider(leaf.column); });
   }
+  if (group_col != kNoColumn) consider(group_col);
   return grid;
 }
 
@@ -1220,11 +1242,20 @@ std::vector<uint32_t> AqpEngine::TransferMap(size_t agg_col, size_t col,
   if (!pair.valid()) return {};
   const HistogramDim& gdim = *grid.dim;
   const HistogramDim& agg_dim = pair.agg_dim();
+  const double* gedges = gdim.edges.data();
+  const double* edges = agg_dim.edges.data();
+  const size_t n_edges = agg_dim.edges.size();
+  const size_t last = agg_dim.NumBins() - 1;
   const size_t k = gdim.NumBins();
   std::vector<uint32_t> map(k);
+  // One merge walk over the two sorted edge arrays: grid-bin midpoints
+  // ascend, so agg_dim.BinIndex(mid) — upper_bound minus one, clamped to
+  // the last bin — only moves forward. `above` is that upper_bound.
+  size_t above = 0;
   for (size_t g = 0; g < k; ++g) {
-    double mid = (gdim.edges[g] + gdim.edges[g + 1]) / 2.0;
-    map[g] = static_cast<uint32_t>(agg_dim.BinIndex(mid));
+    const double mid = (gedges[g] + gedges[g + 1]) / 2.0;
+    while (above < n_edges && !(mid < edges[above])) ++above;
+    map[g] = static_cast<uint32_t>(above == 0 ? 0 : std::min(above - 1, last));
   }
   return map;
 }
@@ -1244,7 +1275,8 @@ void AqpEngine::FillTransferMaps(Node* node, size_t agg_col,
 
 StatusOr<CompiledQuery> AqpEngine::Compile(const Query& query) const {
   CompiledQuery plan;
-  plan.query_ = query;
+  plan.func_ = query.func;
+  plan.count_star_ = query.count_star;
 
   // Normalize the WHERE clause once (literal mapping into the code domain
   // + same-column consolidation).
@@ -1277,9 +1309,10 @@ StatusOr<CompiledQuery> AqpEngine::Compile(const Query& query) const {
   if (!query.count_star) {
     PH_ASSIGN_OR_RETURN(plan.agg_col_, ph_->ColumnIndex(query.agg_column));
   } else {
-    std::vector<std::string> pred_cols = query.PredicateColumns();
-    if (!pred_cols.empty()) {
-      PH_ASSIGN_OR_RETURN(plan.agg_col_, ph_->ColumnIndex(pred_cols[0]));
+    const Condition* first =
+        query.where.has_value() ? FirstCondition(*query.where) : nullptr;
+    if (first != nullptr) {
+      PH_ASSIGN_OR_RETURN(plan.agg_col_, ph_->ColumnIndex(first->column));
     } else if (grouped) {
       plan.agg_col_ = plan.group_col_;
     } else {
@@ -1290,33 +1323,10 @@ StatusOr<CompiledQuery> AqpEngine::Compile(const Query& query) const {
   }
 
   // Grid selection looks only at which columns carry predicates, never at
-  // the literal values, so for grouped queries a full-range stand-in leaf
-  // on the group column selects the same grid every per-value execution
-  // would.
-  if (grouped) {
-    Node leaf;
-    leaf.type = Node::Type::kLeaf;
-    leaf.column = plan.group_col_;
-    leaf.intervals = IntervalSet::Of(
-        1.0, static_cast<double>(ph_->transform(plan.group_col_).max_code));
-    std::optional<Node> combined = plan.where_;  // copy; compile-only cost
-    if (combined.has_value()) {
-      if (combined->type == Node::Type::kAnd) {
-        combined->children.push_back(std::move(leaf));
-      } else {
-        Node root;
-        root.type = Node::Type::kAnd;
-        root.children.push_back(std::move(*combined));
-        root.children.push_back(std::move(leaf));
-        combined = std::move(root);
-      }
-    } else {
-      combined = std::move(leaf);
-    }
-    plan.grid_ = ChooseGrid(plan.agg_col_, &*combined, plan.has_or_);
-  } else {
-    plan.grid_ = ChooseGrid(plan.agg_col_, plan.where(), plan.has_or_);
-  }
+  // the literal values, so for grouped queries the group column stands in
+  // for the per-value leaf every execution conjoins.
+  plan.grid_ = ChooseGrid(plan.agg_col_, plan.where(), plan.has_or_,
+                          grouped ? plan.group_col_ : kNoColumn);
 
   // Same-column clip from the WHERE tree (the per-value GROUP BY leaf is
   // folded in at execution time when it lands on the aggregation column).
@@ -1375,7 +1385,7 @@ void AqpEngine::ExecutePartialScalar(const CompiledQuery& plan,
   WeightTable wt = ComputeWeightSpanFast(*ph_, arena, *ks_, agg_col,
                                          plan.where(), extra_group_leaf,
                                          extra_g2ta, grid);
-  FillPartialFromWeights(*ph_, options_, *ks_, plan.query_.func, agg_col,
+  FillPartialFromWeights(*ph_, options_, *ks_, plan.func_, agg_col,
                          grid, wt, single, agg_clip, arena, out);
 }
 
@@ -1383,7 +1393,7 @@ void AqpEngine::PartialInto(const CompiledQuery& plan, ExecScratch& scratch,
                             PartialResult* out) const {
   if (!plan.grouped()) {
     PartialAggregate& agg = ScalarSlot(out);
-    if (plan.query_.count_star && !plan.where_.has_value()) {
+    if (plan.count_star_ && !plan.where_.has_value()) {
       // COUNT(*) with no predicate: this synopsis's exact row count.
       const double n = static_cast<double>(ph_->total_rows());
       FillPartialFromCount(AggResult{n, n, n, false}, n == 0, &agg);
@@ -1426,7 +1436,7 @@ Status AqpEngine::ExecuteInto(const CompiledQuery& plan,
   ExecScratch& scratch = *lease;
   PartialInto(plan, scratch, &scratch.partial);
   // A merge of one part is the identity: this synopsis's own answer.
-  MergePartialResults(plan.query_.func, plan.grouped(), &scratch.partial, 1,
+  MergePartialResults(plan.func_, plan.grouped(), &scratch.partial, 1,
                       result, ks_);
   return Status::OK();
 }
@@ -1462,7 +1472,7 @@ bool AqpEngine::TryCountShortcutFast(const CompiledQuery& plan,
   // bin needs only prefix-sum differences (all contributions are exact
   // integers, so the total is identical to the general path's per-bin
   // sum).
-  if (plan.query_.func != AggFunc::kCount || plan.grid_.IsPair() ||
+  if (plan.func_ != AggFunc::kCount || plan.grid_.IsPair() ||
       !plan.where_.has_value() || plan.where_->type != Node::Type::kLeaf ||
       plan.where_->column != plan.agg_col_) {
     return false;
@@ -1483,7 +1493,7 @@ void AqpEngine::GroupBatchPlans(const std::vector<const CompiledQuery*>& plans,
   scratch.singles.clear();
   for (size_t i = 0; i < plans.size(); ++i) {
     const CompiledQuery& p = *plans[i];
-    if (p.grouped() || (p.query_.count_star && !p.where_.has_value())) {
+    if (p.grouped() || (p.count_star_ && !p.where_.has_value())) {
       scratch.singles.push_back(i);
       continue;
     }
@@ -1592,7 +1602,7 @@ Status AqpEngine::ExecutePartialBatchInto(
       const CompiledQuery& p = *plans[i];
       const IntervalSet* clip =
           p.agg_clip_.has_value() ? &*p.agg_clip_ : nullptr;
-      FillPartialFromWeights(*ph_, options_, *ks_, p.query_.func, p.agg_col_,
+      FillPartialFromWeights(*ph_, options_, *ks_, p.func_, p.agg_col_,
                              p.grid_, g.wt, p.single_column_, clip, arena,
                              &ScalarSlot(out[i]));
     }

@@ -86,11 +86,13 @@ struct AggGrid {
   bool IsPair() const { return pair.valid(); }
 };
 
-/// A query compiled against one synopsis: the parsed AST plus everything
-/// the parse → literal-mapping → normalization → grid-selection stages of
-/// Fig. 7 produce, captured once so repeated execution runs only coverage
-/// + weighting + aggregation. Obtained from AqpEngine::Compile (or
-/// Db::Prepare); executed with AqpEngine::Execute(plan).
+/// A query compiled against one synopsis: everything the literal-mapping →
+/// normalization → grid-selection stages of Fig. 7 produce, captured once
+/// so repeated execution runs only coverage + weighting + aggregation. Of
+/// the parsed AST it keeps only what execution reads (the aggregate and
+/// COUNT(*)); the statement's one Query lives with its caller. Obtained
+/// from AqpEngine::Compile (or Db::Prepare); executed with
+/// AqpEngine::Execute(plan).
 ///
 /// The plan holds pointers into the synopsis it was compiled against, so
 /// it must not outlive that synopsis. Incremental PairwiseHist::Update
@@ -100,7 +102,8 @@ class CompiledQuery {
  public:
   CompiledQuery() = default;
 
-  const Query& query() const { return query_; }
+  AggFunc func() const { return func_; }
+  bool count_star() const { return count_star_; }
   /// Aggregation column index resolved against the synopsis.
   size_t agg_column() const { return agg_col_; }
   /// True when execution aggregates on a refined pairwise grid rather
@@ -125,7 +128,8 @@ class CompiledQuery {
  private:
   friend class AqpEngine;
 
-  Query query_;
+  AggFunc func_ = AggFunc::kCount;
+  bool count_star_ = false;
   size_t agg_col_ = 0;
   std::optional<NormalizedPredicate> where_;  // normalized WHERE clause
   bool has_or_ = false;
@@ -214,15 +218,18 @@ class AqpEngine {
 
   StatusOr<Node> Normalize(const PredicateNode& node) const;
   static bool HasOr(const Node& node);
-  static void CollectLeaves(const Node& node,
-                            std::vector<const Node*>* leaves);
   /// Returns the consolidated interval set of a root-level conjunctive
   /// leaf on `agg_col`, or nullptr.
   static const IntervalSet* FindAggClip(const Node& node, size_t agg_col);
 
-  Grid ChooseGrid(size_t agg_col, const Node* root, bool has_or) const;
+  static constexpr size_t kNoColumn = ~size_t{0};
+  /// Aggregation grid for the predicate columns of `root` (may be null)
+  /// plus `group_col` (kNoColumn when not grouped).
+  Grid ChooseGrid(size_t agg_col, const Node* root, bool has_or,
+                  size_t group_col) const;
   /// Compile support: grid bin → refined agg bin of the (agg_col, col)
-  /// pair (empty when the leaf doesn't transfer).
+  /// pair (empty when the leaf doesn't transfer), built by one merge walk
+  /// over the two sorted edge arrays.
   std::vector<uint32_t> TransferMap(size_t agg_col, size_t col,
                                     const Grid& grid) const;
   void FillTransferMaps(Node* node, size_t agg_col, const Grid& grid) const;

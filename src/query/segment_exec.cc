@@ -152,14 +152,18 @@ Status SegmentedExecutor::EnsurePlans(SegmentedPlan::State* st) const {
     planned = 0;
   }
 
-  // Compile the missing tail into temporaries first so a failure leaves
-  // the plan exactly as it was.
-  std::vector<CompiledQuery> fresh;
+  // Compile the missing tail; a failure truncates it again, leaving the
+  // plan exactly as it was.
+  st->plans.reserve(nseg);
+  st->skip.reserve(nseg);
   for (size_t i = planned; i < nseg; ++i) {
-    PH_ASSIGN_OR_RETURN(CompiledQuery plan, engines_[i]->Compile(st->query));
-    fresh.push_back(std::move(plan));
+    StatusOr<CompiledQuery> plan = engines_[i]->Compile(st->query);
+    if (!plan.ok()) {
+      st->plans.resize(planned);
+      return plan.status();
+    }
+    st->plans.push_back(std::move(plan).value());
   }
-  for (CompiledQuery& plan : fresh) st->plans.push_back(std::move(plan));
   // Prune flags for the new segments only: sealed segments are immutable,
   // so a flag computed once stays valid until a compaction replaces it.
   const bool prune = options_.prune && st->query.where.has_value();
@@ -173,13 +177,13 @@ Status SegmentedExecutor::EnsurePlans(SegmentedPlan::State* st) const {
   return Status::OK();
 }
 
-StatusOr<SegmentedPlan> SegmentedExecutor::Prepare(const Query& query) const {
+StatusOr<SegmentedPlan> SegmentedExecutor::Prepare(Query query) const {
   if (engines_.empty()) {
     return Status::Internal("SegmentedExecutor has no segments");
   }
   SegmentedPlan plan;
   plan.state_ = std::make_shared<SegmentedPlan::State>();
-  plan.state_->query = query;
+  plan.state_->query = std::move(query);
   PH_RETURN_IF_ERROR(EnsurePlans(plan.state_.get()));
   return plan;
 }

@@ -55,6 +55,8 @@ struct SegmentedExecOptions {
 class SegmentedPlan {
  public:
   SegmentedPlan() = default;
+  /// The statement's one parsed Query (the per-segment plans keep only
+  /// what execution reads).
   const Query& query() const;
   /// Segments planned so far (grows lazily after appends).
   size_t PlannedSegments() const;
@@ -94,8 +96,8 @@ class SegmentedExecutor {
   Status Refresh();
 
   /// Compiles `query` against every current segment (later segments are
-  /// compiled lazily at execution time).
-  StatusOr<SegmentedPlan> Prepare(const Query& query) const;
+  /// compiled lazily at execution time). The plan takes the query.
+  StatusOr<SegmentedPlan> Prepare(Query query) const;
 
   /// Executes: per-segment partials (fanned out over the pool when more
   /// than one segment is live), then a deterministic serial merge.

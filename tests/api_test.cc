@@ -443,7 +443,7 @@ TEST(CompiledQueryTest, PlanIntrospection) {
   auto plan = engine.Compile(q.value());
   ASSERT_TRUE(plan.ok());
   EXPECT_FALSE(plan->grouped());
-  EXPECT_EQ(plan->query().func, AggFunc::kAvg);
+  EXPECT_EQ(plan->func(), AggFunc::kAvg);
 
   auto grouped = engine.Compile(
       ParseSql("SELECT COUNT(*) FROM power GROUP BY day_of_week;").value());

@@ -486,6 +486,29 @@ TEST(BatchDedup, DuplicateStatementsShareOnePlan) {
   ExpectIdentical(single.value(), results->at(0), a);
 }
 
+// The dedup key is Query::ToSql, which must keep literals that differ past
+// ten significant digits apart.
+TEST(BatchDedup, LiteralsPastTenDigitsGetTheirOwnPlans) {
+  auto db = Db::FromGenerator("power", 8000, 3);
+  ASSERT_TRUE(db.ok()) << db.status().ToString();
+  const std::string whole =
+      "SELECT COUNT(*) FROM power WHERE timestamp < 1578000000;";
+  const std::string frac =
+      "SELECT COUNT(*) FROM power WHERE timestamp < 1578000000.4;";
+  const std::vector<std::string> sqls = {whole, frac, whole, frac};
+  auto batch = db->PrepareBatch(sqls);
+  ASSERT_TRUE(batch.ok()) << batch.status().ToString();
+  EXPECT_EQ(batch->NumDistinctPlans(), 2u);
+  auto results = batch->Execute();
+  ASSERT_TRUE(results.ok());
+  for (size_t i = 0; i < sqls.size(); ++i) {
+    auto single = db->ExecuteSql(sqls[i]);
+    ASSERT_TRUE(single.ok());
+    ExpectIdentical(single.value(), results->at(i), sqls[i]);
+  }
+  ASSERT_NE(results->at(0).Scalar().estimate, results->at(1).Scalar().estimate);
+}
+
 // ---------------------------------------------------------------------------
 // API edges.
 

@@ -12,6 +12,7 @@
 #include "query/exact.h"
 #include "query/sql_parser.h"
 #include "tests/oracle/reference_engine.h"
+#include "tests/statement_pool.h"
 
 namespace pairwisehist {
 namespace {
@@ -315,6 +316,40 @@ TEST(EngineSamplingTest, CountScalesBySamplingRatio) {
   ASSERT_TRUE(r.ok());
   // Full-table count recovered from the sample through ρ.
   EXPECT_NEAR(r->Scalar().estimate, 20000.0, 1.0);
+}
+
+// Compile builds each transfer map by one merge walk over the two sorted
+// edge arrays; every entry must equal the per-bin binary search it
+// replaces (the oracle's BinIndex of the grid-bin midpoint).
+TEST(EngineCompileTest, TransferMapsMatchBinIndex) {
+  auto table = MakeDataset("power", 20000, 1);
+  ASSERT_TRUE(table.ok());
+  auto ph = PairwiseHist::BuildFromTable(table.value(), PairwiseHistConfig{});
+  ASSERT_TRUE(ph.ok()) << ph.status().ToString();
+  AqpEngine engine(&ph.value());
+  size_t maps = 0;
+  for (const std::string& sql : StatementPool(table.value(), 1, 10)) {
+    auto plan = engine.Compile(ParseSql(sql).value());
+    ASSERT_TRUE(plan.ok()) << sql;
+    if (plan->where() == nullptr) continue;
+    const HistogramDim& gdim = *plan->grid().dim;
+    std::vector<const NormalizedPredicate*> stack = {plan->where()};
+    while (!stack.empty()) {
+      const NormalizedPredicate* node = stack.back();
+      stack.pop_back();
+      for (const NormalizedPredicate& c : node->children) stack.push_back(&c);
+      if (node->g2ta.empty()) continue;
+      const HistogramDim& agg_dim =
+          ph->GetPair(plan->agg_column(), node->column).agg_dim();
+      ASSERT_EQ(node->g2ta.size(), gdim.NumBins()) << sql;
+      for (size_t g = 0; g < gdim.NumBins(); ++g) {
+        const double mid = (gdim.edges[g] + gdim.edges[g + 1]) / 2.0;
+        ASSERT_EQ(node->g2ta[g], agg_dim.BinIndex(mid)) << sql << " bin " << g;
+      }
+      ++maps;
+    }
+  }
+  EXPECT_GT(maps, 100u);
 }
 
 }  // namespace

@@ -350,7 +350,7 @@ AggResult ReferenceEngine::ExecuteScalar(
       ResolveSingle(plan.single_column(), extra_group_leaf, agg_col);
   ExecArena arena;
   WeightTable view{wt.w.data(), wt.lo.data(), wt.hi.data(), 0, k};
-  return AggregateImpl(*ph_, compiler_.options(), *ks_, plan.query().func,
+  return AggregateImpl(*ph_, compiler_.options(), *ks_, plan.func(),
                        agg_col, grid, view, single, agg_clip, arena);
 }
 
@@ -359,7 +359,7 @@ StatusOr<QueryResult> ReferenceEngine::Execute(
   QueryResult result;
   if (!plan.grouped()) {
     AggResult agg;
-    if (plan.query().count_star && plan.where() == nullptr) {
+    if (plan.count_star() && plan.where() == nullptr) {
       // COUNT(*) with no predicate: exact row count.
       agg.estimate = agg.lower = agg.upper =
           static_cast<double>(ph_->total_rows());
@@ -379,7 +379,7 @@ StatusOr<QueryResult> ReferenceEngine::Execute(
                                      static_cast<double>(code));
     AggResult agg = ExecuteScalar(plan, &leaf);
     bool empty_count =
-        plan.query().func == AggFunc::kCount && agg.estimate <= 0.5;
+        plan.func() == AggFunc::kCount && agg.estimate <= 0.5;
     if (agg.empty_selection || empty_count) continue;
     result.groups.push_back(
         QueryResult::Group{FormatGroupLabel(tr, code), agg});

@@ -1,6 +1,10 @@
 // Tests for the query layer: SQL parsing, interval sets, coverage with
 // Theorem-2 bounds, and the exact engine.
 #include <cmath>
+#include <cstdlib>
+#include <cstring>
+#include <string>
+#include <utility>
 
 #include <gtest/gtest.h>
 
@@ -138,6 +142,142 @@ TEST(SqlParserTest, QueryHelpers) {
   EXPECT_FALSE(q->SingleColumn());
   auto single = ParseSql("SELECT SUM(x) FROM t WHERE x > 1 AND x < 9;");
   EXPECT_TRUE(single->SingleColumn());
+}
+
+TEST(SqlParserTest, SingleColumnCountStar) {
+  EXPECT_TRUE(ParseSql("SELECT COUNT(*) FROM t;")->SingleColumn());
+  EXPECT_TRUE(
+      ParseSql("SELECT COUNT(*) FROM t WHERE x > 1 OR x < 0;")->SingleColumn());
+  EXPECT_FALSE(
+      ParseSql("SELECT COUNT(*) FROM t WHERE x > 1 OR y < 0;")->SingleColumn());
+  EXPECT_FALSE(ParseSql("SELECT AVG(x) FROM t WHERE (x > 1 OR x < 0) AND "
+                        "(x > 3 OR y = 'a');")
+                   ->SingleColumn());
+}
+
+// Nesting is bounded, so no statement can recurse the parser off the stack.
+std::string NestedSql(int depth) {
+  return "SELECT COUNT(*) FROM t WHERE " + std::string(depth, '(') +
+         "x > 1" + std::string(depth, ')') + ";";
+}
+
+TEST(SqlParserTest, NestingLimit) {
+  auto deepest = ParseSql(NestedSql(kMaxSqlNesting));
+  ASSERT_TRUE(deepest.ok()) << deepest.status().ToString();
+  EXPECT_EQ(deepest->where->condition.column, "x");
+
+  const size_t prefix = std::string("SELECT COUNT(*) FROM t WHERE ").size();
+  for (int depth : {kMaxSqlNesting + 1, 100000}) {
+    auto q = ParseSql(NestedSql(depth));
+    ASSERT_FALSE(q.ok()) << depth;
+    EXPECT_EQ(q.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_EQ(q.status().message(),
+              "SQL: nesting too deep at offset " +
+                  std::to_string(prefix + kMaxSqlNesting));
+  }
+  // The limit counts open parentheses, not parentheses in total.
+  std::string wide = "SELECT COUNT(*) FROM t WHERE (x > 1)";
+  for (int i = 0; i < 1000; ++i) wide += " OR (x < 0)";
+  EXPECT_TRUE(ParseSql(wide).ok());
+}
+
+// Reads `literal` as the WHERE value of an otherwise fixed statement.
+StatusOr<Query> ParseLiteral(const std::string& literal) {
+  return ParseSql("SELECT COUNT(x) FROM t WHERE x < " + literal + ";");
+}
+
+TEST(SqlParserTest, DecimalLiteralsReadAsStrtodDoes) {
+  for (const char* lit :
+       {"5", "+5", "-5", ".5e1", "-12.5", "7.", "-.25", "+.5E-3", "007.50",
+        "1e5", "1E+5", "2.5e-3", "1578000000.4", "0.1", "-0", "0.0",
+        "123456789012345678901234567890", "1.7976931348623157e308",
+        "4.9406564584124654e-324", "2.2250738585072011e-308",
+        "1e-400", "-1e-400", "0.000000000000000000000000000001e-300"}) {
+    auto q = ParseLiteral(lit);
+    ASSERT_TRUE(q.ok()) << lit << ": " << q.status().ToString();
+    const double want = std::strtod(lit, nullptr);
+    const double got = q->where->condition.value;
+    EXPECT_EQ(std::memcmp(&want, &got, sizeof(double)), 0)
+        << lit << ": " << got << " vs strtod " << want;
+  }
+  // An exponent marker without digits ends the number, as in strtod.
+  auto dangling = ParseSql("SELECT COUNT(x) FROM t WHERE x < 1e AND y > 2;");
+  ASSERT_FALSE(dangling.ok());
+  EXPECT_EQ(dangling.status().message(),
+            "SQL: unexpected trailing input at offset 34");
+}
+
+TEST(SqlParserTest, RejectsNonDecimalLiterals) {
+  const size_t at = std::string("SELECT COUNT(x) FROM t WHERE x < ").size();
+  const std::pair<const char*, const char*> cases[] = {
+      {"-nan", "non-finite literal"},
+      {"+NaN", "non-finite literal"},
+      {"-nan(0x1)", "non-finite literal"},
+      {"+inf", "non-finite literal"},
+      {"-infinity", "non-finite literal"},
+      {"-Infinity", "non-finite literal"},
+      {"0x10", "hexadecimal literal"},
+      {"-0x1p3", "hexadecimal literal"},
+      {"0X.8", "hexadecimal literal"},
+      {"1e400", "numeric literal out of range"},
+      {"-1.8e308", "numeric literal out of range"},
+      {"1000000000000000000000e300", "numeric literal out of range"},
+  };
+  for (const auto& [lit, what] : cases) {
+    auto q = ParseLiteral(lit);
+    ASSERT_FALSE(q.ok()) << lit;
+    EXPECT_EQ(q.status().code(), StatusCode::kInvalidArgument) << lit;
+    EXPECT_EQ(q.status().message(),
+              std::string("SQL: ") + what + " at offset " + std::to_string(at))
+        << lit;
+  }
+  // Unsigned spellings are identifiers, which are no literal.
+  for (const char* lit : {"nan", "inf", "infinity"}) {
+    auto q = ParseLiteral(lit);
+    ASSERT_FALSE(q.ok()) << lit;
+    EXPECT_EQ(q.status().message(),
+              "SQL: expected literal at offset " + std::to_string(at));
+  }
+}
+
+// ParseSql(q.ToSql()) reproduces q bit for bit, so ToSql can key caches.
+TEST(SqlParserTest, ToSqlIsInjective) {
+  const double values[] = {1578000000.4, 1578000000, -0.0, 0.0, 0.1, 1e-300,
+                           -2.5e-310, 1e15, 123456789.123456789, 1e300,
+                           -1234567890123456.0, 4.9406564584124654e-324};
+  for (double v : values) {
+    Query q;
+    q.func = AggFunc::kSum;
+    q.agg_column = "x";
+    q.table = "t";
+    PredicateNode leaf;
+    leaf.condition.column = "x";
+    leaf.condition.op = CmpOp::kLt;
+    leaf.condition.value = v;
+    q.where = leaf;
+    auto back = ParseSql(q.ToSql());
+    ASSERT_TRUE(back.ok()) << q.ToSql();
+    const double got = back->where->condition.value;
+    EXPECT_EQ(std::memcmp(&v, &got, sizeof(double)), 0) << q.ToSql();
+  }
+  EXPECT_NE(ParseSql("SELECT COUNT(*) FROM t WHERE x < 1578000000.4;")
+                ->ToSql(),
+            ParseSql("SELECT COUNT(*) FROM t WHERE x < 1578000000;")->ToSql());
+
+  for (const char* text : {"O'Hare", "''", "'", "a''b'", "\"", "x' OR 'y"}) {
+    Query q;
+    q.count_star = true;
+    q.table = "t";
+    PredicateNode leaf;
+    leaf.condition.column = "c";
+    leaf.condition.is_string = true;
+    leaf.condition.text_value = text;
+    q.where = leaf;
+    auto back = ParseSql(q.ToSql());
+    ASSERT_TRUE(back.ok()) << q.ToSql();
+    EXPECT_EQ(back->where->condition.text_value, text) << q.ToSql();
+    EXPECT_EQ(back->ToSql(), q.ToSql());
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -317,6 +317,28 @@ TEST_F(RawSocketAbuse, GarbageRequestAnswers400AndCloses) {
   EXPECT_EQ(resp->status, 200);
 }
 
+// A statement nested 100,000 parentheses deep (200 KB, far under the body
+// cap) is refused at the parser's nesting limit instead of recursing the
+// connection thread off its stack; the server keeps answering.
+TEST_F(RawSocketAbuse, DeeplyNestedSqlAnswers400AndServerLives) {
+  const int depth = 100000;
+  const std::string sql = "SELECT COUNT(*) FROM power WHERE " +
+                          std::string(depth, '(') + "hour > 3" +
+                          std::string(depth, ')') + ";";
+  HttpClient client;
+  ASSERT_TRUE(client.Connect("127.0.0.1", server_->port()).ok());
+  auto resp = client.Request("POST", "/query", "{\"sql\":\"" + sql + "\"}");
+  ASSERT_TRUE(resp.ok()) << resp.status().ToString();
+  EXPECT_EQ(resp->status, 400) << resp->body;
+  EXPECT_NE(resp->body.find("nesting too deep"), std::string::npos)
+      << resp->body;
+
+  auto next = client.Request("POST", "/query",
+                             "{\"sql\":\"SELECT COUNT(*) FROM power;\"}");
+  ASSERT_TRUE(next.ok()) << next.status().ToString();
+  EXPECT_EQ(next->status, 200) << next->body;
+}
+
 TEST_F(RawSocketAbuse, MissingVersionAndBadContentLengthAre400) {
   {
     RawConn conn(server_->port());

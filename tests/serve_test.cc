@@ -484,6 +484,29 @@ TEST(ServingDbTest, SnapshotIsolationUnderConcurrentAppends) {
   }
 }
 
+// The plan-cache key is Query::ToSql, which must keep literals that differ
+// past ten significant digits apart: each statement answers exactly as a
+// fresh Db::ExecuteSql of its own text, whichever was cached first.
+TEST(ServingDbTest, LiteralsPastTenDigitsDoNotShareAPlan) {
+  ServingDb serving(MakePowerDb(8000));
+  const std::string whole =
+      "SELECT COUNT(*) FROM power WHERE timestamp < 1578000000;";
+  const std::string frac =
+      "SELECT COUNT(*) FROM power WHERE timestamp < 1578000000.4;";
+  auto snap = serving.snapshot();
+  auto want_whole = snap->db.ExecuteSql(whole);
+  auto want_frac = snap->db.ExecuteSql(frac);
+  ASSERT_TRUE(want_whole.ok() && want_frac.ok());
+  ASSERT_NE(want_whole->Scalar().estimate, want_frac->Scalar().estimate);
+
+  QueryResult got;
+  for (const std::string* sql : {&whole, &frac, &whole, &frac}) {
+    ASSERT_TRUE(serving.Query(*sql, &got).ok()) << *sql;
+    ExpectBitEqual(got, sql == &whole ? *want_whole : *want_frac, *sql);
+  }
+  EXPECT_EQ(serving.Stats().cache_entries, 2u);
+}
+
 TEST(ServingDbTest, QueryBatchAndTakeDb) {
   ServingDb serving(MakePowerDb(10000));
   std::vector<std::string> sqls = {ServeSqls()[0], "BROKEN SQL",
