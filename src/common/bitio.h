@@ -1,7 +1,8 @@
 // Bit-granular writer/reader over a byte buffer.
 //
-// Used by the GreedyGD base/deviation packing and the PairwiseHist storage
-// encoding (dense bin counts at ℓh bits per count; Golomb codes).
+// Used by the PairwiseHist storage encoding (dense bin counts at ℓh bits
+// per count; Golomb codes). GreedyGD packs its fixed-width records with its
+// own word-at-a-time helpers in the same MSB-first bit order.
 // Bits are written MSB-first within each byte so that the encoded stream is
 // byte-order independent and prefix codes decode naturally.
 #ifndef PAIRWISEHIST_COMMON_BITIO_H_

@@ -192,7 +192,7 @@ StatusOr<PairwiseHist> PairwiseHist::Build(const PreprocessedTable& pre,
                 2, static_cast<uint64_t>(
                        std::llround(config.min_points_fraction * ns)));
   out.alpha_ = config.alpha;
-  out.critical_ = std::make_shared<Chi2CriticalCache>(config.alpha);
+  out.critical_ = SharedChi2CriticalCache(config.alpha);
 
   RefineConfig refine;
   refine.min_points = out.min_points_;
@@ -201,42 +201,46 @@ StatusOr<PairwiseHist> PairwiseHist::Build(const PreprocessedTable& pre,
   std::vector<uint32_t> rows = SampleRows(n, ns, config.seed);
 
   // ---- 1-d histograms ----------------------------------------------------
-  // Per column: sorted non-null sampled codes.
-  std::vector<std::vector<double>> col_values(d);
+  // Each column is sorted and binned once; the ranks serve its 1-d
+  // histogram here and then every pair it belongs to.
+  std::vector<ColumnRanks> ranks;
+  ranks.reserve(d);
   out.hist1d_.resize(d);
   const size_t max_edges = static_cast<size_t>(
       std::ceil(static_cast<double>(ns) / out.min_points_));
   for (size_t c = 0; c < d; ++c) {
-    auto& vals = col_values[c];
-    vals.reserve(rows.size());
-    for (uint32_t r : rows) {
-      uint64_t code = pre.codes[c][r];
-      if (code != kMissingCode) vals.push_back(static_cast<double>(code));
+    std::vector<double> values(rows.size());
+    for (size_t p = 0; p < rows.size(); ++p) {
+      uint64_t code = pre.codes[c][rows[p]];
+      values[p] = code == kMissingCode ? std::nan("")
+                                       : static_cast<double>(code);
     }
-    std::sort(vals.begin(), vals.end());
-    if (vals.empty()) {
+    ColumnRanks& rc = ranks.emplace_back(std::move(values));
+    if (rc.order.empty()) {
       // All-null column: degenerate single empty bin.
       out.hist1d_[c] = BuildHistogram1D({}, {1.0, 2.0}, refine,
                                         *out.critical_);
-      continue;
+    } else {
+      std::vector<uint64_t> bases;
+      const std::vector<uint64_t>* bases_ptr = nullptr;
+      if (gd != nullptr && config.use_bases_for_edges) {
+        bases = gd->ColumnBaseValues(c);
+        bases_ptr = &bases;
+      }
+      std::vector<double> sorted = rc.SortedValues();
+      std::vector<double> edges =
+          InitialEdges(bases_ptr, max_edges, sorted.front(), sorted.back());
+      out.hist1d_[c] = BuildHistogram1D(sorted, edges, refine,
+                                        *out.critical_);
     }
-    std::vector<uint64_t> bases;
-    const std::vector<uint64_t>* bases_ptr = nullptr;
-    if (gd != nullptr && config.use_bases_for_edges) {
-      bases = gd->ColumnBaseValues(c);
-      bases_ptr = &bases;
-    }
-    std::vector<double> edges =
-        InitialEdges(bases_ptr, max_edges, vals.front(), vals.back());
-    out.hist1d_[c] =
-        BuildHistogram1D(vals, edges, refine, *out.critical_);
+    rc.AssignBins(out.hist1d_[c]);
   }
 
   // ---- 2-d histograms ----------------------------------------------------
   // The d(d-1)/2 pair builds are independent and individually deterministic,
-  // so they fan out over the shared work-counter pool, each writing its
-  // fixed PairSlot — the result is identical for any thread count or
-  // scheduling.
+  // so they fan out over the shared work-counter pool, each reading the
+  // shared ranks and writing its fixed PairSlot — the result is identical
+  // for any thread count or scheduling.
   if (d > 1) {
     const size_t npairs = d * (d - 1) / 2;
     out.pairs_.resize(npairs);
@@ -251,24 +255,12 @@ StatusOr<PairwiseHist> PairwiseHist::Build(const PreprocessedTable& pre,
     ParallelFor(work.size(), config.build_threads, [&](size_t w) {
       const uint32_t i = work[w].first;
       const uint32_t j = work[w].second;
-      // One exact-size gather allocation per pair, released when the pair
-      // finishes — negligible next to the histogram build itself, and
-      // nothing is retained after Build returns.
-      std::vector<double> xi, xj;
-      xi.reserve(rows.size());
-      xj.reserve(rows.size());
-      for (uint32_t r : rows) {
-        uint64_t ci = pre.codes[i][r];
-        uint64_t cj = pre.codes[j][r];
-        if (ci == kMissingCode || cj == kMissingCode) continue;
-        xi.push_back(static_cast<double>(ci));
-        xj.push_back(static_cast<double>(cj));
-      }
       out.pairs_[PairSlot(i, j)] = BuildPairHistogram(
-          xi, xj, i, j, out.hist1d_[i], out.hist1d_[j], refine,
+          ranks[i], ranks[j], i, j, out.hist1d_[i], out.hist1d_[j], refine,
           *out.critical_);
     });
   }
+  ranks = {};  // release the ranks before the execution index is built
   out.FinishExecIndex();
   return out;
 }

@@ -23,6 +23,10 @@
 
 namespace pairwisehist {
 
+namespace oracle {
+class ReferenceBuild;
+}  // namespace oracle
+
 /// Build-time parameters (paper notation: Ns, M, α).
 struct PairwiseHistConfig {
   /// Ns: rows sampled for construction (0 = use every row).
@@ -192,6 +196,9 @@ class PairwiseHist {
  private:
   friend class SynopsisCodec;
   friend class Pws3Codec;
+  // The test-only reference builder (tests/oracle/reference_build.h)
+  // assembles synopses with the pre-rank pair construction.
+  friend class oracle::ReferenceBuild;
   PairwiseHist() = default;
 
   static size_t PairSlot(size_t i, size_t j);  // requires i > j

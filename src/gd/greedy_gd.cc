@@ -1,9 +1,9 @@
 #include "gd/greedy_gd.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
-
-#include "common/bitio.h"
+#include <cstring>
 
 namespace pairwisehist {
 
@@ -69,31 +69,64 @@ class ScratchSet {
   size_t count_ = 0;
 };
 
-void PackBits(std::vector<uint8_t>* store, size_t bit_offset, uint64_t value,
-              int nbits) {
-  for (int i = nbits - 1; i >= 0; --i) {
-    size_t byte_index = bit_offset >> 3;
-    int bit_in_byte = 7 - static_cast<int>(bit_offset & 7);
-    if (byte_index >= store->size()) store->resize(byte_index + 1, 0);
-    if ((value >> i) & 1) {
-      (*store)[byte_index] |= static_cast<uint8_t>(1u << bit_in_byte);
-    } else {
-      (*store)[byte_index] &= static_cast<uint8_t>(~(1u << bit_in_byte));
-    }
-    ++bit_offset;
+// The packed stores are MSB-first bit streams (bit 0 of the stream is the
+// top bit of byte 0). Each field is read or written as one big-endian
+// 64-bit word at its first byte, so the vectors carry kWordSlack zero bytes
+// past the last byte of the stream; those are never part of the stream.
+constexpr size_t kWordSlack = 8;
+
+size_t StreamBytes(size_t bits) { return (bits + 7) / 8; }
+
+uint64_t LoadWord(const uint8_t* p) {
+  uint64_t w;
+  std::memcpy(&w, p, sizeof(w));
+  if constexpr (std::endian::native == std::endian::little) {
+    w = __builtin_bswap64(w);
   }
+  return w;
 }
 
+void StoreWord(uint8_t* p, uint64_t w) {
+  if constexpr (std::endian::native == std::endian::little) {
+    w = __builtin_bswap64(w);
+  }
+  std::memcpy(p, &w, sizeof(w));
+}
+
+// Writes the low `nbits` (0..64) bits of `value` at `bit_offset`, growing
+// the store (zero-filled) as needed.
+void PackBits(std::vector<uint8_t>* store, size_t bit_offset, uint64_t value,
+              int nbits) {
+  if (nbits == 0) return;
+  const size_t byte_index = bit_offset >> 3;
+  const int shift = static_cast<int>(bit_offset & 7);
+  if (shift + nbits > 64) {
+    // Straddles nine bytes: write the top half, then the low 32 bits.
+    PackBits(store, bit_offset, value >> 32, nbits - 32);
+    PackBits(store, bit_offset + nbits - 32, value, 32);
+    return;
+  }
+  if (store->size() < byte_index + kWordSlack) {
+    store->resize(byte_index + kWordSlack, 0);
+  }
+  const int low = 64 - shift - nbits;
+  const uint64_t mask = (~uint64_t{0} >> (64 - nbits)) << low;
+  uint8_t* p = store->data() + byte_index;
+  StoreWord(p, (LoadWord(p) & ~mask) | ((value << low) & mask));
+}
+
+// Reads `nbits` (0..64) bits at `bit_offset` of a store written by
+// PackBits.
 uint64_t UnpackBits(const std::vector<uint8_t>& store, size_t bit_offset,
                     int nbits) {
-  uint64_t value = 0;
-  for (int i = 0; i < nbits; ++i) {
-    size_t byte_index = bit_offset >> 3;
-    int bit_in_byte = 7 - static_cast<int>(bit_offset & 7);
-    value = (value << 1) | ((store[byte_index] >> bit_in_byte) & 1);
-    ++bit_offset;
+  if (nbits == 0) return 0;
+  const int shift = static_cast<int>(bit_offset & 7);
+  if (shift + nbits > 64) {
+    uint64_t high = UnpackBits(store, bit_offset, nbits - 32);
+    return (high << 32) | UnpackBits(store, bit_offset + nbits - 32, 32);
   }
-  return value;
+  return (LoadWord(store.data() + (bit_offset >> 3)) << shift) >>
+         (64 - nbits);
 }
 
 }  // namespace
@@ -260,7 +293,8 @@ void CompressedTable::AppendRowRecord(
 }
 
 void CompressedTable::RepackBaseIds(int new_bits) {
-  std::vector<uint8_t> fresh((num_rows_ * new_bits + 7) / 8, 0);
+  std::vector<uint8_t> fresh(StreamBytes(num_rows_ * new_bits) + kWordSlack,
+                             0);
   for (size_t r = 0; r < num_rows_; ++r) {
     uint64_t id = UnpackBits(base_id_store_, r * base_id_bits_,
                              base_id_bits_);
@@ -289,23 +323,24 @@ Status CompressedTable::Append(const PreprocessedTable& more) {
   return Status::OK();
 }
 
+template <typename Emit>
+void CompressedTable::DecodeRow(size_t row, Emit&& emit) const {
+  const uint64_t* base =
+      bases_.data() + UnpackBits(base_id_store_, row * base_id_bits_,
+                                 base_id_bits_) * d_;
+  size_t off = row * dev_total_bits_;
+  for (size_t c = 0; c < d_; ++c) {
+    const int dev = deviation_bits(c);
+    emit(c, (base[c] << dev) | UnpackBits(deviation_store_, off, dev));
+    off += dev;
+  }
+}
+
 StatusOr<std::vector<uint64_t>> CompressedTable::GetRowCodes(
     size_t row) const {
   if (row >= num_rows_) return Status::OutOfRange("GetRowCodes: bad row");
   std::vector<uint64_t> codes(d_);
-  uint64_t id = UnpackBits(base_id_store_, row * base_id_bits_,
-                           base_id_bits_);
-  size_t off = row * dev_total_bits_;
-  for (size_t c = 0; c < d_; ++c) {
-    int dev = deviation_bits(c);
-    uint64_t base = bases_[static_cast<size_t>(id) * d_ + c];
-    uint64_t dv = 0;
-    if (dev > 0) {
-      dv = UnpackBits(deviation_store_, off, dev);
-      off += dev;
-    }
-    codes[c] = (base << dev) | dv;
-  }
+  DecodeRow(row, [&](size_t c, uint64_t code) { codes[c] = code; });
   return codes;
 }
 
@@ -315,8 +350,7 @@ PreprocessedTable CompressedTable::DecompressCodes() const {
   pre.transforms = transforms_;
   pre.codes.assign(d_, std::vector<uint64_t>(num_rows_));
   for (size_t r = 0; r < num_rows_; ++r) {
-    auto codes = GetRowCodes(r);
-    for (size_t c = 0; c < d_; ++c) pre.codes[c][r] = codes.value()[c];
+    DecodeRow(r, [&](size_t c, uint64_t code) { pre.codes[c][r] = code; });
   }
   return pre;
 }
@@ -337,6 +371,14 @@ std::vector<uint64_t> CompressedTable::ColumnBaseValues(size_t col) const {
   std::sort(values.begin(), values.end());
   values.erase(std::unique(values.begin(), values.end()), values.end());
   return values;
+}
+
+std::span<const uint8_t> CompressedTable::base_id_bytes() const {
+  return {base_id_store_.data(), StreamBytes(num_rows_ * base_id_bits_)};
+}
+
+std::span<const uint8_t> CompressedTable::deviation_bytes() const {
+  return {deviation_store_.data(), StreamBytes(num_rows_ * dev_total_bits_)};
 }
 
 size_t CompressedTable::CompressedSizeBytes() const {

@@ -17,6 +17,7 @@
 #define PAIRWISEHIST_GD_GREEDY_GD_H_
 
 #include <cstdint>
+#include <span>
 #include <unordered_map>
 #include <vector>
 
@@ -76,6 +77,11 @@ class CompressedTable {
   /// These seed PairwiseHist's initial 1-d bin edges.
   std::vector<uint64_t> ColumnBaseValues(size_t col) const;
 
+  /// The packed per-row base IDs and deviations: MSB-first bit streams of
+  /// num_rows() fixed-width records, ceil(num_rows() x width / 8) bytes.
+  std::span<const uint8_t> base_id_bytes() const;
+  std::span<const uint8_t> deviation_bytes() const;
+
   /// Bytes of the bit-packed representation (bases + base IDs + deviations
   /// + header/transform metadata).
   size_t CompressedSizeBytes() const;
@@ -93,6 +99,9 @@ class CompressedTable {
   void AppendRowRecord(uint32_t base_id,
                        const std::vector<uint64_t>& deviations);
   void RepackBaseIds(int new_bits);
+  /// Calls emit(col, code) for every column of `row`.
+  template <typename Emit>
+  void DecodeRow(size_t row, Emit&& emit) const;
 
   size_t d_ = 0;
   size_t num_rows_ = 0;

@@ -132,6 +132,25 @@ void RefineBin1D(const double* begin, const double* end, double lower,
   RefineBin1D(mid, end, z, upper, depth + 1, config, critical, out);
 }
 
+// Merge-walk cursor over a dimension's ascending edges: fed ascending
+// values, Advance returns the bin HistogramDim::BinIndex would (the last
+// bin t with edges[t] <= v, clamped to [0, k-1]) in amortized O(1).
+class EdgeWalk {
+ public:
+  explicit EdgeWalk(const VecView<double>& edges)
+      : edges_(edges.data()),
+        last_(edges.size() < 2 ? 0 : edges.size() - 2) {}
+  size_t Advance(double v) {
+    while (t_ < last_ && edges_[t_ + 1] <= v) ++t_;
+    return t_;
+  }
+
+ private:
+  const double* edges_;
+  size_t last_;
+  size_t t_ = 0;
+};
+
 }  // namespace
 
 HistogramDim BuildHistogram1D(const std::vector<double>& sorted_values,
@@ -156,87 +175,154 @@ HistogramDim BuildHistogram1D(const std::vector<double>& sorted_values,
   return out;
 }
 
+ColumnRanks::ColumnRanks(std::vector<double> values)
+    : value(std::move(values)) {
+  // Sort (value, position) pairs: contiguous keys sort faster than
+  // positions compared through the value array, and the position breaks
+  // ties so the order is fully determined.
+  std::vector<std::pair<double, uint32_t>> keyed;
+  keyed.reserve(value.size());
+  for (size_t p = 0; p < value.size(); ++p) {
+    if (!std::isnan(value[p])) {
+      keyed.emplace_back(value[p], static_cast<uint32_t>(p));
+    }
+  }
+  std::sort(keyed.begin(), keyed.end());
+  order.resize(keyed.size());
+  for (size_t k = 0; k < keyed.size(); ++k) order[k] = keyed[k].second;
+}
+
+std::vector<double> ColumnRanks::SortedValues() const {
+  std::vector<double> sorted(order.size());
+  for (size_t k = 0; k < order.size(); ++k) sorted[k] = value[order[k]];
+  return sorted;
+}
+
+void ColumnRanks::AssignBins(const HistogramDim& h1) {
+  bin.assign(value.size(), kNullBin);
+  EdgeWalk walk(h1.edges);
+  for (uint32_t p : order) {
+    bin[p] = static_cast<uint32_t>(walk.Advance(value[p]));
+  }
+}
+
 namespace {
 
-// A point set inside one rectangle during 2-d refinement. Holds indices into
-// the caller's xi/xj arrays.
-struct RectPoints {
-  std::vector<uint32_t> rows;
+// RefineBin2D over one pair's rows. Each rectangle's rows are carried twice,
+// as the range [begin, end) of two position lists: `by_i_` in ascending
+// value of column i and `by_j_` in ascending value of column j. A node reads
+// its sorted values by gathering a list (no sort); a split at z on one
+// dimension cuts that dimension's list at a binary-searched point and
+// stable-partitions the other list, so both halves stay sorted.
+class PairRefiner {
+ public:
+  PairRefiner(const ColumnRanks& ri, const ColumnRanks& rj, uint32_t* by_i,
+              uint32_t* by_j, const RefineConfig& config,
+              const Chi2CriticalCache& critical,
+              std::vector<double>* new_edges_i,
+              std::vector<double>* new_edges_j)
+      : vi_(ri.value.data()),
+        vj_(rj.value.data()),
+        by_i_(by_i),
+        by_j_(by_j),
+        config_(config),
+        critical_(critical),
+        new_edges_i_(new_edges_i),
+        new_edges_j_(new_edges_j) {}
+
+  // Recursively splits the rectangle until both dimensions test uniform or
+  // the point count / width floor stops us. New interior edges apply to the
+  // whole row or column of this pair's histogram (the paper's Fig. 5).
+  void Refine(size_t begin, size_t end, double lo_i, double hi_i,
+              double lo_j, double hi_j, int depth) {
+    if (end - begin <= config_.min_points || depth >= config_.max_depth) {
+      return;
+    }
+    uint64_t ui = 0, uj = 0;
+    UniformityResult ti = Test(vi_, by_i_, begin, end, lo_i, hi_i, &ui);
+    UniformityResult tj = Test(vj_, by_j_, begin, end, lo_j, hi_j, &uj);
+
+    bool can_split_i =
+        !ti.uniform && ui > 1 && (hi_i - lo_i) > config_.min_width;
+    bool can_split_j =
+        !tj.uniform && uj > 1 && (hi_j - lo_j) > config_.min_width;
+    if (!can_split_i && !can_split_j) return;
+
+    // Split the least uniform dimension (largest statistic/critical ratio).
+    bool split_i = can_split_i && (!can_split_j || ti.Ratio() >= tj.Ratio());
+    if (split_i) {
+      double z = SplitPoint(lo_i, hi_i);
+      new_edges_i_->push_back(z);
+      size_t mid = Split(vi_, by_i_, by_j_, begin, end, z);
+      Refine(begin, mid, lo_i, z, lo_j, hi_j, depth + 1);
+      Refine(mid, end, z, hi_i, lo_j, hi_j, depth + 1);
+    } else {
+      double z = SplitPoint(lo_j, hi_j);
+      new_edges_j_->push_back(z);
+      size_t mid = Split(vj_, by_j_, by_i_, begin, end, z);
+      Refine(begin, mid, lo_i, hi_i, lo_j, z, depth + 1);
+      Refine(mid, end, lo_i, hi_i, z, hi_j, depth + 1);
+    }
+  }
+
+ private:
+  // Uniformity test of one dimension over the rectangle's sorted values.
+  UniformityResult Test(const double* v, const uint32_t* sorted,
+                        size_t begin, size_t end, double lo, double hi,
+                        uint64_t* unique) {
+    values_.resize(end - begin);
+    for (size_t k = begin; k < end; ++k) values_[k - begin] = v[sorted[k]];
+    const double* first = values_.data();
+    const double* last = first + values_.size();
+    *unique = CountUniqueSorted(first, last);
+    return TestUniform(first, last, lo, hi, *unique, critical_);
+  }
+
+  // Splits [begin, end) at `z` on the dimension with values `v`: `cut` is
+  // that dimension's sorted list (already partitioned: rows below z come
+  // first), `other` is stable-partitioned to match. Returns the first
+  // index of the upper half.
+  size_t Split(const double* v, const uint32_t* cut, uint32_t* other,
+               size_t begin, size_t end, double z) {
+    const size_t mid = static_cast<size_t>(
+        std::partition_point(cut + begin, cut + end,
+                             [v, z](uint32_t p) { return v[p] < z; }) -
+        cut);
+    upper_.clear();
+    size_t lower = begin;
+    for (size_t k = begin; k < end; ++k) {
+      const uint32_t p = other[k];
+      if (v[p] < z) {
+        other[lower++] = p;
+      } else {
+        upper_.push_back(p);
+      }
+    }
+    std::copy(upper_.begin(), upper_.end(), other + lower);
+    return mid;
+  }
+
+  const double* vi_;
+  const double* vj_;
+  uint32_t* by_i_;
+  uint32_t* by_j_;
+  const RefineConfig& config_;
+  const Chi2CriticalCache& critical_;
+  std::vector<double>* new_edges_i_;
+  std::vector<double>* new_edges_j_;
+  std::vector<double> values_;
+  std::vector<uint32_t> upper_;
 };
 
-// Collects the sorted values of one dimension for the given rows.
-void SortedDimValues(const std::vector<double>& coords,
-                     const std::vector<uint32_t>& rows,
-                     std::vector<double>* scratch) {
-  scratch->clear();
-  scratch->reserve(rows.size());
-  for (uint32_t r : rows) scratch->push_back(coords[r]);
-  std::sort(scratch->begin(), scratch->end());
-}
-
-// RefineBin2D: recursively split the rectangle until both dimensions test
-// uniform or the point count / width floor stops us. New interior edges are
-// appended to `new_edges_i` / `new_edges_j` (they apply to the whole row or
-// column of this pair's histogram, matching the paper's Fig. 5).
-void RefineBin2D(const std::vector<double>& xi, const std::vector<double>& xj,
-                 std::vector<uint32_t> rows, double lo_i, double hi_i,
-                 double lo_j, double hi_j, int depth,
-                 const RefineConfig& config, const Chi2CriticalCache& critical,
-                 std::vector<double>* new_edges_i,
-                 std::vector<double>* new_edges_j,
-                 std::vector<double>* scratch) {
-  if (rows.size() <= config.min_points || depth >= config.max_depth) return;
-
-  SortedDimValues(xi, rows, scratch);
-  uint64_t ui = CountUniqueSorted(scratch->data(),
-                                  scratch->data() + scratch->size());
-  UniformityResult ti = TestUniform(scratch->data(),
-                                    scratch->data() + scratch->size(), lo_i,
-                                    hi_i, ui, critical);
-  SortedDimValues(xj, rows, scratch);
-  uint64_t uj = CountUniqueSorted(scratch->data(),
-                                  scratch->data() + scratch->size());
-  UniformityResult tj = TestUniform(scratch->data(),
-                                    scratch->data() + scratch->size(), lo_j,
-                                    hi_j, uj, critical);
-
-  bool can_split_i = !ti.uniform && ui > 1 && (hi_i - lo_i) > config.min_width;
-  bool can_split_j = !tj.uniform && uj > 1 && (hi_j - lo_j) > config.min_width;
-  if (!can_split_i && !can_split_j) return;
-
-  // Split the least uniform dimension (largest statistic/critical ratio).
-  bool split_i = can_split_i && (!can_split_j || ti.Ratio() >= tj.Ratio());
-
-  const std::vector<double>& coords = split_i ? xi : xj;
-  double z = split_i ? SplitPoint(lo_i, hi_i) : SplitPoint(lo_j, hi_j);
-  (split_i ? new_edges_i : new_edges_j)->push_back(z);
-
-  std::vector<uint32_t> left, right;
-  left.reserve(rows.size() / 2);
-  right.reserve(rows.size() / 2);
-  for (uint32_t r : rows) {
-    (coords[r] < z ? left : right).push_back(r);
-  }
-  rows.clear();
-  rows.shrink_to_fit();
-  if (split_i) {
-    RefineBin2D(xi, xj, std::move(left), lo_i, z, lo_j, hi_j, depth + 1,
-                config, critical, new_edges_i, new_edges_j, scratch);
-    RefineBin2D(xi, xj, std::move(right), z, hi_i, lo_j, hi_j, depth + 1,
-                config, critical, new_edges_i, new_edges_j, scratch);
-  } else {
-    RefineBin2D(xi, xj, std::move(left), lo_i, hi_i, lo_j, z, depth + 1,
-                config, critical, new_edges_i, new_edges_j, scratch);
-    RefineBin2D(xi, xj, std::move(right), lo_i, hi_i, z, hi_j, depth + 1,
-                config, critical, new_edges_i, new_edges_j, scratch);
-  }
-}
-
 // Builds per-dimension metadata (counts, v±, unique, parent) for refined
-// edges over the paired values.
-HistogramDim BuildDimMetadata(const std::vector<double>& values,
+// edges over the pair's rows — the positions of `mine` whose `other` value
+// is non-null — in one walk of the presorted order, and records each row's
+// refined bin in `row_bin` (indexed by position).
+HistogramDim BuildDimMetadata(const ColumnRanks& mine,
+                              const ColumnRanks& other,
                               std::vector<double> refined_edges,
-                              const HistogramDim& h1) {
+                              const HistogramDim& h1,
+                              std::vector<uint32_t>* row_bin) {
   HistogramDim dim;
   dim.edges = std::move(refined_edges);
   size_t k = dim.edges.size() - 1;
@@ -253,33 +339,31 @@ HistogramDim BuildDimMetadata(const std::vector<double>& values,
     dim.v_min[t] = dim.edges[t];
     dim.v_max[t] = dim.edges[t + 1];
   }
-  // Sort a copy of the values once; walk bins over it.
-  std::vector<double> sorted = values;
-  std::sort(sorted.begin(), sorted.end());
-  size_t cursor = 0;
-  for (size_t t = 0; t < k && cursor < sorted.size(); ++t) {
-    size_t begin = cursor;
-    double upper = dim.edges[t + 1];
-    bool last = (t + 1 == k);
-    while (cursor < sorted.size() &&
-           (last || sorted[cursor] < upper)) {
-      ++cursor;
+  uint64_t* counts = dim.counts.mut_data();
+  double* v_min = dim.v_min.mut_data();
+  double* v_max = dim.v_max.mut_data();
+  uint64_t* unique = dim.unique.mut_data();
+  EdgeWalk walk(dim.edges);
+  for (uint32_t p : mine.order) {
+    if (other.IsNull(p)) continue;
+    const double v = mine.value[p];
+    const size_t t = walk.Advance(v);
+    (*row_bin)[p] = static_cast<uint32_t>(t);
+    if (counts[t] == 0) {
+      v_min[t] = v;
+      unique[t] = 1;
+    } else if (v != v_max[t]) {
+      ++unique[t];
     }
-    if (cursor > begin) {
-      dim.counts[t] = cursor - begin;
-      dim.v_min[t] = sorted[begin];
-      dim.v_max[t] = sorted[cursor - 1];
-      dim.unique[t] =
-          CountUniqueSorted(sorted.data() + begin, sorted.data() + cursor);
-    }
+    v_max[t] = v;
+    ++counts[t];
   }
   return dim;
 }
 
 }  // namespace
 
-PairHistogram BuildPairHistogram(const std::vector<double>& xi,
-                                 const std::vector<double>& xj,
+PairHistogram BuildPairHistogram(const ColumnRanks& ri, const ColumnRanks& rj,
                                  uint32_t col_i, uint32_t col_j,
                                  const HistogramDim& h1_i,
                                  const HistogramDim& h1_j,
@@ -288,46 +372,45 @@ PairHistogram BuildPairHistogram(const std::vector<double>& xi,
   PairHistogram ph;
   ph.col_i = col_i;
   ph.col_j = col_j;
-  const size_t n = xi.size();
   const size_t ki0 = h1_i.NumBins();
   const size_t kj0 = h1_j.NumBins();
+  auto cell_of = [&](uint32_t p) {
+    return static_cast<size_t>(ri.bin[p]) * kj0 + rj.bin[p];
+  };
 
-  // Initial cell assignment on the 1-d edges.
-  std::vector<uint32_t> cell_of(n);
-  std::vector<uint32_t> cell_count(ki0 * kj0, 0);
-  for (size_t r = 0; r < n; ++r) {
-    size_t ti = h1_i.BinIndex(xi[r]);
-    size_t tj = h1_j.BinIndex(xj[r]);
-    uint32_t cell = static_cast<uint32_t>(ti * kj0 + tj);
-    cell_of[r] = cell;
-    ++cell_count[cell];
-  }
-
-  // Group row indices by cell (counting sort).
+  // Initial cell assignment on the 1-d edges: two loads per row.
   std::vector<uint32_t> offset(ki0 * kj0 + 1, 0);
-  for (size_t c = 0; c < cell_count.size(); ++c) {
-    offset[c + 1] = offset[c] + cell_count[c];
+  for (uint32_t p : ri.order) {
+    if (!rj.IsNull(p)) ++offset[cell_of(p) + 1];
   }
-  std::vector<uint32_t> grouped(n);
+  for (size_t c = 0; c < ki0 * kj0; ++c) offset[c + 1] += offset[c];
+  const size_t n = offset.back();
+
+  // Group each cell's rows twice (counting sort in each column's order),
+  // so every cell starts with both of its lists sorted.
+  std::vector<uint32_t> by_i(n), by_j(n);
   {
     std::vector<uint32_t> cursor(offset.begin(), offset.end() - 1);
-    for (size_t r = 0; r < n; ++r) {
-      grouped[cursor[cell_of[r]]++] = static_cast<uint32_t>(r);
+    for (uint32_t p : ri.order) {
+      if (!rj.IsNull(p)) by_i[cursor[cell_of(p)]++] = p;
+    }
+    std::copy(offset.begin(), offset.end() - 1, cursor.begin());
+    for (uint32_t p : rj.order) {
+      if (!ri.IsNull(p)) by_j[cursor[cell_of(p)]++] = p;
     }
   }
 
   // Refine each over-full cell; gather new edges per dimension.
-  std::vector<double> new_edges_i, new_edges_j, scratch;
+  std::vector<double> new_edges_i, new_edges_j;
+  PairRefiner refiner(ri, rj, by_i.data(), by_j.data(), config, critical,
+                      &new_edges_i, &new_edges_j);
   for (size_t ti = 0; ti < ki0; ++ti) {
     for (size_t tj = 0; tj < kj0; ++tj) {
       size_t cell = ti * kj0 + tj;
-      uint32_t cnt = cell_count[cell];
-      if (cnt <= config.min_points) continue;
-      std::vector<uint32_t> rows(grouped.begin() + offset[cell],
-                                 grouped.begin() + offset[cell + 1]);
-      RefineBin2D(xi, xj, std::move(rows), h1_i.edges[ti],
-                  h1_i.edges[ti + 1], h1_j.edges[tj], h1_j.edges[tj + 1], 0,
-                  config, critical, &new_edges_i, &new_edges_j, &scratch);
+      if (offset[cell + 1] - offset[cell] <= config.min_points) continue;
+      refiner.Refine(offset[cell], offset[cell + 1], h1_i.edges[ti],
+                     h1_i.edges[ti + 1], h1_j.edges[tj], h1_j.edges[tj + 1],
+                     0);
     }
   }
 
@@ -340,22 +423,36 @@ PairHistogram BuildPairHistogram(const std::vector<double>& xi,
     all.erase(std::unique(all.begin(), all.end()), all.end());
     return all;
   };
-  std::vector<double> edges_i = merge_edges(h1_i.edges, new_edges_i);
-  std::vector<double> edges_j = merge_edges(h1_j.edges, new_edges_j);
 
-  ph.dim_i = BuildDimMetadata(xi, edges_i, h1_i);
-  ph.dim_j = BuildDimMetadata(xj, edges_j, h1_j);
+  // Refined bins per row (indexed by position), from the metadata walks.
+  std::vector<uint32_t> bin_i(ri.value.size()), bin_j(rj.value.size());
+  ph.dim_i = BuildDimMetadata(ri, rj, merge_edges(h1_i.edges, new_edges_i),
+                              h1_i, &bin_i);
+  ph.dim_j = BuildDimMetadata(rj, ri, merge_edges(h1_j.edges, new_edges_j),
+                              h1_j, &bin_j);
 
   // Final cell counts on the refined grid.
-  size_t ki = ph.dim_i.NumBins();
-  size_t kj = ph.dim_j.NumBins();
-  ph.cells.assign(ki * kj, 0);
-  for (size_t r = 0; r < n; ++r) {
-    size_t ti = ph.dim_i.BinIndex(xi[r]);
-    size_t tj = ph.dim_j.BinIndex(xj[r]);
-    ++ph.cells[ti * kj + tj];
+  const size_t kj = ph.dim_j.NumBins();
+  ph.cells.assign(ph.dim_i.NumBins() * kj, 0);
+  uint64_t* cells = ph.cells.mut_data();
+  for (uint32_t p : by_i) {
+    ++cells[static_cast<size_t>(bin_i[p]) * kj + bin_j[p]];
   }
   return ph;
+}
+
+PairHistogram BuildPairHistogram(const std::vector<double>& xi,
+                                 const std::vector<double>& xj,
+                                 uint32_t col_i, uint32_t col_j,
+                                 const HistogramDim& h1_i,
+                                 const HistogramDim& h1_j,
+                                 const RefineConfig& config,
+                                 const Chi2CriticalCache& critical) {
+  ColumnRanks ri(xi), rj(xj);
+  ri.AssignBins(h1_i);
+  rj.AssignBins(h1_j);
+  return BuildPairHistogram(ri, rj, col_i, col_j, h1_i, h1_j, config,
+                            critical);
 }
 
 }  // namespace pairwisehist

@@ -127,10 +127,52 @@ struct PairHistogram {
   void BuildCellPrefix();
 };
 
-/// Builds the pairwise histogram for one column pair. `xi` / `xj` are the
-/// paired values for rows where BOTH columns are non-null. `h1_i` / `h1_j`
-/// are the already-built 1-d histograms providing initial edges (Algorithm 1
-/// lines 14–26).
+/// One column of a build sample, sorted and binned once and then shared
+/// read-only by every pair the column belongs to (d-1 of them). Rows are
+/// identified by their position p in the sample.
+struct ColumnRanks {
+  /// `bin` of a null position.
+  static constexpr uint32_t kNullBin = UINT32_MAX;
+
+  /// Per position: the code as a double, NaN for null (codes are integers,
+  /// so NaN never stands for a real value).
+  std::vector<double> value;
+  /// Non-null positions in ascending value order (ties by position).
+  std::vector<uint32_t> order;
+  /// Per position: the 1-d bin holding the value (HistogramDim::BinIndex),
+  /// kNullBin for null. Filled by AssignBins.
+  std::vector<uint32_t> bin;
+
+  /// Takes the per-position values and sorts their non-null positions.
+  explicit ColumnRanks(std::vector<double> values);
+
+  /// The non-null values in ascending order.
+  std::vector<double> SortedValues() const;
+
+  /// Fills `bin` against the 1-d histogram of this column, by one merge
+  /// walk of `order` over its edges.
+  void AssignBins(const HistogramDim& h1);
+
+  bool IsNull(uint32_t p) const { return bin[p] == kNullBin; }
+};
+
+/// Builds the pairwise histogram for one column pair over the sample
+/// positions where BOTH columns are non-null. `h1_i` / `h1_j` are the
+/// already-built 1-d histograms providing initial edges (Algorithm 1 lines
+/// 14–26); `ri` / `rj` must have had AssignBins called with them. Nothing
+/// is sorted or binary-searched per row: initial cells, the refinement's
+/// per-rectangle sorted values, the refined bins' metadata and the final
+/// cells all come from the shared orders and bins.
+PairHistogram BuildPairHistogram(const ColumnRanks& ri, const ColumnRanks& rj,
+                                 uint32_t col_i, uint32_t col_j,
+                                 const HistogramDim& h1_i,
+                                 const HistogramDim& h1_j,
+                                 const RefineConfig& config,
+                                 const Chi2CriticalCache& critical);
+
+/// The same build over explicit paired values (no nulls): `xi[r]` and
+/// `xj[r]` are row r's two codes. Derives the ranks and calls the overload
+/// above.
 PairHistogram BuildPairHistogram(const std::vector<double>& xi,
                                  const std::vector<double>& xj,
                                  uint32_t col_i, uint32_t col_j,

@@ -5,9 +5,11 @@
 
 #include <gtest/gtest.h>
 
+#include "common/rng.h"
 #include "datagen/datasets.h"
 #include "gd/greedy_gd.h"
 #include "gd/preprocess.h"
+#include "tests/oracle/reference_build.h"
 
 namespace pairwisehist {
 namespace {
@@ -305,6 +307,63 @@ TEST(GreedyGdTest, ManyBasesTriggersIdFieldGrowth) {
   Table back = compressed->Decompress(&t);
   for (size_t r = 0; r < t.NumRows(); r += 101) {
     EXPECT_DOUBLE_EQ(back.column(0).Value(r), t.column(0).Value(r));
+  }
+}
+
+TEST(GreedyGdTest, WideFieldsMatchBitByBitPacking) {
+  // Fields of 1 to 63 bits at every bit offset, including the ones that
+  // span nine bytes, built and then appended to: the packed streams must
+  // equal the bit-by-bit packer's and decode back. The last three columns
+  // hold one high-bit value in the first 1000 rows, which the greedy
+  // search puts in the base, and 500 in the appended rows, which outgrow
+  // the 8-bit base-ID field and repack it.
+  const std::vector<int> widths = {1, 7, 33, 58, 63, 61, 13, 16, 16, 16};
+  PreprocessedTable pre;
+  pre.name = "wide";
+  Rng rng(31);
+  for (size_t c = 0; c < widths.size(); ++c) {
+    ColumnTransform tr;
+    tr.name = "w" + std::to_string(c);
+    tr.type = DataType::kInt64;
+    tr.bit_width = widths[c];
+    tr.max_code = (uint64_t{1} << widths[c]) - 1;
+    pre.transforms.push_back(tr);
+    std::vector<uint64_t> codes(3000);
+    for (size_t r = 0; r < codes.size(); ++r) {
+      const uint64_t high = r < 1000 ? 5 : (r * 7919) % 500;
+      codes[r] = c < 7 ? rng.Next() & tr.max_code
+                       : high << 7 | (rng.Next() & 127);
+    }
+    pre.codes.push_back(std::move(codes));
+  }
+  GdConfig config;
+  config.min_deviation_bits = 5;
+  PreprocessedTable head = pre, tail = pre;
+  for (size_t c = 0; c < widths.size(); ++c) {
+    head.codes[c].resize(1000);
+    tail.codes[c].erase(tail.codes[c].begin(), tail.codes[c].begin() + 1000);
+  }
+  auto compressed = CompressedTable::Compress(head, config);
+  ASSERT_TRUE(compressed.ok()) << compressed.status().ToString();
+  ASSERT_LE(compressed->num_bases(), 256u);
+  ASSERT_TRUE(compressed->Append(tail).ok());
+  ASSERT_GT(compressed->num_bases(), 256u);
+
+  std::vector<int> deviation_bits;
+  for (size_t c = 0; c < widths.size(); ++c) {
+    deviation_bits.push_back(compressed->deviation_bits(c));
+  }
+  oracle::GdStores expected = oracle::ReferenceGdStores(pre, deviation_bits);
+  const auto ids = compressed->base_id_bytes();
+  const auto devs = compressed->deviation_bytes();
+  EXPECT_EQ(std::vector<uint8_t>(ids.begin(), ids.end()), expected.base_ids);
+  EXPECT_EQ(std::vector<uint8_t>(devs.begin(), devs.end()),
+            expected.deviations);
+  EXPECT_EQ(compressed->DecompressCodes().codes, pre.codes);
+  auto row = compressed->GetRowCodes(2999);
+  ASSERT_TRUE(row.ok());
+  for (size_t c = 0; c < widths.size(); ++c) {
+    EXPECT_EQ((*row)[c], pre.codes[c][2999]);
   }
 }
 

@@ -6,8 +6,12 @@
 
 #include "common/rng.h"
 #include "common/stats.h"
+#include "core/pairwise_hist.h"
+#include "gd/preprocess.h"
 #include "hist/histogram.h"
 #include "hist/uniformity.h"
+#include "storage/table.h"
+#include "tests/oracle/reference_build.h"
 
 namespace pairwisehist {
 namespace {
@@ -326,6 +330,165 @@ TEST(Refine2DTest, EmptyInputProducesEmptyCells) {
                                         TestConfig(100), cache);
   EXPECT_EQ(ph.cells.size(), 1u);
   EXPECT_EQ(ph.cells[0], 0u);
+}
+
+// ---- Rank-path edge cases, each against the reference builder -----------
+//
+// The library builds pairs from shared per-column ranks; the oracle sorts
+// per pair and per refinement node and bins with BinIndex. Both must
+// produce identical arrays (and so identical bytes).
+
+void ExpectSameDim(const HistogramDim& a, const HistogramDim& b) {
+  EXPECT_TRUE(a.edges == b.edges);
+  EXPECT_TRUE(a.counts == b.counts);
+  EXPECT_TRUE(a.v_min == b.v_min);
+  EXPECT_TRUE(a.v_max == b.v_max);
+  EXPECT_TRUE(a.unique == b.unique);
+  EXPECT_TRUE(a.parent == b.parent);
+}
+
+// Builds the pair both ways over 1-d histograms fitted on `initial` edges
+// and expects identical arrays; returns the library's pair.
+PairHistogram ExpectPairMatchesOracle(const std::vector<double>& xi,
+                                      const std::vector<double>& xj,
+                                      const std::vector<double>& initial_i,
+                                      const std::vector<double>& initial_j,
+                                      uint64_t min_points) {
+  Chi2CriticalCache cache(0.001);
+  std::vector<double> si = xi, sj = xj;
+  std::sort(si.begin(), si.end());
+  std::sort(sj.begin(), sj.end());
+  HistogramDim h1i =
+      BuildHistogram1D(si, initial_i, TestConfig(min_points), cache);
+  HistogramDim h1j =
+      BuildHistogram1D(sj, initial_j, TestConfig(min_points), cache);
+  PairHistogram ph = BuildPairHistogram(xi, xj, 0, 1, h1i, h1j,
+                                        TestConfig(min_points), cache);
+  PairHistogram ref = oracle::ReferenceBuildPairHistogram(
+      xi, xj, 0, 1, h1i, h1j, TestConfig(min_points), cache);
+  ExpectSameDim(ph.dim_i, ref.dim_i);
+  ExpectSameDim(ph.dim_j, ref.dim_j);
+  EXPECT_TRUE(ph.cells == ref.cells);
+  return ph;
+}
+
+// Whole-synopsis build both ways, serial and parallel: identical bytes.
+void ExpectBuildMatchesOracle(const Table& table, PairwiseHistConfig cfg) {
+  auto pre = Preprocess(table);
+  ASSERT_TRUE(pre.ok()) << pre.status().ToString();
+  for (unsigned threads : {1u, 0u}) {
+    cfg.build_threads = threads;
+    auto ph = PairwiseHist::Build(*pre, nullptr, cfg);
+    auto ref = oracle::ReferenceBuild::Build(*pre, nullptr, cfg);
+    ASSERT_TRUE(ph.ok()) << ph.status().ToString();
+    ASSERT_TRUE(ref.ok()) << ref.status().ToString();
+    EXPECT_EQ(ph->Serialize(), ref->Serialize()) << "threads " << threads;
+  }
+}
+
+// A table of `cols` dependent real columns; `null_every[c]` > 0 makes every
+// that-many-th row of column c null, and -1 makes the whole column null.
+Table SkewedTable(size_t n, const std::vector<int>& null_every,
+                  uint64_t seed) {
+  Rng rng(seed);
+  Table t("edge");
+  std::vector<Column> cols;
+  for (size_t c = 0; c < null_every.size(); ++c) {
+    cols.emplace_back("c" + std::to_string(c), DataType::kInt64, 0);
+  }
+  for (size_t r = 0; r < n; ++r) {
+    const double u = rng.Uniform(0, 1000);
+    for (size_t c = 0; c < cols.size(); ++c) {
+      const int every = null_every[c];
+      if (every < 0 || (every > 0 && r % every == 0)) {
+        cols[c].AppendNull();
+        continue;
+      }
+      double v = c % 2 == 0 ? u : (u < 500 ? rng.Uniform(0, 100)
+                                            : rng.Uniform(900, 1000));
+      cols[c].Append(std::floor(v + 7.0 * c));
+    }
+  }
+  for (Column& col : cols) t.AddColumn(std::move(col));
+  return t;
+}
+
+PairwiseHistConfig SmallConfig(uint64_t min_points) {
+  PairwiseHistConfig cfg;
+  cfg.sample_size = 0;
+  cfg.min_points_override = min_points;
+  return cfg;
+}
+
+TEST(RankPathTest, NullsOnOneSideOfAPairOnly) {
+  // Column 1 is null in every third row, columns 0 and 2 never: pair (1, 0)
+  // and (2, 1) drop those rows on one side only, pair (2, 0) keeps them.
+  ExpectBuildMatchesOracle(SkewedTable(12000, {0, 3, 0}, 21),
+                           SmallConfig(200));
+}
+
+TEST(RankPathTest, AllNullColumn) {
+  ExpectBuildMatchesOracle(SkewedTable(6000, {0, -1, 5}, 22),
+                           SmallConfig(150));
+}
+
+TEST(RankPathTest, MinPointsAtOrAboveRowCount) {
+  for (uint64_t m : {4000u, 4001u, 100000u}) {
+    ExpectBuildMatchesOracle(SkewedTable(4000, {0, 0, 7}, 23),
+                             SmallConfig(m));
+  }
+}
+
+TEST(RankPathTest, DuplicatesOnOneDAndRefinedEdges) {
+  // Half-integer values: refined edges snap to the half-integer grid, so
+  // they land exactly on duplicated values, as do the integer 1-d edges.
+  Rng rng(24);
+  const size_t n = 20000;
+  std::vector<double> xi(n), xj(n);
+  for (size_t r = 0; r < n; ++r) {
+    const double u = std::floor(rng.Uniform(0, 80)) / 2.0;
+    xi[r] = rng.Bernoulli(0.3) ? 10.0 : u;
+    xj[r] = u < 20 ? std::floor(rng.Uniform(0, 16)) / 2.0
+                   : std::floor(rng.Uniform(60, 80)) / 2.0;
+    if (rng.Bernoulli(0.2)) xj[r] = 20.0;
+  }
+  PairHistogram ph = ExpectPairMatchesOracle(
+      xi, xj, {0.0, 10.0, 20.0, 30.0, 40.5}, {0.0, 20.0, 40.5}, 300);
+  // The test only means something if refinement did split somewhere.
+  EXPECT_GT(ph.dim_i.NumBins() + ph.dim_j.NumBins(), 4u + 2u);
+}
+
+TEST(RankPathTest, SingleUniqueValue) {
+  Rng rng(25);
+  const size_t n = 5000;
+  std::vector<double> xi(n, 42.0), xj(n);
+  for (size_t r = 0; r < n; ++r) xj[r] = std::floor(rng.Uniform(0, 300));
+  ExpectPairMatchesOracle(xi, xj, {42.0, 43.0}, {0.0, 301.0}, 100);
+  ExpectPairMatchesOracle(xj, xi, {0.0, 301.0}, {42.0, 43.0}, 100);
+  ExpectPairMatchesOracle(xi, xi, {42.0, 43.0}, {42.0, 43.0}, 100);
+}
+
+TEST(RankPathTest, EmptyPair) {
+  std::vector<double> empty;
+  PairHistogram ph =
+      ExpectPairMatchesOracle(empty, empty, {0.0, 10.0}, {0.0, 4.0, 9.0}, 100);
+  EXPECT_EQ(ph.cells.size(), 2u);
+  // Two columns whose non-null rows never overlap: the pair is empty while
+  // both 1-d histograms are not.
+  Table disjoint("disjoint");
+  Column a("a", DataType::kInt64, 0), b("b", DataType::kInt64, 0);
+  for (int r = 0; r < 3000; ++r) {
+    if (r % 2 == 0) {
+      a.Append(r % 97);
+      b.AppendNull();
+    } else {
+      a.AppendNull();
+      b.Append(r % 89);
+    }
+  }
+  disjoint.AddColumn(std::move(a));
+  disjoint.AddColumn(std::move(b));
+  ExpectBuildMatchesOracle(disjoint, SmallConfig(50));
 }
 
 }  // namespace
