@@ -178,7 +178,7 @@ StatusOr<Db> Db::Open(const std::string& path, const DbOptions& options) {
     PH_ASSIGN_OR_RETURN(SynopsisSet set, SynopsisSet::OpenMapped(path));
     // Mapped PWS3 v2 opens skip eager verification (the open stays
     // O(metadata)); the background scrubber sweeps the payload blocks
-    // instead, and a CoW promotion re-verifies whatever it copies from.
+    // instead (Db::VerifyIntegrity sweeps them on demand).
     if (options.scrub) {
       set.StartScrub(options.scrub_mb_per_s, options.scrub_repeat_ms);
     }

@@ -51,7 +51,7 @@ const std::vector<std::string>& Points() {
       "recovery.replay",        // before applying each replayed WAL record
       "http.send",              // socket write in the HTTP layer
       "service.handle",         // request admitted, handler about to run
-      "scrub.verify",           // per-block CRC verify (scrub + CoW hook)
+      "scrub.verify",           // per-block CRC verify (scrub, VerifyAll)
       "pws3.block_corrupt",     // flips a data byte after Encode's CRCs
       "recover.checkpoint_open",// before opening each checkpoint candidate
       "compact.build",          // before building the merged segment

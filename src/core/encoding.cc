@@ -78,19 +78,21 @@ void WriteDimMeta(ByteWriter* w, const HistogramDim& dim) {
 
 Status ReadDimMeta(ByteReader* r, HistogramDim* dim) {
   size_t k = dim->edges.size() - 1;
-  dim->v_min.resize(k);
-  dim->v_max.resize(k);
-  dim->unique.resize(k);
+  std::vector<double> v_min(k), v_max(k);
+  std::vector<uint64_t> unique(k);
   for (size_t t = 0; t < k; ++t) {
     int64_t e2 = static_cast<int64_t>(std::llround(dim->edges[t] * 2.0));
     PH_ASSIGN_OR_RETURN(int64_t lo_delta, r->ReadSignedVarint());
     PH_ASSIGN_OR_RETURN(uint64_t span, r->ReadVarint());
     PH_ASSIGN_OR_RETURN(uint64_t u, r->ReadVarint());
     int64_t lo2 = e2 + lo_delta;
-    dim->v_min[t] = static_cast<double>(lo2) / 2.0;
-    dim->v_max[t] = static_cast<double>(lo2 + static_cast<int64_t>(span)) / 2.0;
-    dim->unique[t] = u;
+    v_min[t] = static_cast<double>(lo2) / 2.0;
+    v_max[t] = static_cast<double>(lo2 + static_cast<int64_t>(span)) / 2.0;
+    unique[t] = u;
   }
+  dim->v_min = std::move(v_min);
+  dim->v_max = std::move(v_max);
+  dim->unique = std::move(unique);
   return Status::OK();
 }
 
@@ -144,14 +146,14 @@ void WriteCells(ByteWriter* w, std::span<const uint64_t> cells) {
   }
 }
 
-Status ReadCells(ByteReader* r, size_t n, VecView<uint64_t>* cells) {
+StatusOr<std::vector<uint64_t>> ReadCells(ByteReader* r, size_t n) {
   // A cell matrix larger than the whole input at one bit per count is
   // corruption (caller derives n from edge counts, which a flipped bit
   // can inflate).
   if (n > (r->remaining() + 16) * 8 * 64) {
     return Status::DataLoss("cell matrix larger than input");
   }
-  cells->assign(n, 0);
+  std::vector<uint64_t> cells(n, 0);
   PH_ASSIGN_OR_RETURN(uint8_t lh, r->ReadU8());
   if (lh == 0 || lh > 63) return Status::DataLoss("bad count width");
   PH_ASSIGN_OR_RETURN(uint8_t mode, r->ReadU8());
@@ -169,19 +171,19 @@ Status ReadCells(ByteReader* r, size_t n, VecView<uint64_t>* cells) {
       first = false;
       PH_ASSIGN_OR_RETURN(uint64_t count, bits.ReadBits(lh));
       if (idx >= n) return Status::DataLoss("sparse cell index overflow");
-      (*cells)[idx] = count;
+      cells[idx] = count;
     }
   } else if (mode == 0) {
     PH_ASSIGN_OR_RETURN(std::vector<uint8_t> blob, r->ReadBytes());
     BitReader bits(blob);
     for (size_t i = 0; i < n; ++i) {
       PH_ASSIGN_OR_RETURN(uint64_t count, bits.ReadBits(lh));
-      (*cells)[i] = count;
+      cells[i] = count;
     }
   } else {
     return Status::DataLoss("unknown cell-count mode");
   }
-  return Status::OK();
+  return cells;
 }
 
 }  // namespace
@@ -254,18 +256,20 @@ void DerivePairDim(HistogramDim* dim, const HistogramDim& h1,
                    std::span<const uint64_t> cells, size_t k_other,
                    bool is_rows) {
   size_t k = dim->edges.size() - 1;  // counts not populated yet
-  dim->parent.resize(k);
+  std::vector<uint32_t> parent(k);
   for (size_t t = 0; t < k; ++t) {
-    dim->parent[t] = static_cast<uint32_t>(h1.BinIndex(dim->edges[t]));
+    parent[t] = static_cast<uint32_t>(h1.BinIndex(dim->edges[t]));
   }
-  dim->counts.assign(k, 0);
+  std::vector<uint64_t> counts(k, 0);
   for (size_t a = 0; a < k; ++a) {
     uint64_t sum = 0;
     for (size_t b = 0; b < k_other; ++b) {
       sum += is_rows ? cells[a * k_other + b] : cells[b * k + a];
     }
-    dim->counts[a] = sum;
+    counts[a] = sum;
   }
+  dim->parent = std::move(parent);
+  dim->counts = std::move(counts);
 }
 
 }  // namespace
@@ -330,7 +334,7 @@ class SynopsisCodec {
         return Status::DataLoss("PairwiseHist: 1-d histogram too small");
       }
       PH_RETURN_IF_ERROR(ReadDimMeta(&r, &h));
-      PH_RETURN_IF_ERROR(ReadCells(&r, h.edges.size() - 1, &h.counts));
+      PH_ASSIGN_OR_RETURN(h.counts, ReadCells(&r, h.edges.size() - 1));
     }
 
     size_t npairs = static_cast<size_t>(d) * (d - 1) / 2;
@@ -347,7 +351,7 @@ class SynopsisCodec {
         PH_RETURN_IF_ERROR(ReadDimMeta(&r, &p.dim_j));
         size_t ki = p.dim_i.edges.size() - 1;
         size_t kj = p.dim_j.edges.size() - 1;
-        PH_RETURN_IF_ERROR(ReadCells(&r, ki * kj, &p.cells));
+        PH_ASSIGN_OR_RETURN(p.cells, ReadCells(&r, ki * kj));
         DerivePairDim(&p.dim_i, ph.hist1d_[i], p.cells, kj, /*is_rows=*/true);
         DerivePairDim(&p.dim_j, ph.hist1d_[j], p.cells, ki,
                       /*is_rows=*/false);

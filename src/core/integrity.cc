@@ -5,44 +5,12 @@
 #include <string>
 
 #include "common/failpoint.h"
-#include "common/vec_view.h"
 #include "storage/sigbus_guard.h"
 #include "storage/wal.h"  // Crc32
 
 namespace pairwisehist {
 
 namespace {
-
-// Registry of live mappings for the VecView promotion hook: a promotion
-// copies bytes out of SOME mapping; the hook finds whose and verifies the
-// source blocks. weak_ptrs expire with the last SynopsisSet snapshot.
-std::mutex g_reg_mu;
-std::vector<std::weak_ptr<Pws3Integrity>>& Registrations() {
-  static auto* v = new std::vector<std::weak_ptr<Pws3Integrity>>();
-  return *v;
-}
-
-void PromotionHook(const void* data, size_t bytes) {
-  std::vector<std::shared_ptr<Pws3Integrity>> owners;
-  {
-    std::lock_guard<std::mutex> lock(g_reg_mu);
-    auto& reg = Registrations();
-    for (size_t i = 0; i < reg.size();) {
-      if (std::shared_ptr<Pws3Integrity> s = reg[i].lock()) {
-        owners.push_back(std::move(s));
-        ++i;
-      } else {
-        reg[i] = std::move(reg.back());
-        reg.pop_back();
-      }
-    }
-  }
-  // Verify outside the registry lock: CRC work must not serialize
-  // unrelated promotions.
-  for (const auto& owner : owners) {
-    if (owner->VerifyRangeIfOwned(data, bytes)) return;
-  }
-}
 
 std::atomic<uint64_t> g_legacy_opens{0};
 
@@ -73,12 +41,6 @@ Pws3Integrity::Pws3Integrity(std::shared_ptr<const MappedFile> backing,
 }
 
 Pws3Integrity::~Pws3Integrity() { StopScrub(); }
-
-void Pws3Integrity::Register(const std::shared_ptr<Pws3Integrity>& self) {
-  internal::SetVecViewPromotionHook(&PromotionHook);
-  std::lock_guard<std::mutex> lock(g_reg_mu);
-  Registrations().push_back(self);
-}
 
 Status Pws3Integrity::VerifyBlock(size_t k) {
   if (k >= crcs_.size()) return Status::OK();
@@ -131,19 +93,6 @@ Status Pws3Integrity::VerifyAll() {
     if (!st.ok() && first.ok()) first = st;
   }
   return first;
-}
-
-bool Pws3Integrity::VerifyRangeIfOwned(const void* p, size_t n) {
-  const uint8_t* q = static_cast<const uint8_t*>(p);
-  const uint8_t* base = backing_->bytes().data();
-  if (q < base + data_begin_ || q + n > base + data_end_) return false;
-  const uint64_t off = static_cast<uint64_t>(q - base);
-  const size_t k0 = (off - data_begin_) / kBlockSize;
-  const size_t k1 = n == 0 ? k0 : (off + n - 1 - data_begin_) / kBlockSize;
-  for (size_t k = k0; k <= k1 && k < crcs_.size(); ++k) {
-    (void)VerifyBlock(k);  // failure quarantines; the copy itself proceeds
-  }
-  return true;
 }
 
 void Pws3Integrity::StartScrub(uint32_t mb_per_s, uint32_t repeat_ms) {

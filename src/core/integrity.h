@@ -12,8 +12,6 @@
 // mapping surfaces as DataLoss, never a process kill):
 //  * VerifyAll(): synchronous full sweep — Db::VerifyIntegrity, recovery.
 //  * StartScrub(): rate-limited background sweep on the scrubber thread.
-//  * The VecView copy-on-write promotion hook: any block a promotion
-//    copies from is verified at the moment of the copy.
 // A failing block quarantines every segment whose arrays intersect it;
 // serving fails closed (or degrades) on quarantined segments upstream.
 #ifndef PAIRWISEHIST_CORE_INTEGRITY_H_
@@ -53,10 +51,6 @@ class Pws3Integrity {
   Pws3Integrity(const Pws3Integrity&) = delete;
   Pws3Integrity& operator=(const Pws3Integrity&) = delete;
 
-  /// Registers `self` for copy-on-write promotion verification (and
-  /// installs the process-wide VecView promotion hook on first use).
-  static void Register(const std::shared_ptr<Pws3Integrity>& self);
-
   /// Synchronous guarded sweep of every data block. Returns the first
   /// failure (and keeps sweeping so every bad block quarantines its
   /// segments); OK when the whole region checks out.
@@ -66,11 +60,6 @@ class Pws3Integrity {
   /// fault, or SIGBUS) bumps scrub_errors and quarantines intersecting
   /// segments. Returns the verification status.
   Status VerifyBlock(size_t k);
-
-  /// CoW promotion hook target: verifies every block overlapping
-  /// [p, p + n) if that range lies inside this mapping's data region.
-  /// Returns false when the range is not ours.
-  bool VerifyRangeIfOwned(const void* p, size_t n);
 
   /// Starts the background scrubber (idempotent): one sweep of the data
   /// region, rate-limited to ~mb_per_s (0 = unthrottled); with

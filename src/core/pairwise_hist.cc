@@ -149,15 +149,16 @@ void PairwiseHist::FinishExecIndex() {
   // Table-3 aggregation reads as flat arrays.
   auto fill_centres = [this](HistogramDim& dim) {
     const size_t k = dim.NumBins();
-    dim.centre_mid.resize(k);
-    dim.centre_lo.resize(k);
-    dim.centre_hi.resize(k);
+    std::vector<double> mid(k), lo(k), hi(k);
     for (size_t t = 0; t < k; ++t) {
-      dim.centre_mid[t] = dim.Midpoint(t);
+      mid[t] = dim.Midpoint(t);
       CentreBounds cb = WeightedCentreBounds(dim, t);
-      dim.centre_lo[t] = cb.lo;
-      dim.centre_hi[t] = cb.hi;
+      lo[t] = cb.lo;
+      hi[t] = cb.hi;
     }
+    dim.centre_mid = std::move(mid);
+    dim.centre_lo = std::move(lo);
+    dim.centre_hi = std::move(hi);
   };
   for (HistogramDim& h : hist1d_) {
     h.BuildCountPrefix();

@@ -177,20 +177,8 @@ class PairwiseHist {
   size_t num_pairs() const { return pairs_.size(); }
   const PairHistogram& pair_at(size_t idx) const { return pairs_[idx]; }
 
-  // ---- Incremental updates (paper §7 future work; implemented in
-  // update.cc) -----------------------------------------------------------
-  /// Folds a new pre-processed batch into the synopsis: counts grow, bin
-  /// metadata extends, ρ adjusts (N and Ns both grow by the batch size).
-  /// The batch must have been encoded with THIS synopsis's transforms.
-  /// Bin edges are not re-refined; rebuild after heavy distribution drift.
-  Status Update(const PreprocessedTable& batch);
-  /// Convenience: applies this synopsis's transforms to a raw table batch,
-  /// then updates. New raw values outside the fitted domain clamp to it.
-  Status UpdateFromTable(const Table& batch);
-
   /// True when this synopsis was opened zero-copy from a memory-mapped
-  /// PWS3 file (its arrays borrow the mapping; mutation copy-on-write
-  /// promotes individual arrays but the handle stays until destruction).
+  /// PWS3 file (its arrays borrow the mapping for its whole lifetime).
   bool mapped() const { return backing_ != nullptr; }
 
  private:
@@ -203,9 +191,9 @@ class PairwiseHist {
 
   static size_t PairSlot(size_t i, size_t j);  // requires i > j
 
-  /// (Re)builds every derived execution index: 1-d count prefix sums, the
+  /// Builds every derived execution index: 1-d count prefix sums, the
   /// per-pair dense cell prefixes and the per-pair non-null fractions.
-  /// Called at the end of Build, Deserialize and Update.
+  /// Called at the end of Build and Deserialize.
   void FinishExecIndex();
 
   uint64_t total_rows_ = 0;

@@ -188,8 +188,10 @@ Status LoadArr(ByteReader* r, LoadCtx* ctx, size_t expect,
     // typed pointer is aligned for any element type used here.
     out->BindView(reinterpret_cast<const T*>(src), count);
   } else {
-    out->resize(count);
-    std::memcpy(out->mut_data(), src, count * sizeof(T));
+    // memcpy, not a typed read: a heap blob need not be aligned for T.
+    std::vector<T> v(count);
+    std::memcpy(v.data(), src, count * sizeof(T));
+    *out = std::move(v);
   }
   return Status::OK();
 }
@@ -358,7 +360,7 @@ StatusOr<SynopsisSet> Pws3Codec::Decode(
   // to be copied anyway, so the sweep is one extra sequential pass and
   // corruption fails the open instead of surfacing as wrong answers.
   // Mapped opens stay O(metadata); their blocks are verified lazily by
-  // the scrubber and the copy-on-write promotion hook.
+  // the scrubber (or synchronously by VerifyAll).
   if (hdr.version >= 2 && backing == nullptr) {
     for (uint32_t k = 0; k < hdr.crc_count; ++k) {
       const uint64_t begin =
@@ -474,11 +476,9 @@ StatusOr<SynopsisSet> Pws3Codec::Decode(
       std::memcpy(crcs.data(), bytes.data() + hdr.crc_off,
                   uint64_t{4} * hdr.crc_count);
     }
-    auto integrity = std::make_shared<Pws3Integrity>(
+    out.integrity_ = std::make_shared<Pws3Integrity>(
         backing, Pws3Codec::kHeaderSize, hdr.data_end, std::move(crcs),
         std::move(spans));
-    Pws3Integrity::Register(integrity);
-    out.integrity_ = std::move(integrity);
   }
   return out;
 }

@@ -7,9 +7,10 @@
 // exact pre-segmentation behaviour when NumSegments() == 1. Appends seal
 // new segments with fresh bin edges instead of mutating existing bins, so
 // accuracy does not drift as appended data departs from the original
-// distribution (the PairwiseHist::Update footgun). A sealed segment is
-// immutable: the set only ever gains segments (sealing) or replaces a run
-// of them wholesale (compaction), so sets share segments freely.
+// distribution. A sealed segment is read-only (its histogram arrays are
+// written once, when built or decoded): the set only ever gains segments
+// (sealing) or replaces a run of them wholesale (compaction), so sets
+// share segments freely.
 //
 // Persistence: container magic "PWS2" wrapping one standard PWH1 blob per
 // segment plus its row range and pruning ranges. Deserialize also accepts a

@@ -22,11 +22,9 @@ uint64_t HistogramDim::TotalCount() const {
 
 void HistogramDim::BuildCountPrefix() {
   const size_t k = NumBins();
-  count_prefix.resize(k + 1);
-  count_prefix[0] = 0;
-  for (size_t t = 0; t < k; ++t) {
-    count_prefix[t + 1] = count_prefix[t] + counts[t];
-  }
+  std::vector<uint64_t> pre(k + 1, 0);
+  for (size_t t = 0; t < k; ++t) pre[t + 1] = pre[t] + counts[t];
+  count_prefix = std::move(pre);
 }
 
 void PairHistogram::BuildCellPrefix() {
@@ -34,42 +32,46 @@ void PairHistogram::BuildCellPrefix() {
   const size_t kj = dim_j.NumBins();
   // Dense per-row cell prefixes (exact: totals stay below 2^53). Costs
   // 2x the dense cell matrix in memory, all execution-index-only.
-  cell_prefix_i.resize(ki * (kj + 1));
+  std::vector<uint64_t> prefix_i(ki * (kj + 1));
   for (size_t ti = 0; ti < ki; ++ti) {
     const uint64_t* row = cells.data() + ti * kj;
-    uint64_t* pre = cell_prefix_i.mut_data() + ti * (kj + 1);
+    uint64_t* pre = prefix_i.data() + ti * (kj + 1);
     pre[0] = 0;
     for (size_t tj = 0; tj < kj; ++tj) pre[tj + 1] = pre[tj] + row[tj];
   }
-  cell_prefix_j.resize(kj * (ki + 1));
+  std::vector<uint64_t> prefix_j(kj * (ki + 1));
   for (size_t tj = 0; tj < kj; ++tj) {
-    uint64_t* pre = cell_prefix_j.mut_data() + tj * (ki + 1);
+    uint64_t* pre = prefix_j.data() + tj * (ki + 1);
     pre[0] = 0;
     for (size_t ti = 0; ti < ki; ++ti) {
       pre[ti + 1] = pre[ti] + cells[ti * kj + tj];
     }
   }
+  cell_prefix_i = std::move(prefix_i);
+  cell_prefix_j = std::move(prefix_j);
   // Column-major transposes: row tp holds the prefix up to pred bin tp for
   // every aggregation bin at once (contiguous), enabling whole-grid run
   // reductions. Built by accumulating each boundary row from the previous
   // one plus the matching cell column/row.
-  cell_colpre_i.assign((kj + 1) * ki, 0);
+  std::vector<uint64_t> colpre_i((kj + 1) * ki, 0);
   for (size_t tp = 0; tp < kj; ++tp) {
-    const uint64_t* prev = cell_colpre_i.data() + tp * ki;
-    uint64_t* next = cell_colpre_i.mut_data() + (tp + 1) * ki;
+    const uint64_t* prev = colpre_i.data() + tp * ki;
+    uint64_t* next = colpre_i.data() + (tp + 1) * ki;
     for (size_t ti = 0; ti < ki; ++ti) {
       next[ti] = prev[ti] + cells[ti * kj + tp];
     }
   }
-  cell_colpre_j.assign((ki + 1) * kj, 0);
+  std::vector<uint64_t> colpre_j((ki + 1) * kj, 0);
   for (size_t tp = 0; tp < ki; ++tp) {
-    const uint64_t* prev = cell_colpre_j.data() + tp * kj;
-    uint64_t* next = cell_colpre_j.mut_data() + (tp + 1) * kj;
+    const uint64_t* prev = colpre_j.data() + tp * kj;
+    uint64_t* next = colpre_j.data() + (tp + 1) * kj;
     const uint64_t* row = cells.data() + tp * kj;
     for (size_t tj = 0; tj < kj; ++tj) {
       next[tj] = prev[tj] + row[tj];
     }
   }
+  cell_colpre_i = std::move(colpre_i);
+  cell_colpre_j = std::move(colpre_j);
 }
 
 namespace {
@@ -83,8 +85,15 @@ double SplitPoint(double lower, double upper) {
   return mid;
 }
 
+// A 1-d histogram's arrays while RefineBin1D appends to them; moved into
+// the HistogramDim once every bin is emitted.
+struct Bins1D {
+  std::vector<double> edges, v_min, v_max;
+  std::vector<uint64_t> unique, counts;
+};
+
 // Appends one finished bin's metadata.
-void EmitBin(HistogramDim* out, double upper_edge, double v_min, double v_max,
+void EmitBin(Bins1D* out, double upper_edge, double v_min, double v_max,
              uint64_t unique, uint64_t count) {
   out->edges.push_back(upper_edge);
   out->v_min.push_back(v_min);
@@ -98,7 +107,7 @@ void EmitBin(HistogramDim* out, double upper_edge, double v_min, double v_max,
 // Emits finished bins (in ascending order) into `out`.
 void RefineBin1D(const double* begin, const double* end, double lower,
                  double upper, int depth, const RefineConfig& config,
-                 const Chi2CriticalCache& critical, HistogramDim* out) {
+                 const Chi2CriticalCache& critical, Bins1D* out) {
   const size_t n = static_cast<size_t>(end - begin);
   if (n == 0) {
     // Empty bin: keep the slot with edge metadata (Algorithm 2 line 4).
@@ -157,8 +166,9 @@ HistogramDim BuildHistogram1D(const std::vector<double>& sorted_values,
                               const std::vector<double>& initial_edges,
                               const RefineConfig& config,
                               const Chi2CriticalCache& critical) {
-  HistogramDim out;
-  if (initial_edges.size() < 2) return out;
+  HistogramDim dim;
+  if (initial_edges.size() < 2) return dim;
+  Bins1D out;
   out.edges.push_back(initial_edges.front());
   const double* data = sorted_values.data();
   const double* data_end = data + sorted_values.size();
@@ -172,7 +182,12 @@ HistogramDim BuildHistogram1D(const std::vector<double>& sorted_values,
     RefineBin1D(cursor, next, lower, upper, 0, config, critical, &out);
     cursor = next;
   }
-  return out;
+  dim.edges = std::move(out.edges);
+  dim.v_min = std::move(out.v_min);
+  dim.v_max = std::move(out.v_max);
+  dim.unique = std::move(out.unique);
+  dim.counts = std::move(out.counts);
+  return dim;
 }
 
 ColumnRanks::ColumnRanks(std::vector<double> values)
@@ -326,23 +341,17 @@ HistogramDim BuildDimMetadata(const ColumnRanks& mine,
   HistogramDim dim;
   dim.edges = std::move(refined_edges);
   size_t k = dim.edges.size() - 1;
-  dim.counts.assign(k, 0);
-  dim.v_min.assign(k, 0);
-  dim.v_max.assign(k, 0);
-  dim.unique.assign(k, 0);
-  dim.parent.resize(k);
+  std::vector<uint64_t> counts(k, 0), unique(k, 0);
+  std::vector<double> v_min(k), v_max(k);
+  std::vector<uint32_t> parent(k);
   for (size_t t = 0; t < k; ++t) {
     // Parent 1-d bin: the one containing this refined bin's lower edge
     // (refined edges are a superset of the 1-d edges).
-    dim.parent[t] = static_cast<uint32_t>(h1.BinIndex(dim.edges[t]));
+    parent[t] = static_cast<uint32_t>(h1.BinIndex(dim.edges[t]));
     // Empty-bin defaults mirror RefineBin1D's convention.
-    dim.v_min[t] = dim.edges[t];
-    dim.v_max[t] = dim.edges[t + 1];
+    v_min[t] = dim.edges[t];
+    v_max[t] = dim.edges[t + 1];
   }
-  uint64_t* counts = dim.counts.mut_data();
-  double* v_min = dim.v_min.mut_data();
-  double* v_max = dim.v_max.mut_data();
-  uint64_t* unique = dim.unique.mut_data();
   EdgeWalk walk(dim.edges);
   for (uint32_t p : mine.order) {
     if (other.IsNull(p)) continue;
@@ -358,6 +367,11 @@ HistogramDim BuildDimMetadata(const ColumnRanks& mine,
     v_max[t] = v;
     ++counts[t];
   }
+  dim.counts = std::move(counts);
+  dim.v_min = std::move(v_min);
+  dim.v_max = std::move(v_max);
+  dim.unique = std::move(unique);
+  dim.parent = std::move(parent);
   return dim;
 }
 
@@ -433,11 +447,11 @@ PairHistogram BuildPairHistogram(const ColumnRanks& ri, const ColumnRanks& rj,
 
   // Final cell counts on the refined grid.
   const size_t kj = ph.dim_j.NumBins();
-  ph.cells.assign(ph.dim_i.NumBins() * kj, 0);
-  uint64_t* cells = ph.cells.mut_data();
+  std::vector<uint64_t> cells(ph.dim_i.NumBins() * kj, 0);
   for (uint32_t p : by_i) {
     ++cells[static_cast<size_t>(bin_i[p]) * kj + bin_j[p]];
   }
+  ph.cells = std::move(cells);
   return ph;
 }
 

@@ -29,10 +29,10 @@ struct RefineConfig {
 /// paper's per-bin metadata. For pairwise histograms, `parent` maps each
 /// refined bin to the 1-d bin of the same column that contains it.
 ///
-/// Every array is a VecView: an owned vector for built/deserialized
-/// synopses, a borrowed zero-copy span into the mapped file for
-/// PWS3-opened ones (mutation copy-on-write-promotes; see
-/// common/vec_view.h).
+/// Every array is a read-only VecView, written once when the histogram
+/// is built or decoded: an owned vector for built/deserialized synopses,
+/// a borrowed zero-copy span into the mapped file for PWS3-opened ones
+/// (see common/vec_view.h).
 struct HistogramDim {
   VecView<double> edges;        ///< k+1 ascending edges, bins [e_t, e_{t+1})
   VecView<uint64_t> counts;     ///< k bin counts (marginal for 2-d)
@@ -42,8 +42,8 @@ struct HistogramDim {
   VecView<uint32_t> parent;     ///< k parent 1-d bin indices (2-d only)
   /// k+1 exclusive prefix sums of `counts` (execution index, not part of
   /// the compact PWS2 encoding but persisted verbatim by PWS3): count over
-  /// bins [a, b) is count_prefix[b] - count_prefix[a]. Rebuilt by
-  /// BuildCountPrefix after counts change.
+  /// bins [a, b) is count_prefix[b] - count_prefix[a]. Derived by
+  /// BuildCountPrefix.
   VecView<uint64_t> count_prefix;
   /// Per-bin aggregation metadata cache (execution index, persisted only
   /// by PWS3): midpoint (v− + v+)/2 and the Theorem-1 weighted-centre
@@ -58,7 +58,7 @@ struct HistogramDim {
   size_t NumBins() const { return counts.size(); }
   bool HasCentreCache() const { return centre_mid.size() == counts.size(); }
 
-  /// (Re)derives count_prefix from counts.
+  /// Derives count_prefix from counts.
   void BuildCountPrefix();
 
   /// Bin midpoint c_t = (v− + v+)/2.
@@ -99,8 +99,7 @@ struct PairHistogram {
   // difference of two lookups. cell_prefix_j is the transposed
   // orientation (kj rows of ki+1). This is what lets query execution
   // answer fully-covered coverage runs per aggregation bin in O(1)
-  // instead of walking cells. Rebuilt by BuildCellPrefix whenever cells
-  // change.
+  // instead of walking cells. Derived by BuildCellPrefix.
   VecView<uint64_t> cell_prefix_i;
   VecView<uint64_t> cell_prefix_j;
   // Column-major transpose of the prefixes: cell_colpre_i has kj+1 rows of
@@ -123,7 +122,7 @@ struct PairHistogram {
     return cells[ti * dim_j.NumBins() + tj];
   }
 
-  /// (Re)derives both cell prefix orientations from `cells`.
+  /// Derives both cell prefix orientations from `cells`.
   void BuildCellPrefix();
 };
 

@@ -95,9 +95,9 @@ struct AggGrid {
 /// AqpEngine::Execute(plan).
 ///
 /// The plan holds pointers into the synopsis it was compiled against, so
-/// it must not outlive that synopsis. Incremental PairwiseHist::Update
-/// keeps existing plans valid (bin structure is stable); rebuilding or
-/// deserializing a new synopsis does not.
+/// it must not outlive that synopsis. A synopsis is read-only once built
+/// or decoded, so a plan stays valid for the synopsis's whole lifetime;
+/// a rebuilt or re-opened synopsis needs a new plan.
 class CompiledQuery {
  public:
   CompiledQuery() = default;

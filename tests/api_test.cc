@@ -227,8 +227,8 @@ TEST_F(ApiTest, AppendReflectedInResults) {
   auto db = Db::FromGenerator("power", 30000, 11, options);
   ASSERT_TRUE(db.ok());
 
-  // Prepare BEFORE the append: plans must survive incremental updates and
-  // see the new rows.
+  // Prepare BEFORE the append: plans must survive appends and see the new
+  // rows.
   auto count = db->Prepare("SELECT COUNT(*) FROM power;");
   auto filtered = db->Prepare(
       "SELECT COUNT(voltage) FROM power WHERE voltage > 230;");

@@ -1,7 +1,11 @@
 // Unit tests for the common substrate: Status/StatusOr, bit I/O, Golomb
-// coding, statistical special functions, RNG determinism, serialization.
+// coding, statistical special functions, RNG determinism, serialization,
+// and the read-only VecView array cell.
 #include <cmath>
 #include <cstdint>
+#include <type_traits>
+#include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -11,6 +15,7 @@
 #include "common/serialize.h"
 #include "common/stats.h"
 #include "common/status.h"
+#include "common/vec_view.h"
 
 namespace pairwisehist {
 namespace {
@@ -435,6 +440,56 @@ TEST(SerializeTest, TruncatedStringFails) {
   buf.resize(4);
   ByteReader r(buf);
   EXPECT_FALSE(r.ReadString().ok());
+}
+
+// ---------------------------------------------------------------------------
+// VecView: written once (assign a vector or bind a view), then read-only.
+
+template <typename V>
+concept Resizable = requires(V v) { v.resize(size_t{1}); };
+template <typename V>
+concept PushBackable = requires(V v) { v.push_back(1.0); };
+template <typename V>
+concept HasMutData = requires(V v) { v.mut_data(); };
+template <typename V>
+concept ElementAssignable = requires(V v) { v[0] = 1.0; };
+
+// The concepts hold for std::vector, so their failing on VecView is about
+// VecView, not about a malformed requirement.
+static_assert(Resizable<std::vector<double>>);
+static_assert(PushBackable<std::vector<double>>);
+static_assert(ElementAssignable<std::vector<double>>);
+
+static_assert(!Resizable<VecView<double>>);
+static_assert(!PushBackable<VecView<double>>);
+static_assert(!HasMutData<VecView<double>>);
+static_assert(!ElementAssignable<VecView<double>>);
+static_assert(
+    std::is_same_v<decltype(std::declval<VecView<double>&>().data()),
+                   const double*>);
+static_assert(
+    std::is_same_v<decltype(std::declval<VecView<double>&>().begin()),
+                   const double*>);
+
+TEST(VecViewTest, OwnedAndBorrowedReadAlike) {
+  const std::vector<double> backing = {1.5, 2.5, 4.0};
+  VecView<double> owned;
+  owned = std::vector<double>(backing);
+  VecView<double> borrowed;
+  borrowed.BindView(backing.data(), backing.size());
+  EXPECT_FALSE(owned.borrowed());
+  EXPECT_TRUE(borrowed.borrowed());
+  EXPECT_EQ(borrowed.data(), backing.data());  // no copy
+  EXPECT_TRUE(owned == borrowed);
+  EXPECT_EQ(borrowed.back(), 4.0);
+
+  VecView<double> copy = borrowed;  // a copy of a borrow is another borrow
+  EXPECT_EQ(copy.data(), backing.data());
+  borrowed = std::vector<double>{7.0};  // rewriting replaces the borrow
+  EXPECT_FALSE(borrowed.borrowed());
+  EXPECT_EQ(borrowed.size(), 1u);
+  borrowed.clear();
+  EXPECT_TRUE(borrowed.empty());
 }
 
 }  // namespace

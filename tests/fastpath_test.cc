@@ -280,19 +280,6 @@ TEST(FastPathEquivalence, SerializeRoundTripRebuildsIndex) {
   RunEquivalence(back.value(), t, 23, 200);
 }
 
-TEST(FastPathEquivalence, AfterIncrementalUpdate) {
-  Table t = ControlledTable(20000, 37);
-  PairwiseHistConfig cfg;
-  cfg.sample_size = 0;
-  auto ph = PairwiseHist::BuildFromTable(t, cfg);
-  ASSERT_TRUE(ph.ok()) << ph.status().ToString();
-  Table batch = ControlledTable(4000, 38);
-  ASSERT_TRUE(ph->UpdateFromTable(batch).ok());
-  // Counts changed; the rebuilt sparse index and prefix sums must agree
-  // with the oracle's dense scans.
-  RunEquivalence(ph.value(), t, 31, 200);
-}
-
 // Directed COUNT shapes around the prefix-sum shortcut: full-range,
 // half-open, equality, negation, empty, and unbounded predicates.
 TEST(FastPathEquivalence, CountShortcutShapes) {

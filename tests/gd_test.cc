@@ -295,18 +295,27 @@ TEST(GreedyGdTest, MinDeviationBitsRespected) {
 }
 
 TEST(GreedyGdTest, ManyBasesTriggersIdFieldGrowth) {
-  // Incompressible random-ish data: every row a distinct base at first,
-  // exercising the base-ID repack path.
-  Table t("rand");
+  // The greedy bit search sees only a strided sample: every second row
+  // here. The sampled rows share their high bits, so the search moves those
+  // bits into the base. The skipped rows vary them, so the full pass interns
+  // over 256 bases and must repack the initial 8-bit base-ID field.
+  Table t("skip");
   Column a("a", DataType::kInt64, 0);
-  for (int r = 0; r < 2000; ++r) a.Append((r * 7919) % 65536);
+  for (int64_t r = 0; r < 4096; ++r) {
+    a.Append(r % 2 == 0 ? (int64_t{7} << 12) | r : (r / 2) << 12);
+  }
   t.AddColumn(std::move(a));
-  auto compressed = CompressTable(t);
-  ASSERT_TRUE(compressed.ok());
-  // Round trip still holds.
+  GdConfig config;
+  config.greedy_sample_rows = 2048;
+  auto compressed = CompressTable(t, config);
+  ASSERT_TRUE(compressed.ok()) << compressed.status().ToString();
+  ASSERT_GT(compressed->num_bases(), 256u);
+  // More than one byte of base ID per row: the field grew past 8 bits.
+  EXPECT_GT(compressed->base_id_bytes().size(), t.NumRows());
   Table back = compressed->Decompress(&t);
-  for (size_t r = 0; r < t.NumRows(); r += 101) {
-    EXPECT_DOUBLE_EQ(back.column(0).Value(r), t.column(0).Value(r));
+  ASSERT_EQ(back.NumRows(), t.NumRows());
+  for (size_t r = 0; r < t.NumRows(); ++r) {
+    ASSERT_EQ(back.column(0).Value(r), t.column(0).Value(r)) << "row " << r;
   }
 }
 

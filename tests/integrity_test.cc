@@ -2,10 +2,10 @@
 // round-trip bit-equality, legacy v1 opens (warn counter, no payload
 // checksums), a 200-iteration single-bit-flip fuzz drill (every flip
 // detected or provably harmless), SIGBUS-safe truncation-under-map,
-// background-scrubber rot detection, copy-on-write promotion
-// verification, quarantine fail-closed vs degraded serving over the HTTP
-// surface, /healthz lifecycle phases, checkpoint-fallback recovery, and
-// kill-at-every-new-failpoint crash drills.
+// background-scrubber rot detection, quarantine fail-closed vs degraded
+// serving over the HTTP surface, /healthz lifecycle phases,
+// checkpoint-fallback recovery, and kill-at-every-new-failpoint crash
+// drills.
 #include <sys/stat.h>
 #include <sys/wait.h>
 #include <unistd.h>
@@ -291,34 +291,6 @@ TEST_F(IntegrityTest, BackgroundScrubberDetectsRot) {
   }
   EXPECT_TRUE(db->has_quarantine());
   EXPECT_GE(db->scrub_errors(), 1u);
-  std::remove(path.c_str());
-}
-
-// Copy-on-write promotion re-verifies the source blocks at the moment of
-// the copy: with one corrupt byte per 64 KB block, updating a copy of a
-// mapped synopsis (the copy still borrows the mapping) must raise a
-// checksum error before the copied bytes are trusted.
-TEST_F(IntegrityTest, CowPromotionVerifiesSourceBlocks) {
-  const std::string path = ::testing::TempDir() + "/integrity_cow.pws3";
-  std::vector<uint8_t> bytes = *image_;
-  const uint64_t data_end = ReadU64At(bytes, 16);
-  for (uint64_t off = Pws3Codec::kHeaderSize; off < data_end;
-       off += Pws3Codec::kCrcBlockSize) {
-    bytes[off] ^= 0x01;
-  }
-  WriteAll(path, bytes);
-
-  auto set = SynopsisSet::OpenMapped(path);  // open itself is O(metadata)
-  ASSERT_TRUE(set.ok()) << set.status().ToString();
-  ASSERT_TRUE(set->mapped());
-  auto batch = MakeDataset("power", 1000, 123);
-  ASSERT_TRUE(batch.ok());
-  // The update path promotes every touched borrowed array; each
-  // promotion verifies the blocks it copies from and finds the rot.
-  PairwiseHist copy = set->synopsis(set->NumSegments() - 1);
-  (void)copy.UpdateFromTable(batch.value());
-  EXPECT_GE(set->scrub_errors(), 1u);
-  EXPECT_TRUE(set->has_quarantine());
   std::remove(path.c_str());
 }
 

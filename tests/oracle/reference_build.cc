@@ -97,18 +97,16 @@ HistogramDim BuildDimMetadata(const std::vector<double>& values,
   HistogramDim dim;
   dim.edges = std::move(refined_edges);
   size_t k = dim.edges.size() - 1;
-  dim.counts.assign(k, 0);
-  dim.v_min.assign(k, 0);
-  dim.v_max.assign(k, 0);
-  dim.unique.assign(k, 0);
-  dim.parent.resize(k);
+  std::vector<uint64_t> counts(k, 0), unique(k, 0);
+  std::vector<double> v_min(k, 0), v_max(k, 0);
+  std::vector<uint32_t> parent(k);
   for (size_t t = 0; t < k; ++t) {
     // Parent 1-d bin: the one containing this refined bin's lower edge
     // (refined edges are a superset of the 1-d edges).
-    dim.parent[t] = static_cast<uint32_t>(h1.BinIndex(dim.edges[t]));
+    parent[t] = static_cast<uint32_t>(h1.BinIndex(dim.edges[t]));
     // Empty-bin defaults mirror RefineBin1D's convention.
-    dim.v_min[t] = dim.edges[t];
-    dim.v_max[t] = dim.edges[t + 1];
+    v_min[t] = dim.edges[t];
+    v_max[t] = dim.edges[t + 1];
   }
   // Sort a copy of the values once; walk bins over it.
   std::vector<double> sorted = values;
@@ -123,13 +121,18 @@ HistogramDim BuildDimMetadata(const std::vector<double>& values,
       ++cursor;
     }
     if (cursor > begin) {
-      dim.counts[t] = cursor - begin;
-      dim.v_min[t] = sorted[begin];
-      dim.v_max[t] = sorted[cursor - 1];
-      dim.unique[t] =
+      counts[t] = cursor - begin;
+      v_min[t] = sorted[begin];
+      v_max[t] = sorted[cursor - 1];
+      unique[t] =
           CountUniqueSorted(sorted.data() + begin, sorted.data() + cursor);
     }
   }
+  dim.counts = std::move(counts);
+  dim.v_min = std::move(v_min);
+  dim.v_max = std::move(v_max);
+  dim.unique = std::move(unique);
+  dim.parent = std::move(parent);
   return dim;
 }
 
@@ -206,12 +209,13 @@ PairHistogram ReferenceBuildPairHistogram(const std::vector<double>& xi,
   // Final cell counts on the refined grid.
   size_t ki = ph.dim_i.NumBins();
   size_t kj = ph.dim_j.NumBins();
-  ph.cells.assign(ki * kj, 0);
+  std::vector<uint64_t> cells(ki * kj, 0);
   for (size_t r = 0; r < n; ++r) {
     size_t ti = ph.dim_i.BinIndex(xi[r]);
     size_t tj = ph.dim_j.BinIndex(xj[r]);
-    ++ph.cells[ti * kj + tj];
+    ++cells[ti * kj + tj];
   }
+  ph.cells = std::move(cells);
   return ph;
 }
 
