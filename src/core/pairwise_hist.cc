@@ -69,9 +69,6 @@ CentreBounds PairwiseHist::WeightedCentreBounds(const HistogramDim& dim,
   return b;
 }
 
-namespace {
-
-// Deterministically samples `ns` of `n` row indices (sorted).
 std::vector<uint32_t> SampleRows(size_t n, size_t ns, uint64_t seed) {
   std::vector<uint32_t> rows;
   if (ns >= n) {
@@ -86,10 +83,18 @@ std::vector<uint32_t> SampleRows(size_t n, size_t ns, uint64_t seed) {
     size_t j = i + static_cast<size_t>(rng.UniformInt(uint64_t(n - i)));
     std::swap(all[i], all[j]);
   }
+  // The drawn rows in ascending order: mark them, then scan the n rows.
+  std::vector<uint8_t> drawn(n, 0);
+  for (size_t i = 0; i < ns; ++i) drawn[all[i]] = 1;
+  size_t out = 0;
+  for (size_t r = 0; r < n; ++r) {
+    if (drawn[r] != 0) all[out++] = static_cast<uint32_t>(r);
+  }
   all.resize(ns);
-  std::sort(all.begin(), all.end());
   return all;
 }
+
+namespace {
 
 // Initial 1-d bin edges for one column: either GreedyGD base-aligned edges
 // (downsampled to at most `max_edges` interior values) or just {min, max+1}.

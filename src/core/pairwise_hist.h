@@ -110,6 +110,11 @@ class PairView {
   bool swapped_ = false;
 };
 
+/// The build sample: `ns` of the `n` row indices, drawn by a partial
+/// Fisher–Yates shuffle seeded with `seed`, in ascending order (all n rows
+/// when ns >= n). PairwiseHist::Build draws its Ns rows with config.seed.
+std::vector<uint32_t> SampleRows(size_t n, size_t ns, uint64_t seed);
+
 /// The synopsis. Thread-safe for concurrent reads after construction.
 class PairwiseHist {
  public:

@@ -1,7 +1,9 @@
 #include "hist/histogram.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <utility>
 
 namespace pairwisehist {
 
@@ -192,19 +194,43 @@ HistogramDim BuildHistogram1D(const std::vector<double>& sorted_values,
 
 ColumnRanks::ColumnRanks(std::vector<double> values)
     : value(std::move(values)) {
-  // Sort (value, position) pairs: contiguous keys sort faster than
-  // positions compared through the value array, and the position breaks
-  // ties so the order is fully determined.
-  std::vector<std::pair<double, uint32_t>> keyed;
-  keyed.reserve(value.size());
+  // Order-preserving image of each non-null value: adding 0.0 folds -0.0
+  // into +0.0 (they compare equal), then negatives flip every bit and
+  // non-negatives set the sign bit, so unsigned key order is value order.
+  std::vector<uint64_t> key(value.size());
+  order.reserve(value.size());
   for (size_t p = 0; p < value.size(); ++p) {
-    if (!std::isnan(value[p])) {
-      keyed.emplace_back(value[p], static_cast<uint32_t>(p));
-    }
+    if (std::isnan(value[p])) continue;
+    const uint64_t bits = std::bit_cast<uint64_t>(value[p] + 0.0);
+    key[p] = (bits >> 63) != 0 ? ~bits : bits | (uint64_t{1} << 63);
+    order.push_back(static_cast<uint32_t>(p));
   }
-  std::sort(keyed.begin(), keyed.end());
-  order.resize(keyed.size());
-  for (size_t k = 0; k < keyed.size(); ++k) order[k] = keyed[k].second;
+  const size_t n = order.size();
+  uint64_t differ = 0;
+  for (uint32_t p : order) differ |= key[p] ^ key[order[0]];
+  if (differ == 0) return;
+
+  // Stable LSD counting passes over only the bits in which keys differ,
+  // in digits of at most kMaxDigitBits split evenly. `order` starts in
+  // ascending position and every pass is stable, so ties stay ordered by
+  // position: the order a comparison sort of (value, position) gives.
+  constexpr int kMaxDigitBits = 11;
+  const int low = std::countr_zero(differ);
+  const int span = 64 - std::countl_zero(differ) - low;
+  const int passes = (span + kMaxDigitBits - 1) / kMaxDigitBits;
+  const int digit_bits = (span + passes - 1) / passes;
+  const uint64_t mask = (uint64_t{1} << digit_bits) - 1;
+  std::vector<uint32_t> count(size_t{1} << digit_bits);
+  std::vector<uint32_t> other(n);
+  for (int pass = 0; pass < passes; ++pass) {
+    const int shift = low + pass * digit_bits;
+    std::fill(count.begin(), count.end(), 0);
+    for (uint32_t p : order) ++count[(key[p] >> shift) & mask];
+    uint32_t sum = 0;
+    for (uint32_t& c : count) sum += std::exchange(c, sum);
+    for (uint32_t p : order) other[count[(key[p] >> shift) & mask]++] = p;
+    order.swap(other);
+  }
 }
 
 std::vector<double> ColumnRanks::SortedValues() const {
@@ -453,20 +479,6 @@ PairHistogram BuildPairHistogram(const ColumnRanks& ri, const ColumnRanks& rj,
   }
   ph.cells = std::move(cells);
   return ph;
-}
-
-PairHistogram BuildPairHistogram(const std::vector<double>& xi,
-                                 const std::vector<double>& xj,
-                                 uint32_t col_i, uint32_t col_j,
-                                 const HistogramDim& h1_i,
-                                 const HistogramDim& h1_j,
-                                 const RefineConfig& config,
-                                 const Chi2CriticalCache& critical) {
-  ColumnRanks ri(xi), rj(xj);
-  ri.AssignBins(h1_i);
-  rj.AssignBins(h1_j);
-  return BuildPairHistogram(ri, rj, col_i, col_j, h1_i, h1_j, config,
-                            critical);
 }
 
 }  // namespace pairwisehist

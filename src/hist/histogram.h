@@ -142,7 +142,12 @@ struct ColumnRanks {
   /// kNullBin for null. Filled by AssignBins.
   std::vector<uint32_t> bin;
 
-  /// Takes the per-position values and sorts their non-null positions.
+  /// Takes the per-position values and sorts their non-null positions in
+  /// linear time: each value is keyed by its order-preserving 64-bit image
+  /// (IEEE bits with negatives flipped and the sign bit set on the rest;
+  /// -0.0 keys as +0.0), and stable counting passes run over only the bits
+  /// in which the keys differ, at most 11 bits per pass. Stability keeps
+  /// ties in position order.
   explicit ColumnRanks(std::vector<double> values);
 
   /// The non-null values in ascending order.
@@ -163,17 +168,6 @@ struct ColumnRanks {
 /// per-rectangle sorted values, the refined bins' metadata and the final
 /// cells all come from the shared orders and bins.
 PairHistogram BuildPairHistogram(const ColumnRanks& ri, const ColumnRanks& rj,
-                                 uint32_t col_i, uint32_t col_j,
-                                 const HistogramDim& h1_i,
-                                 const HistogramDim& h1_j,
-                                 const RefineConfig& config,
-                                 const Chi2CriticalCache& critical);
-
-/// The same build over explicit paired values (no nulls): `xi[r]` and
-/// `xj[r]` are row r's two codes. Derives the ranks and calls the overload
-/// above.
-PairHistogram BuildPairHistogram(const std::vector<double>& xi,
-                                 const std::vector<double>& xj,
                                  uint32_t col_i, uint32_t col_j,
                                  const HistogramDim& h1_i,
                                  const HistogramDim& h1_j,

@@ -1,6 +1,10 @@
-// Tests for the histogram core: uniformity testing and recursive
-// refinement in one and two dimensions.
+// Tests for the histogram core: uniformity testing, the column ranks' sort
+// and recursive refinement in one and two dimensions.
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <limits>
+#include <utility>
 
 #include <gtest/gtest.h>
 
@@ -222,7 +226,114 @@ TEST(Refine1DTest, DeeperSplitsWithSmallerM) {
 }
 
 // ---------------------------------------------------------------------------
+// Column ranks
+
+// The order a comparison sort of (value, position) pairs over the non-null
+// values gives: ascending value, ties by position.
+std::vector<uint32_t> ComparisonOrder(const std::vector<double>& values) {
+  std::vector<std::pair<double, uint32_t>> keyed;
+  for (size_t p = 0; p < values.size(); ++p) {
+    if (!std::isnan(values[p])) {
+      keyed.emplace_back(values[p], static_cast<uint32_t>(p));
+    }
+  }
+  std::sort(keyed.begin(), keyed.end());
+  std::vector<uint32_t> order;
+  for (const auto& [v, p] : keyed) order.push_back(p);
+  return order;
+}
+
+void ExpectComparisonOrder(const std::vector<double>& values) {
+  EXPECT_EQ(ColumnRanks(values).order, ComparisonOrder(values));
+}
+
+TEST(ColumnRanksTest, EmptyAndNulls) {
+  const double nan = std::nan("");
+  ExpectComparisonOrder({});
+  ExpectComparisonOrder({nan, nan, nan});
+  ExpectComparisonOrder({3.0, nan, 1.0, nan, 2.0, 1.0, nan, 0.0, nan});
+}
+
+TEST(ColumnRanksTest, SingleValue) {
+  ExpectComparisonOrder({7.0});
+  ExpectComparisonOrder(std::vector<double>(1000, 42.0));
+}
+
+TEST(ColumnRanksTest, HeavyTiesKeepPositionOrder) {
+  Rng rng(31);
+  std::vector<double> v(20000);
+  for (double& x : v) x = std::floor(rng.Uniform(0, 8));
+  ExpectComparisonOrder(v);
+}
+
+TEST(ColumnRanksTest, HalfIntegers) {
+  Rng rng(32);
+  std::vector<double> v(20000);
+  for (double& x : v) x = std::floor(rng.Uniform(0, 2000)) / 2.0;
+  ExpectComparisonOrder(v);
+}
+
+TEST(ColumnRanksTest, NegativesAndSignedZeros) {
+  Rng rng(33);
+  std::vector<double> v(20000);
+  for (double& x : v) {
+    const int kind = static_cast<int>(rng.UniformInt(uint64_t{4}));
+    x = kind == 0 ? -0.0 : kind == 1 ? 0.0 : -std::floor(rng.Uniform(0, 500));
+  }
+  ExpectComparisonOrder(v);
+}
+
+TEST(ColumnRanksTest, OneBitKeySpan) {
+  // 2 and 3 share sign, exponent and all mantissa bits but one.
+  static_assert(std::popcount(std::bit_cast<uint64_t>(2.0) ^
+                              std::bit_cast<uint64_t>(3.0)) == 1);
+  Rng rng(34);
+  std::vector<double> v(5000);
+  for (double& x : v) x = rng.Bernoulli(0.5) ? 2.0 : 3.0;
+  ExpectComparisonOrder(v);
+}
+
+TEST(ColumnRanksTest, WideKeySpan) {
+  // Integers up to 2^40 next to small ones: the keys differ in more than
+  // 33 bits, so the sort takes several passes.
+  Rng rng(35);
+  std::vector<double> v(20000);
+  for (double& x : v) {
+    x = std::floor(rng.Bernoulli(0.5) ? rng.Uniform(0, 1099511627776.0)
+                                      : rng.Uniform(0, 100));
+  }
+  ExpectComparisonOrder(v);
+}
+
+TEST(ColumnRanksTest, NegativesWithPositivesSpanAllBits) {
+  // Fractional values of both signs differ from the sign bit down to the
+  // lowest mantissa bit, so every one of the 64 key bits is sorted on.
+  Rng rng(36);
+  std::vector<double> v(20000);
+  for (double& x : v) x = rng.Uniform(-1e6, 1e6);
+  const double inf = std::numeric_limits<double>::infinity();
+  const double tiny = std::numeric_limits<double>::denorm_min();
+  const double big = std::numeric_limits<double>::max();
+  v.insert(v.end(), {inf, -inf, tiny, -tiny, big, -big, 0.0, -0.0, v[0]});
+  ExpectComparisonOrder(v);
+}
+
+// ---------------------------------------------------------------------------
 // 2-d refinement
+
+// The pair build over explicit paired values (no nulls): `xi[r]` and
+// `xj[r]` are row r's two codes.
+PairHistogram BuildPairFromValues(const std::vector<double>& xi,
+                                  const std::vector<double>& xj,
+                                  const HistogramDim& h1_i,
+                                  const HistogramDim& h1_j,
+                                  const RefineConfig& config,
+                                  const Chi2CriticalCache& critical) {
+  ColumnRanks ri(xi), rj(xj);
+  ri.AssignBins(h1_i);
+  rj.AssignBins(h1_j);
+  return BuildPairHistogram(ri, rj, 0, 1, h1_i, h1_j, config, critical);
+}
 
 TEST(Refine2DTest, CorrelatedDataRefinesCells) {
   // xi is marginally uniform, but conditionally concentrated given xj's
@@ -248,8 +359,8 @@ TEST(Refine2DTest, CorrelatedDataRefinesCells) {
       BuildHistogram1D(si, {0.0, 1000.0}, TestConfig(500), cache);
   HistogramDim h1j =
       BuildHistogram1D(sj, {0.0, 1000.0}, TestConfig(500), cache);
-  PairHistogram ph = BuildPairHistogram(xi, xj, 0, 1, h1i, h1j,
-                                        TestConfig(500), cache);
+  PairHistogram ph =
+      BuildPairFromValues(xi, xj, h1i, h1j, TestConfig(500), cache);
   // Strong dependence ⇒ 2-d refinement must add edges beyond the 1-d grid.
   EXPECT_GT(ph.dim_i.NumBins() + ph.dim_j.NumBins(),
             h1i.NumBins() + h1j.NumBins());
@@ -283,8 +394,8 @@ TEST(Refine2DTest, ParentMappingConsistent) {
                                       cache);
   HistogramDim h1j = BuildHistogram1D(sj, {0.0, 1051.0}, TestConfig(300),
                                       cache);
-  PairHistogram ph = BuildPairHistogram(xi, xj, 0, 1, h1i, h1j,
-                                        TestConfig(300), cache);
+  PairHistogram ph =
+      BuildPairFromValues(xi, xj, h1i, h1j, TestConfig(300), cache);
   ASSERT_EQ(ph.dim_i.parent.size(), ph.dim_i.NumBins());
   for (size_t t = 0; t < ph.dim_i.NumBins(); ++t) {
     size_t parent = ph.dim_i.parent[t];
@@ -311,8 +422,8 @@ TEST(Refine2DTest, IndependentUniformDataAddsNoEdges) {
                                       cache);
   HistogramDim h1j = BuildHistogram1D(sj, {0.0, 801.0}, TestConfig(500),
                                       cache);
-  PairHistogram ph = BuildPairHistogram(xi, xj, 0, 1, h1i, h1j,
-                                        TestConfig(500), cache);
+  PairHistogram ph =
+      BuildPairFromValues(xi, xj, h1i, h1j, TestConfig(500), cache);
   EXPECT_EQ(ph.dim_i.NumBins(), h1i.NumBins());
   EXPECT_EQ(ph.dim_j.NumBins(), h1j.NumBins());
 }
@@ -326,8 +437,8 @@ TEST(Refine2DTest, EmptyInputProducesEmptyCells) {
   h1.v_min = {0.0};
   h1.v_max = {10.0};
   h1.unique = {0};
-  PairHistogram ph = BuildPairHistogram(empty, empty, 0, 1, h1, h1,
-                                        TestConfig(100), cache);
+  PairHistogram ph =
+      BuildPairFromValues(empty, empty, h1, h1, TestConfig(100), cache);
   EXPECT_EQ(ph.cells.size(), 1u);
   EXPECT_EQ(ph.cells[0], 0u);
 }
@@ -362,8 +473,8 @@ PairHistogram ExpectPairMatchesOracle(const std::vector<double>& xi,
       BuildHistogram1D(si, initial_i, TestConfig(min_points), cache);
   HistogramDim h1j =
       BuildHistogram1D(sj, initial_j, TestConfig(min_points), cache);
-  PairHistogram ph = BuildPairHistogram(xi, xj, 0, 1, h1i, h1j,
-                                        TestConfig(min_points), cache);
+  PairHistogram ph =
+      BuildPairFromValues(xi, xj, h1i, h1j, TestConfig(min_points), cache);
   PairHistogram ref = oracle::ReferenceBuildPairHistogram(
       xi, xj, 0, 1, h1i, h1j, TestConfig(min_points), cache);
   ExpectSameDim(ph.dim_i, ref.dim_i);
@@ -425,6 +536,19 @@ TEST(RankPathTest, NullsOnOneSideOfAPairOnly) {
   // and (2, 1) drop those rows on one side only, pair (2, 0) keeps them.
   ExpectBuildMatchesOracle(SkewedTable(12000, {0, 3, 0}, 21),
                            SmallConfig(200));
+}
+
+TEST(RankPathTest, SampledRows) {
+  // A sample smaller than the table: the library's sampler must draw the
+  // oracle's rows, in the same order. Several seeds make it likely that the
+  // first and last rows are drawn at least once.
+  const Table table = SkewedTable(12000, {0, 3, 0}, 26);
+  PairwiseHistConfig cfg = SmallConfig(100);
+  cfg.sample_size = 8000;
+  for (uint64_t seed : {1u, 2u, 3u, 4u}) {
+    cfg.seed = seed;
+    ExpectBuildMatchesOracle(table, cfg);
+  }
 }
 
 TEST(RankPathTest, AllNullColumn) {
