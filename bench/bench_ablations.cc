@@ -3,9 +3,7 @@
 //      core construction idea),
 //   2. GreedyGD bases vs min/max seeding of the initial 1-d edges
 //      (Section 3's compression<->AQP link: construction time effect),
-//   3. the engine's pair-grid aggregation and same-column value clipping
-//      (this implementation's additions; see engine.h),
-//   4. dense vs sparse (Golomb) bin-count encoding win rates.
+//   3. dense vs sparse (Golomb) bin-count encoding win rates.
 #include <cstdio>
 
 #include "bench/bench_util.h"
@@ -20,8 +18,8 @@ using namespace pairwisehist::bench;
 namespace {
 
 double MedianError(const Table& table, const std::vector<Query>& workload,
-                   const PairwiseHist& ph, AqpEngineOptions options) {
-  AqpEngine engine(&ph, options);
+                   const PairwiseHist& ph) {
+  AqpEngine engine(&ph);
   std::vector<double> errors;
   for (const Query& q : workload) {
     auto exact = ExecuteExact(table, q);
@@ -64,7 +62,7 @@ int main() {
       if (!ph.ok()) continue;
       std::printf("  M=%-8llu err=%6.2f%% size=%-10s",
                   static_cast<unsigned long long>(m),
-                  MedianError(*t, *workload, ph.value(), {}),
+                  MedianError(*t, *workload, ph.value()),
                   HumanBytes(ph->StorageBytes()).c_str());
     }
     std::printf("\n");
@@ -102,45 +100,15 @@ int main() {
         "%-10s: bases-seeded build %8s err %5.2f%% | min/max build %8s "
         "err %5.2f%%\n",
         name, HumanSeconds(seeded_time).c_str(),
-        MedianError(*t, *workload, seeded.value(), {}),
+        MedianError(*t, *workload, seeded.value()),
         HumanSeconds(plain_time).c_str(),
-        MedianError(*t, *workload, plain.value(), {}));
+        MedianError(*t, *workload, plain.value()));
   }
   std::printf("(paper: seeding with bases mainly accelerates construction; "
               "accuracy comparable)\n");
 
   // ------------------------------------------------------------------
-  Banner("Ablation 3: engine options (pair-grid / value clipping)");
-  {
-    auto t = MakeDataset("power", rows, 105);
-    WorkloadConfig wcfg = ScaledWorkloadConfig(106);
-    wcfg.num_queries = queries;
-    wcfg.min_selectivity = 1e-4;
-    auto workload = GenerateWorkload(*t, wcfg);
-    PairwiseHistConfig cfg;
-    cfg.sample_size = 0;
-    auto ph = PairwiseHist::BuildFromTable(*t, cfg);
-    if (workload.ok() && ph.ok()) {
-      struct Case {
-        const char* label;
-        AqpEngineOptions opt;
-      };
-      AqpEngineOptions none{false, false, false};
-      AqpEngineOptions grid_only{true, false, false};
-      AqpEngineOptions clip_only{false, true, false};
-      AqpEngineOptions all{true, true, true};
-      for (const Case& c :
-           {Case{"paper-literal (all off)", none},
-            Case{"+pair-grid", grid_only}, Case{"+value-clip", clip_only},
-            Case{"all on (default)", all}}) {
-        std::printf("  %-26s median err %6.2f%%\n", c.label,
-                    MedianError(*t, *workload, ph.value(), c.opt));
-      }
-    }
-  }
-
-  // ------------------------------------------------------------------
-  Banner("Ablation 4: dense vs sparse bin-count encoding");
+  Banner("Ablation 3: dense vs sparse bin-count encoding");
   {
     auto t = MakeDataset("flights", rows, 107);
     PairwiseHistConfig cfg;
@@ -154,15 +122,20 @@ int main() {
       size_t dense_cells_bits = 0, cells_total = 0, cells_nonzero = 0;
       for (size_t p = 0; p < ph->num_pairs(); ++p) {
         const auto& pair = ph->pair_at(p);
+        const size_t ki = pair.dim_i.NumBins();
+        const size_t kj = pair.dim_j.NumBins();
         uint64_t mx = 0;
-        for (uint64_t c : pair.cells) {
-          mx = std::max(mx, c);
-          cells_nonzero += (c != 0);
+        for (size_t ti = 0; ti < ki; ++ti) {
+          for (size_t tj = 0; tj < kj; ++tj) {
+            const uint64_t c = pair.CellCount(ti, tj);
+            mx = std::max(mx, c);
+            cells_nonzero += (c != 0);
+          }
         }
         int bits = 1;
         while ((uint64_t{1} << bits) <= mx && bits < 63) ++bits;
-        dense_cells_bits += pair.cells.size() * bits;
-        cells_total += pair.cells.size();
+        dense_cells_bits += ki * kj * bits;
+        cells_total += ki * kj;
       }
       std::printf(
           "  serialized synopsis: %s | cells: %zu (%.1f%% non-zero) | "

@@ -191,8 +191,7 @@ StatusOr<Db> Db::Open(const std::string& path, const DbOptions& options) {
   if (!in.good() && !in.eof()) {
     return Status::DataLoss("error reading '" + path + "'");
   }
-  PH_ASSIGN_OR_RETURN(SynopsisSet set,
-                      SynopsisSet::Deserialize(std::span<const uint8_t>(blob)));
+  PH_ASSIGN_OR_RETURN(SynopsisSet set, SynopsisSet::Deserialize(blob));
   return FromSet(std::move(set), options);
 }
 

@@ -295,13 +295,23 @@ class SynopsisCodec {
       WriteCells(&w, h.counts);
     }
 
-    // 2-d histograms: refined edges + metadata per dim, then cells.
+    // 2-d histograms: refined edges + metadata per dim, then the
+    // row-major cells, read back out of the cell prefixes.
+    std::vector<uint64_t> cells;
     for (const auto& p : ph.pairs_) {
       WriteEdges(&w, p.dim_i.edges);
       WriteDimMeta(&w, p.dim_i);
       WriteEdges(&w, p.dim_j.edges);
       WriteDimMeta(&w, p.dim_j);
-      WriteCells(&w, p.cells);
+      const size_t ki = p.dim_i.NumBins();
+      const size_t kj = p.dim_j.NumBins();
+      cells.resize(ki * kj);
+      for (size_t ti = 0; ti < ki; ++ti) {
+        for (size_t tj = 0; tj < kj; ++tj) {
+          cells[ti * kj + tj] = p.CellCount(ti, tj);
+        }
+      }
+      WriteCells(&w, cells);
     }
     return w.Finish();
   }
@@ -351,14 +361,15 @@ class SynopsisCodec {
         PH_RETURN_IF_ERROR(ReadDimMeta(&r, &p.dim_j));
         size_t ki = p.dim_i.edges.size() - 1;
         size_t kj = p.dim_j.edges.size() - 1;
-        PH_ASSIGN_OR_RETURN(p.cells, ReadCells(&r, ki * kj));
-        DerivePairDim(&p.dim_i, ph.hist1d_[i], p.cells, kj, /*is_rows=*/true);
-        DerivePairDim(&p.dim_j, ph.hist1d_[j], p.cells, ki,
-                      /*is_rows=*/false);
+        PH_ASSIGN_OR_RETURN(std::vector<uint64_t> cells,
+                            ReadCells(&r, ki * kj));
+        DerivePairDim(&p.dim_i, ph.hist1d_[i], cells, kj, /*is_rows=*/true);
+        DerivePairDim(&p.dim_j, ph.hist1d_[j], cells, ki, /*is_rows=*/false);
+        p.BuildCellPrefix(cells);
       }
     }
-    // Execution indexes (prefix sums, cell prefixes, non-null
-    // fractions) are derived, not stored.
+    // The remaining execution indexes (count prefixes, centre caches,
+    // non-null fractions) are derived, not stored.
     ph.FinishExecIndex();
     return ph;
   }
@@ -371,11 +382,6 @@ std::vector<uint8_t> PairwiseHist::Serialize() const {
 StatusOr<PairwiseHist> PairwiseHist::Deserialize(
     std::span<const uint8_t> data) {
   return SynopsisCodec::Decode(data);
-}
-
-StatusOr<PairwiseHist> PairwiseHist::Deserialize(
-    const std::vector<uint8_t>& data) {
-  return SynopsisCodec::Decode(std::span<const uint8_t>(data));
 }
 
 size_t PairwiseHist::StorageBytes() const { return Serialize().size(); }

@@ -170,7 +170,6 @@ void PairwiseHist::FinishExecIndex() {
     fill_centres(h);
   }
   for (PairHistogram& p : pairs_) {
-    p.BuildCellPrefix();
     p.nonnull_frac_i = NonNullFractions(p.dim_i, hist1d_[p.col_i]);
     p.nonnull_frac_j = NonNullFractions(p.dim_j, hist1d_[p.col_j]);
     fill_centres(p.dim_i);

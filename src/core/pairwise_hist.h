@@ -78,23 +78,13 @@ class PairView {
     return swapped_ ? ph_->CellCount(tp, ta) : ph_->CellCount(ta, tp);
   }
 
-  /// Dense cell prefix of aggregation bin `ta`: pred_dim().NumBins() + 1
-  /// exact integers, entry tp = Σ cells over pred bins [0, tp). A cell is
-  /// a difference of adjacent entries; a fully-covered coverage run's
-  /// mass is one difference. Requires FinishExecIndex.
-  const uint64_t* AggPrefix(size_t ta) const {
-    return swapped_
-               ? ph_->cell_prefix_j.data() + ta * (ph_->dim_i.NumBins() + 1)
-               : ph_->cell_prefix_i.data() + ta * (ph_->dim_j.NumBins() + 1);
-  }
   /// Column-major cell prefix at predicate-bin boundary `tp` (0 ..
   /// pred_dim().NumBins() inclusive): agg_dim().NumBins() contiguous exact
   /// integers, entry ta = Σ cells of agg bin ta over pred bins [0, tp).
   /// The mass of pred-bin range [a, b) for EVERY aggregation bin is the
   /// elementwise difference AggPrefixCol(b) - AggPrefixCol(a) — one
-  /// contiguous sweep instead of NumBins strided AggPrefix lookups, which
-  /// is what the multi-row reduction kernels consume. Requires
-  /// FinishExecIndex.
+  /// contiguous sweep, which is what the multi-row reduction kernels
+  /// consume.
   const uint64_t* AggPrefixCol(size_t tp) const {
     return swapped_ ? ph_->cell_colpre_j.data() + tp * ph_->dim_j.NumBins()
                     : ph_->cell_colpre_i.data() + tp * ph_->dim_i.NumBins();
@@ -173,8 +163,6 @@ class PairwiseHist {
   std::vector<uint8_t> Serialize() const;
   /// Restores a synopsis; full query capability is preserved.
   static StatusOr<PairwiseHist> Deserialize(std::span<const uint8_t> data);
-  /// Legacy overload; delegates to the span overload without copying.
-  static StatusOr<PairwiseHist> Deserialize(const std::vector<uint8_t>& data);
   /// Bytes of the serialized form.
   size_t StorageBytes() const;
 
@@ -196,9 +184,10 @@ class PairwiseHist {
 
   static size_t PairSlot(size_t i, size_t j);  // requires i > j
 
-  /// Builds every derived execution index: 1-d count prefix sums, the
-  /// per-pair dense cell prefixes and the per-pair non-null fractions.
-  /// Called at the end of Build and Deserialize.
+  /// Builds the derived execution indexes that need the 1-d histograms:
+  /// 1-d count prefix sums, per-bin centre caches and the per-pair
+  /// non-null fractions (the cell prefixes come with each pair). Called at
+  /// the end of Build and Deserialize.
   void FinishExecIndex();
 
   uint64_t total_rows_ = 0;

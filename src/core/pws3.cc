@@ -234,12 +234,12 @@ struct Header {
   uint64_t meta_size = 0;
   uint32_t meta_crc = 0;
   uint32_t num_segments = 0;
-  // v2 only (zero on v1 files):
+  // v2 and later (zero on v1 files):
   uint64_t crc_off = 0;
   uint32_t crc_count = 0;
   uint32_t crc_table_crc = 0;
   // Where the metadata stream begins: data_end on v1, after the CRC
-  // table on v2.
+  // table from v2 on.
   uint64_t meta_off = 0;
 };
 
@@ -337,9 +337,6 @@ std::vector<uint8_t> Pws3Codec::Encode(const SynopsisSet& set) {
       m->WriteU32(p.col_j);
       b.Dim(p.dim_i);
       b.Dim(p.dim_j);
-      b.Arr(p.cells);
-      b.Arr(p.cell_prefix_i);
-      b.Arr(p.cell_prefix_j);
       b.Arr(p.cell_colpre_i);
       b.Arr(p.cell_colpre_j);
       b.Arr(p.nonnull_frac_i);
@@ -447,11 +444,17 @@ StatusOr<SynopsisSet> Pws3Codec::Decode(
             LoadDim(&r, &ctx, ph.hist1d_[j].NumBins(), &p.dim_j));
         const size_t ki = p.dim_i.NumBins();
         const size_t kj = p.dim_j.NumBins();
-        PH_RETURN_IF_ERROR(LoadArr(&r, &ctx, ki * kj, &p.cells, "cells"));
-        PH_RETURN_IF_ERROR(LoadArr(&r, &ctx, ki * (kj + 1),
-                                   &p.cell_prefix_i, "cell_prefix_i"));
-        PH_RETURN_IF_ERROR(LoadArr(&r, &ctx, kj * (ki + 1),
-                                   &p.cell_prefix_j, "cell_prefix_j"));
+        if (hdr.version < 3) {
+          // v1/v2 also stored the row-major cells and row-major prefixes:
+          // validated like any array (and inside the segment's integrity
+          // span), then dropped.
+          VecView<uint64_t> obsolete;
+          PH_RETURN_IF_ERROR(LoadArr(&r, &ctx, ki * kj, &obsolete, "cells"));
+          PH_RETURN_IF_ERROR(LoadArr(&r, &ctx, ki * (kj + 1), &obsolete,
+                                     "row-major prefix i"));
+          PH_RETURN_IF_ERROR(LoadArr(&r, &ctx, kj * (ki + 1), &obsolete,
+                                     "row-major prefix j"));
+        }
         PH_RETURN_IF_ERROR(LoadArr(&r, &ctx, (kj + 1) * ki,
                                    &p.cell_colpre_i, "cell_colpre_i"));
         PH_RETURN_IF_ERROR(LoadArr(&r, &ctx, (ki + 1) * kj,

@@ -4,7 +4,7 @@
 //
 //   [ 64-byte header ]
 //   [ 64-byte-aligned raw array payloads ... ]        <- "data" region
-//   [ u32 CRC32 per 64 KB data block ]                <- "crc" region (v2)
+//   [ u32 CRC32 per 64 KB data block ]                <- "crc" region (v2+)
 //   [ ByteWriter metadata stream, CRC32-protected ]   <- "meta" region
 //
 //   header:  u32 magic "PWS3"   u32 version
@@ -14,23 +14,36 @@
 //            u64 crc_off (== data_end)   u32 crc_count
 //            u32 crc_table_crc32         [8 reserved zero bytes]
 //
-// v2 adds the crc region: one CRC32 per kCrcBlockSize (64 KB) block of
-// the data region (the last block may be short), so corruption in the
-// raw payloads — which v1 only checksummed indirectly via the meta
-// stream's array references — is detectable without decoding. The table
-// itself is covered by crc_table_crc32, and the meta stream now begins
-// at crc_off + 4 * crc_count. v1 files (no crc region, meta at data_end,
-// reserved bytes unchecked) still open; each such open bumps
-// Pws3LegacyOpenCount(). For v2 the reserved tail bytes must be zero so
+// The crc region holds one CRC32 per kCrcBlockSize (64 KB) block of the
+// data region (the last block may be short), so corruption in the raw
+// payloads is detectable without decoding. The table itself is covered
+// by crc_table_crc32, and the meta stream begins at
+// crc_off + 4 * crc_count. The reserved tail bytes must be zero so
 // single-bit flips anywhere in the header are rejected.
 //
-// Every numeric array of every segment (bin edges, counts, per-bin
-// metadata, cell matrices, AND the FinishExecIndex-derived execution
-// indexes: count prefixes, dense cell prefixes in both orientations,
-// centre-bound caches, non-null fractions) is stored as a raw
-// little-endian payload at a 64-byte-aligned offset. The metadata stream
-// holds everything small (params, transforms, pruning ranges) plus one
-// {offset, count} reference per array, in fixed traversal order.
+// Every numeric array of every segment is stored as a raw little-endian
+// payload at a 64-byte-aligned offset; the metadata stream holds
+// everything small (params, transforms, pruning ranges) plus one
+// {offset, count} reference per array, in fixed traversal order:
+//
+//   per histogram dim (1-d, then each pair's dim_i and dim_j):
+//     edges, counts, v_min, v_max, unique, parent, count_prefix,
+//     centre_mid, centre_lo, centre_hi
+//   per pair, after its two dims:
+//     cell_colpre_i, cell_colpre_j, nonnull_frac_i, nonnull_frac_j
+//
+// The execution indexes (count prefixes, centre caches, the column-major
+// cell prefixes — the only form the cells take — and non-null fractions)
+// are stored verbatim, so nothing is recomputed at open.
+//
+// Older versions still open:
+//   v2 has the same container but stores three more arrays per pair
+//      before cell_colpre_i: the row-major cells and the two row-major
+//      cell prefixes. They are validated like any array, so they stay
+//      inside the segment's integrity span, and then dropped.
+//   v1 has v2's per-pair arrays but no crc region (meta at data_end,
+//      reserved bytes unchecked); each v1 open bumps
+//      Pws3LegacyOpenCount().
 //
 // Opening is therefore O(metadata): validate the header, CRC-check and
 // parse the meta stream, and bind each array as a std::span view straight
@@ -59,7 +72,7 @@ namespace pairwisehist {
 class Pws3Codec {
  public:
   static constexpr uint32_t kMagic = 0x50575333;  // "PWS3"
-  static constexpr uint32_t kVersion = 2;
+  static constexpr uint32_t kVersion = 3;
   static constexpr size_t kHeaderSize = 64;
   static constexpr size_t kAlign = 64;
   /// Payload checksum granularity: one CRC32 per 64 KB data block.

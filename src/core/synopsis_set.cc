@@ -257,11 +257,6 @@ std::vector<uint8_t> SynopsisSet::Serialize() const {
   return w.Finish();
 }
 
-StatusOr<SynopsisSet> SynopsisSet::Deserialize(
-    const std::vector<uint8_t>& blob) {
-  return Deserialize(std::span<const uint8_t>(blob));
-}
-
 StatusOr<SynopsisSet> SynopsisSet::Deserialize(std::span<const uint8_t> blob) {
   ByteReader peek(blob);
   PH_ASSIGN_OR_RETURN(uint32_t magic, peek.ReadU32());

@@ -131,8 +131,6 @@ class SynopsisSet {
   /// (heap-converted — arrays are copied out of the blob). Zero-copy PWS3
   /// opens go through OpenMapped instead.
   static StatusOr<SynopsisSet> Deserialize(std::span<const uint8_t> blob);
-  /// Legacy overload; delegates to the span overload without copying.
-  static StatusOr<SynopsisSet> Deserialize(const std::vector<uint8_t>& blob);
   size_t StorageBytes() const;
 
   // ---- PWS3 memory-mapped persistence (core/pws3.cc) --------------------

@@ -29,32 +29,11 @@ void HistogramDim::BuildCountPrefix() {
   count_prefix = std::move(pre);
 }
 
-void PairHistogram::BuildCellPrefix() {
+void PairHistogram::BuildCellPrefix(std::span<const uint64_t> cells) {
   const size_t ki = dim_i.NumBins();
   const size_t kj = dim_j.NumBins();
-  // Dense per-row cell prefixes (exact: totals stay below 2^53). Costs
-  // 2x the dense cell matrix in memory, all execution-index-only.
-  std::vector<uint64_t> prefix_i(ki * (kj + 1));
-  for (size_t ti = 0; ti < ki; ++ti) {
-    const uint64_t* row = cells.data() + ti * kj;
-    uint64_t* pre = prefix_i.data() + ti * (kj + 1);
-    pre[0] = 0;
-    for (size_t tj = 0; tj < kj; ++tj) pre[tj + 1] = pre[tj] + row[tj];
-  }
-  std::vector<uint64_t> prefix_j(kj * (ki + 1));
-  for (size_t tj = 0; tj < kj; ++tj) {
-    uint64_t* pre = prefix_j.data() + tj * (ki + 1);
-    pre[0] = 0;
-    for (size_t ti = 0; ti < ki; ++ti) {
-      pre[ti + 1] = pre[ti] + cells[ti * kj + tj];
-    }
-  }
-  cell_prefix_i = std::move(prefix_i);
-  cell_prefix_j = std::move(prefix_j);
-  // Column-major transposes: row tp holds the prefix up to pred bin tp for
-  // every aggregation bin at once (contiguous), enabling whole-grid run
-  // reductions. Built by accumulating each boundary row from the previous
-  // one plus the matching cell column/row.
+  // Row tp + 1 of each orientation is row tp plus the matching cell
+  // column (colpre_i) or cell row (colpre_j).
   std::vector<uint64_t> colpre_i((kj + 1) * ki, 0);
   for (size_t tp = 0; tp < kj; ++tp) {
     const uint64_t* prev = colpre_i.data() + tp * ki;
@@ -477,7 +456,7 @@ PairHistogram BuildPairHistogram(const ColumnRanks& ri, const ColumnRanks& rj,
   for (uint32_t p : by_i) {
     ++cells[static_cast<size_t>(bin_i[p]) * kj + bin_j[p]];
   }
-  ph.cells = std::move(cells);
+  ph.BuildCellPrefix(cells);
   return ph;
 }
 

@@ -10,6 +10,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "common/vec_view.h"
@@ -83,33 +84,22 @@ HistogramDim BuildHistogram1D(const std::vector<double>& sorted_values,
                               const Chi2CriticalCache& critical);
 
 /// A pairwise (2-d) histogram for columns (i, j): refined edges and
-/// metadata in both dimensions plus the dense cell-count matrix.
+/// metadata in both dimensions plus the cell counts H(ij), held only as
+/// column-major prefixes.
 struct PairHistogram {
   uint32_t col_i = 0;
   uint32_t col_j = 0;
   HistogramDim dim_i;  ///< refined e(i|j) with metadata and parent mapping
   HistogramDim dim_j;  ///< refined e(j|i)
-  /// Row-major dim_i.NumBins() x dim_j.NumBins() cell counts H(ij).
-  VecView<uint64_t> cells;
-
-  // ---- Cell prefix index (execution index, not serialized) --------------
-  // Dense per-row cell prefixes (exact integers): row ti of
-  // cell_prefix_i has kj+1 entries with entry tj = Σ cells[ti][0..tj), so
-  // the cell mass of any pred-bin range — and any single cell — is a
-  // difference of two lookups. cell_prefix_j is the transposed
-  // orientation (kj rows of ki+1). This is what lets query execution
-  // answer fully-covered coverage runs per aggregation bin in O(1)
-  // instead of walking cells. Derived by BuildCellPrefix.
-  VecView<uint64_t> cell_prefix_i;
-  VecView<uint64_t> cell_prefix_j;
-  // Column-major transpose of the prefixes: cell_colpre_i has kj+1 rows of
-  // ki entries, entry [tp][ti] = Σ cells[ti][0..tp). For one pred-bin
-  // boundary tp the values of EVERY aggregation bin are contiguous, so a
-  // coverage run's mass for all aggregation bins is one vectorized
-  // subtraction of two adjacent-ish rows (see PairView::AggPrefixCol and
-  // the multi-row reduction kernels in common/simd.h). cell_colpre_j is
-  // the swapped orientation (ki+1 rows of kj). Same exact integers as
-  // cell_prefix_*, laid out for cross-row sweeps.
+  // Column-major cell prefixes, the only copy of the cells: cell_colpre_i
+  // has kj+1 rows of ki entries, entry [tp][ti] = Σ cells[ti][0..tp).
+  // For one pred-bin boundary tp the values of EVERY aggregation bin are
+  // contiguous, so a coverage run's mass for all aggregation bins is one
+  // vectorized subtraction of two rows (see PairView::AggPrefixCol and
+  // the multi-row reduction kernels in common/simd.h), and a single cell
+  // is the difference of two adjacent rows. cell_colpre_j is the swapped
+  // orientation (ki+1 rows of kj). Exact integers (totals stay below
+  // 2^53). Built by BuildCellPrefix.
   VecView<uint64_t> cell_colpre_i;
   VecView<uint64_t> cell_colpre_j;
   /// Per 1-d bin of col_i / col_j: fraction of the 1-d rows that have the
@@ -118,12 +108,17 @@ struct PairHistogram {
   VecView<double> nonnull_frac_i;
   VecView<double> nonnull_frac_j;
 
+  /// Cell count H(ij)[ti][tj], from two adjacent rows of cell_colpre_i.
   uint64_t CellCount(size_t ti, size_t tj) const {
-    return cells[ti * dim_j.NumBins() + tj];
+    const size_t ki = dim_i.NumBins();
+    return cell_colpre_i[(tj + 1) * ki + ti] - cell_colpre_i[tj * ki + ti];
   }
 
-  /// Derives both cell prefix orientations from `cells`.
-  void BuildCellPrefix();
+  /// Builds both column-major prefixes from the row-major
+  /// dim_i.NumBins() x dim_j.NumBins() cell counts, so both dims must
+  /// already hold their counts. Every producer of cells (the build, the
+  /// PWS2 decoder) ends here.
+  void BuildCellPrefix(std::span<const uint64_t> cells);
 };
 
 /// One column of a build sample, sorted and binned once and then shared

@@ -152,11 +152,10 @@ bool ResolveSingle(bool plan_single,
 
 // Aggregation (Table 3) over the touched range of the weightings.
 
-AggResult AggregateImpl(const PairwiseHist& ph, const AqpEngineOptions& options,
-                        const KernelOps& ks, AggFunc func, size_t agg_col,
-                        const AggGrid& grid, const WeightTable& wt,
-                        bool single_column, const IntervalSet* agg_clip,
-                        ExecArena& arena) {
+AggResult AggregateImpl(const PairwiseHist& ph, const KernelOps& ks,
+                        AggFunc func, size_t agg_col, const AggGrid& grid,
+                        const WeightTable& wt, bool single_column,
+                        const IntervalSet* agg_clip, ExecArena& arena) {
   const HistogramDim& hist = *grid.dim;
   const ColumnTransform& tr = ph.transform(agg_col);
   const size_t k = hist.NumBins();
@@ -183,7 +182,6 @@ AggResult AggregateImpl(const PairwiseHist& ph, const AqpEngineOptions& options,
     return r;
   }
 
-  if (!options.clip_agg_values) agg_clip = nullptr;
   const bool clip_active =
       agg_clip != nullptr && !agg_clip->IsAll() && !agg_clip->Empty();
 
@@ -341,7 +339,7 @@ AggResult AggregateImpl(const PairwiseHist& ph, const AqpEngineOptions& options,
       double* m2 = arena.Alloc(k);
       for (size_t t = rb; t < re; ++t) {
         double within = 0.0;
-        if (options.var_within_bin && hist.unique[t] > 1) {
+        if (hist.unique[t] > 1) {
           double span = v_hi[t] - v_lo[t];
           within = span * span / 12.0;
         }
@@ -569,14 +567,13 @@ void FillPartialFromCount(const AggResult& r, bool empty,
 // synopsis's own Table-3 answer and — for VAR / MEDIAN — the extra
 // statistics the cross-segment merge needs. Overwrites `out` in place so
 // warm median_bins keep their capacity.
-void FillPartialFromWeights(const PairwiseHist& ph,
-                            const AqpEngineOptions& options,
-                            const KernelOps& ks, AggFunc func, size_t agg_col,
-                            const AggGrid& grid, const WeightTable& wt, bool single,
+void FillPartialFromWeights(const PairwiseHist& ph, const KernelOps& ks,
+                            AggFunc func, size_t agg_col, const AggGrid& grid,
+                            const WeightTable& wt, bool single,
                             const IntervalSet* agg_clip, ExecArena& arena,
                             PartialAggregate* out) {
-  const AggResult value = AggregateImpl(ph, options, ks, func, agg_col, grid,
-                                       wt, single, agg_clip, arena);
+  const AggResult value =
+      AggregateImpl(ph, ks, func, agg_col, grid, wt, single, agg_clip, arena);
   if (func == AggFunc::kCount) {
     FillPartialFromCount(value, value.empty_selection, out);
     return;
@@ -595,14 +592,13 @@ void FillPartialFromWeights(const PairwiseHist& ph,
   if (out->empty) return;
 
   if (func == AggFunc::kVar) {
-    out->mean = AggregateImpl(ph, options, ks, AggFunc::kAvg, agg_col, grid,
-                              wt, single, agg_clip, arena);
+    out->mean = AggregateImpl(ph, ks, AggFunc::kAvg, agg_col, grid, wt,
+                              single, agg_clip, arena);
   } else if (func == AggFunc::kMedian) {
     // Export the touched weighted bins in the raw value domain; the merge
     // walks the combined weighted CDF exactly like Table 3's rule.
     const HistogramDim& hist = *grid.dim;
     const ColumnTransform& tr = ph.transform(agg_col);
-    if (!options.clip_agg_values) agg_clip = nullptr;
     auto decode = [&](double code) { return tr.Decode(code); };
     for (size_t t = wt.begin; t < wt.end; ++t) {
       if (wt.w[t] <= 0 && wt.lo[t] <= 0 && wt.hi[t] <= 0) continue;
@@ -1204,7 +1200,6 @@ AqpEngine::Grid AqpEngine::ChooseGrid(size_t agg_col, const Node* root,
                                       bool has_or, size_t group_col) const {
   Grid grid;
   grid.dim = &ph_->hist1d(agg_col);
-  if (!options_.use_pair_grid) return grid;
 
   // The first predicate column (depth-first, then the GROUP BY column)
   // whose pair with the aggregation column refines it most wins.
@@ -1385,8 +1380,8 @@ void AqpEngine::ExecutePartialScalar(const CompiledQuery& plan,
   WeightTable wt = ComputeWeightSpanFast(*ph_, arena, *ks_, agg_col,
                                          plan.where(), extra_group_leaf,
                                          extra_g2ta, grid);
-  FillPartialFromWeights(*ph_, options_, *ks_, plan.func_, agg_col,
-                         grid, wt, single, agg_clip, arena, out);
+  FillPartialFromWeights(*ph_, *ks_, plan.func_, agg_col, grid, wt, single,
+                         agg_clip, arena, out);
 }
 
 void AqpEngine::PartialInto(const CompiledQuery& plan, ExecScratch& scratch,
@@ -1602,8 +1597,8 @@ Status AqpEngine::ExecutePartialBatchInto(
       const CompiledQuery& p = *plans[i];
       const IntervalSet* clip =
           p.agg_clip_.has_value() ? &*p.agg_clip_ : nullptr;
-      FillPartialFromWeights(*ph_, options_, *ks_, p.func_, p.agg_col_,
-                             p.grid_, g.wt, p.single_column_, clip, arena,
+      FillPartialFromWeights(*ph_, *ks_, p.func_, p.agg_col_, p.grid_, g.wt,
+                             p.single_column_, clip, arena,
                              &ScalarSlot(out[i]));
     }
   }

@@ -8,20 +8,19 @@
 // widening → Table-3 aggregation with lower/upper bounds → map results back
 // to the raw value domain.
 //
-// Three engine refinements beyond the paper's literal formulas (each
-// toggleable for the ablation benches, all on by default):
-//  * use_pair_grid — aggregate on the refined e(i|j) grid of the most
+// Three engine refinements beyond the paper's literal formulas:
+//  * pair grids — aggregate on the refined e(i|j) grid of the most
 //    informative predicate pair instead of projecting every predicate onto
 //    the coarse 1-d grid. This is what the per-pair v±/c/u metadata the
 //    paper stores (Fig. 4/6) exists for; without it, cross-column
 //    aggregates collapse to 1-d bin midpoints.
-//  * clip_agg_values — when the aggregation column itself carries a
-//    conjunctive predicate, restrict each bin's value interval to the
-//    predicate's intersection with [v−, v+] under the within-bin
+//  * aggregation-column clips — when the aggregation column itself
+//    carries a conjunctive predicate, restrict each bin's value interval
+//    to the predicate's intersection with [v−, v+] under the within-bin
 //    uniformity model before computing midpoints/extrema.
-//  * var_within_bin — add the within-bin uniform variance term
-//    (v+ − v−)²/12 to VAR (Table 3's formula alone sees only between-bin
-//    variance and reports 0 for single-bin columns).
+//  * within-bin variance — add the uniform variance term (v+ − v−)²/12
+//    to VAR (Table 3's formula alone sees only between-bin variance and
+//    reports 0 for single-bin columns).
 //
 // There is one execution path: a zero-allocation pipeline over a pooled
 // scratch arena (cell prefix index, interval-localized coverage,
@@ -48,11 +47,8 @@ namespace pairwisehist {
 
 class ExecArena;  // query/exec_scratch.h
 
-/// Engine behaviour toggles (see the header comment).
+/// Engine execution options.
 struct AqpEngineOptions {
-  bool use_pair_grid = true;
-  bool clip_agg_values = true;
-  bool var_within_bin = true;
   /// SIMD kernel tier for the execution loops (see common/simd.h):
   /// runtime-detected widest by default, kScalar forces the scalar
   /// kernels. Per-tier results are deterministic (bit-identical across

@@ -27,11 +27,10 @@ namespace engine_internal {
 /// outside [wt.begin, wt.end) carry zero weight). `agg_clip` is the
 /// aggregation column's own conjunctive predicate, or nullptr. Temporaries
 /// come from `arena`.
-AggResult AggregateImpl(const PairwiseHist& ph, const AqpEngineOptions& options,
-                        const KernelOps& ks, AggFunc func, size_t agg_col,
-                        const AggGrid& grid, const WeightTable& wt,
-                        bool single_column, const IntervalSet* agg_clip,
-                        ExecArena& arena);
+AggResult AggregateImpl(const PairwiseHist& ph, const KernelOps& ks,
+                        AggFunc func, size_t agg_col, const AggGrid& grid,
+                        const WeightTable& wt, bool single_column,
+                        const IntervalSet* agg_clip, ExecArena& arena);
 
 /// Eq.-29 weightings (w, w−, w+) of the probabilities `prob` over the bin
 /// counts of `dim`, written into `wt` over [prob.begin, prob.end).

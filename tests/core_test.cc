@@ -230,7 +230,10 @@ TEST(EncodingTest, SerializeDeserializeRoundTripExact) {
     ASSERT_EQ(a.unique, b.unique) << c;
   }
   for (size_t p = 0; p < ph->num_pairs(); ++p) {
-    ASSERT_EQ(ph->pair_at(p).cells, back->pair_at(p).cells) << p;
+    ASSERT_EQ(ph->pair_at(p).cell_colpre_i, back->pair_at(p).cell_colpre_i)
+        << p;
+    ASSERT_EQ(ph->pair_at(p).cell_colpre_j, back->pair_at(p).cell_colpre_j)
+        << p;
     ASSERT_EQ(ph->pair_at(p).dim_i.edges, back->pair_at(p).dim_i.edges);
     ASSERT_EQ(ph->pair_at(p).dim_j.parent, back->pair_at(p).dim_j.parent);
     ASSERT_EQ(ph->pair_at(p).dim_i.counts, back->pair_at(p).dim_i.counts);

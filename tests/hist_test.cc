@@ -366,7 +366,11 @@ TEST(Refine2DTest, CorrelatedDataRefinesCells) {
             h1i.NumBins() + h1j.NumBins());
   // Cell counts sum to n.
   uint64_t total = 0;
-  for (uint64_t c : ph.cells) total += c;
+  for (size_t ti = 0; ti < ph.dim_i.NumBins(); ++ti) {
+    for (size_t tj = 0; tj < ph.dim_j.NumBins(); ++tj) {
+      total += ph.CellCount(ti, tj);
+    }
+  }
   EXPECT_EQ(total, n);
   // Marginals match dim counts.
   for (size_t ti = 0; ti < ph.dim_i.NumBins(); ++ti) {
@@ -439,8 +443,9 @@ TEST(Refine2DTest, EmptyInputProducesEmptyCells) {
   h1.unique = {0};
   PairHistogram ph =
       BuildPairFromValues(empty, empty, h1, h1, TestConfig(100), cache);
-  EXPECT_EQ(ph.cells.size(), 1u);
-  EXPECT_EQ(ph.cells[0], 0u);
+  ASSERT_EQ(ph.dim_i.NumBins(), 1u);
+  ASSERT_EQ(ph.dim_j.NumBins(), 1u);
+  EXPECT_EQ(ph.CellCount(0, 0), 0u);
 }
 
 // ---- Rank-path edge cases, each against the reference builder -----------
@@ -479,7 +484,8 @@ PairHistogram ExpectPairMatchesOracle(const std::vector<double>& xi,
       xi, xj, 0, 1, h1i, h1j, TestConfig(min_points), cache);
   ExpectSameDim(ph.dim_i, ref.dim_i);
   ExpectSameDim(ph.dim_j, ref.dim_j);
-  EXPECT_TRUE(ph.cells == ref.cells);
+  EXPECT_TRUE(ph.cell_colpre_i == ref.cell_colpre_i);
+  EXPECT_TRUE(ph.cell_colpre_j == ref.cell_colpre_j);
   return ph;
 }
 
@@ -596,7 +602,9 @@ TEST(RankPathTest, EmptyPair) {
   std::vector<double> empty;
   PairHistogram ph =
       ExpectPairMatchesOracle(empty, empty, {0.0, 10.0}, {0.0, 4.0, 9.0}, 100);
-  EXPECT_EQ(ph.cells.size(), 2u);
+  ASSERT_EQ(ph.dim_i.NumBins() * ph.dim_j.NumBins(), 2u);
+  EXPECT_EQ(ph.CellCount(0, 0), 0u);
+  EXPECT_EQ(ph.CellCount(0, 1), 0u);
   // Two columns whose non-null rows never overlap: the pair is empty while
   // both 1-d histograms are not.
   Table disjoint("disjoint");

@@ -1,11 +1,11 @@
-// End-to-end data-integrity tests for the PWS3 v2 checksum layer: v2
-// round-trip bit-equality, legacy v1 opens (warn counter, no payload
-// checksums), a 200-iteration single-bit-flip fuzz drill (every flip
-// detected or provably harmless), SIGBUS-safe truncation-under-map,
-// background-scrubber rot detection, quarantine fail-closed vs degraded
-// serving over the HTTP surface, /healthz lifecycle phases,
-// checkpoint-fallback recovery, and kill-at-every-new-failpoint crash
-// drills.
+// End-to-end data-integrity tests for the PWS3 checksum layer: round-trip
+// bit-equality, legacy v2 opens (checked-in fixture, re-saved as v3) and
+// v1 opens (warn counter, no payload checksums), a 200-iteration
+// single-bit-flip fuzz drill (every flip detected or provably harmless),
+// SIGBUS-safe truncation-under-map, background-scrubber rot detection,
+// quarantine fail-closed vs degraded serving over the HTTP surface,
+// /healthz lifecycle phases, checkpoint-fallback recovery, and
+// kill-at-every-new-failpoint crash drills.
 #include <sys/stat.h>
 #include <sys/wait.h>
 #include <unistd.h>
@@ -97,7 +97,51 @@ DbOptions HeapOpen() {
   return o;
 }
 
-/// Shared fixture: one PWS3 v2 file (4 segments) plus the baseline
+// tests/testdata/legacy_v2.pws3 is a PWS3 v2 file, written before v3
+// dropped the row-major cells and row-major cell prefixes by
+//
+//   DbOptions options;                    // every other option default
+//   options.target_segment_rows = 300;   // 600 rows -> 2 segments
+//   Db::FromGenerator("temp", 600, 7, options)
+//       ->Save(path, SaveFormat::kPws3);
+//
+// LegacyV2Build() rebuilds that synopsis from the same table and options.
+std::string LegacyV2Path() {
+  return std::string(PWH_TESTDATA_DIR) + "/legacy_v2.pws3";
+}
+
+StatusOr<Db> LegacyV2Build() {
+  DbOptions options;
+  options.target_segment_rows = 300;
+  return Db::FromGenerator("temp", 600, 7, options);
+}
+
+const std::vector<std::string>& LegacyV2Workload() {
+  static const std::vector<std::string> kSqls = {
+      "SELECT COUNT(*) FROM temp;",
+      "SELECT AVG(temperature) FROM temp WHERE humidity > 50;",
+      "SELECT SUM(battery_pct) FROM temp WHERE temperature >= 15 AND "
+      "humidity < 70;",
+      "SELECT MEDIAN(humidity) FROM temp WHERE battery_pct > 90 OR "
+      "temperature < 12;",
+      "SELECT VAR(temperature) FROM temp WHERE humidity <= 60;",
+      "SELECT MAX(humidity) FROM temp WHERE temperature > 14;",
+      "SELECT AVG(humidity) FROM temp GROUP BY device;",
+  };
+  return kSqls;
+}
+
+void ExpectLegacyV2Answers(const Db& want, const Db& got,
+                           const std::string& ctx) {
+  for (const std::string& sql : LegacyV2Workload()) {
+    auto a = want.ExecuteSql(sql);
+    auto b = got.ExecuteSql(sql);
+    ASSERT_TRUE(a.ok() && b.ok()) << ctx << ": " << sql;
+    ExpectBitEqual(a.value(), b.value(), ctx + ": " + sql);
+  }
+}
+
+/// Shared fixture: one PWS3 file (4 segments) plus the baseline
 /// answers a clean open produces — the bit-equality reference for every
 /// corruption drill below.
 class IntegrityTest : public ::testing::Test {
@@ -142,7 +186,7 @@ std::string* IntegrityTest::path_ = nullptr;
 std::vector<uint8_t>* IntegrityTest::image_ = nullptr;
 std::vector<QueryResult>* IntegrityTest::baseline_ = nullptr;
 
-TEST_F(IntegrityTest, V2RoundTripVerifiesAndAnswersBitEqual) {
+TEST_F(IntegrityTest, RoundTripVerifiesAndAnswersBitEqual) {
   auto heap = Db::Open(*path_, HeapOpen());
   ASSERT_TRUE(heap.ok()) << heap.status().ToString();
   EXPECT_TRUE(heap->VerifyIntegrity().ok());
@@ -159,12 +203,56 @@ TEST_F(IntegrityTest, V2RoundTripVerifiesAndAnswersBitEqual) {
   ExpectBaselineAnswers(&mmap.value(), "mmap");
 }
 
-// A v1 file (synthesized from the v2 image by dropping the CRC region)
-// still opens on both paths — upgrade compatibility — but each open bumps
-// the legacy counter /healthz surfaces, and it carries no integrity
-// state: payload corruption there is only caught by the meta stream.
+// The checked-in v2 file opens on both paths with answers bit-equal to a
+// fresh build of the same table; it carries live integrity state on the
+// mapped path, does not count as a legacy (v1) open, and re-saves as v3
+// without its obsolete per-pair arrays and without changing an answer.
+TEST_F(IntegrityTest, LegacyV2FixtureOpensBitEqualAndResavesAsV3) {
+  const std::vector<uint8_t> v2 = ReadAll(LegacyV2Path());
+  ASSERT_GE(v2.size(), Pws3Codec::kHeaderSize);
+  uint32_t version = 0;
+  std::memcpy(&version, v2.data() + 4, 4);
+  ASSERT_EQ(version, 2u);
+  auto fresh = LegacyV2Build();
+  ASSERT_TRUE(fresh.ok()) << fresh.status().ToString();
+  ASSERT_EQ(fresh->synopses().NumSegments(), 2u);
+
+  const uint64_t before = Pws3LegacyOpenCount();
+  const std::string v3_path = ::testing::TempDir() + "/legacy_v2_as_v3.pws3";
+  for (const DbOptions& opts : {HeapOpen(), MmapNoScrub()}) {
+    const std::string mode =
+        opts.open_mode == OpenMode::kHeap ? "heap" : "mmap";
+    auto db = Db::Open(LegacyV2Path(), opts);
+    ASSERT_TRUE(db.ok()) << mode << ": " << db.status().ToString();
+    EXPECT_EQ(db->mapped(), opts.open_mode == OpenMode::kMmap);
+    EXPECT_EQ(db->synopses().NumSegments(), 2u);
+    EXPECT_TRUE(db->VerifyIntegrity().ok()) << mode;
+    ExpectLegacyV2Answers(*fresh, *db, "v2 " + mode);
+
+    ASSERT_TRUE(db->Save(v3_path, SaveFormat::kPws3).ok()) << mode;
+    const std::vector<uint8_t> v3 = ReadAll(v3_path);
+    std::memcpy(&version, v3.data() + 4, 4);
+    EXPECT_EQ(version, Pws3Codec::kVersion);
+    EXPECT_LT(v3.size(), v2.size());
+    for (const DbOptions& reopen : {HeapOpen(), MmapNoScrub()}) {
+      auto back = Db::Open(v3_path, reopen);
+      ASSERT_TRUE(back.ok()) << back.status().ToString();
+      EXPECT_TRUE(back->VerifyIntegrity().ok());
+      ExpectLegacyV2Answers(*fresh, *back, "v3 from " + mode);
+    }
+  }
+  EXPECT_EQ(Pws3LegacyOpenCount(), before);
+  std::remove(v3_path.c_str());
+}
+
+// A v1 file (synthesized from the v2 fixture by dropping its CRC region;
+// v1 and v2 share the per-pair arrays, v3 does not) still opens on both
+// paths — upgrade compatibility — but each open bumps the legacy counter
+// /healthz surfaces, and it carries no integrity state: payload
+// corruption there is only caught by the meta stream.
 TEST_F(IntegrityTest, LegacyV1OpensAndBumpsWarnCounter) {
-  const std::vector<uint8_t>& v2 = *image_;
+  const std::vector<uint8_t> v2 = ReadAll(LegacyV2Path());
+  ASSERT_GE(v2.size(), Pws3Codec::kHeaderSize);
   const uint64_t data_end = ReadU64At(v2, 16);
   const uint64_t meta_size = ReadU64At(v2, 24);
   const uint64_t meta_off = v2.size() - meta_size;  // after the CRC table
@@ -178,6 +266,8 @@ TEST_F(IntegrityTest, LegacyV1OpensAndBumpsWarnCounter) {
   std::memcpy(v1.data() + 8, &file_size, 8);
   std::fill(v1.begin() + 40, v1.begin() + 64, uint8_t{0});
 
+  auto fresh = LegacyV2Build();
+  ASSERT_TRUE(fresh.ok()) << fresh.status().ToString();
   const std::string path = ::testing::TempDir() + "/integrity_v1.pws3";
   WriteAll(path, v1);
   const uint64_t before = Pws3LegacyOpenCount();
@@ -186,7 +276,7 @@ TEST_F(IntegrityTest, LegacyV1OpensAndBumpsWarnCounter) {
     ASSERT_TRUE(db.ok()) << db.status().ToString();
     EXPECT_EQ(db->synopses().integrity(), nullptr);
     EXPECT_TRUE(db->VerifyIntegrity().ok());  // trivially: no state
-    ExpectBaselineAnswers(&db.value(), "v1");
+    ExpectLegacyV2Answers(*fresh, *db, "v1");
   }
   EXPECT_EQ(Pws3LegacyOpenCount(), before + 2);
   std::remove(path.c_str());

@@ -215,7 +215,7 @@ PairHistogram ReferenceBuildPairHistogram(const std::vector<double>& xi,
     size_t tj = ph.dim_j.BinIndex(xj[r]);
     ++cells[ti * kj + tj];
   }
-  ph.cells = std::move(cells);
+  ph.BuildCellPrefix(cells);
   return ph;
 }
 

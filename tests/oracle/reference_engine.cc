@@ -19,28 +19,33 @@ using engine_internal::WeightsInto;
 namespace {
 
 // Per-row sparse reduction. Reduces one aggregation bin's cells against
-// per-pred-bin coverage values using the dense per-row cell prefix
-// (PairView::AggPrefix): fully-covered runs (β = β− = β+ = 1) collapse to
-// one exact integer prefix difference each, and only the few partial
-// coverage bins around the runs read individual cells (also as prefix
-// differences). The accumulation is plain sequential scalar — identical
-// on every kernel tier — and it consumes the same coverage spans as the
-// engine's all-rows ReduceRowsAll, which drives its events in this walk's
-// order, so the two stay bit-equal.
+// per-pred-bin coverage values, reading each cell through PairView::Cell:
+// fully-covered runs (β = β− = β+ = 1) contribute their mass as one exact
+// integer sum, and only the few partial coverage bins around the runs are
+// weighted cell by cell. The accumulation is plain sequential scalar —
+// identical on every kernel tier — and it consumes the same coverage
+// spans as the engine's all-rows ReduceRowsAll, which drives its events
+// in this walk's order, so the two stay bit-equal.
+
+/// Exact cell mass of aggregation bin `ta` over pred bins [b, e).
+uint64_t RowMass(const PairView& pair, size_t ta, size_t b, size_t e) {
+  uint64_t mass = 0;
+  for (size_t tp = b; tp < e; ++tp) mass += pair.Cell(ta, tp);
+  return mass;
+}
 
 /// Reduces one row against the coverage span: candidate segments bound
 /// the walk (bins between segments have exactly zero coverage, so
 /// scattered multi-piece predicates skip their gaps), and runs inside
-/// them collapse to prefix differences. Returns true when the row has
+/// them collapse to one exact mass each. Returns true when the row has
 /// any cell in [cov_begin, cov_end).
 bool ReduceRow(const PairView& pair, size_t ta, const CoverageSpan& cov,
                double acc[3]) {
-  const uint64_t* pre = pair.AggPrefix(ta);
   acc[0] = acc[1] = acc[2] = 0.0;
-  if (pre[cov.end] == pre[cov.begin]) return false;
+  if (RowMass(pair, ta, cov.begin, cov.end) == 0) return false;
   auto partial_bins = [&](size_t b, size_t e) {
     for (size_t tp = b; tp < e; ++tp) {
-      uint64_t cell = pre[tp + 1] - pre[tp];
+      uint64_t cell = pair.Cell(ta, tp);
       if (cell == 0) continue;
       double c = static_cast<double>(cell);
       acc[0] += c * cov.beta[tp];
@@ -55,7 +60,7 @@ bool ReduceRow(const PairView& pair, size_t ta, const CoverageSpan& cov,
       const size_t f0 = cov.runs[2 * r];
       const size_t f1 = cov.runs[2 * r + 1];
       partial_bins(t, f0);
-      uint64_t mass = pre[f1] - pre[f0];
+      uint64_t mass = RowMass(pair, ta, f0, f1);
       if (mass != 0) {
         double total = static_cast<double>(mass);
         acc[0] += total;
@@ -350,8 +355,8 @@ AggResult ReferenceEngine::ExecuteScalar(
       ResolveSingle(plan.single_column(), extra_group_leaf, agg_col);
   ExecArena arena;
   WeightTable view{wt.w.data(), wt.lo.data(), wt.hi.data(), 0, k};
-  return AggregateImpl(*ph_, compiler_.options(), *ks_, plan.func(),
-                       agg_col, grid, view, single, agg_clip, arena);
+  return AggregateImpl(*ph_, *ks_, plan.func(), agg_col, grid, view, single,
+                       agg_clip, arena);
 }
 
 StatusOr<QueryResult> ReferenceEngine::Execute(

@@ -237,28 +237,6 @@ TEST(ParameterProperties, LargerSampleImprovesOrMatchesAccuracy) {
       << "large " << err_large << " vs small " << err_small;
 }
 
-TEST(ParameterProperties, EngineOptionAblationsDoNotBreakQueries) {
-  Table t = MakePower(10000, 99);
-  PairwiseHistConfig cfg;
-  cfg.sample_size = 0;
-  auto ph = PairwiseHist::BuildFromTable(t, cfg);
-  ASSERT_TRUE(ph.ok());
-  for (bool pair_grid : {false, true}) {
-    for (bool clip : {false, true}) {
-      AqpEngineOptions opt;
-      opt.use_pair_grid = pair_grid;
-      opt.clip_agg_values = clip;
-      AqpEngine engine(&ph.value(), opt);
-      auto r = engine.ExecuteSql(
-          "SELECT AVG(global_active_power) FROM power WHERE hour >= 18 AND "
-          "voltage > 238;");
-      ASSERT_TRUE(r.ok()) << pair_grid << clip;
-      EXPECT_FALSE(std::isnan(r->Scalar().estimate));
-      EXPECT_LE(r->Scalar().lower, r->Scalar().upper);
-    }
-  }
-}
-
 // ---------------------------------------------------------------------------
 // Answer contract under aggregation-column clips. When the aggregation
 // column carries its own predicate, the engine clips each bin it cuts to
