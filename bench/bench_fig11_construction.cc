@@ -5,10 +5,12 @@
 // than two orders of magnitude faster than DBEst++ (<3 min at 1m samples
 // vs 30+ hours).
 //
-// Before the method table, each dataset prints the two timings behind the
-// README "Construction" stage table, on the generator's table (the one the
+// First it prints the timings behind the README "Construction" stage table
+// for power, flights and taxis, on the generator's table (the one the
 // perfbench workloads build; seed 1) rather than the scaled one: the
-// per-column ranks (`ColumnRanks`) over the build's 100k-row sample, and
+// per-column ranks (`ColumnRanks`) over the build's 100k-row sample, the
+// pair phase (`BuildPairHistogram` over every pair with one scratch, as one
+// build worker runs it, on ranks and 1-d histograms prepared untimed), and
 // one GD-seeded `PairwiseHist::Build` with build_threads = 1, each the
 // minimum of 5 runs. Pin to one CPU to reproduce the table:
 //   taskset -c 0 build/bench_fig11_construction
@@ -50,11 +52,8 @@ void PrintBuildStages(const Table& table) {
   const std::vector<uint32_t> rows =
       SampleRows(codes.NumRows(), cfg.sample_size, cfg.seed);
 
-  double ranks_s = std::numeric_limits<double>::infinity();
-  double build_s = ranks_s;
-  size_t sorted = 0;
-  for (int run = 0; run < kStageRuns; ++run) {
-    // The sample's values per column, gathered as Build does, untimed.
+  // The sample's values per column, gathered as Build does.
+  auto sample_columns = [&]() {
     std::vector<std::vector<double>> columns;
     for (const std::vector<uint64_t>& col : codes.codes) {
       std::vector<double>& values = columns.emplace_back(rows.size());
@@ -64,6 +63,16 @@ void PrintBuildStages(const Table& table) {
                                          : static_cast<double>(code);
       }
     }
+    return columns;
+  };
+
+  double ranks_s = std::numeric_limits<double>::infinity();
+  double pairs_s = ranks_s;
+  double build_s = ranks_s;
+  size_t sorted = 0;
+  size_t npairs = 0;
+  for (int run = 0; run < kStageRuns; ++run) {
+    std::vector<std::vector<double>> columns = sample_columns();
     double t0 = NowSeconds();
     for (std::vector<double>& values : columns) {
       sorted += ColumnRanks(std::move(values)).order.size();
@@ -78,6 +87,27 @@ void PrintBuildStages(const Table& table) {
                    ph.status().ToString().c_str());
       return;
     }
+
+    // The pair phase alone, on the built synopsis's 1-d histograms.
+    std::vector<ColumnRanks> ranks;
+    for (std::vector<double>& values : sample_columns()) {
+      ranks.emplace_back(std::move(values));
+      ranks.back().AssignBins(ph->hist1d(ranks.size() - 1));
+    }
+    RefineConfig refine;
+    refine.min_points = ph->min_points();
+    refine.alpha = ph->alpha();
+    const auto critical = SharedChi2CriticalCache(ph->alpha());
+    npairs = 0;
+    t0 = NowSeconds();
+    PairBuildScratch scratch;
+    for (uint32_t i = 1; i < ranks.size(); ++i) {
+      for (uint32_t j = 0; j < i; ++j, ++npairs) {
+        BuildPairHistogram(ranks[i], ranks[j], i, j, ph->hist1d(i),
+                           ph->hist1d(j), refine, *critical, &scratch);
+      }
+    }
+    pairs_s = std::min(pairs_s, NowSeconds() - t0);
   }
   std::printf("Build stages, generator table, %zu-row sample, %zu columns "
               "(%zu non-null values), min of %d:\n",
@@ -85,6 +115,10 @@ void PrintBuildStages(const Table& table) {
               kStageRuns);
   std::printf("  %-36s %9.1f ms\n", "ColumnRanks, all columns",
               ranks_s * 1e3);
+  char label[64];
+  std::snprintf(label, sizeof(label), "BuildPairHistogram, %zu pairs",
+                npairs);
+  std::printf("  %-36s %9.1f ms\n", label, pairs_s * 1e3);
   std::printf("  %-36s %9.1f ms\n", "PairwiseHist::Build (GD, 1 thread)",
               build_s * 1e3);
 }
@@ -98,14 +132,18 @@ int main() {
   const size_t ns_large = EnvSize("PH_NS", scale_rows / 10);
   const size_t ns_small = ns_large / 10;
 
+  for (const char* name : {"power", "flights", "taxis"}) {
+    if (auto table = MakeDataset(name, scale_rows, kStageTableSeed);
+        table.ok()) {
+      std::printf("\n--- %s (%zu rows) ---\n", name, table->NumRows());
+      PrintBuildStages(*table);
+    }
+  }
+
   for (const char* name : {"power", "flights"}) {
     BenchDataset ds = MakeScaledDataset(name, scale_rows, queries, 81);
     if (ds.table.NumRows() == 0) continue;
     std::printf("\n--- %s (%zu rows) ---\n", name, ds.table.NumRows());
-    if (auto table = MakeDataset(name, scale_rows, kStageTableSeed);
-        table.ok()) {
-      PrintBuildStages(*table);
-    }
     std::printf("%-26s %14s\n", "Method", "build time");
 
     BuiltMethod ph_lg = BuildPairwiseHistMethod(ds.table, ns_large);

@@ -4,30 +4,35 @@
 
 namespace pairwisehist {
 
-void ParallelFor(size_t n, unsigned nthreads,
-                 const std::function<void(size_t)>& fn) {
-  if (n == 0) return;
+unsigned ParallelWorkers(size_t n, unsigned nthreads) {
   if (nthreads == 0) {
     unsigned hw = std::thread::hardware_concurrency();
     nthreads = hw > 0 ? hw : 1;
   }
-  nthreads = static_cast<unsigned>(std::min<size_t>(nthreads, n));
-  if (nthreads <= 1) {
-    for (size_t i = 0; i < n; ++i) fn(i);
+  return static_cast<unsigned>(
+      std::max<size_t>(1, std::min<size_t>(nthreads, n)));
+}
+
+void ParallelFor(size_t n, unsigned nthreads,
+                 const std::function<void(size_t i, unsigned worker)>& fn) {
+  if (n == 0) return;
+  nthreads = ParallelWorkers(n, nthreads);
+  if (nthreads == 1) {
+    for (size_t i = 0; i < n; ++i) fn(i, 0);
     return;
   }
   std::atomic<size_t> next{0};
-  auto worker = [&]() {
+  auto worker = [&](unsigned slot) {
     for (;;) {
       size_t i = next.fetch_add(1, std::memory_order_relaxed);
       if (i >= n) break;
-      fn(i);
+      fn(i, slot);
     }
   };
   std::vector<std::thread> threads;
   threads.reserve(nthreads - 1);
-  for (unsigned t = 0; t + 1 < nthreads; ++t) threads.emplace_back(worker);
-  worker();
+  for (unsigned t = 1; t < nthreads; ++t) threads.emplace_back(worker, t);
+  worker(0);
   for (std::thread& t : threads) t.join();
 }
 

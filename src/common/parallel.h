@@ -25,12 +25,18 @@
 
 namespace pairwisehist {
 
-/// Runs fn(i) for every i in [0, n) on up to `nthreads` transient threads
-/// (0 = one per hardware core, 1 = serial on the calling thread). Blocks
-/// until every index has run. `fn` must be safe to call concurrently for
-/// distinct indices and must not throw.
+/// The number of workers ParallelFor(n, nthreads, ...) runs: `nthreads`
+/// (0 = one per hardware core) capped at n, and at least 1.
+unsigned ParallelWorkers(size_t n, unsigned nthreads);
+
+/// Runs fn(i, worker) for every i in [0, n) on ParallelWorkers(n, nthreads)
+/// transient threads (1 = serial on the calling thread). `worker` is the
+/// running thread's slot in [0, ParallelWorkers(n, nthreads)), so callers
+/// can hand each worker its own scratch. Blocks until every index has run.
+/// `fn` must be safe to call concurrently for distinct indices and workers
+/// and must not throw.
 void ParallelFor(size_t n, unsigned nthreads,
-                 const std::function<void(size_t)>& fn);
+                 const std::function<void(size_t i, unsigned worker)>& fn);
 
 /// A small pool of persistent worker threads for repeated low-latency
 /// fork-join dispatch. One job runs at a time; if Run is called while

@@ -245,7 +245,8 @@ StatusOr<PairwiseHist> PairwiseHist::Build(const PreprocessedTable& pre,
   // The d(d-1)/2 pair builds are independent and individually deterministic,
   // so they fan out over the shared work-counter pool, each reading the
   // shared ranks and writing its fixed PairSlot — the result is identical
-  // for any thread count or scheduling.
+  // for any thread count or scheduling. Each worker reuses one scratch for
+  // all its pairs, so a pair allocates only its output arrays.
   if (d > 1) {
     const size_t npairs = d * (d - 1) / 2;
     out.pairs_.resize(npairs);
@@ -257,13 +258,17 @@ StatusOr<PairwiseHist> PairwiseHist::Build(const PreprocessedTable& pre,
       }
     }
 
-    ParallelFor(work.size(), config.build_threads, [&](size_t w) {
-      const uint32_t i = work[w].first;
-      const uint32_t j = work[w].second;
-      out.pairs_[PairSlot(i, j)] = BuildPairHistogram(
-          ranks[i], ranks[j], i, j, out.hist1d_[i], out.hist1d_[j], refine,
-          *out.critical_);
-    });
+    std::vector<PairBuildScratch> scratch(
+        ParallelWorkers(work.size(), config.build_threads));
+    ParallelFor(work.size(), config.build_threads,
+                [&](size_t w, unsigned worker) {
+                  const uint32_t i = work[w].first;
+                  const uint32_t j = work[w].second;
+                  out.pairs_[PairSlot(i, j)] = BuildPairHistogram(
+                      ranks[i], ranks[j], i, j, out.hist1d_[i],
+                      out.hist1d_[j], refine, *out.critical_,
+                      &scratch[worker]);
+                });
   }
   ranks = {};  // release the ranks before the execution index is built
   out.FinishExecIndex();

@@ -59,7 +59,7 @@ Status SynopsisSet::BuildInto(const SegmentedTable& st,
     if (build_threads != 0) seg_cfg.build_threads = build_threads;
     build_one(0, seg_cfg);
   } else {
-    ParallelFor(nseg, build_threads, [&](size_t i) {
+    ParallelFor(nseg, build_threads, [&](size_t i, unsigned) {
       PairwiseHistConfig seg_cfg = cfg;
       seg_cfg.seed = cfg.seed + seed_offset + i;
       seg_cfg.build_threads = 1;

@@ -220,9 +220,13 @@ std::vector<double> ColumnRanks::SortedValues() const {
 
 void ColumnRanks::AssignBins(const HistogramDim& h1) {
   bin.assign(value.size(), kNullBin);
+  bin_start.assign(h1.NumBins() + 1, static_cast<uint32_t>(order.size()));
   EdgeWalk walk(h1.edges);
-  for (uint32_t p : order) {
+  uint32_t next = 0;  // the first bin whose start is not yet known
+  for (uint32_t r = 0; r < order.size(); ++r) {
+    const uint32_t p = order[r];
     bin[p] = static_cast<uint32_t>(walk.Advance(value[p]));
+    while (next <= bin[p]) bin_start[next++] = r;
   }
 }
 
@@ -236,19 +240,19 @@ namespace {
 // stable-partitions the other list, so both halves stay sorted.
 class PairRefiner {
  public:
-  PairRefiner(const ColumnRanks& ri, const ColumnRanks& rj, uint32_t* by_i,
-              uint32_t* by_j, const RefineConfig& config,
-              const Chi2CriticalCache& critical,
-              std::vector<double>* new_edges_i,
-              std::vector<double>* new_edges_j)
+  PairRefiner(const ColumnRanks& ri, const ColumnRanks& rj,
+              const RefineConfig& config, const Chi2CriticalCache& critical,
+              PairBuildScratch* s)
       : vi_(ri.value.data()),
         vj_(rj.value.data()),
-        by_i_(by_i),
-        by_j_(by_j),
+        by_i_(s->by_i.data()),
+        by_j_(s->by_j.data()),
         config_(config),
         critical_(critical),
-        new_edges_i_(new_edges_i),
-        new_edges_j_(new_edges_j) {}
+        new_edges_i_(&s->dim_i.new_edges),
+        new_edges_j_(&s->dim_j.new_edges),
+        values_(s->values),
+        upper_(s->upper) {}
 
   // Recursively splits the rectangle until both dimensions test uniform or
   // the point count / width floor stops us. New interior edges apply to the
@@ -330,54 +334,113 @@ class PairRefiner {
   const Chi2CriticalCache& critical_;
   std::vector<double>* new_edges_i_;
   std::vector<double>* new_edges_j_;
-  std::vector<double> values_;
-  std::vector<uint32_t> upper_;
+  std::vector<double>& values_;
+  std::vector<uint32_t>& upper_;
 };
 
-// Builds per-dimension metadata (counts, v±, unique, parent) for refined
-// edges over the pair's rows — the positions of `mine` whose `other` value
-// is non-null — in one walk of the presorted order, and records each row's
-// refined bin in `row_bin` (indexed by position).
-HistogramDim BuildDimMetadata(const ColumnRanks& mine,
-                              const ColumnRanks& other,
-                              std::vector<double> refined_edges,
-                              const HistogramDim& h1,
-                              std::vector<uint32_t>* row_bin) {
-  HistogramDim dim;
-  dim.edges = std::move(refined_edges);
-  size_t k = dim.edges.size() - 1;
+constexpr uint32_t kNoSlot = UINT32_MAX;
+
+// Sizes a scratch array to n copies of `value`. Its capacity grows at least
+// twofold when it must grow, so a worker reallocates each array a few times
+// per build however its pairs' sizes vary.
+template <typename T>
+void AssignScratch(std::vector<T>* v, size_t n, T value) {
+  if (n > v->capacity()) v->reserve(std::max(n, 2 * v->capacity()));
+  v->assign(n, value);
+}
+
+// The union of the ascending 1-d edges `base` and the ascending, distinct
+// new edges `extra`, in one linear merge; `first` receives, per base edge,
+// its index among the merged edges, so 1-d bin t0 splits into the refined
+// bins [first[t0], first[t0 + 1]).
+std::vector<double> MergeEdges(std::span<const double> base,
+                               std::span<const double> extra,
+                               std::vector<uint32_t>* first) {
+  std::vector<double> all;
+  all.reserve(base.size() + extra.size());
+  AssignScratch<uint32_t>(first, base.size(), 0);
+  size_t e = 0;
+  for (size_t t = 0; t < base.size(); ++t) {
+    for (; e < extra.size() && extra[e] <= base[t]; ++e) {
+      if (extra[e] < base[t]) all.push_back(extra[e]);
+    }
+    (*first)[t] = static_cast<uint32_t>(all.size());
+    all.push_back(base[t]);
+  }
+  all.insert(all.end(), extra.begin() + e, extra.end());
+  return all;
+}
+
+// One refined dimension of the pair over its rows, the positions of `mine`
+// whose `other` value is non-null, after the refinement left its split
+// points in `ds->new_edges`: the merged edges, and counts, v±, unique and
+// parent per refined bin. Parents come from `ds->first`. A 1-d bin that
+// kept its edges copies the 1-d histogram's metadata when `other` has no
+// null (its rows are then all of the 1-d bin's rows); any other 1-d bin
+// walks its own order slice, and a split one records each walked row's
+// refined bin in `ds->row_bin`.
+HistogramDim RefinedDim(const ColumnRanks& mine, const ColumnRanks& other,
+                        const HistogramDim& h1, PairBuildScratch::Dim* ds) {
+  std::vector<double>& extra = ds->new_edges;
+  std::sort(extra.begin(), extra.end());
+  extra.erase(std::unique(extra.begin(), extra.end()), extra.end());
+  std::vector<double> edges = MergeEdges(h1.edges, extra, &ds->first);
+  const size_t k = edges.size() - 1;
   std::vector<uint64_t> counts(k, 0), unique(k, 0);
   std::vector<double> v_min(k), v_max(k);
   std::vector<uint32_t> parent(k);
-  for (size_t t = 0; t < k; ++t) {
-    // Parent 1-d bin: the one containing this refined bin's lower edge
-    // (refined edges are a superset of the 1-d edges).
-    parent[t] = static_cast<uint32_t>(h1.BinIndex(dim.edges[t]));
-    // Empty-bin defaults mirror RefineBin1D's convention.
-    v_min[t] = dim.edges[t];
-    v_max[t] = dim.edges[t + 1];
-  }
-  EdgeWalk walk(dim.edges);
-  for (uint32_t p : mine.order) {
-    if (other.IsNull(p)) continue;
-    const double v = mine.value[p];
-    const size_t t = walk.Advance(v);
-    (*row_bin)[p] = static_cast<uint32_t>(t);
-    if (counts[t] == 0) {
-      v_min[t] = v;
-      unique[t] = 1;
-    } else if (v != v_max[t]) {
-      ++unique[t];
+  const bool other_has_null = other.order.size() < other.value.size();
+  for (size_t t0 = 0; t0 < h1.NumBins(); ++t0) {
+    const size_t r0 = ds->first[t0];
+    const size_t r1 = ds->first[t0 + 1];
+    std::fill(parent.begin() + r0, parent.begin() + r1,
+              static_cast<uint32_t>(t0));
+    const bool split = r1 - r0 > 1;
+    if (!split && !other_has_null) {
+      counts[r0] = h1.counts[t0];
+      v_min[r0] = h1.v_min[t0];
+      v_max[r0] = h1.v_max[t0];
+      unique[r0] = h1.unique[t0];
+      continue;
     }
-    v_max[t] = v;
-    ++counts[t];
+    for (size_t t = r0; t < r1; ++t) {
+      // Empty-bin defaults mirror RefineBin1D's convention.
+      v_min[t] = edges[t];
+      v_max[t] = edges[t + 1];
+    }
+    size_t t = r0;
+    for (uint32_t r = mine.bin_start[t0]; r < mine.bin_start[t0 + 1]; ++r) {
+      const uint32_t p = mine.order[r];
+      if (other.IsNull(p)) continue;
+      const double v = mine.value[p];
+      while (t + 1 < r1 && edges[t + 1] <= v) ++t;
+      if (split) ds->row_bin[p] = static_cast<uint32_t>(t);
+      if (counts[t] == 0) {
+        v_min[t] = v;
+        unique[t] = 1;
+      } else if (v != v_max[t]) {
+        ++unique[t];
+      }
+      v_max[t] = v;
+      ++counts[t];
+    }
   }
+  HistogramDim dim;
+  dim.edges = std::move(edges);
   dim.counts = std::move(counts);
   dim.v_min = std::move(v_min);
   dim.v_max = std::move(v_max);
   dim.unique = std::move(unique);
   dim.parent = std::move(parent);
   return dim;
+}
+
+// The refined bin of position p in one dimension: the 1-d bin's only
+// refined bin, or the one the metadata walk recorded for a split 1-d bin.
+uint32_t RefinedBin(const PairBuildScratch::Dim& ds, uint32_t bin1d,
+                    uint32_t p) {
+  const uint32_t r0 = ds.first[bin1d];
+  return ds.first[bin1d + 1] - r0 > 1 ? ds.row_bin[p] : r0;
 }
 
 }  // namespace
@@ -387,74 +450,112 @@ PairHistogram BuildPairHistogram(const ColumnRanks& ri, const ColumnRanks& rj,
                                  const HistogramDim& h1_i,
                                  const HistogramDim& h1_j,
                                  const RefineConfig& config,
-                                 const Chi2CriticalCache& critical) {
+                                 const Chi2CriticalCache& critical,
+                                 PairBuildScratch* s) {
   PairHistogram ph;
   ph.col_i = col_i;
   ph.col_j = col_j;
   const size_t ki0 = h1_i.NumBins();
   const size_t kj0 = h1_j.NumBins();
-  auto cell_of = [&](uint32_t p) {
-    return static_cast<size_t>(ri.bin[p]) * kj0 + rj.bin[p];
-  };
+  const size_t positions = ri.value.size();
+  constexpr uint32_t kNull = ColumnRanks::kNullBin;
+  // The row-sized temporaries get their whole size on a worker's first
+  // pair, so they never grow block by block.
+  s->by_i.reserve(positions);
+  s->by_j.reserve(positions);
+  s->values.reserve(positions);
+  s->upper.reserve(positions);
+  s->dim_i.row_bin.resize(positions);
+  s->dim_j.row_bin.resize(positions);
 
-  // Initial cell assignment on the 1-d edges: two loads per row.
-  std::vector<uint32_t> offset(ki0 * kj0 + 1, 0);
-  for (uint32_t p : ri.order) {
-    if (!rj.IsNull(p)) ++offset[cell_of(p) + 1];
-  }
-  for (size_t c = 0; c < ki0 * kj0; ++c) offset[c + 1] += offset[c];
-  const size_t n = offset.back();
-
-  // Group each cell's rows twice (counting sort in each column's order),
-  // so every cell starts with both of its lists sorted.
-  std::vector<uint32_t> by_i(n), by_j(n);
-  {
-    std::vector<uint32_t> cursor(offset.begin(), offset.end() - 1);
-    for (uint32_t p : ri.order) {
-      if (!rj.IsNull(p)) by_i[cursor[cell_of(p)]++] = p;
-    }
-    std::copy(offset.begin(), offset.end() - 1, cursor.begin());
-    for (uint32_t p : rj.order) {
-      if (!ri.IsNull(p)) by_j[cursor[cell_of(p)]++] = p;
-    }
+  // Initial cells on the 1-d edges: one sequential pass over the positions.
+  std::vector<uint64_t>& cells = s->cells;
+  AssignScratch<uint64_t>(&cells, ki0 * kj0, 0);
+  for (size_t p = 0; p < positions; ++p) {
+    const uint32_t bi = ri.bin[p];
+    const uint32_t bj = rj.bin[p];
+    if (bi != kNull && bj != kNull) ++cells[size_t{bi} * kj0 + bj];
   }
 
-  // Refine each over-full cell; gather new edges per dimension.
-  std::vector<double> new_edges_i, new_edges_j;
-  PairRefiner refiner(ri, rj, by_i.data(), by_j.data(), config, critical,
-                      &new_edges_i, &new_edges_j);
-  for (size_t ti = 0; ti < ki0; ++ti) {
+  // Over-full cells get a slot and a range of `offset`, and mark the 1-d
+  // bins that hold them; their rows are the only ones refinement reads.
+  AssignScratch(&s->slot, ki0 * kj0, kNoSlot);
+  s->offset.clear();
+  AssignScratch<uint8_t>(&s->dim_i.holds_full, ki0, 0);
+  AssignScratch<uint8_t>(&s->dim_j.holds_full, kj0, 0);
+  uint32_t full_rows = 0;
+  for (size_t c = 0; c < ki0 * kj0; ++c) {
+    if (cells[c] <= config.min_points) continue;
+    s->slot[c] = static_cast<uint32_t>(s->offset.size());
+    s->offset.push_back(full_rows);
+    full_rows += static_cast<uint32_t>(cells[c]);
+    s->dim_i.holds_full[c / kj0] = 1;
+    s->dim_j.holds_full[c % kj0] = 1;
+  }
+  s->offset.push_back(full_rows);
+
+  // Group each over-full cell's rows twice, in each column's order, by
+  // walking only the order slices of the 1-d bins holding such a cell, so
+  // every cell starts with both of its lists sorted.
+  s->dim_i.new_edges.clear();
+  s->dim_j.new_edges.clear();
+  if (full_rows > 0) {
+    s->by_i.resize(full_rows);
+    s->by_j.resize(full_rows);
+    const size_t nfull = s->offset.size() - 1;
+    AssignScratch<uint32_t>(&s->cursor, nfull, 0);
+    std::copy_n(s->offset.begin(), nfull, s->cursor.begin());
+    for (size_t ti = 0; ti < ki0; ++ti) {
+      if (!s->dim_i.holds_full[ti]) continue;
+      const uint32_t* row_slot = s->slot.data() + ti * kj0;
+      for (uint32_t r = ri.bin_start[ti]; r < ri.bin_start[ti + 1]; ++r) {
+        const uint32_t p = ri.order[r];
+        const uint32_t bj = rj.bin[p];
+        if (bj == kNull || row_slot[bj] == kNoSlot) continue;
+        s->by_i[s->cursor[row_slot[bj]]++] = p;
+      }
+    }
+    std::copy_n(s->offset.begin(), nfull, s->cursor.begin());
     for (size_t tj = 0; tj < kj0; ++tj) {
-      size_t cell = ti * kj0 + tj;
-      if (offset[cell + 1] - offset[cell] <= config.min_points) continue;
-      refiner.Refine(offset[cell], offset[cell + 1], h1_i.edges[ti],
+      if (!s->dim_j.holds_full[tj]) continue;
+      for (uint32_t r = rj.bin_start[tj]; r < rj.bin_start[tj + 1]; ++r) {
+        const uint32_t p = rj.order[r];
+        const uint32_t bi = ri.bin[p];
+        if (bi == kNull) continue;
+        const uint32_t slot = s->slot[size_t{bi} * kj0 + tj];
+        if (slot != kNoSlot) s->by_j[s->cursor[slot]++] = p;
+      }
+    }
+
+    // Refine each over-full cell; gather new edges per dimension.
+    PairRefiner refiner(ri, rj, config, critical, s);
+    for (size_t c = 0; c < ki0 * kj0; ++c) {
+      const uint32_t slot = s->slot[c];
+      if (slot == kNoSlot) continue;
+      const size_t ti = c / kj0;
+      const size_t tj = c % kj0;
+      refiner.Refine(s->offset[slot], s->offset[slot + 1], h1_i.edges[ti],
                      h1_i.edges[ti + 1], h1_j.edges[tj], h1_j.edges[tj + 1],
                      0);
     }
   }
 
-  // Merge refined edges with the 1-d edges.
-  auto merge_edges = [](std::span<const double> base,
-                        std::vector<double>& extra) {
-    std::vector<double> all(base.begin(), base.end());
-    all.insert(all.end(), extra.begin(), extra.end());
-    std::sort(all.begin(), all.end());
-    all.erase(std::unique(all.begin(), all.end()), all.end());
-    return all;
-  };
+  ph.dim_i = RefinedDim(ri, rj, h1_i, &s->dim_i);
+  ph.dim_j = RefinedDim(rj, ri, h1_j, &s->dim_j);
 
-  // Refined bins per row (indexed by position), from the metadata walks.
-  std::vector<uint32_t> bin_i(ri.value.size()), bin_j(rj.value.size());
-  ph.dim_i = BuildDimMetadata(ri, rj, merge_edges(h1_i.edges, new_edges_i),
-                              h1_i, &bin_i);
-  ph.dim_j = BuildDimMetadata(rj, ri, merge_edges(h1_j.edges, new_edges_j),
-                              h1_j, &bin_j);
-
-  // Final cell counts on the refined grid.
+  // Final cell counts on the refined grid: the initial ones unless an edge
+  // was gained.
+  const size_t ki = ph.dim_i.NumBins();
   const size_t kj = ph.dim_j.NumBins();
-  std::vector<uint64_t> cells(ph.dim_i.NumBins() * kj, 0);
-  for (uint32_t p : by_i) {
-    ++cells[static_cast<size_t>(bin_i[p]) * kj + bin_j[p]];
+  if (ki != ki0 || kj != kj0) {
+    AssignScratch<uint64_t>(&cells, ki * kj, 0);
+    for (uint32_t p = 0; p < positions; ++p) {
+      const uint32_t bi = ri.bin[p];
+      const uint32_t bj = rj.bin[p];
+      if (bi == kNull || bj == kNull) continue;
+      ++cells[size_t{RefinedBin(s->dim_i, bi, p)} * kj +
+              RefinedBin(s->dim_j, bj, p)];
+    }
   }
   ph.BuildCellPrefix(cells);
   return ph;

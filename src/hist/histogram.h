@@ -136,6 +136,10 @@ struct ColumnRanks {
   /// Per position: the 1-d bin holding the value (HistogramDim::BinIndex),
   /// kNullBin for null. Filled by AssignBins.
   std::vector<uint32_t> bin;
+  /// k+1 entries for a 1-d histogram of k bins: bin t's positions are the
+  /// contiguous slice order[bin_start[t], bin_start[t+1]), since bins are
+  /// monotone in value. Filled by AssignBins.
+  std::vector<uint32_t> bin_start;
 
   /// Takes the per-position values and sorts their non-null positions in
   /// linear time: each value is keyed by its order-preserving 64-bit image
@@ -148,26 +152,59 @@ struct ColumnRanks {
   /// The non-null values in ascending order.
   std::vector<double> SortedValues() const;
 
-  /// Fills `bin` against the 1-d histogram of this column, by one merge
-  /// walk of `order` over its edges.
+  /// Fills `bin` and `bin_start` against the 1-d histogram of this column,
+  /// by one merge walk of `order` over its edges.
   void AssignBins(const HistogramDim& h1);
 
   bool IsNull(uint32_t p) const { return bin[p] == kNullBin; }
 };
 
+/// The temporaries of BuildPairHistogram. One build worker keeps one and
+/// passes it to every pair it builds, so once its arrays have grown to the
+/// build's sizes a pair allocates only its output arrays. What it holds
+/// between calls is meaningless.
+struct PairBuildScratch {
+  /// Per dimension of the pair.
+  struct Dim {
+    std::vector<uint8_t> holds_full;  ///< per 1-d bin: has an over-full cell
+    std::vector<double> new_edges;    ///< the refinement's split points
+    std::vector<uint32_t> first;      ///< per 1-d edge: its refined index
+    std::vector<uint32_t> row_bin;    ///< per position in a split 1-d bin:
+                                      ///< its refined bin
+  };
+  Dim dim_i, dim_j;
+  std::vector<uint64_t> cells;    ///< initial, later final, cell counts
+  std::vector<uint32_t> slot;     ///< per initial cell: over-full index
+  std::vector<uint32_t> offset;   ///< per over-full cell: start of its rows
+  std::vector<uint32_t> cursor;   ///< fill cursors over `offset`
+  std::vector<uint32_t> by_i;     ///< over-full cells' rows in i order
+  std::vector<uint32_t> by_j;     ///< the same rows in j order
+  std::vector<double> values;     ///< one refinement node's sorted values
+  std::vector<uint32_t> upper;    ///< a split's upper half
+};
+
 /// Builds the pairwise histogram for one column pair over the sample
 /// positions where BOTH columns are non-null. `h1_i` / `h1_j` are the
 /// already-built 1-d histograms providing initial edges (Algorithm 1 lines
-/// 14–26); `ri` / `rj` must have had AssignBins called with them. Nothing
-/// is sorted or binary-searched per row: initial cells, the refinement's
-/// per-rectangle sorted values, the refined bins' metadata and the final
-/// cells all come from the shared orders and bins.
+/// 14–26); `ri` / `rj` must have had AssignBins called with them.
+///
+/// A pair pays only for the rows its refinement touches. The initial cells
+/// take one sequential pass over the positions' 1-d bins. Only over-full
+/// cells (more than M rows) get their sorted row lists, gathered from the
+/// order slices of the 1-d bins that hold them. The refined edges are a
+/// linear merge of the 1-d edges and the new ones. A 1-d bin that gained
+/// no edge copies its metadata from the 1-d histogram when the other
+/// column has no null in the sample; every other 1-d bin walks only its
+/// own order slice. The final cells are the initial ones when neither
+/// dimension gained an edge, else one sequential pass. Nothing is sorted or
+/// binary-searched per row, and all temporaries live in `scratch`.
 PairHistogram BuildPairHistogram(const ColumnRanks& ri, const ColumnRanks& rj,
                                  uint32_t col_i, uint32_t col_j,
                                  const HistogramDim& h1_i,
                                  const HistogramDim& h1_j,
                                  const RefineConfig& config,
-                                 const Chi2CriticalCache& critical);
+                                 const Chi2CriticalCache& critical,
+                                 PairBuildScratch* scratch);
 
 }  // namespace pairwisehist
 

@@ -1,9 +1,13 @@
 // Allocation budgets for a fresh statement: the parse → compile → execute
 // path every Db::ExecuteSql (and every serving plan-cache miss) runs,
 // averaged over a 1400-statement pool of the benchmark's ad-hoc mix on a
-// GreedyGD-compressed power synopsis. Heap allocations are counted with a
-// global counting allocator, so the budgets are exact and repeatable.
+// GreedyGD-compressed power synopsis. Also the budget of a synopsis
+// build's pair phase: a pair allocates only its output arrays, and the
+// scratch its worker reuses grows a bounded number of times. Heap
+// allocations are counted with a global counting allocator, so the budgets
+// are exact and repeatable.
 #include <atomic>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <new>
@@ -13,7 +17,10 @@
 #include <gtest/gtest.h>
 
 #include "api/db.h"
+#include "core/pairwise_hist.h"
 #include "datagen/datasets.h"
+#include "gd/preprocess.h"
+#include "hist/histogram.h"
 #include "query/sql_parser.h"
 #include "tests/statement_pool.h"
 
@@ -121,6 +128,78 @@ TEST_F(FreshStatementAllocation, ExecuteSqlStaysInBudget) {
   const double per = static_cast<double>(allocs) / pool_->size();
   std::printf("Db::ExecuteSql: %.2f allocations per statement\n", per);
   EXPECT_LE(per, kExecuteSqlBudget);
+}
+
+// ---- Synopsis construction: the pair phase --------------------------------
+
+// The heap blocks one BuildPairHistogram call returns: edges, counts, v−,
+// v+, unique and parent per dimension, and the two cell prefixes.
+constexpr size_t kPairOutputBlocks = 14;
+// The blocks a fresh PairBuildScratch may allocate while its arrays grow to
+// a build's sizes, independent of the number of pairs: the row-sized arrays
+// once each, the grid- and edge-sized ones once per doubling of capacity.
+constexpr size_t kScratchGrowthBlocks = 128;
+
+// Every pair of `table` built the way one build worker builds them: shared
+// ranks binned against the synopsis's own 1-d histograms, one scratch. The
+// first pass starts from a fresh scratch, the second reuses it warm.
+void ExpectPairPhaseInBudget(const char* dataset) {
+  auto table = MakeDataset(dataset, kRows, 1);
+  ASSERT_TRUE(table.ok()) << table.status().ToString();
+  auto pre = Preprocess(*table);
+  ASSERT_TRUE(pre.ok()) << pre.status().ToString();
+  PairwiseHistConfig cfg;
+  cfg.sample_size = 0;  // every row, in row order
+  auto ph = PairwiseHist::Build(*pre, nullptr, cfg);
+  ASSERT_TRUE(ph.ok()) << ph.status().ToString();
+  std::vector<ColumnRanks> ranks;
+  for (size_t c = 0; c < pre->NumColumns(); ++c) {
+    std::vector<double> values(pre->NumRows());
+    for (size_t r = 0; r < values.size(); ++r) {
+      const uint64_t code = pre->codes[c][r];
+      values[r] = code == kMissingCode ? std::nan("")
+                                       : static_cast<double>(code);
+    }
+    ranks.emplace_back(std::move(values));
+    ranks.back().AssignBins(ph->hist1d(c));
+  }
+  RefineConfig refine;
+  refine.min_points = ph->min_points();
+  refine.alpha = ph->alpha();
+  Chi2CriticalCache critical(ph->alpha());
+
+  PairBuildScratch scratch;
+  size_t npairs = 0;
+  auto build_all = [&]() {
+    npairs = 0;
+    const size_t before = g_alloc_count.load();
+    for (uint32_t i = 1; i < ranks.size(); ++i) {
+      for (uint32_t j = 0; j < i; ++j, ++npairs) {
+        PairHistogram pair =
+            BuildPairHistogram(ranks[i], ranks[j], i, j, ph->hist1d(i),
+                               ph->hist1d(j), refine, critical, &scratch);
+        // Pairs are slotted in this loop's order.
+        EXPECT_TRUE(pair.cell_colpre_i == ph->pair_at(npairs).cell_colpre_i);
+      }
+    }
+    return g_alloc_count.load() - before;
+  };
+  const size_t cold = build_all();
+  const size_t warm = build_all();
+  std::printf("%s: %zu pairs, %zu allocations with a fresh scratch, %zu "
+              "with a warm one\n",
+              dataset, npairs, cold, warm);
+  ASSERT_GT(npairs, 1u);
+  EXPECT_LE(warm, kPairOutputBlocks * npairs);
+  EXPECT_LE(cold, kPairOutputBlocks * npairs + kScratchGrowthBlocks);
+}
+
+TEST(PairBuildAllocation, APairAllocatesOnlyItsOutputArrays) {
+#if !PH_COUNTING_ALLOCATOR
+  GTEST_SKIP() << "counting allocator disabled under AddressSanitizer";
+#endif
+  ExpectPairPhaseInBudget("power");
+  ExpectPairPhaseInBudget("flights");
 }
 
 }  // namespace

@@ -332,7 +332,9 @@ PairHistogram BuildPairFromValues(const std::vector<double>& xi,
   ColumnRanks ri(xi), rj(xj);
   ri.AssignBins(h1_i);
   rj.AssignBins(h1_j);
-  return BuildPairHistogram(ri, rj, 0, 1, h1_i, h1_j, config, critical);
+  PairBuildScratch scratch;
+  return BuildPairHistogram(ri, rj, 0, 1, h1_i, h1_j, config, critical,
+                            &scratch);
 }
 
 TEST(Refine2DTest, CorrelatedDataRefinesCells) {
@@ -463,25 +465,40 @@ void ExpectSameDim(const HistogramDim& a, const HistogramDim& b) {
   EXPECT_TRUE(a.parent == b.parent);
 }
 
+// The non-null (non-NaN) values of `x`, ascending.
+std::vector<double> SortedNonNull(const std::vector<double>& x) {
+  std::vector<double> sorted;
+  for (double v : x) {
+    if (!std::isnan(v)) sorted.push_back(v);
+  }
+  std::sort(sorted.begin(), sorted.end());
+  return sorted;
+}
+
 // Builds the pair both ways over 1-d histograms fitted on `initial` edges
-// and expects identical arrays; returns the library's pair.
+// and expects identical arrays; returns the library's pair. A NaN in `xi`
+// or `xj` is a null: the 1-d histograms skip it, and the oracle gets only
+// the rows where both values are non-null.
 PairHistogram ExpectPairMatchesOracle(const std::vector<double>& xi,
                                       const std::vector<double>& xj,
                                       const std::vector<double>& initial_i,
                                       const std::vector<double>& initial_j,
                                       uint64_t min_points) {
   Chi2CriticalCache cache(0.001);
-  std::vector<double> si = xi, sj = xj;
-  std::sort(si.begin(), si.end());
-  std::sort(sj.begin(), sj.end());
-  HistogramDim h1i =
-      BuildHistogram1D(si, initial_i, TestConfig(min_points), cache);
-  HistogramDim h1j =
-      BuildHistogram1D(sj, initial_j, TestConfig(min_points), cache);
+  HistogramDim h1i = BuildHistogram1D(SortedNonNull(xi), initial_i,
+                                      TestConfig(min_points), cache);
+  HistogramDim h1j = BuildHistogram1D(SortedNonNull(xj), initial_j,
+                                      TestConfig(min_points), cache);
   PairHistogram ph =
       BuildPairFromValues(xi, xj, h1i, h1j, TestConfig(min_points), cache);
+  std::vector<double> pi, pj;
+  for (size_t r = 0; r < xi.size(); ++r) {
+    if (std::isnan(xi[r]) || std::isnan(xj[r])) continue;
+    pi.push_back(xi[r]);
+    pj.push_back(xj[r]);
+  }
   PairHistogram ref = oracle::ReferenceBuildPairHistogram(
-      xi, xj, 0, 1, h1i, h1j, TestConfig(min_points), cache);
+      pi, pj, 0, 1, h1i, h1j, TestConfig(min_points), cache);
   ExpectSameDim(ph.dim_i, ref.dim_i);
   ExpectSameDim(ph.dim_j, ref.dim_j);
   EXPECT_TRUE(ph.cell_colpre_i == ref.cell_colpre_i);
@@ -586,6 +603,96 @@ TEST(RankPathTest, DuplicatesOnOneDAndRefinedEdges) {
       xi, xj, {0.0, 10.0, 20.0, 30.0, 40.5}, {0.0, 20.0, 40.5}, 300);
   // The test only means something if refinement did split somewhere.
   EXPECT_GT(ph.dim_i.NumBins() + ph.dim_j.NumBins(), 4u + 2u);
+}
+
+// Per 1-d bin of `h1`, the number of refined bins of `dim` it splits into.
+std::vector<size_t> RefinedPerParent(const HistogramDim& dim,
+                                     const HistogramDim& h1) {
+  std::vector<size_t> per(h1.NumBins(), 0);
+  for (uint32_t parent : dim.parent) ++per[parent];
+  return per;
+}
+
+// Column i uniform on [0, 1000); column j tracks i below 500 (low j for i
+// below 250, high j above) and is independent of it from 500 on, so
+// refinement splits i's 1-d bins below 500 and not those above. Every
+// `null_j_every`-th row (0: none) has j null.
+void PartlyDependentValues(size_t n, size_t null_j_every, uint64_t seed,
+                           std::vector<double>* xi, std::vector<double>* xj) {
+  Rng rng(seed);
+  xi->resize(n);
+  xj->resize(n);
+  for (size_t r = 0; r < n; ++r) {
+    const double u = std::floor(rng.Uniform(0, 1000));
+    (*xi)[r] = u;
+    (*xj)[r] = u < 500 ? std::floor(u < 250 ? rng.Uniform(0, 50)
+                                            : rng.Uniform(450, 500))
+                       : std::floor(rng.Uniform(0, 500));
+    if (null_j_every > 0 && r % null_j_every == 0) (*xj)[r] = std::nan("");
+  }
+}
+
+TEST(RankPathTest, OnlySomeOneDBinsSplit) {
+  std::vector<double> xi, xj;
+  PartlyDependentValues(20000, 0, 27, &xi, &xj);
+  const std::vector<double> initial = {0.0, 500.0, 1000.0};
+  PairHistogram ph =
+      ExpectPairMatchesOracle(xi, xj, initial, {0.0, 500.0}, 400);
+  Chi2CriticalCache cache(0.001);
+  const HistogramDim h1i =
+      BuildHistogram1D(SortedNonNull(xi), initial, TestConfig(400), cache);
+  const std::vector<size_t> per = RefinedPerParent(ph.dim_i, h1i);
+  // Some 1-d bin of i split and some did not: both branches ran.
+  EXPECT_GT(*std::max_element(per.begin(), per.end()), 1u);
+  EXPECT_EQ(*std::min_element(per.begin(), per.end()), 1u);
+}
+
+TEST(RankPathTest, SplitBinsWithNullsInTheOtherColumn) {
+  // As above, but j is null in every fifth row, in split and unsplit 1-d
+  // bins of i alike: no 1-d bin's metadata can come from the 1-d
+  // histogram, every one must be walked without the null rows.
+  std::vector<double> xi, xj;
+  PartlyDependentValues(20000, 5, 28, &xi, &xj);
+  const std::vector<double> initial = {0.0, 500.0, 1000.0};
+  PairHistogram ph =
+      ExpectPairMatchesOracle(xi, xj, initial, {0.0, 500.0}, 400);
+  Chi2CriticalCache cache(0.001);
+  const HistogramDim h1i =
+      BuildHistogram1D(SortedNonNull(xi), initial, TestConfig(400), cache);
+  const std::vector<size_t> per = RefinedPerParent(ph.dim_i, h1i);
+  EXPECT_GT(*std::max_element(per.begin(), per.end()), 1u);
+  EXPECT_EQ(*std::min_element(per.begin(), per.end()), 1u);
+  EXPECT_EQ(ph.dim_i.TotalCount(), 16000u);
+  // The pair with the columns swapped: the null column is now `mine`.
+  ExpectPairMatchesOracle(xj, xi, {0.0, 500.0}, initial, 400);
+}
+
+TEST(RankPathTest, NoOverFullCellKeepsTheInitialCells) {
+  // Ten 1-d bins per column and M = 1000: no cell holds more than M rows,
+  // so nothing refines and the final cells are the initial ones.
+  for (size_t null_j_every : {0u, 7u}) {
+    std::vector<double> xi, xj;
+    PartlyDependentValues(5000, null_j_every, 29, &xi, &xj);
+    std::vector<double> initial_i, initial_j;
+    for (int e = 0; e <= 10; ++e) {
+      initial_i.push_back(100.0 * e);
+      initial_j.push_back(50.0 * e);
+    }
+    PairHistogram ph =
+        ExpectPairMatchesOracle(xi, xj, initial_i, initial_j, 1000);
+    ASSERT_EQ(ph.dim_i.NumBins(), 10u);
+    ASSERT_EQ(ph.dim_j.NumBins(), 10u);
+    std::vector<uint64_t> cells(100, 0);
+    for (size_t r = 0; r < xi.size(); ++r) {
+      if (std::isnan(xj[r])) continue;
+      ++cells[static_cast<size_t>(xi[r] / 100) * 10 +
+              static_cast<size_t>(xj[r] / 50)];
+    }
+    for (size_t c = 0; c < cells.size(); ++c) {
+      ASSERT_LE(cells[c], 1000u);
+      EXPECT_EQ(ph.CellCount(c / 10, c % 10), cells[c]) << c;
+    }
+  }
 }
 
 TEST(RankPathTest, SingleUniqueValue) {

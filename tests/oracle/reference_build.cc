@@ -346,7 +346,7 @@ StatusOr<PairwiseHist> ReferenceBuild::Build(
       }
     }
 
-    ParallelFor(work.size(), config.build_threads, [&](size_t w) {
+    ParallelFor(work.size(), config.build_threads, [&](size_t w, unsigned) {
       const uint32_t i = work[w].first;
       const uint32_t j = work[w].second;
       // One exact-size gather allocation per pair, released when the pair
