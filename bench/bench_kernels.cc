@@ -1,5 +1,5 @@
-// SIMD kernel benchmark: ns/element for each reduction/scan kernel per
-// compiled tier at n = 16 / 256 / 4096, plus end-to-end prepared-query
+// SIMD kernel benchmark: ns/element for every KernelOps entry per compiled
+// tier at n = 16 / 256 / 4096, plus end-to-end prepared-query
 // latency per shape with kernels forced to kScalar vs kAuto — the
 // dispatch-level speedup the kernel layer buys on this machine. Emits
 // BENCH_kernels.json for CI's perf trajectory.
@@ -57,13 +57,19 @@ int main() {
   const size_t kMaxN = 4096;
   Rng rng(17);
   std::vector<double> a(kMaxN), b(kMaxN), c(kMaxN), d(kMaxN), out(kMaxN);
-  std::vector<uint64_t> h(kMaxN);
+  std::vector<double> lo(kMaxN), hi(kMaxN);
+  // Identity operands keep the in-place combiners' values steady (no
+  // drift into denormals over millions of repetitions).
+  const std::vector<double> ones(kMaxN, 1.0), zeros(kMaxN, 0.0);
+  std::vector<uint64_t> h(kMaxN), pre_b(kMaxN), pre_e(kMaxN);
   for (size_t i = 0; i < kMaxN; ++i) {
     a[i] = rng.Uniform(0, 3);
     b[i] = rng.Uniform(-2, 2);
     c[i] = rng.Uniform(-1, 4);
     d[i] = rng.Uniform(0, 1);
     h[i] = rng.UniformInt(5000);
+    pre_b[i] = rng.UniformInt(100000);
+    pre_e[i] = pre_b[i] + rng.UniformInt(5000);
   }
 
   std::string micro_json;
@@ -78,7 +84,7 @@ int main() {
     micro_json += row;
   };
 
-  std::printf("%-8s %-16s %8s %8s %8s   (ns/element)\n", "tier", "kernel",
+  std::printf("%-8s %-20s %8s %8s %8s   (ns/element)\n", "tier", "kernel",
               "n=16", "n=256", "n=4096");
   for (const KernelOps* ks : SupportedKernels()) {
     struct Micro {
@@ -115,16 +121,57 @@ int main() {
            ks->prefix_sum(a.data(), 0, n, out.data());
            g_sink = out[n - 1];
          }},
-        {"weights_nowiden",
+        {"find_first_gt",  // no match: scans the whole range
+         [&](size_t n) { g_sink = ks->find_first_gt(a.data(), 0, n, 1e300); }},
+        {"find_last_gt",
+         [&](size_t n) { g_sink = ks->find_last_gt(a.data(), 0, n, 1e300); }},
+        {"mul3",
          [&](size_t n) {
-           ks->weights_nowiden(h.data(), a.data(), b.data(), c.data(),
-                               out.data(), out.data(), out.data(), 0, n);
+           ks->mul3(out.data(), lo.data(), hi.data(), ones.data(), ones.data(),
+                    ones.data(), 0, n);
            g_sink = out[n - 1];
+         }},
+        {"or_mul3",
+         [&](size_t n) {
+           ks->or_mul3(out.data(), lo.data(), hi.data(), zeros.data(),
+                       zeros.data(), zeros.data(), 0, n);
+           g_sink = out[n - 1];
+         }},
+        {"complement3",
+         [&](size_t n) {
+           ks->complement3(out.data(), lo.data(), hi.data(), 0, n);
+           g_sink = out[n - 1];
+         }},
+        {"weights_batch",  // one row, no covered runs, rho = 1
+         [&](size_t n) {
+           WeightRow row{h.data(), a.data(), b.data(), c.data(), out.data(),
+                         lo.data(), hi.data(), 0, n, nullptr, 0};
+           ks->weights_batch(&row, 1, 2.33, 0.9, 0);
+           g_sink = out[n - 1];
+         }},
+        {"weights_batch_widen",  // the same row under sampling widening
+         [&](size_t n) {
+           WeightRow row{h.data(), d.data(), d.data(), d.data(), out.data(),
+                         lo.data(), hi.data(), 0, n, nullptr, 0};
+           ks->weights_batch(&row, 1, 2.33, 0.9, 1);
+           g_sink = lo[n - 1];
          }},
         {"norm_prob3",
          [&](size_t n) {
            ks->norm_prob3(h.data(), a.data(), b.data(), c.data(), out.data(),
                           out.data(), out.data(), 0, n);
+           g_sink = out[n - 1];
+         }},
+        {"run_mass3",
+         [&](size_t n) {
+           ks->run_mass3(pre_b.data(), pre_e.data(), out.data(), lo.data(),
+                         hi.data(), 0, n);
+           g_sink = out[n - 1];
+         }},
+        {"cell_axpy3",
+         [&](size_t n) {
+           ks->cell_axpy3(pre_b.data(), pre_e.data(), 0.3, 0.1, 0.9,
+                          out.data(), lo.data(), hi.data(), 0, n);
            g_sink = out[n - 1];
          }},
     };
@@ -136,7 +183,7 @@ int main() {
         ns[si] = us * 1000.0 / static_cast<double>(n);
         emit_micro(ks->name, m.name, n, ns[si]);
       }
-      std::printf("%-8s %-16s %8.3f %8.3f %8.3f\n", ks->name, m.name, ns[0],
+      std::printf("%-8s %-20s %8.3f %8.3f %8.3f\n", ks->name, m.name, ns[0],
                   ns[1], ns[2]);
     }
   }

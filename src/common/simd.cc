@@ -16,8 +16,8 @@ extern const KernelOps kAvx2Kernels;  // defined in simd_avx2.cc
 namespace {
 
 // The 2-lane tier needs no special compile flags: SSE2 is baseline on
-// x86-64 and NEON on aarch64, so the generic 2-lane bodies compile
-// straight to those ISAs under the default flags.
+// x86-64 and NEON on aarch64, so the 2-lane bodies compile straight to
+// those ISAs under the default flags.
 #if defined(__x86_64__) || defined(_M_X64)
 constexpr const char* kVec2Name = "sse2";
 #elif defined(__aarch64__) || defined(_M_ARM64)
@@ -62,8 +62,7 @@ const KernelOps* DetectBest() {
           std::tolower(static_cast<unsigned char>(env[n])));
     }
     lower[n] = '\0';
-    if (std::strcmp(lower, "auto") == 0 ||
-        std::strcmp(lower, "widest") == 0 || lower[0] == '\0') {
+    if (std::strcmp(lower, "auto") == 0 || lower[0] == '\0') {
       return best;
     }
     if (const KernelOps* forced = TableByName(lower)) return forced;
@@ -72,7 +71,7 @@ const KernelOps* DetectBest() {
     // tier's own name, avx2 only when the table is usable here).
     std::fprintf(stderr,
                  "pairwisehist: PWH_KERNELS='%s' unknown or unsupported on "
-                 "this CPU (valid: scalar, %s%s%s, auto, widest); "
+                 "this CPU (valid: scalar, %s%s%s, auto); "
                  "using '%s'\n",
                  env, kVec2Name,
                  std::strcmp(kVec2Name, "vec2") == 0 ? "" : ", vec2",
@@ -91,7 +90,6 @@ const KernelOps& GetKernels(KernelMode mode) {
     case KernelMode::kScalar:
       return kScalarTable;
     case KernelMode::kAuto:
-    case KernelMode::kWidest:
       break;
   }
   return *best;
@@ -109,8 +107,6 @@ const char* KernelModeName(KernelMode mode) {
       return "auto";
     case KernelMode::kScalar:
       return "scalar";
-    case KernelMode::kWidest:
-      return "widest";
   }
   return "?";
 }

@@ -5,12 +5,12 @@
 // reductions (Σw, Σw−, Σw+ in one pass), dot products (Σw·c), inclusive
 // prefix scans (the MEDIAN CDF walk) and a few elementwise combiners
 // (Eq. 28 AND/OR products, Eq. 29 weighting). This header defines those
-// kernels as a function-pointer table (`KernelOps`) with three
-// implementations selected once at startup: scalar, a 2-lane tier (SSE2
-// on x86-64, NEON on aarch64 — both are baseline ISAs there, so the
-// generic 2-lane code compiles straight to them), and hand-written AVX2
-// (own translation unit, compiled with -mavx2, gated by the CMake option
-// PWH_DISABLE_AVX2 and a runtime CPUID check).
+// kernels as a function-pointer table (`KernelOps`) with three tiers
+// selected once at startup: scalar (W = 1 lane), 2 lanes (SSE2 on x86-64,
+// NEON on aarch64; both are baseline ISAs there) and AVX2 (4 lanes, its
+// own translation unit compiled with -mavx2, gated by the CMake option
+// PWH_DISABLE_AVX2 and a runtime CPUID check). All three are one set of
+// kernel bodies written over W-lane vector types (simd_generic.h).
 //
 // ## Determinism contract
 //
@@ -38,9 +38,10 @@
 // fastpath equivalence suite asserts their results are identical doubles,
 // and phase alignment is what keeps that true under SIMD.
 //
-// Elementwise kernels (mul3 / or_mul3 / complement3 / weighting) need no
-// phase: out[t] depends only on in[t], so they are bit-identical across
-// tables up to the sign of zero in clamps.
+// Elementwise kernels (mul3 / or_mul3 / complement3 / norm_prob3 /
+// weights_batch) need no phase: out[t] depends only on in[t], and every
+// tier evaluates the same lane expression (min/max included), so they are
+// bit-identical across tables, sign of zero included.
 #ifndef PAIRWISEHIST_COMMON_SIMD_H_
 #define PAIRWISEHIST_COMMON_SIMD_H_
 
@@ -50,20 +51,17 @@
 
 namespace pairwisehist {
 
-/// Kernel selection knob (DbOptions::kernels / AqpEngineOptions::kernels).
+/// Kernel selection knob (DbOptions::engine.kernels /
+/// AqpEngineOptions::kernels).
 enum class KernelMode {
   /// Widest ISA supported by this CPU and compiled into this binary,
   /// detected once at startup. The environment variable PWH_KERNELS
-  /// (scalar | sse2 | neon | vec2 | avx2 | auto | widest) overrides the
-  /// detection for kAuto/kWidest — that is how CI forces the fallback
-  /// paths through the full test suite.
+  /// (scalar | sse2 | neon | vec2 | avx2 | auto) overrides the detection
+  /// for kAuto — that is how CI forces the fallback paths through the
+  /// full test suite.
   kAuto = 0,
-  /// Force the scalar kernels (bit-compatible with the pre-kernel-layer
-  /// scalar loops).
+  /// Force the scalar kernels.
   kScalar = 1,
-  /// Alias of kAuto today; reserved so future size-based heuristics in
-  /// kAuto keep an explicit "always widest" setting for testing.
-  kWidest = 2,
 };
 
 /// Returned by the find kernels when no element matches.
@@ -110,7 +108,8 @@ struct KernelOps {
                   double out[3]);
   /// Per-bin corner bounds of a weighted sum (Table 3 SUM):
   /// out[0] = Σ min(wlo·vlo, wlo·vhi, whi·vlo, whi·vhi),
-  /// out[1] = Σ max(...), ties resolved leftmost like std::min/std::max.
+  /// out[1] = Σ max(...), with min/max taking the second operand on ties
+  /// and NaN (the minpd/maxpd rule) on every tier.
   void (*corner_bounds)(const double* wlo, const double* whi,
                         const double* vlo, const double* vhi, size_t begin,
                         size_t end, double out[2]);
@@ -139,40 +138,14 @@ struct KernelOps {
   /// Final OR flip: p = 1 - p with lo/hi complemented and swapped.
   void (*complement3)(double* p, double* lo, double* hi, size_t begin,
                       size_t end);
-  /// Bulk fully-covered-run weighting: w[t] = lo[t] = hi[t] = double(h[t])
-  /// (β = β− = β+ = 1 makes Eq. 29 collapse to the bin count, including
-  /// under sampling widening, where the variance term is exactly zero).
-  void (*counts_to_weights3)(const uint64_t* h, double* w, double* lo,
-                             double* hi, size_t begin, size_t end);
-  /// Eq. 29 weighting, ρ = 1 (no widening): w = h·p, lo = clamp(h·pl, 0, h),
-  /// hi = clamp(h·ph, 0, h).
-  void (*weights_nowiden)(const uint64_t* h, const double* p,
-                          const double* pl, const double* ph, double* w,
-                          double* lo, double* hi, size_t begin, size_t end);
-  /// Eq. 29 weighting with sampling widening (z = two-sided 98% normal
-  /// quantile, fpc = finite population correction).
-  void (*weights_widen)(const uint64_t* h, const double* p, const double* pl,
-                        const double* ph, double z, double fpc, double* w,
-                        double* lo, double* hi, size_t begin, size_t end);
   /// Conditional-probability normalization (Eq. 27): per bin, p =
   /// clamp(np/h, 0, 1), lo = clamp(nlo/h, 0, p), hi = clamp(nhi/h, p, 1);
   /// bins with h = 0 produce exact zeros. Source and destination may
-  /// alias. Division dominates the scalar loop; the SIMD tiers divide
-  /// four lanes at once with bit-identical results.
+  /// alias. Division dominates; the SIMD tiers divide W lanes at once
+  /// with bit-identical results.
   void (*norm_prob3)(const uint64_t* h, const double* np, const double* nlo,
                      const double* nhi, double* p, double* lo, double* hi,
                      size_t begin, size_t end);
-  /// Sparse gather reduction: out[j] = Σ_e cnt[e] · bj[col[e]] for e in
-  /// [begin, end), phase-aligned on the element index e like the dense
-  /// reductions (a sub-range whose excluded elements hit zero entries of
-  /// bj reduces identically to the full range). Not currently on the
-  /// engine's hot path — the cell scans moved to dense prefix
-  /// differences (query/engine.cc ReduceRowsAll), which beat hardware
-  /// gathers on gather-mitigated CPUs — but kept, tested and benched as
-  /// the building block for sparse-index consumers.
-  void (*gather_dot3)(const uint64_t* cnt, const uint32_t* col,
-                      const double* b0, const double* b1, const double* b2,
-                      size_t begin, size_t end, double out[3]);
 
   // ---- Multi-row reductions (column-major cell prefixes) ----------------
   // The batched counterpart of a per-row prefix walk: one
@@ -194,10 +167,13 @@ struct KernelOps {
                      double bl, double bh, double* ap, double* al, double* ah,
                      size_t begin, size_t end);
 
-  /// Batched Eq. 29 weighting: every row of a batch in one call, fully-
-  /// covered runs collapsing to counts_to_weights3 and the rest going
-  /// through weights_widen (widen != 0) / weights_nowiden. Row r's output
-  /// is bit-identical to weighting that row alone with those kernels.
+  /// Batched Eq. 29 weighting: every row of a batch in one call. Per bin,
+  /// w = h·p, lo = clamp(l, 0, h), hi = clamp(u, 0, h) with l = h·pl and
+  /// u = h·ph. With widen != 0 and h > 0, l -= z·sqrt(h·b(1-b)·fpc) for
+  /// b = clamp(l/h, 0, 1), and u widens upward likewise (z = two-sided 98%
+  /// normal quantile, fpc = finite population correction). Fully-covered
+  /// runs (β = β− = β+ = 1) collapse to w = lo = hi = h. Row r's output is
+  /// bit-identical to weighting that row alone.
   void (*weights_batch)(const WeightRow* rows, size_t n_rows, double z,
                         double fpc, int widen);
 };

@@ -1,610 +1,15 @@
-// AVX2 kernel table (see simd.h). Compiled with -mavx2 in its own
-// translation unit, referenced only when PWH_HAVE_AVX2 is defined and the
-// CPU reports AVX2 at runtime.
-//
-// Reductions keep one 4-lane accumulator vector with element t in lane
-// t % 4 and scalar head/tail per-lane accumulation, matching the generic
-// W = 4 bodies bit-for-bit (same per-lane addition sequences, same
-// (l0+l1)+(l2+l3) combine). Elementwise kernels evaluate the same
-// expressions as the generic bodies; _mm256_sqrt_pd and arithmetic are
-// IEEE-exact, so they differ from scalar only in the sign of zero
-// produced by min/max tie-breaking.
+// AVX2 kernel table (see simd.h): the W = 4 instantiation of the shared
+// kernel bodies, in its own translation unit compiled with -mavx2.
+// Referenced only when PWH_HAVE_AVX2 is defined and the CPU reports AVX2
+// at runtime.
 #if PWH_HAVE_AVX2
 
-#include <immintrin.h>
-
-#include <cstddef>
-#include <cstdint>
-
-#include "common/simd.h"
 #include "common/simd_generic.h"
 
 namespace pairwisehist {
 
-namespace {
-
-using Gen4 = simd_detail::Kernels<4>;
-
-inline double Combine(const double acc[4]) {
-  return (acc[0] + acc[1]) + (acc[2] + acc[3]);
-}
-
-// Exact u64 -> f64 for values < 2^52 (bin counts are row counts, far
-// below): OR in the 2^52 exponent pattern and subtract 2^52.
-inline __m256d U64ToDouble(__m256i vi) {
-  const __m256i magic = _mm256_set1_epi64x(0x4330000000000000LL);
-  return _mm256_sub_pd(_mm256_castsi256_pd(_mm256_or_si256(vi, magic)),
-                       _mm256_set1_pd(4503599627370496.0));
-}
-
-inline __m256d CountsToDouble(const uint64_t* h) {
-  return U64ToDouble(_mm256_loadu_si256(reinterpret_cast<const __m256i*>(h)));
-}
-
-double SumAvx2(const double* x, size_t begin, size_t end) {
-  double acc[4] = {0, 0, 0, 0};
-  size_t t = begin;
-  for (; t < end && (t & 3); ++t) acc[t & 3] += x[t];
-  if (t + 4 <= end) {
-    __m256d v = _mm256_loadu_pd(acc);
-    for (; t + 4 <= end; t += 4) {
-      v = _mm256_add_pd(v, _mm256_loadu_pd(x + t));
-    }
-    _mm256_storeu_pd(acc, v);
-  }
-  for (; t < end; ++t) acc[t & 3] += x[t];
-  return Combine(acc);
-}
-
-void Sum3Avx2(const double* a, const double* b, const double* c, size_t begin,
-              size_t end, double out[3]) {
-  double aa[4] = {}, ab[4] = {}, ac[4] = {};
-  size_t t = begin;
-  for (; t < end && (t & 3); ++t) {
-    aa[t & 3] += a[t];
-    ab[t & 3] += b[t];
-    ac[t & 3] += c[t];
-  }
-  if (t + 4 <= end) {
-    __m256d va = _mm256_loadu_pd(aa);
-    __m256d vb = _mm256_loadu_pd(ab);
-    __m256d vc = _mm256_loadu_pd(ac);
-    for (; t + 4 <= end; t += 4) {
-      va = _mm256_add_pd(va, _mm256_loadu_pd(a + t));
-      vb = _mm256_add_pd(vb, _mm256_loadu_pd(b + t));
-      vc = _mm256_add_pd(vc, _mm256_loadu_pd(c + t));
-    }
-    _mm256_storeu_pd(aa, va);
-    _mm256_storeu_pd(ab, vb);
-    _mm256_storeu_pd(ac, vc);
-  }
-  for (; t < end; ++t) {
-    aa[t & 3] += a[t];
-    ab[t & 3] += b[t];
-    ac[t & 3] += c[t];
-  }
-  out[0] = Combine(aa);
-  out[1] = Combine(ab);
-  out[2] = Combine(ac);
-}
-
-double DotAvx2(const double* w, const double* x, size_t begin, size_t end) {
-  double acc[4] = {0, 0, 0, 0};
-  size_t t = begin;
-  for (; t < end && (t & 3); ++t) acc[t & 3] += w[t] * x[t];
-  if (t + 4 <= end) {
-    __m256d v = _mm256_loadu_pd(acc);
-    for (; t + 4 <= end; t += 4) {
-      v = _mm256_add_pd(
-          v, _mm256_mul_pd(_mm256_loadu_pd(w + t), _mm256_loadu_pd(x + t)));
-    }
-    _mm256_storeu_pd(acc, v);
-  }
-  for (; t < end; ++t) acc[t & 3] += w[t] * x[t];
-  return Combine(acc);
-}
-
-void Dot3Avx2(const double* w, const double* x, const double* y, size_t begin,
-              size_t end, double out[3]) {
-  double aw[4] = {}, ax[4] = {}, ay[4] = {};
-  size_t t = begin;
-  for (; t < end && (t & 3); ++t) {
-    aw[t & 3] += w[t];
-    ax[t & 3] += w[t] * x[t];
-    ay[t & 3] += w[t] * y[t];
-  }
-  if (t + 4 <= end) {
-    __m256d vw = _mm256_loadu_pd(aw);
-    __m256d vx = _mm256_loadu_pd(ax);
-    __m256d vy = _mm256_loadu_pd(ay);
-    for (; t + 4 <= end; t += 4) {
-      __m256d lw = _mm256_loadu_pd(w + t);
-      vw = _mm256_add_pd(vw, lw);
-      vx = _mm256_add_pd(vx, _mm256_mul_pd(lw, _mm256_loadu_pd(x + t)));
-      vy = _mm256_add_pd(vy, _mm256_mul_pd(lw, _mm256_loadu_pd(y + t)));
-    }
-    _mm256_storeu_pd(aw, vw);
-    _mm256_storeu_pd(ax, vx);
-    _mm256_storeu_pd(ay, vy);
-  }
-  for (; t < end; ++t) {
-    aw[t & 3] += w[t];
-    ax[t & 3] += w[t] * x[t];
-    ay[t & 3] += w[t] * y[t];
-  }
-  out[0] = Combine(aw);
-  out[1] = Combine(ax);
-  out[2] = Combine(ay);
-}
-
-void MomentsAvx2(const double* w, const double* x, size_t begin, size_t end,
-                 double out[3]) {
-  double aw[4] = {}, a1[4] = {}, a2[4] = {};
-  size_t t = begin;
-  for (; t < end && (t & 3); ++t) {
-    double wx = w[t] * x[t];
-    aw[t & 3] += w[t];
-    a1[t & 3] += wx;
-    a2[t & 3] += wx * x[t];
-  }
-  if (t + 4 <= end) {
-    __m256d vw = _mm256_loadu_pd(aw);
-    __m256d v1 = _mm256_loadu_pd(a1);
-    __m256d v2 = _mm256_loadu_pd(a2);
-    for (; t + 4 <= end; t += 4) {
-      __m256d lw = _mm256_loadu_pd(w + t);
-      __m256d lx = _mm256_loadu_pd(x + t);
-      __m256d wx = _mm256_mul_pd(lw, lx);
-      vw = _mm256_add_pd(vw, lw);
-      v1 = _mm256_add_pd(v1, wx);
-      v2 = _mm256_add_pd(v2, _mm256_mul_pd(wx, lx));
-    }
-    _mm256_storeu_pd(aw, vw);
-    _mm256_storeu_pd(a1, v1);
-    _mm256_storeu_pd(a2, v2);
-  }
-  for (; t < end; ++t) {
-    double wx = w[t] * x[t];
-    aw[t & 3] += w[t];
-    a1[t & 3] += wx;
-    a2[t & 3] += wx * x[t];
-  }
-  out[0] = Combine(aw);
-  out[1] = Combine(a1);
-  out[2] = Combine(a2);
-}
-
-void CornerBoundsAvx2(const double* wlo, const double* whi, const double* vlo,
-                      const double* vhi, size_t begin, size_t end,
-                      double out[2]) {
-  double alo[4] = {}, ahi[4] = {};
-  auto corner = [](double wl, double wh, double vl, double vh, double* lo,
-                   double* hi) {
-    double p1 = wl * vl, p2 = wl * vh, p3 = wh * vl, p4 = wh * vh;
-    double mn = p1 < p2 ? p1 : p2;
-    mn = mn < p3 ? mn : p3;
-    mn = mn < p4 ? mn : p4;
-    double mx = p1 > p2 ? p1 : p2;
-    mx = mx > p3 ? mx : p3;
-    mx = mx > p4 ? mx : p4;
-    *lo += mn;
-    *hi += mx;
-  };
-  size_t t = begin;
-  for (; t < end && (t & 3); ++t) {
-    corner(wlo[t], whi[t], vlo[t], vhi[t], &alo[t & 3], &ahi[t & 3]);
-  }
-  if (t + 4 <= end) {
-    __m256d vl_acc = _mm256_loadu_pd(alo);
-    __m256d vh_acc = _mm256_loadu_pd(ahi);
-    for (; t + 4 <= end; t += 4) {
-      __m256d wl = _mm256_loadu_pd(wlo + t);
-      __m256d wh = _mm256_loadu_pd(whi + t);
-      __m256d vl = _mm256_loadu_pd(vlo + t);
-      __m256d vh = _mm256_loadu_pd(vhi + t);
-      __m256d p1 = _mm256_mul_pd(wl, vl);
-      __m256d p2 = _mm256_mul_pd(wl, vh);
-      __m256d p3 = _mm256_mul_pd(wh, vl);
-      __m256d p4 = _mm256_mul_pd(wh, vh);
-      __m256d mn = _mm256_min_pd(_mm256_min_pd(_mm256_min_pd(p1, p2), p3), p4);
-      __m256d mx = _mm256_max_pd(_mm256_max_pd(_mm256_max_pd(p1, p2), p3), p4);
-      vl_acc = _mm256_add_pd(vl_acc, mn);
-      vh_acc = _mm256_add_pd(vh_acc, mx);
-    }
-    _mm256_storeu_pd(alo, vl_acc);
-    _mm256_storeu_pd(ahi, vh_acc);
-  }
-  for (; t < end; ++t) {
-    corner(wlo[t], whi[t], vlo[t], vhi[t], &alo[t & 3], &ahi[t & 3]);
-  }
-  out[0] = Combine(alo);
-  out[1] = Combine(ahi);
-}
-
-void PrefixSumAvx2(const double* x, size_t begin, size_t end, double* out) {
-  double carry = 0.0;
-  size_t block = begin & ~size_t{3};
-  for (; block < end; block += 4) {
-    if (block >= begin && block + 4 <= end) {
-      __m256d v = _mm256_loadu_pd(x + block);
-      // Hillis–Steele within the vector: v += shift1(v); v += shift2(v).
-      __m256d s1 = _mm256_permute4x64_pd(v, _MM_SHUFFLE(2, 1, 0, 0));
-      s1 = _mm256_blend_pd(s1, _mm256_setzero_pd(), 0x1);
-      v = _mm256_add_pd(v, s1);
-      __m256d s2 = _mm256_insertf128_pd(_mm256_setzero_pd(),
-                                        _mm256_castpd256_pd128(v), 1);
-      v = _mm256_add_pd(v, s2);
-      _mm256_storeu_pd(out + block, _mm256_add_pd(_mm256_set1_pd(carry), v));
-      __m128d hi128 = _mm256_extractf128_pd(v, 1);
-      carry = carry + _mm_cvtsd_f64(_mm_unpackhi_pd(hi128, hi128));
-    } else {
-      // Boundary blocks: the generic W = 4 block is bit-identical.
-      Gen4::PrefixBlock(x, block, begin, end, &carry, out);
-    }
-  }
-}
-
-size_t FindFirstGtAvx2(const double* x, size_t begin, size_t end,
-                       double threshold) {
-  size_t t = begin;
-  const __m256d thr = _mm256_set1_pd(threshold);
-  for (; t + 4 <= end; t += 4) {
-    __m256d cmp = _mm256_cmp_pd(_mm256_loadu_pd(x + t), thr, _CMP_GT_OQ);
-    int m = _mm256_movemask_pd(cmp);
-    if (m != 0) return t + static_cast<size_t>(__builtin_ctz(m));
-  }
-  for (; t < end; ++t) {
-    if (x[t] > threshold) return t;
-  }
-  return kKernelNotFound;
-}
-
-size_t FindLastGtAvx2(const double* x, size_t begin, size_t end,
-                      double threshold) {
-  size_t t = end;
-  const __m256d thr = _mm256_set1_pd(threshold);
-  while (t - begin >= 4) {
-    t -= 4;
-    __m256d cmp = _mm256_cmp_pd(_mm256_loadu_pd(x + t), thr, _CMP_GT_OQ);
-    int m = _mm256_movemask_pd(cmp);
-    if (m != 0) return t + static_cast<size_t>(31 - __builtin_clz(m));
-  }
-  while (t-- > begin) {
-    if (x[t] > threshold) return t;
-  }
-  return kKernelNotFound;
-}
-
-void Mul3Avx2(double* ap, double* al, double* ah, const double* bp,
-              const double* bl, const double* bh, size_t begin, size_t end) {
-  size_t t = begin;
-  for (; t + 4 <= end; t += 4) {
-    _mm256_storeu_pd(ap + t, _mm256_mul_pd(_mm256_loadu_pd(ap + t),
-                                           _mm256_loadu_pd(bp + t)));
-    _mm256_storeu_pd(al + t, _mm256_mul_pd(_mm256_loadu_pd(al + t),
-                                           _mm256_loadu_pd(bl + t)));
-    _mm256_storeu_pd(ah + t, _mm256_mul_pd(_mm256_loadu_pd(ah + t),
-                                           _mm256_loadu_pd(bh + t)));
-  }
-  for (; t < end; ++t) {
-    ap[t] *= bp[t];
-    al[t] *= bl[t];
-    ah[t] *= bh[t];
-  }
-}
-
-void OrMul3Avx2(double* ap, double* al, double* ah, const double* bp,
-                const double* bl, const double* bh, size_t begin, size_t end) {
-  const __m256d one = _mm256_set1_pd(1.0);
-  size_t t = begin;
-  for (; t + 4 <= end; t += 4) {
-    _mm256_storeu_pd(
-        ap + t, _mm256_mul_pd(_mm256_loadu_pd(ap + t),
-                              _mm256_sub_pd(one, _mm256_loadu_pd(bp + t))));
-    _mm256_storeu_pd(
-        al + t, _mm256_mul_pd(_mm256_loadu_pd(al + t),
-                              _mm256_sub_pd(one, _mm256_loadu_pd(bh + t))));
-    _mm256_storeu_pd(
-        ah + t, _mm256_mul_pd(_mm256_loadu_pd(ah + t),
-                              _mm256_sub_pd(one, _mm256_loadu_pd(bl + t))));
-  }
-  for (; t < end; ++t) {
-    ap[t] *= 1.0 - bp[t];
-    al[t] *= 1.0 - bh[t];
-    ah[t] *= 1.0 - bl[t];
-  }
-}
-
-void Complement3Avx2(double* p, double* lo, double* hi, size_t begin,
-                     size_t end) {
-  const __m256d one = _mm256_set1_pd(1.0);
-  size_t t = begin;
-  for (; t + 4 <= end; t += 4) {
-    __m256d np = _mm256_sub_pd(one, _mm256_loadu_pd(p + t));
-    __m256d nlo = _mm256_sub_pd(one, _mm256_loadu_pd(hi + t));
-    __m256d nhi = _mm256_sub_pd(one, _mm256_loadu_pd(lo + t));
-    _mm256_storeu_pd(p + t, np);
-    _mm256_storeu_pd(lo + t, nlo);
-    _mm256_storeu_pd(hi + t, nhi);
-  }
-  for (; t < end; ++t) {
-    double np = 1.0 - p[t];
-    double nlo = 1.0 - hi[t];
-    double nhi = 1.0 - lo[t];
-    p[t] = np;
-    lo[t] = nlo;
-    hi[t] = nhi;
-  }
-}
-
-void CountsToWeights3Avx2(const uint64_t* h, double* w, double* lo, double* hi,
-                          size_t begin, size_t end) {
-  size_t t = begin;
-  for (; t + 4 <= end; t += 4) {
-    __m256d hd = CountsToDouble(h + t);
-    _mm256_storeu_pd(w + t, hd);
-    _mm256_storeu_pd(lo + t, hd);
-    _mm256_storeu_pd(hi + t, hd);
-  }
-  for (; t < end; ++t) {
-    double hd = static_cast<double>(h[t]);
-    w[t] = hd;
-    lo[t] = hd;
-    hi[t] = hd;
-  }
-}
-
-void WeightsNoWidenAvx2(const uint64_t* h, const double* p, const double* pl,
-                        const double* ph, double* w, double* lo, double* hi,
-                        size_t begin, size_t end) {
-  const __m256d zero = _mm256_setzero_pd();
-  size_t t = begin;
-  for (; t + 4 <= end; t += 4) {
-    __m256d hd = CountsToDouble(h + t);
-    _mm256_storeu_pd(w + t, _mm256_mul_pd(hd, _mm256_loadu_pd(p + t)));
-    __m256d l = _mm256_mul_pd(hd, _mm256_loadu_pd(pl + t));
-    __m256d u = _mm256_mul_pd(hd, _mm256_loadu_pd(ph + t));
-    _mm256_storeu_pd(lo + t, _mm256_min_pd(_mm256_max_pd(l, zero), hd));
-    _mm256_storeu_pd(hi + t, _mm256_min_pd(_mm256_max_pd(u, zero), hd));
-  }
-  for (; t < end; ++t) {
-    double hd = static_cast<double>(h[t]);
-    w[t] = hd * p[t];
-    double l = hd * pl[t];
-    double u = hd * ph[t];
-    lo[t] = l < 0.0 ? 0.0 : (l > hd ? hd : l);
-    hi[t] = u < 0.0 ? 0.0 : (u > hd ? hd : u);
-  }
-}
-
-void WeightsWidenAvx2(const uint64_t* h, const double* p, const double* pl,
-                      const double* ph, double z, double fpc, double* w,
-                      double* lo, double* hi, size_t begin, size_t end) {
-  const __m256d zero = _mm256_setzero_pd();
-  const __m256d one = _mm256_set1_pd(1.0);
-  const __m256d vz = _mm256_set1_pd(z);
-  const __m256d vfpc = _mm256_set1_pd(fpc);
-  size_t t = begin;
-  for (; t + 4 <= end; t += 4) {
-    __m256d hd = CountsToDouble(h + t);
-    _mm256_storeu_pd(w + t, _mm256_mul_pd(hd, _mm256_loadu_pd(p + t)));
-    __m256d l = _mm256_mul_pd(hd, _mm256_loadu_pd(pl + t));
-    __m256d u = _mm256_mul_pd(hd, _mm256_loadu_pd(ph + t));
-    // Widened bounds; lanes with h == 0 divide 0/0 and are blended away.
-    __m256d mask = _mm256_cmp_pd(hd, zero, _CMP_GT_OQ);
-    __m256d bl =
-        _mm256_min_pd(_mm256_max_pd(_mm256_div_pd(l, hd), zero), one);
-    __m256d bh =
-        _mm256_min_pd(_mm256_max_pd(_mm256_div_pd(u, hd), zero), one);
-    __m256d tl = _mm256_mul_pd(
-        vz, _mm256_sqrt_pd(_mm256_mul_pd(
-                _mm256_mul_pd(_mm256_mul_pd(hd, bl), _mm256_sub_pd(one, bl)),
-                vfpc)));
-    __m256d th = _mm256_mul_pd(
-        vz, _mm256_sqrt_pd(_mm256_mul_pd(
-                _mm256_mul_pd(_mm256_mul_pd(hd, bh), _mm256_sub_pd(one, bh)),
-                vfpc)));
-    l = _mm256_blendv_pd(l, _mm256_sub_pd(l, tl), mask);
-    u = _mm256_blendv_pd(u, _mm256_add_pd(u, th), mask);
-    _mm256_storeu_pd(lo + t, _mm256_min_pd(_mm256_max_pd(l, zero), hd));
-    _mm256_storeu_pd(hi + t, _mm256_min_pd(_mm256_max_pd(u, zero), hd));
-  }
-  for (; t < end; ++t) {
-    double hd = static_cast<double>(h[t]);
-    w[t] = hd * p[t];
-    double l = hd * pl[t];
-    double u = hd * ph[t];
-    if (hd > 0) {
-      double bl = l / hd;
-      bl = bl < 0.0 ? 0.0 : (bl > 1.0 ? 1.0 : bl);
-      double bh = u / hd;
-      bh = bh < 0.0 ? 0.0 : (bh > 1.0 ? 1.0 : bh);
-      l -= z * __builtin_sqrt(hd * bl * (1.0 - bl) * fpc);
-      u += z * __builtin_sqrt(hd * bh * (1.0 - bh) * fpc);
-    }
-    lo[t] = l < 0.0 ? 0.0 : (l > hd ? hd : l);
-    hi[t] = u < 0.0 ? 0.0 : (u > hd ? hd : u);
-  }
-}
-
-void NormProb3Avx2(const uint64_t* h, const double* np, const double* nlo,
-                   const double* nhi, double* p, double* lo, double* hi,
-                   size_t begin, size_t end) {
-  const __m256d zero = _mm256_setzero_pd();
-  const __m256d one = _mm256_set1_pd(1.0);
-  size_t t = begin;
-  for (; t + 4 <= end; t += 4) {
-    __m256d hd = CountsToDouble(h + t);
-    __m256d mask = _mm256_cmp_pd(hd, zero, _CMP_GT_OQ);
-    __m256d vp = _mm256_min_pd(
-        _mm256_max_pd(_mm256_div_pd(_mm256_loadu_pd(np + t), hd), zero), one);
-    __m256d vlo = _mm256_min_pd(
-        _mm256_max_pd(_mm256_div_pd(_mm256_loadu_pd(nlo + t), hd), zero), vp);
-    __m256d vhi = _mm256_min_pd(
-        _mm256_max_pd(_mm256_div_pd(_mm256_loadu_pd(nhi + t), hd), vp), one);
-    _mm256_storeu_pd(p + t, _mm256_and_pd(vp, mask));
-    _mm256_storeu_pd(lo + t, _mm256_and_pd(vlo, mask));
-    _mm256_storeu_pd(hi + t, _mm256_and_pd(vhi, mask));
-  }
-  for (; t < end; ++t) {
-    double hd = static_cast<double>(h[t]);
-    if (hd <= 0) {
-      p[t] = lo[t] = hi[t] = 0.0;
-      continue;
-    }
-    double d = np[t] / hd;
-    double vp = d < 0.0 ? 0.0 : (d > 1.0 ? 1.0 : d);
-    d = nlo[t] / hd;
-    double vlo = d < 0.0 ? 0.0 : (d > vp ? vp : d);
-    d = nhi[t] / hd;
-    double vhi = d < vp ? vp : (d > 1.0 ? 1.0 : d);
-    p[t] = vp;
-    lo[t] = vlo;
-    hi[t] = vhi;
-  }
-}
-
-// GCC's 3-operand _mm256_i32gather_pd expands with an undefined initial
-// destination, tripping -Wmaybe-uninitialized inside avx2intrin.h.
-#if defined(__GNUC__) && !defined(__clang__)
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wmaybe-uninitialized"
-#endif
-void GatherDot3Avx2(const uint64_t* cnt, const uint32_t* col,
-                    const double* b0, const double* b1, const double* b2,
-                    size_t begin, size_t end, double out[3]) {
-  double a0[4] = {}, a1[4] = {}, a2[4] = {};
-  size_t e = begin;
-  for (; e < end && (e & 3); ++e) {
-    double c = static_cast<double>(cnt[e]);
-    size_t t = col[e];
-    a0[e & 3] += c * b0[t];
-    a1[e & 3] += c * b1[t];
-    a2[e & 3] += c * b2[t];
-  }
-  if (e + 4 <= end) {
-    __m256d v0 = _mm256_loadu_pd(a0);
-    __m256d v1 = _mm256_loadu_pd(a1);
-    __m256d v2 = _mm256_loadu_pd(a2);
-    for (; e + 4 <= end; e += 4) {
-      __m256d c = CountsToDouble(cnt + e);
-      __m128i idx =
-          _mm_loadu_si128(reinterpret_cast<const __m128i*>(col + e));
-      v0 = _mm256_add_pd(
-          v0, _mm256_mul_pd(c, _mm256_i32gather_pd(b0, idx, 8)));
-      v1 = _mm256_add_pd(
-          v1, _mm256_mul_pd(c, _mm256_i32gather_pd(b1, idx, 8)));
-      v2 = _mm256_add_pd(
-          v2, _mm256_mul_pd(c, _mm256_i32gather_pd(b2, idx, 8)));
-    }
-    _mm256_storeu_pd(a0, v0);
-    _mm256_storeu_pd(a1, v1);
-    _mm256_storeu_pd(a2, v2);
-  }
-  for (; e < end; ++e) {
-    double c = static_cast<double>(cnt[e]);
-    size_t t = col[e];
-    a0[e & 3] += c * b0[t];
-    a1[e & 3] += c * b1[t];
-    a2[e & 3] += c * b2[t];
-  }
-  out[0] = Combine(a0);
-  out[1] = Combine(a1);
-  out[2] = Combine(a2);
-}
-#if defined(__GNUC__) && !defined(__clang__)
-#pragma GCC diagnostic pop
-#endif
-
-// Multi-row reductions over column-major cell prefixes (elementwise across
-// rows — each row's accumulator sees the same addend as the scalar body,
-// so results are bit-identical on every tier).
-
-void RunMass3Avx2(const uint64_t* pre_b, const uint64_t* pre_e, double* ap,
-                  double* al, double* ah, size_t begin, size_t end) {
-  size_t t = begin;
-  for (; t + 4 <= end; t += 4) {
-    __m256i b =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(pre_b + t));
-    __m256i e =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(pre_e + t));
-    __m256d m = U64ToDouble(_mm256_sub_epi64(e, b));
-    _mm256_storeu_pd(ap + t, _mm256_add_pd(_mm256_loadu_pd(ap + t), m));
-    _mm256_storeu_pd(al + t, _mm256_add_pd(_mm256_loadu_pd(al + t), m));
-    _mm256_storeu_pd(ah + t, _mm256_add_pd(_mm256_loadu_pd(ah + t), m));
-  }
-  for (; t < end; ++t) {
-    double m = static_cast<double>(pre_e[t] - pre_b[t]);
-    ap[t] += m;
-    al[t] += m;
-    ah[t] += m;
-  }
-}
-
-void CellAxpy3Avx2(const uint64_t* pre_b, const uint64_t* pre_e, double bp,
-                   double bl, double bh, double* ap, double* al, double* ah,
-                   size_t begin, size_t end) {
-  const __m256d vp = _mm256_set1_pd(bp);
-  const __m256d vl = _mm256_set1_pd(bl);
-  const __m256d vh = _mm256_set1_pd(bh);
-  size_t t = begin;
-  for (; t + 4 <= end; t += 4) {
-    __m256i b =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(pre_b + t));
-    __m256i e =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(pre_e + t));
-    __m256d m = U64ToDouble(_mm256_sub_epi64(e, b));
-    _mm256_storeu_pd(
-        ap + t, _mm256_add_pd(_mm256_loadu_pd(ap + t), _mm256_mul_pd(m, vp)));
-    _mm256_storeu_pd(
-        al + t, _mm256_add_pd(_mm256_loadu_pd(al + t), _mm256_mul_pd(m, vl)));
-    _mm256_storeu_pd(
-        ah + t, _mm256_add_pd(_mm256_loadu_pd(ah + t), _mm256_mul_pd(m, vh)));
-  }
-  for (; t < end; ++t) {
-    double m = static_cast<double>(pre_e[t] - pre_b[t]);
-    ap[t] += m * bp;
-    al[t] += m * bl;
-    ah[t] += m * bh;
-  }
-}
-
-// Batched Eq. 29 weighting: the shared run-walk driver dispatching to the
-// AVX2 elementwise weighting kernels per range.
-void WeightsBatchAvx2(const WeightRow* rows, size_t n_rows, double z,
-                      double fpc, int widen) {
-  simd_detail::WeightsBatchWalk(rows, n_rows, z, fpc, widen,
-                                &WeightsNoWidenAvx2, &WeightsWidenAvx2,
-                                &CountsToWeights3Avx2);
-}
-
-}  // namespace
-
 extern const KernelOps kAvx2Kernels;
-const KernelOps kAvx2Kernels = {
-    "avx2",
-    4,
-    &SumAvx2,
-    &Sum3Avx2,
-    &DotAvx2,
-    &Dot3Avx2,
-    &MomentsAvx2,
-    &CornerBoundsAvx2,
-    &PrefixSumAvx2,
-    &FindFirstGtAvx2,
-    &FindLastGtAvx2,
-    &Mul3Avx2,
-    &OrMul3Avx2,
-    &Complement3Avx2,
-    &CountsToWeights3Avx2,
-    &WeightsNoWidenAvx2,
-    &WeightsWidenAvx2,
-    &NormProb3Avx2,
-    &GatherDot3Avx2,
-    &RunMass3Avx2,
-    &CellAxpy3Avx2,
-    &WeightsBatchAvx2,
-};
+const KernelOps kAvx2Kernels = simd_detail::MakeTable<4>("avx2");
 
 }  // namespace pairwisehist
 

@@ -524,8 +524,8 @@ AggResult AggregateImpl(const PairwiseHist& ph, const KernelOps& ks,
 // Eq. 29 weightings over the touched range (untouched bins carry exactly
 // zero weight). Fully-covered runs collapse to the bin counts themselves —
 // at β = 1 the widening variance term is exactly zero and every clamp is
-// the identity, so the bulk counts_to_weights3 kernel reproduces the
-// general formula bit-for-bit while skipping its arithmetic.
+// the identity, so weights_batch's bulk run copy reproduces the general
+// formula bit-for-bit while skipping its arithmetic.
 void WeightsInto(const PairwiseHist& ph, const HistogramDim& dim,
                  const ProbTable& prob, const WeightTable& wt,
                  const KernelOps& ks) {

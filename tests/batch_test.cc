@@ -287,7 +287,7 @@ TEST(BatchEquivalence, SingleSegmentWidestTier) {
   ASSERT_TRUE(t.ok());
   DbOptions opt;
   opt.synopsis.sample_size = 10000;
-  opt.engine.kernels = KernelMode::kWidest;
+  opt.engine.kernels = KernelMode::kAuto;  // the widest tier
   auto db = Db::FromTable(*t, opt);
   ASSERT_TRUE(db.ok()) << db.status().ToString();
   size_t checked = 0;

@@ -99,10 +99,27 @@ struct RandomArrays {
   }
 };
 
+// Inputs where the tiers used to disagree: -0.0 values, empty bins
+// (h = 0) and the largest count the u64 -> f64 conversion keeps exact.
+void AddSpecialValues(RandomArrays* arr) {
+  for (size_t i = 0; i < arr->a.size(); ++i) {
+    if (i % 7 == 3) arr->a[i] = arr->c[i] = arr->d[i] = -0.0;
+    if (i % 5 == 1) arr->h[i] = 0;
+    if (i % 11 == 6) arr->h[i] = (uint64_t{1} << 52) - 1;
+  }
+}
+
+bool SameBits(const std::vector<double>& x, const std::vector<double>& y) {
+  return x.size() == y.size() &&
+         std::memcmp(x.data(), y.data(), x.size() * sizeof(double)) == 0;
+}
+
 TEST(KernelEdgeCases, AllTiersMatchScalarOnSmallShapes) {
   const KernelOps& sc = ScalarKernels();
   const size_t kMaxN = 70;
   RandomArrays arr(kMaxN + 8, 1234);
+  AddSpecialValues(&arr);
+  const size_t kLen = arr.a.size();
   for (const KernelOps* ks : SupportedKernels()) {
     SCOPED_TRACE(ks->name);
     const size_t sizes[] = {0,  1,  2,  3,  4,  5,  7,  8,
@@ -111,7 +128,7 @@ TEST(KernelEdgeCases, AllTiersMatchScalarOnSmallShapes) {
     for (size_t n : sizes) {
       for (size_t b : begins) {
         size_t e = b + n;
-        ASSERT_LE(e, arr.a.size());
+        ASSERT_LE(e, kLen);
         SCOPED_TRACE("begin=" + std::to_string(b) +
                      " n=" + std::to_string(n));
         EXPECT_TRUE(Close(ks->sum(arr.a.data(), b, e),
@@ -134,7 +151,7 @@ TEST(KernelEdgeCases, AllTiersMatchScalarOnSmallShapes) {
         sc.corner_bounds(arr.b.data(), arr.d.data(), arr.a.data(),
                          arr.c.data(), b, e, cr2);
         for (int i = 0; i < 2; ++i) EXPECT_TRUE(Close(cb2[i], cr2[i]));
-        std::vector<double> ps(arr.a.size(), -1), pr(arr.a.size(), -1);
+        std::vector<double> ps(kLen, -1), pr(kLen, -1);
         ks->prefix_sum(arr.b.data(), b, e, ps.data());
         sc.prefix_sum(arr.b.data(), b, e, pr.data());
         for (size_t t = b; t < e; ++t) EXPECT_TRUE(Close(ps[t], pr[t]));
@@ -144,83 +161,54 @@ TEST(KernelEdgeCases, AllTiersMatchScalarOnSmallShapes) {
           EXPECT_EQ(ks->find_last_gt(arr.a.data(), b, e, thr),
                     sc.find_last_gt(arr.a.data(), b, e, thr));
         }
-        // Elementwise kernels must be value-identical across tiers.
-        std::vector<double> w1(arr.a.size()), l1(arr.a.size()),
-            h1(arr.a.size());
-        std::vector<double> w2(arr.a.size()), l2(arr.a.size()),
-            h2(arr.a.size());
-        ks->weights_nowiden(arr.h.data(), arr.b.data(), arr.a.data(),
-                            arr.d.data(), w1.data(), l1.data(), h1.data(), b,
-                            e);
-        sc.weights_nowiden(arr.h.data(), arr.b.data(), arr.a.data(),
-                           arr.d.data(), w2.data(), l2.data(), h2.data(), b,
-                           e);
-        for (size_t t = b; t < e; ++t) {
-          EXPECT_EQ(w1[t], w2[t]);
-          EXPECT_EQ(l1[t], l2[t]);
-          EXPECT_EQ(h1[t], h2[t]);
-        }
-        ks->weights_widen(arr.h.data(), arr.b.data(), arr.a.data(),
-                          arr.d.data(), 2.33, 0.9, w1.data(), l1.data(),
-                          h1.data(), b, e);
-        sc.weights_widen(arr.h.data(), arr.b.data(), arr.a.data(),
-                         arr.d.data(), 2.33, 0.9, w2.data(), l2.data(),
-                         h2.data(), b, e);
-        for (size_t t = b; t < e; ++t) {
-          EXPECT_EQ(w1[t], w2[t]);
-          EXPECT_EQ(l1[t], l2[t]);
-          EXPECT_EQ(h1[t], h2[t]);
-        }
-        ks->counts_to_weights3(arr.h.data(), w1.data(), l1.data(), h1.data(),
-                               b, e);
-        sc.counts_to_weights3(arr.h.data(), w2.data(), l2.data(), h2.data(),
-                              b, e);
-        for (size_t t = b; t < e; ++t) EXPECT_EQ(w1[t], w2[t]);
+
+        // Elementwise kernels must be bit-identical across tiers, sign of
+        // zero included, and must not write outside [b, e).
+        std::vector<double> w1(kLen, -1), l1(kLen, -1), h1(kLen, -1);
+        std::vector<double> w2 = w1, l2 = l1, h2 = h1;
+        auto expect_same = [&](const char* kernel) {
+          EXPECT_TRUE(SameBits(w1, w2)) << kernel << " p/w";
+          EXPECT_TRUE(SameBits(l1, l2)) << kernel << " lo";
+          EXPECT_TRUE(SameBits(h1, h2)) << kernel << " hi";
+        };
         ks->norm_prob3(arr.h.data(), arr.b.data(), arr.a.data(),
                        arr.d.data(), w1.data(), l1.data(), h1.data(), b, e);
         sc.norm_prob3(arr.h.data(), arr.b.data(), arr.a.data(), arr.d.data(),
                       w2.data(), l2.data(), h2.data(), b, e);
-        for (size_t t = b; t < e; ++t) {
-          EXPECT_EQ(w1[t], w2[t]);
-          EXPECT_EQ(l1[t], l2[t]);
-          EXPECT_EQ(h1[t], h2[t]);
-        }
-      }
-    }
-  }
-}
-
-// gather_dot3 reduces a CSR cell run; exercise every tier over small and
-// unaligned element ranges against scalar.
-TEST(KernelEdgeCases, GatherDot3MatchesScalar) {
-  const KernelOps& sc = ScalarKernels();
-  Rng rng(55);
-  const size_t kBins = 40;
-  std::vector<double> b0(kBins), b1(kBins), b2(kBins);
-  for (size_t i = 0; i < kBins; ++i) {
-    b0[i] = rng.Uniform(0, 1);
-    b1[i] = rng.Uniform(0, 1);
-    b2[i] = rng.Uniform(0, 1);
-  }
-  const size_t kCells = 70;
-  std::vector<uint64_t> cnt(kCells);
-  std::vector<uint32_t> col(kCells);
-  for (size_t e = 0; e < kCells; ++e) {
-    cnt[e] = rng.UniformInt(1000);
-    col[e] = static_cast<uint32_t>(rng.UniformInt(kBins));
-  }
-  for (const KernelOps* ks : SupportedKernels()) {
-    SCOPED_TRACE(ks->name);
-    for (size_t b : {0u, 1u, 2u, 3u, 5u}) {
-      for (size_t n : {0u, 1u, 3u, 4u, 5u, 8u, 17u, 33u, 64u}) {
-        double o1[3], o2[3];
-        ks->gather_dot3(cnt.data(), col.data(), b0.data(), b1.data(),
-                        b2.data(), b, b + n, o1);
-        sc.gather_dot3(cnt.data(), col.data(), b0.data(), b1.data(),
-                       b2.data(), b, b + n, o2);
-        for (int i = 0; i < 3; ++i) {
-          EXPECT_TRUE(Close(o1[i], o2[i]))
-              << "b=" << b << " n=" << n << " i=" << i;
+        expect_same("norm_prob3");
+        ks->mul3(w1.data(), l1.data(), h1.data(), arr.a.data(), arr.c.data(),
+                 arr.d.data(), b, e);
+        sc.mul3(w2.data(), l2.data(), h2.data(), arr.a.data(), arr.c.data(),
+                arr.d.data(), b, e);
+        expect_same("mul3");
+        ks->or_mul3(w1.data(), l1.data(), h1.data(), arr.d.data(),
+                    arr.a.data(), arr.c.data(), b, e);
+        sc.or_mul3(w2.data(), l2.data(), h2.data(), arr.d.data(),
+                   arr.a.data(), arr.c.data(), b, e);
+        expect_same("or_mul3");
+        ks->complement3(w1.data(), l1.data(), h1.data(), b, e);
+        sc.complement3(w2.data(), l2.data(), h2.data(), b, e);
+        expect_same("complement3");
+        // Eq. 29 weighting through one-row batches: a plain row, and one
+        // whose middle third is a fully-covered run.
+        const uint32_t run[] = {static_cast<uint32_t>(b + n / 3),
+                                static_cast<uint32_t>(b + 2 * n / 3)};
+        for (size_t n_runs : {0u, 1u}) {
+          for (int widen : {0, 1}) {
+            SCOPED_TRACE("runs=" + std::to_string(n_runs) +
+                         " widen=" + std::to_string(widen));
+            WeightRow r1{arr.h.data(), arr.b.data(), arr.a.data(),
+                         arr.d.data(), w1.data(),    l1.data(),
+                         h1.data(),    b,            e,
+                         run,          n_runs};
+            WeightRow r2 = r1;
+            r2.w = w2.data();
+            r2.lo = l2.data();
+            r2.hi = h2.data();
+            ks->weights_batch(&r1, 1, 2.33, 0.9, widen);
+            sc.weights_batch(&r2, 1, 2.33, 0.9, widen);
+            expect_same("weights_batch");
+          }
         }
       }
     }
@@ -241,6 +229,8 @@ TEST(KernelEdgeCases, MultiRowReduceMatchesScalarBitwise) {
     pre_b[i] = base;
     pre_e[i] = base + rng.UniformInt(5000);
   }
+  pre_e[6] = pre_b[6] + (uint64_t{1} << 52) - 1;  // largest exact mass
+  pre_e[9] = pre_b[9];                            // empty cell
   for (const KernelOps* ks : SupportedKernels()) {
     SCOPED_TRACE(ks->name);
     for (size_t b : {0u, 1u, 3u, 5u}) {
@@ -266,65 +256,70 @@ TEST(KernelEdgeCases, MultiRowReduceMatchesScalarBitwise) {
       }
     }
   }
+  // The u64 -> f64 conversion is exact up to 2^52 - 1 on every tier.
+  for (const KernelOps* ks : SupportedKernels()) {
+    std::vector<double> ap(kN, 0.0), al(kN, 0.0), ah(kN, 0.0);
+    ks->run_mass3(pre_b.data(), pre_e.data(), ap.data(), al.data(),
+                  ah.data(), 0, kN);
+    EXPECT_EQ(ap[6], 4503599627370495.0) << ks->name;
+    EXPECT_EQ(ap[9], 0.0) << ks->name;
+  }
 }
 
-// Batched Eq.-29 weighting: each SoA row must be bit-identical to
-// weighting that row alone with weights_nowiden / weights_widen /
-// counts_to_weights3 — per tier, with and without sampling widening.
-TEST(KernelEdgeCases, WeightsBatchMatchesPerRowKernels) {
+// Batched Eq.-29 weighting: each row of a batch must be bit-identical to
+// weighting that row alone, and a fully-covered run must collapse to the
+// bin counts — per tier, with and without sampling widening.
+TEST(KernelEdgeCases, WeightsBatchRowsMatchOneRowCalls) {
   const size_t kN = 48;
   RandomArrays arr(kN, 2024);
+  AddSpecialValues(&arr);
   // Two rows over the same counts: one with a fully-covered run in the
   // middle, one plain.
   const uint32_t runs[] = {10, 20};
+  const size_t kBegin[] = {3, 0}, kEnd[] = {37, kN}, kRuns[] = {1, 0};
   for (const KernelOps* ks : SupportedKernels()) {
     SCOPED_TRACE(ks->name);
     for (int widen : {0, 1}) {
       SCOPED_TRACE("widen=" + std::to_string(widen));
-      std::vector<double> w1(kN, -1), l1(kN, -1), h1(kN, -1);
-      std::vector<double> w2(kN, -1), l2(kN, -1), h2(kN, -1);
-      WeightRow rows[2];
-      rows[0] = WeightRow{arr.h.data(), arr.b.data(), arr.a.data(),
-                          arr.d.data(), w1.data(), l1.data(), h1.data(),
-                          3,  37, runs, 1};
-      rows[1] = WeightRow{arr.h.data(), arr.b.data(), arr.a.data(),
-                          arr.d.data(), w2.data(), l2.data(), h2.data(),
-                          0,  kN, nullptr, 0};
       const double z = 2.33, fpc = 0.9;
-      ks->weights_batch(rows, 2, z, fpc, widen);
-
-      std::vector<double> ew(kN, -1), el(kN, -1), eh(kN, -1);
-      auto weigh = [&](size_t b, size_t e) {
-        if (b >= e) return;
-        if (widen != 0) {
-          ks->weights_widen(arr.h.data(), arr.b.data(), arr.a.data(),
-                            arr.d.data(), z, fpc, ew.data(), el.data(),
-                            eh.data(), b, e);
-        } else {
-          ks->weights_nowiden(arr.h.data(), arr.b.data(), arr.a.data(),
-                              arr.d.data(), ew.data(), el.data(), eh.data(),
-                              b, e);
+      std::vector<double> batched[2][3], alone[2][3];
+      WeightRow rows[2], single[2];
+      for (int r = 0; r < 2; ++r) {
+        for (int k = 0; k < 3; ++k) {
+          batched[r][k].assign(kN, -1);
+          alone[r][k].assign(kN, -1);
         }
-      };
-      // Row 0 by hand: weigh [3, 10), run [10, 20), weigh [20, 37).
-      weigh(3, 10);
-      ks->counts_to_weights3(arr.h.data(), ew.data(), el.data(), eh.data(),
-                             10, 20);
-      weigh(20, 37);
-      for (size_t t = 3; t < 37; ++t) {
-        EXPECT_EQ(w1[t], ew[t]) << t;
-        EXPECT_EQ(l1[t], el[t]) << t;
-        EXPECT_EQ(h1[t], eh[t]) << t;
+        rows[r] = WeightRow{arr.h.data(),         arr.b.data(),
+                            arr.a.data(),         arr.d.data(),
+                            batched[r][0].data(), batched[r][1].data(),
+                            batched[r][2].data(), kBegin[r],
+                            kEnd[r],              runs,
+                            kRuns[r]};
+        single[r] = rows[r];
+        single[r].w = alone[r][0].data();
+        single[r].lo = alone[r][1].data();
+        single[r].hi = alone[r][2].data();
       }
-      // Row 1 by hand: one straight weighting pass.
-      std::fill(ew.begin(), ew.end(), -1);
-      std::fill(el.begin(), el.end(), -1);
-      std::fill(eh.begin(), eh.end(), -1);
-      weigh(0, kN);
+      ks->weights_batch(rows, 2, z, fpc, widen);
+      for (int r = 0; r < 2; ++r) {
+        ks->weights_batch(&single[r], 1, z, fpc, widen);
+        for (int k = 0; k < 3; ++k) {
+          EXPECT_TRUE(SameBits(batched[r][k], alone[r][k]))
+              << "row " << r << " output " << k;
+        }
+      }
       for (size_t t = 0; t < kN; ++t) {
-        EXPECT_EQ(w2[t], ew[t]) << t;
-        EXPECT_EQ(l2[t], el[t]) << t;
-        EXPECT_EQ(h2[t], eh[t]) << t;
+        const double hd = static_cast<double>(arr.h[t]);
+        for (int k = 0; k < 3; ++k) {
+          if (t < kBegin[0] || t >= kEnd[0]) {
+            EXPECT_EQ(batched[0][k][t], -1.0) << t;  // outside the row
+          } else if (t >= runs[0] && t < runs[1]) {
+            EXPECT_EQ(batched[0][k][t], hd) << t;  // the covered run
+          }
+        }
+        // Weighted bounds stay within [0, h].
+        EXPECT_GE(batched[1][1][t], 0.0) << t;
+        EXPECT_LE(batched[1][2][t], hd) << t;
       }
     }
   }
@@ -373,8 +368,8 @@ TEST(KernelPhaseAlignment, ZeroPaddedRangesAreBitIdentical) {
 }
 
 // ---------------------------------------------------------------------------
-// Randomized query equivalence: kScalar vs kWidest engines on the same
-// synopsis (reusing the fastpath_test random query harness).
+// Randomized query equivalence: kScalar vs kAuto (widest tier) engines
+// on the same synopsis (reusing the fastpath_test random query harness).
 
 struct ColumnStats {
   std::string name;
@@ -495,7 +490,7 @@ void RunScalarVsWidest(const Table& table, const PairwiseHistConfig& cfg,
   AqpEngineOptions scalar_opt;
   scalar_opt.kernels = KernelMode::kScalar;
   AqpEngineOptions simd_opt;
-  simd_opt.kernels = KernelMode::kWidest;
+  simd_opt.kernels = KernelMode::kAuto;
   AqpEngine scalar_eng(&ph.value(), scalar_opt);
   AqpEngine simd_eng(&ph.value(), simd_opt);
 
@@ -570,7 +565,7 @@ TEST(KernelDeterminism, RepeatRunsAndThreadCountsBitIdentical) {
       "SELECT AVG(voltage) FROM power GROUP BY day_of_week;",
       "SELECT COUNT(voltage) FROM power WHERE hour < 4 OR hour > 20;",
   };
-  for (KernelMode mode : {KernelMode::kScalar, KernelMode::kWidest}) {
+  for (KernelMode mode : {KernelMode::kScalar, KernelMode::kAuto}) {
     SCOPED_TRACE(KernelModeName(mode));
     std::vector<double> base;
     for (int rep = 0; rep < 2; ++rep) {

@@ -146,7 +146,7 @@ TEST_F(MmapTest, MmapBitEqualsHeapAcrossKernelsAndThreads) {
   const std::vector<std::string> sqls = MakeWorkload(11, 20);
   const std::vector<uint8_t> file_before = ReadAll(*pws3_path_);
   ASSERT_FALSE(file_before.empty());
-  for (KernelMode kernels : {KernelMode::kScalar, KernelMode::kWidest}) {
+  for (KernelMode kernels : {KernelMode::kScalar, KernelMode::kAuto}) {
     for (unsigned threads : {1u, 8u}) {
       Db heap = OpenOrDie(*pws3_path_, OpenMode::kHeap, kernels, threads);
       Db mmap = OpenOrDie(*pws3_path_, OpenMode::kMmap, kernels, threads);
