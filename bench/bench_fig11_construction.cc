@@ -101,10 +101,12 @@ void PrintBuildStages(const Table& table) {
     npairs = 0;
     t0 = NowSeconds();
     PairBuildScratch scratch;
+    ArrayHolder arrays;
     for (uint32_t i = 1; i < ranks.size(); ++i) {
       for (uint32_t j = 0; j < i; ++j, ++npairs) {
         BuildPairHistogram(ranks[i], ranks[j], i, j, ph->hist1d(i),
-                           ph->hist1d(j), refine, *critical, &scratch);
+                           ph->hist1d(j), refine, *critical, &scratch,
+                           &arrays);
       }
     }
     pairs_s = std::min(pairs_s, NowSeconds() - t0);

@@ -5,7 +5,10 @@
 // BENCH_kernels.json for CI's perf trajectory.
 //
 // No google-benchmark dependency: self-calibrating timing loops, so this
-// runs on bare machines (and in every CI configuration).
+// runs on bare machines (and in every CI configuration). Every figure is
+// the median of five timing windows, and each end-to-end shape prints the
+// spread of its windows, so a few-percent shift between two builds can be
+// told from window-to-window noise.
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
@@ -26,18 +29,40 @@ using namespace pairwisehist::bench;
 
 namespace {
 
+// Microseconds per call of one measured body.
+struct Timing {
+  double us = 0;          ///< median over the windows
+  double spread_pct = 0;  ///< (slowest - fastest window) / median, in %
+};
+
+constexpr int kWindows = 5;
+
+// Doubles the repetitions until one window of calls lasts over 0.05 s,
+// then times kWindows windows of that many calls (the calibrating window
+// is the first).
 template <typename F>
-double TimePerCallUs(F&& body) {
-  int reps = 1;
-  for (;;) {
-    double t0 = NowSeconds();
+Timing TimePerCallUs(F&& body) {
+  auto window = [&body](int reps) {
+    const double t0 = NowSeconds();
     for (int i = 0; i < reps; ++i) body();
-    double dt = NowSeconds() - t0;
-    if (dt > 0.05 || reps >= (1 << 24)) {
-      return dt * 1e6 / reps;
+    return (NowSeconds() - t0) * 1e6 / reps;
+  };
+  int reps = 1;
+  std::vector<double> us;
+  for (;;) {
+    const double per_call = window(reps);
+    if (per_call * reps > 0.05e6 || reps >= (1 << 24)) {
+      us.push_back(per_call);
+      break;
     }
-    reps *= 4;
+    reps *= 2;
   }
+  while (us.size() < kWindows) us.push_back(window(reps));
+  const auto [fastest, slowest] = std::minmax_element(us.begin(), us.end());
+  Timing t;
+  t.us = Median(us);
+  t.spread_pct = t.us > 0 ? (*slowest - *fastest) / t.us * 100.0 : 0.0;
+  return t;
 }
 
 volatile double g_sink = 0;  // keeps reductions observable
@@ -179,7 +204,7 @@ int main() {
       double ns[3];
       for (size_t si = 0; si < 3; ++si) {
         size_t n = kSizes[si];
-        double us = TimePerCallUs([&]() { m.run(n); });
+        const double us = TimePerCallUs([&]() { m.run(n); }).us;
         ns[si] = us * 1000.0 / static_cast<double>(n);
         emit_micro(ks->name, m.name, n, ns[si]);
       }
@@ -242,11 +267,14 @@ int main() {
       {"no_predicate_avg", "SELECT AVG(voltage) FROM power;"},
   };
 
-  std::printf("\n%-22s %12s %12s %9s   (prepared ExecuteInto)\n", "shape",
-              "scalar us", "auto us", "speedup");
+  std::printf("\n%-22s %12s %8s %12s %8s %9s   (prepared ExecuteInto, "
+              "median of %d windows and their spread)\n",
+              "shape", "scalar us", "spread", "auto us", "spread", "speedup",
+              kWindows);
   std::string shapes_json;
   std::vector<double> speedups;       // all shapes
   std::vector<double> core_speedups;  // the SUM/AVG/MEDIAN target shapes
+  double scalar_sum_us = 0, auto_sum_us = 0;  // sums of per-shape medians
   for (const Shape& shape : kShapes) {
     auto q = ParseSql(shape.sql);
     if (!q.ok()) {
@@ -260,14 +288,18 @@ int main() {
       return 1;
     }
     QueryResult reused;
-    double scalar_us = TimePerCallUs([&]() {
+    const Timing scalar = TimePerCallUs([&]() {
       Status st = scalar_engine.ExecuteInto(scalar_plan.value(), &reused);
       (void)st;
     });
-    double auto_us = TimePerCallUs([&]() {
+    const Timing fast = TimePerCallUs([&]() {
       Status st = auto_engine.ExecuteInto(auto_plan.value(), &reused);
       (void)st;
     });
+    const double scalar_us = scalar.us;
+    const double auto_us = fast.us;
+    scalar_sum_us += scalar_us;
+    auto_sum_us += auto_us;
     double speedup = auto_us > 0 ? scalar_us / auto_us : 0.0;
     speedups.push_back(speedup);
     std::string name(shape.name);
@@ -275,17 +307,21 @@ int main() {
         name.rfind("median_", 0) == 0) {
       core_speedups.push_back(speedup);
     }
-    std::printf("%-22s %12.3f %12.3f %8.2fx\n", shape.name, scalar_us,
-                auto_us, speedup);
-    char row[224];
+    std::printf("%-22s %12.3f %7.1f%% %12.3f %7.1f%% %8.2fx\n", shape.name,
+                scalar_us, scalar.spread_pct, auto_us, fast.spread_pct,
+                speedup);
+    char row[320];
     std::snprintf(row, sizeof(row),
                   "%s    {\"name\": \"%s\", \"scalar_us\": %.4f, "
-                  "\"auto_us\": %.4f, \"speedup\": %.3f}",
+                  "\"scalar_spread_pct\": %.1f, \"auto_us\": %.4f, "
+                  "\"auto_spread_pct\": %.1f, \"speedup\": %.3f}",
                   shapes_json.empty() ? "" : ",\n", shape.name, scalar_us,
-                  auto_us, speedup);
+                  scalar.spread_pct, auto_us, fast.spread_pct, speedup);
     shapes_json += row;
   }
 
+  std::printf("%-22s %12.3f %8s %12.3f\n", "sum of shapes", scalar_sum_us,
+              "", auto_sum_us);
   double med_all = Median(speedups);
   double med_core = Median(core_speedups);
   std::printf(

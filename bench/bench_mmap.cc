@@ -4,7 +4,8 @@
 // Experiment 1 (open latency + memory): one synopsis saved at 1, 4 and 16
 // segments in both formats, then opened via
 //   - pws2 heap  (the legacy startup path: Fig.-6 decode + FinishExecIndex)
-//   - pws3 heap  (raw-array memcpy decode)
+//   - pws3 heap  (one read of the file into an aligned buffer, then the
+//                 same zero-copy decode as the mapping)
 //   - pws3 mmap  (O(1): header validation + span fix-up, no array I/O)
 // cold (page cache dropped via posix_fadvise DONTNEED) and warm. RSS
 // growth is recorded per open path: the mmap open touches only metadata

@@ -184,14 +184,7 @@ StatusOr<Db> Db::Open(const std::string& path, const DbOptions& options) {
     }
     return FromSet(std::move(set), options);
   }
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return Status::NotFound("cannot open '" + path + "'");
-  std::vector<uint8_t> blob((std::istreambuf_iterator<char>(in)),
-                            std::istreambuf_iterator<char>());
-  if (!in.good() && !in.eof()) {
-    return Status::DataLoss("error reading '" + path + "'");
-  }
-  PH_ASSIGN_OR_RETURN(SynopsisSet set, SynopsisSet::Deserialize(blob));
+  PH_ASSIGN_OR_RETURN(SynopsisSet set, SynopsisSet::OpenHeap(path));
   return FromSet(std::move(set), options);
 }
 

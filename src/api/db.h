@@ -51,8 +51,9 @@ enum class OpenMode {
   /// ("mmap" or "heap"), which is how CI forces a whole test run through
   /// one path.
   kAuto,
-  /// Read the file into memory and decode into owned vectors. Works for
-  /// every format; never keeps a mapping.
+  /// Read the file once into an aligned heap buffer and decode it there (a
+  /// PWS3 file by the same path as kMmap). Works for every format; never
+  /// keeps a mapping.
   kHeap,
   /// Memory-map the file: a PWS3 synopsis opens in O(metadata) with every
   /// array bound as a span view into the shared page cache; legacy

@@ -43,7 +43,8 @@ void WriteEdges(ByteWriter* w, std::span<const double> edges) {
   }
 }
 
-StatusOr<std::vector<double>> ReadEdges(ByteReader* r) {
+StatusOr<std::span<const double>> ReadEdges(ByteReader* r,
+                                           ArrayHolder* arrays) {
   PH_ASSIGN_OR_RETURN(uint64_t n, r->ReadVarint());
   // Every edge costs at least one byte, so a length field beyond the
   // remaining input is corruption — reject before allocating.
@@ -60,7 +61,7 @@ StatusOr<std::vector<double>> ReadEdges(ByteReader* r) {
     prev += delta;
     edges[i] = static_cast<double>(prev) / 2.0;
   }
-  return edges;
+  return arrays->Keep(std::move(edges));
 }
 
 // Per-bin metadata (v−, v+, u) for one dimension. Values are stored as
@@ -76,7 +77,7 @@ void WriteDimMeta(ByteWriter* w, const HistogramDim& dim) {
   }
 }
 
-Status ReadDimMeta(ByteReader* r, HistogramDim* dim) {
+Status ReadDimMeta(ByteReader* r, HistogramDim* dim, ArrayHolder* arrays) {
   size_t k = dim->edges.size() - 1;
   std::vector<double> v_min(k), v_max(k);
   std::vector<uint64_t> unique(k);
@@ -90,9 +91,9 @@ Status ReadDimMeta(ByteReader* r, HistogramDim* dim) {
     v_max[t] = static_cast<double>(lo2 + static_cast<int64_t>(span)) / 2.0;
     unique[t] = u;
   }
-  dim->v_min = std::move(v_min);
-  dim->v_max = std::move(v_max);
-  dim->unique = std::move(unique);
+  dim->v_min = arrays->Keep(std::move(v_min));
+  dim->v_max = arrays->Keep(std::move(v_max));
+  dim->unique = arrays->Keep(std::move(unique));
   return Status::OK();
 }
 
@@ -254,7 +255,7 @@ namespace {
 // from its edges, the matching 1-d histogram and the cell matrix.
 void DerivePairDim(HistogramDim* dim, const HistogramDim& h1,
                    std::span<const uint64_t> cells, size_t k_other,
-                   bool is_rows) {
+                   bool is_rows, ArrayHolder* arrays) {
   size_t k = dim->edges.size() - 1;  // counts not populated yet
   std::vector<uint32_t> parent(k);
   for (size_t t = 0; t < k; ++t) {
@@ -268,8 +269,8 @@ void DerivePairDim(HistogramDim* dim, const HistogramDim& h1,
     }
     counts[a] = sum;
   }
-  dim->parent = std::move(parent);
-  dim->counts = std::move(counts);
+  dim->parent = arrays->Keep(std::move(parent));
+  dim->counts = arrays->Keep(std::move(counts));
 }
 
 }  // namespace
@@ -329,6 +330,7 @@ class SynopsisCodec {
     PH_ASSIGN_OR_RETURN(ph.alpha_, r.ReadF64());
     PH_ASSIGN_OR_RETURN(uint16_t d, r.ReadU16());
     ph.critical_ = SharedChi2CriticalCache(ph.alpha_);
+    ArrayHolder arrays;  // every array until FinishExecIndex seals them
 
     ph.transforms_.reserve(d);
     for (uint16_t c = 0; c < d; ++c) {
@@ -339,12 +341,11 @@ class SynopsisCodec {
     ph.hist1d_.resize(d);
     for (uint16_t c = 0; c < d; ++c) {
       HistogramDim& h = ph.hist1d_[c];
-      PH_ASSIGN_OR_RETURN(h.edges, ReadEdges(&r));
-      if (h.edges.size() < 2) {
-        return Status::DataLoss("PairwiseHist: 1-d histogram too small");
-      }
-      PH_RETURN_IF_ERROR(ReadDimMeta(&r, &h));
-      PH_ASSIGN_OR_RETURN(h.counts, ReadCells(&r, h.edges.size() - 1));
+      PH_ASSIGN_OR_RETURN(h.edges, ReadEdges(&r, &arrays));
+      PH_RETURN_IF_ERROR(ReadDimMeta(&r, &h, &arrays));
+      PH_ASSIGN_OR_RETURN(std::vector<uint64_t> counts,
+                          ReadCells(&r, h.edges.size() - 1));
+      h.counts = arrays.Keep(std::move(counts));
     }
 
     size_t npairs = static_cast<size_t>(d) * (d - 1) / 2;
@@ -355,17 +356,19 @@ class SynopsisCodec {
         PairHistogram& p = ph.pairs_[slot];
         p.col_i = static_cast<uint32_t>(i);
         p.col_j = static_cast<uint32_t>(j);
-        PH_ASSIGN_OR_RETURN(p.dim_i.edges, ReadEdges(&r));
-        PH_RETURN_IF_ERROR(ReadDimMeta(&r, &p.dim_i));
-        PH_ASSIGN_OR_RETURN(p.dim_j.edges, ReadEdges(&r));
-        PH_RETURN_IF_ERROR(ReadDimMeta(&r, &p.dim_j));
+        PH_ASSIGN_OR_RETURN(p.dim_i.edges, ReadEdges(&r, &arrays));
+        PH_RETURN_IF_ERROR(ReadDimMeta(&r, &p.dim_i, &arrays));
+        PH_ASSIGN_OR_RETURN(p.dim_j.edges, ReadEdges(&r, &arrays));
+        PH_RETURN_IF_ERROR(ReadDimMeta(&r, &p.dim_j, &arrays));
         size_t ki = p.dim_i.edges.size() - 1;
         size_t kj = p.dim_j.edges.size() - 1;
         PH_ASSIGN_OR_RETURN(std::vector<uint64_t> cells,
                             ReadCells(&r, ki * kj));
-        DerivePairDim(&p.dim_i, ph.hist1d_[i], cells, kj, /*is_rows=*/true);
-        DerivePairDim(&p.dim_j, ph.hist1d_[j], cells, ki, /*is_rows=*/false);
-        p.BuildCellPrefix(cells);
+        DerivePairDim(&p.dim_i, ph.hist1d_[i], cells, kj, /*is_rows=*/true,
+                      &arrays);
+        DerivePairDim(&p.dim_j, ph.hist1d_[j], cells, ki, /*is_rows=*/false,
+                      &arrays);
+        p.BuildCellPrefix(cells, &arrays);
       }
     }
     // The remaining execution indexes (count prefixes, centre caches,

@@ -6,6 +6,7 @@
 #include "common/parallel.h"
 #include "common/rng.h"
 #include "common/stats.h"
+#include "core/pws3.h"
 
 namespace pairwisehist {
 
@@ -149,10 +150,11 @@ std::vector<double> NonNullFractions(const HistogramDim& pair_dim,
 }  // namespace
 
 void PairwiseHist::FinishExecIndex() {
+  ArrayHolder derived;
   // Any dimension can serve as an aggregation grid, so every dimension
   // gets the per-bin centre cache (midpoint + Theorem-1 bounds) that
   // Table-3 aggregation reads as flat arrays.
-  auto fill_centres = [this](HistogramDim& dim) {
+  auto fill_centres = [this, &derived](HistogramDim& dim) {
     const size_t k = dim.NumBins();
     std::vector<double> mid(k), lo(k), hi(k);
     for (size_t t = 0; t < k; ++t) {
@@ -161,20 +163,23 @@ void PairwiseHist::FinishExecIndex() {
       lo[t] = cb.lo;
       hi[t] = cb.hi;
     }
-    dim.centre_mid = std::move(mid);
-    dim.centre_lo = std::move(lo);
-    dim.centre_hi = std::move(hi);
+    dim.centre_mid = derived.Keep(std::move(mid));
+    dim.centre_lo = derived.Keep(std::move(lo));
+    dim.centre_hi = derived.Keep(std::move(hi));
   };
   for (HistogramDim& h : hist1d_) {
-    h.BuildCountPrefix();
+    h.BuildCountPrefix(&derived);
     fill_centres(h);
   }
   for (PairHistogram& p : pairs_) {
-    p.nonnull_frac_i = NonNullFractions(p.dim_i, hist1d_[p.col_i]);
-    p.nonnull_frac_j = NonNullFractions(p.dim_j, hist1d_[p.col_j]);
+    p.nonnull_frac_i =
+        derived.Keep(NonNullFractions(p.dim_i, hist1d_[p.col_i]));
+    p.nonnull_frac_j =
+        derived.Keep(NonNullFractions(p.dim_j, hist1d_[p.col_j]));
     fill_centres(p.dim_i);
     fill_centres(p.dim_j);
   }
+  Pws3Codec::Seal(this);
 }
 
 StatusOr<PairwiseHist> PairwiseHist::Build(const PreprocessedTable& pre,
@@ -210,6 +215,7 @@ StatusOr<PairwiseHist> PairwiseHist::Build(const PreprocessedTable& pre,
   // histogram here and then every pair it belongs to.
   std::vector<ColumnRanks> ranks;
   ranks.reserve(d);
+  ArrayHolder arrays;  // every array until FinishExecIndex seals them
   out.hist1d_.resize(d);
   const size_t max_edges = static_cast<size_t>(
       std::ceil(static_cast<double>(ns) / out.min_points_));
@@ -224,7 +230,7 @@ StatusOr<PairwiseHist> PairwiseHist::Build(const PreprocessedTable& pre,
     if (rc.order.empty()) {
       // All-null column: degenerate single empty bin.
       out.hist1d_[c] = BuildHistogram1D({}, {1.0, 2.0}, refine,
-                                        *out.critical_);
+                                        *out.critical_, &arrays);
     } else {
       std::vector<uint64_t> bases;
       const std::vector<uint64_t>* bases_ptr = nullptr;
@@ -236,7 +242,7 @@ StatusOr<PairwiseHist> PairwiseHist::Build(const PreprocessedTable& pre,
       std::vector<double> edges =
           InitialEdges(bases_ptr, max_edges, sorted.front(), sorted.back());
       out.hist1d_[c] = BuildHistogram1D(sorted, edges, refine,
-                                        *out.critical_);
+                                        *out.critical_, &arrays);
     }
     rc.AssignBins(out.hist1d_[c]);
   }
@@ -246,7 +252,9 @@ StatusOr<PairwiseHist> PairwiseHist::Build(const PreprocessedTable& pre,
   // so they fan out over the shared work-counter pool, each reading the
   // shared ranks and writing its fixed PairSlot — the result is identical
   // for any thread count or scheduling. Each worker reuses one scratch for
-  // all its pairs, so a pair allocates only its output arrays.
+  // all its pairs, so a pair allocates only its output arrays, which go to
+  // the worker's own holder.
+  std::vector<ArrayHolder> pair_arrays;
   if (d > 1) {
     const size_t npairs = d * (d - 1) / 2;
     out.pairs_.resize(npairs);
@@ -258,8 +266,9 @@ StatusOr<PairwiseHist> PairwiseHist::Build(const PreprocessedTable& pre,
       }
     }
 
-    std::vector<PairBuildScratch> scratch(
-        ParallelWorkers(work.size(), config.build_threads));
+    const size_t workers = ParallelWorkers(work.size(), config.build_threads);
+    std::vector<PairBuildScratch> scratch(workers);
+    pair_arrays.resize(workers);
     ParallelFor(work.size(), config.build_threads,
                 [&](size_t w, unsigned worker) {
                   const uint32_t i = work[w].first;
@@ -267,7 +276,7 @@ StatusOr<PairwiseHist> PairwiseHist::Build(const PreprocessedTable& pre,
                   out.pairs_[PairSlot(i, j)] = BuildPairHistogram(
                       ranks[i], ranks[j], i, j, out.hist1d_[i],
                       out.hist1d_[j], refine, *out.critical_,
-                      &scratch[worker]);
+                      &scratch[worker], &pair_arrays[worker]);
                 });
   }
   ranks = {};  // release the ranks before the execution index is built

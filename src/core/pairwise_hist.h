@@ -91,7 +91,7 @@ class PairView {
   }
   /// Per 1-d aggregation-column bin: fraction of 1-d rows with the
   /// predicate column non-null (see PairHistogram::nonnull_frac_*).
-  const VecView<double>& NonNullFrac() const {
+  std::span<const double> NonNullFrac() const {
     return swapped_ ? ph_->nonnull_frac_j : ph_->nonnull_frac_i;
   }
 
@@ -170,9 +170,10 @@ class PairwiseHist {
   size_t num_pairs() const { return pairs_.size(); }
   const PairHistogram& pair_at(size_t idx) const { return pairs_[idx]; }
 
-  /// True when this synopsis was opened zero-copy from a memory-mapped
-  /// PWS3 file (its arrays borrow the mapping for its whole lifetime).
-  bool mapped() const { return backing_ != nullptr; }
+  /// The 64-byte-aligned bytes every histogram array points into, kept
+  /// alive by this synopsis and its copies: the block it was sealed into,
+  /// or the whole heap-read or mapped PWS3 image it was decoded from.
+  std::span<const uint8_t> block() const { return block_; }
 
  private:
   friend class SynopsisCodec;
@@ -184,11 +185,36 @@ class PairwiseHist {
 
   static size_t PairSlot(size_t i, size_t j);  // requires i > j
 
-  /// Builds the derived execution indexes that need the 1-d histograms:
-  /// 1-d count prefix sums, per-bin centre caches and the per-pair
-  /// non-null fractions (the cell prefixes come with each pair). Called at
-  /// the end of Build and Deserialize.
+  /// Builds the derived execution indexes that need the 1-d histograms
+  /// (1-d count prefix sums, per-bin centre caches and the per-pair
+  /// non-null fractions; the cell prefixes come with each pair), then
+  /// seals the synopsis (Pws3Codec::Seal). Every producer ends here: Build
+  /// (so appends and compaction too), the PWS2/PWH1 decoder and the test
+  /// oracle.
   void FinishExecIndex();
+
+  /// Visits every histogram array in PWS3 order (see core/pws3.h), the one
+  /// place that order is written: `v.Array(field)` per array, `v.Pairs(n)`
+  /// between the 1-d dims and the pairs, `v.Pair(pair)` before each pair.
+  /// Pws3Codec::Encode writes the image by it and Pws3Codec::Seal lays out
+  /// the block.
+  template <typename Self, typename Visitor>
+  static void VisitArrays(Self& ph, Visitor& v) {
+    auto arrays = [&v](auto&... a) { (v.Array(a), ...); };
+    auto dim = [&arrays](auto& h) {
+      arrays(h.edges, h.counts, h.v_min, h.v_max, h.unique, h.parent,
+             h.count_prefix, h.centre_mid, h.centre_lo, h.centre_hi);
+    };
+    for (auto& h : ph.hist1d_) dim(h);
+    v.Pairs(ph.pairs_.size());
+    for (auto& p : ph.pairs_) {
+      v.Pair(p);
+      dim(p.dim_i);
+      dim(p.dim_j);
+      arrays(p.cell_colpre_i, p.cell_colpre_j, p.nonnull_frac_i,
+             p.nonnull_frac_j);
+    }
+  }
 
   uint64_t total_rows_ = 0;
   uint64_t sample_rows_ = 0;
@@ -198,10 +224,11 @@ class PairwiseHist {
   std::vector<HistogramDim> hist1d_;
   std::vector<PairHistogram> pairs_;  // slot PairSlot(i,j) holds pair (i,j), i>j
   std::shared_ptr<Chi2CriticalCache> critical_;
-  /// Keeps the memory-mapped PWS3 file alive while any VecView field
-  /// borrows from it (null for heap-built/heap-opened synopses). Typed as
-  /// void so core/ need not depend on storage/mmap_file.h.
+  /// Owns block_: the aligned heap bytes of a sealed or heap-opened
+  /// synopsis, or the MappedFile of a mapped one (shared by the file's
+  /// segments).
   std::shared_ptr<const void> backing_;
+  std::span<const uint8_t> block_;  ///< see block()
 };
 
 }  // namespace pairwisehist

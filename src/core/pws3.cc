@@ -1,5 +1,6 @@
 // PWS3 memory-mappable synopsis container — writer, validator and the
-// zero-copy / heap-copy readers. See pws3.h for the layout.
+// zero-copy reader shared by mapped and heap-read images. See pws3.h for
+// the layout.
 
 #include "core/pws3.h"
 
@@ -7,6 +8,9 @@
 
 #include <algorithm>
 #include <cstring>
+#include <filesystem>
+#include <fstream>
+#include <new>
 #include <string>
 #include <utility>
 
@@ -26,8 +30,46 @@ namespace {
 // ---------------------------------------------------------------------------
 // Writer
 
+size_t Align(size_t n) {
+  return (n + Pws3Codec::kAlign - 1) & ~(Pws3Codec::kAlign - 1);
+}
+
+// `size` uninitialized heap bytes at a kAlign-aligned address: the home of
+// a sealed synopsis's arrays or of a heap-read image.
+std::shared_ptr<uint8_t[]> NewAlignedBytes(size_t size) {
+  constexpr std::align_val_t kAlignVal{Pws3Codec::kAlign};
+  return {static_cast<uint8_t*>(::operator new(size, kAlignVal)),
+          [](uint8_t* p) { ::operator delete(p, kAlignVal); }};
+}
+
+// Seal's layout of a synopsis's arrays, fed by VisitArrays like
+// ImageBuilder: each non-empty array at the next aligned offset. With
+// `block` null it only sums the size; else it also copies each array
+// there, zeroing the padding, and points the field at the copy.
+struct BlockLayout {
+  uint8_t* block = nullptr;
+  size_t size = 0;
+
+  template <typename T>
+  void Array(std::span<const T>& a) {
+    if (a.empty()) {
+      a = {};
+      return;
+    }
+    const size_t at = Align(size);
+    if (block != nullptr) {
+      std::memset(block + size, 0, at - size);
+      std::memcpy(block + at, a.data(), a.size_bytes());
+      a = {reinterpret_cast<const T*>(block + at), a.size()};
+    }
+    size = at + a.size_bytes();
+  }
+  void Pairs(size_t) {}
+  void Pair(const PairHistogram&) {}
+};
+
 // Accumulates the aligned array region (starting right after the header)
-// and the metadata stream referencing into it.
+// and the metadata stream referencing into it, fed by VisitArrays.
 class ImageBuilder {
  public:
   ImageBuilder() { body_.resize(Pws3Codec::kHeaderSize, 0); }
@@ -36,7 +78,7 @@ class ImageBuilder {
   // writes its {offset, count} reference into the metadata stream. Empty
   // arrays write {0, 0} and occupy no payload bytes.
   template <typename T>
-  void Arr(const VecView<T>& v) {
+  void Array(std::span<const T> v) {
     if (v.empty()) {
       meta_.WriteVarint(0);
       meta_.WriteVarint(0);
@@ -45,22 +87,14 @@ class ImageBuilder {
     size_t off = Align(body_.size());
     body_.resize(off, 0);
     const uint8_t* p = reinterpret_cast<const uint8_t*>(v.data());
-    body_.insert(body_.end(), p, p + v.size() * sizeof(T));
+    body_.insert(body_.end(), p, p + v.size_bytes());
     meta_.WriteVarint(off);
     meta_.WriteVarint(v.size());
   }
-
-  void Dim(const HistogramDim& h) {
-    Arr(h.edges);
-    Arr(h.counts);
-    Arr(h.v_min);
-    Arr(h.v_max);
-    Arr(h.unique);
-    Arr(h.parent);
-    Arr(h.count_prefix);
-    Arr(h.centre_mid);
-    Arr(h.centre_lo);
-    Arr(h.centre_hi);
+  void Pairs(size_t count) { meta_.WriteVarint(count); }
+  void Pair(const PairHistogram& p) {
+    meta_.WriteU32(p.col_i);
+    meta_.WriteU32(p.col_j);
   }
 
   ByteWriter* meta() { return &meta_; }
@@ -124,10 +158,6 @@ class ImageBuilder {
   }
 
  private:
-  static size_t Align(size_t n) {
-    return (n + Pws3Codec::kAlign - 1) & ~(Pws3Codec::kAlign - 1);
-  }
-
   std::vector<uint8_t> body_;  // header placeholder + aligned arrays
   ByteWriter meta_;
 };
@@ -147,30 +177,29 @@ Status Bad(const std::string& what) {
 struct LoadCtx {
   std::span<const uint8_t> bytes;
   uint64_t data_end = 0;
-  bool zero_copy = false;
   uint64_t seg_lo = 0;
   uint64_t seg_hi = 0;
 };
 
 // Reads one {offset, count} reference from the metadata stream, validates
-// it against the data region, and binds (zero-copy) or copies (heap) the
-// payload into `out`. `expect` is the required element count; pass
-// kAnyCount to accept any (the caller validates afterwards).
+// it against the data region, and points `out` at the payload. `expect` is
+// the required element count; pass kAnyCount to accept any (the caller
+// validates afterwards).
 constexpr size_t kAnyCount = static_cast<size_t>(-1);
 
 template <typename T>
 Status LoadArr(ByteReader* r, LoadCtx* ctx, size_t expect,
-               VecView<T>* out, const char* name, bool optional = false) {
+               std::span<const T>* out, const char* name) {
   uint64_t off = 0, count = 0;
   if (!r->ReadVarintFast(&off) || !r->ReadVarintFast(&count)) {
     return Bad("truncated array reference");
   }
-  if (expect != kAnyCount && count != expect && !(optional && count == 0)) {
+  if (expect != kAnyCount && count != expect) {
     return Bad(std::string(name) + " count " + std::to_string(count) +
                " != expected " + std::to_string(expect));
   }
   if (count == 0) {
-    *out = VecView<T>();
+    *out = {};
     return Status::OK();
   }
   if (off < Pws3Codec::kHeaderSize || off % Pws3Codec::kAlign != 0 ||
@@ -182,17 +211,9 @@ Status LoadArr(ByteReader* r, LoadCtx* ctx, size_t expect,
   }
   ctx->seg_lo = std::min(ctx->seg_lo, off);
   ctx->seg_hi = std::max(ctx->seg_hi, off + count * sizeof(T));
-  const uint8_t* src = ctx->bytes.data() + off;
-  if (ctx->zero_copy) {
-    // The mapping is page-aligned and offsets are 64-byte-aligned, so the
-    // typed pointer is aligned for any element type used here.
-    out->BindView(reinterpret_cast<const T*>(src), count);
-  } else {
-    // memcpy, not a typed read: a heap blob need not be aligned for T.
-    std::vector<T> v(count);
-    std::memcpy(v.data(), src, count * sizeof(T));
-    *out = std::move(v);
-  }
+  // The image is 64-byte-aligned (Decode checks) and so are the offsets,
+  // so the typed pointer is aligned for any element type used here.
+  *out = {reinterpret_cast<const T*>(ctx->bytes.data() + off), count};
   return Status::OK();
 }
 
@@ -210,16 +231,12 @@ Status LoadDim(ByteReader* r, LoadCtx* ctx, size_t parent_bins,
   PH_RETURN_IF_ERROR(LoadArr(r, ctx, k, &h->unique, "unique"));
   PH_RETURN_IF_ERROR(
       LoadArr(r, ctx, parent_bins == 0 ? 0 : k, &h->parent, "parent"));
-  // The execution-index arrays are absent where FinishExecIndex does not
-  // fill them (pair dims carry no count_prefix): empty or exact-size.
-  PH_RETURN_IF_ERROR(LoadArr(r, ctx, k + 1, &h->count_prefix,
-                             "count_prefix", /*optional=*/true));
-  PH_RETURN_IF_ERROR(LoadArr(r, ctx, k, &h->centre_mid, "centre_mid",
-                             /*optional=*/true));
-  PH_RETURN_IF_ERROR(LoadArr(r, ctx, k, &h->centre_lo, "centre_lo",
-                             /*optional=*/true));
-  PH_RETURN_IF_ERROR(LoadArr(r, ctx, k, &h->centre_hi, "centre_hi",
-                             /*optional=*/true));
+  // Only 1-d dims carry count prefixes (pair dims never need them).
+  PH_RETURN_IF_ERROR(LoadArr(r, ctx, parent_bins == 0 ? k + 1 : 0,
+                             &h->count_prefix, "count_prefix"));
+  PH_RETURN_IF_ERROR(LoadArr(r, ctx, k, &h->centre_mid, "centre_mid"));
+  PH_RETURN_IF_ERROR(LoadArr(r, ctx, k, &h->centre_lo, "centre_lo"));
+  PH_RETURN_IF_ERROR(LoadArr(r, ctx, k, &h->centre_hi, "centre_hi"));
   for (size_t t = 0; t < h->parent.size(); ++t) {
     if (h->parent[t] >= parent_bins) return Bad("parent bin out of range");
   }
@@ -328,37 +345,46 @@ std::vector<uint8_t> Pws3Codec::Encode(const SynopsisSet& set) {
     m->WriteF64(ph.alpha_);
     m->WriteVarint(ph.transforms_.size());
     for (const ColumnTransform& tr : ph.transforms_) WriteTransform(m, tr);
-
-    for (const HistogramDim& h : ph.hist1d_) b.Dim(h);
-
-    m->WriteVarint(ph.pairs_.size());
-    for (const PairHistogram& p : ph.pairs_) {
-      m->WriteU32(p.col_i);
-      m->WriteU32(p.col_j);
-      b.Dim(p.dim_i);
-      b.Dim(p.dim_j);
-      b.Arr(p.cell_colpre_i);
-      b.Arr(p.cell_colpre_j);
-      b.Arr(p.nonnull_frac_i);
-      b.Arr(p.nonnull_frac_j);
-    }
+    PairwiseHist::VisitArrays(ph, b);
   }
   return b.Finish(static_cast<uint32_t>(set.segments_.size()));
 }
 
+void Pws3Codec::Seal(PairwiseHist* ph) {
+  BlockLayout sizes;
+  PairwiseHist::VisitArrays(*ph, sizes);
+  const size_t size = Align(sizes.size);
+  std::shared_ptr<uint8_t[]> block = NewAlignedBytes(size);
+  BlockLayout copy{block.get()};
+  PairwiseHist::VisitArrays(*ph, copy);
+  std::memset(block.get() + copy.size, 0, size - copy.size);
+  ph->block_ = {block.get(), size};
+  ph->backing_ = std::move(block);
+}
+
+StatusOr<SynopsisSet> Pws3Codec::DecodeCopy(std::span<const uint8_t> image) {
+  std::shared_ptr<uint8_t[]> copy = NewAlignedBytes(image.size());
+  std::memcpy(copy.get(), image.data(), image.size());
+  const std::span<const uint8_t> bytes(copy.get(), image.size());
+  return Decode(bytes, std::move(copy), /*mapping=*/nullptr);
+}
+
 StatusOr<SynopsisSet> Pws3Codec::Decode(
-    std::span<const uint8_t> bytes,
-    std::shared_ptr<const MappedFile> backing) {
+    std::span<const uint8_t> bytes, std::shared_ptr<const void> owner,
+    std::shared_ptr<const MappedFile> mapping) {
+  if (reinterpret_cast<uintptr_t>(bytes.data()) % kAlign != 0) {
+    return Status::InvalidArgument("PWS3: image not 64-byte aligned");
+  }
   Header hdr;
   PH_RETURN_IF_ERROR(ReadHeader(bytes, &hdr));
   if (hdr.version == 1) BumpPws3LegacyOpenCount();
 
-  // Heap opens verify every payload block eagerly: the bytes are about
-  // to be copied anyway, so the sweep is one extra sequential pass and
-  // corruption fails the open instead of surfacing as wrong answers.
-  // Mapped opens stay O(metadata); their blocks are verified lazily by
-  // the scrubber (or synchronously by VerifyAll).
-  if (hdr.version >= 2 && backing == nullptr) {
+  // Heap images verify every payload block eagerly: the bytes were just
+  // read, so the sweep is one extra sequential pass and corruption fails
+  // the open instead of surfacing as wrong answers. Mapped opens stay
+  // O(metadata); their blocks are verified lazily by the scrubber (or
+  // synchronously by VerifyAll).
+  if (hdr.version >= 2 && mapping == nullptr) {
     for (uint32_t k = 0; k < hdr.crc_count; ++k) {
       const uint64_t begin =
           Pws3Codec::kHeaderSize + uint64_t{k} * Pws3Codec::kCrcBlockSize;
@@ -375,7 +401,6 @@ StatusOr<SynopsisSet> Pws3Codec::Decode(
   LoadCtx ctx;
   ctx.bytes = bytes;
   ctx.data_end = hdr.data_end;
-  ctx.zero_copy = backing != nullptr;
 
   ByteReader r(bytes.data() + hdr.meta_off, hdr.meta_size);
 
@@ -414,7 +439,8 @@ StatusOr<SynopsisSet> Pws3Codec::Decode(
     // Process-wide per-alpha cache: the eager chi-squared quantile fill
     // would otherwise be the only real compute on this O(1) open path.
     ph.critical_ = SharedChi2CriticalCache(ph.alpha_);
-    ph.backing_ = backing;
+    ph.backing_ = owner;
+    ph.block_ = bytes;
 
     ph.transforms_.reserve(d);
     for (uint64_t c = 0; c < d; ++c) {
@@ -448,7 +474,7 @@ StatusOr<SynopsisSet> Pws3Codec::Decode(
           // v1/v2 also stored the row-major cells and row-major prefixes:
           // validated like any array (and inside the segment's integrity
           // span), then dropped.
-          VecView<uint64_t> obsolete;
+          std::span<const uint64_t> obsolete;
           PH_RETURN_IF_ERROR(LoadArr(&r, &ctx, ki * kj, &obsolete, "cells"));
           PH_RETURN_IF_ERROR(LoadArr(&r, &ctx, ki * (kj + 1), &obsolete,
                                      "row-major prefix i"));
@@ -460,11 +486,9 @@ StatusOr<SynopsisSet> Pws3Codec::Decode(
         PH_RETURN_IF_ERROR(LoadArr(&r, &ctx, (ki + 1) * kj,
                                    &p.cell_colpre_j, "cell_colpre_j"));
         PH_RETURN_IF_ERROR(LoadArr(&r, &ctx, ph.hist1d_[i].NumBins(),
-                                   &p.nonnull_frac_i, "nonnull_frac_i",
-                                   /*optional=*/true));
+                                   &p.nonnull_frac_i, "nonnull_frac_i"));
         PH_RETURN_IF_ERROR(LoadArr(&r, &ctx, ph.hist1d_[j].NumBins(),
-                                   &p.nonnull_frac_j, "nonnull_frac_j",
-                                   /*optional=*/true));
+                                   &p.nonnull_frac_j, "nonnull_frac_j"));
       }
     }
     // Execution indexes were persisted verbatim — no FinishExecIndex.
@@ -472,16 +496,16 @@ StatusOr<SynopsisSet> Pws3Codec::Decode(
     if (ctx.seg_hi > ctx.seg_lo) spans[s] = {ctx.seg_lo, ctx.seg_hi};
   }
   if (r.remaining() != 0) return Bad("trailing metadata bytes");
-  out.mapped_bytes_ = backing ? bytes.size() : 0;
-  if (backing != nullptr && hdr.version >= 2) {
+  out.mapped_bytes_ = mapping ? bytes.size() : 0;
+  if (mapping != nullptr && hdr.version >= 2) {
     std::vector<uint32_t> crcs(hdr.crc_count);
     if (hdr.crc_count > 0) {
       std::memcpy(crcs.data(), bytes.data() + hdr.crc_off,
                   uint64_t{4} * hdr.crc_count);
     }
     out.integrity_ = std::make_shared<Pws3Integrity>(
-        backing, Pws3Codec::kHeaderSize, hdr.data_end, std::move(crcs),
-        std::move(spans));
+        std::move(mapping), Pws3Codec::kHeaderSize, hdr.data_end,
+        std::move(crcs), std::move(spans));
   }
   return out;
 }
@@ -521,7 +545,7 @@ StatusOr<SynopsisSet> SynopsisSet::OpenMapped(const std::string& path) {
     }
   }
   PH_ASSIGN_OR_RETURN(SynopsisSet set,
-                      Pws3Codec::Decode(backing->bytes(), backing));
+                      Pws3Codec::Decode(backing->bytes(), backing, backing));
   // Truncation-under-open check: if the file shrank after the mmap was
   // established, reads past the new EOF would SIGBUS. Fail the open
   // cleanly instead of handing out a mapping with a hole.
@@ -531,6 +555,25 @@ StatusOr<SynopsisSet> SynopsisSet::OpenMapped(const std::string& path) {
     return Bad("'" + path + "' truncated while opening");
   }
   return set;
+}
+
+StatusOr<SynopsisSet> SynopsisSet::OpenHeap(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  if (!in) return Status::NotFound("cannot open '" + path + "'");
+  std::error_code ec;  // set for anything but a regular file
+  const size_t size = std::filesystem::file_size(path, ec);
+  if (ec) return Bad("cannot size '" + path + "': " + ec.message());
+  std::shared_ptr<uint8_t[]> image = NewAlignedBytes(size);
+  if (!in.read(reinterpret_cast<char*>(image.get()),
+               static_cast<std::streamsize>(size))) {
+    return Status::DataLoss("error reading '" + path + "'");
+  }
+  const std::span<const uint8_t> bytes(image.get(), size);
+  uint32_t magic = 0;
+  if (bytes.size() >= 4) std::memcpy(&magic, bytes.data(), 4);
+  // Legacy PWS2/PWH1 files decode from the buffer, which goes on return.
+  if (magic != Pws3Codec::kMagic) return Deserialize(bytes);
+  return Pws3Codec::Decode(bytes, std::move(image), /*mapping=*/nullptr);
 }
 
 }  // namespace pairwisehist

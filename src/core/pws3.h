@@ -46,10 +46,12 @@
 //      Pws3LegacyOpenCount().
 //
 // Opening is therefore O(metadata): validate the header, CRC-check and
-// parse the meta stream, and bind each array as a std::span view straight
-// into the mapping — no per-row decode, no prefix-sum recomputation, no
-// allocation proportional to synopsis size. The page cache backs the
-// mapping, so N processes opening the same file share one physical copy.
+// parse the meta stream, and point each array's std::span straight into
+// the image — no per-row decode, no prefix-sum recomputation, no
+// allocation proportional to synopsis size. A mapped open reads the
+// image through the page cache, so N processes opening the same file
+// share one physical copy; a heap open reads the file once into an
+// aligned buffer and decodes it the same way.
 //
 // This trades disk space for startup: the compact Fig.-6 PWS2 encoding
 // (SynopsisSet::Serialize) remains the paper's storage-efficiency format.
@@ -83,14 +85,21 @@ class Pws3Codec {
   /// which end in FinishExecIndex).
   static std::vector<uint8_t> Encode(const SynopsisSet& set);
 
-  /// Validates and decodes a PWS3 image. With `backing` non-null (the
-  /// zero-copy mmap path) every array binds as a borrowed span into
-  /// `bytes`, and each segment holds the backing handle so the mapping
-  /// outlives the set. With `backing` null (a heap blob of arbitrary
-  /// alignment) arrays are memcpy'd into owned vectors.
+  /// Copies every array of `ph` into one new aligned heap block laid out
+  /// as the data region of its one-segment image, points the spans there
+  /// and makes the block its backing.
+  static void Seal(PairwiseHist* ph);
+
+  /// Validates and decodes a PWS3 image in kAlign-aligned memory that
+  /// `owner` keeps alive: every array is a span into `bytes`, and every
+  /// segment holds `owner`. A heap image (`mapping` null) has its payload
+  /// blocks verified here; a mapped one later, by the scrubber.
   static StatusOr<SynopsisSet> Decode(
-      std::span<const uint8_t> bytes,
-      std::shared_ptr<const MappedFile> backing);
+      std::span<const uint8_t> bytes, std::shared_ptr<const void> owner,
+      std::shared_ptr<const MappedFile> mapping);
+  /// Decodes an image at any address, like a heap open, from one aligned
+  /// copy of it that the segments then own.
+  static StatusOr<SynopsisSet> DecodeCopy(std::span<const uint8_t> image);
 };
 
 }  // namespace pairwisehist

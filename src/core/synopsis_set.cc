@@ -261,12 +261,7 @@ StatusOr<SynopsisSet> SynopsisSet::Deserialize(std::span<const uint8_t> blob) {
   ByteReader peek(blob);
   PH_ASSIGN_OR_RETURN(uint32_t magic, peek.ReadU32());
 
-  if (magic == Pws3Codec::kMagic) {
-    // PWS3 image handed to the heap path (e.g. a blob read into memory):
-    // arrays are copied out of the image rather than borrowed, because the
-    // blob's lifetime and alignment are the caller's business.
-    return Pws3Codec::Decode(blob, /*backing=*/nullptr);
-  }
+  if (magic == Pws3Codec::kMagic) return Pws3Codec::DecodeCopy(blob);
   if (magic == kLegacyMagic) {
     // PR-1-era single-synopsis file: wrap as one segment. Pruning ranges
     // are unknown (col_valid all zero), so the planner never prunes.

@@ -128,8 +128,7 @@ class SynopsisSet {
   /// what StorageBytes measures).
   std::vector<uint8_t> Serialize() const;
   /// Accepts the PWS2 container, a bare legacy PWH1 blob, or a PWS3 image
-  /// (heap-converted — arrays are copied out of the blob). Zero-copy PWS3
-  /// opens go through OpenMapped instead.
+  /// at any address (decoded from one aligned copy, like a heap open).
   static StatusOr<SynopsisSet> Deserialize(std::span<const uint8_t> blob);
   size_t StorageBytes() const;
 
@@ -146,6 +145,11 @@ class SynopsisSet {
   /// referencing it is destroyed. Legacy PWS2/PWH1 files heap-convert
   /// transparently.
   static StatusOr<SynopsisSet> OpenMapped(const std::string& path);
+
+  /// Reads the whole file once into an aligned heap buffer, which a PWS3
+  /// image's segments then own (same decode as OpenMapped); a legacy
+  /// PWS2/PWH1 file decodes from it.
+  static StatusOr<SynopsisSet> OpenHeap(const std::string& path);
 
   /// Bytes currently memory-mapped by this set (0 for heap-opened sets).
   size_t mapped_bytes() const { return mapped_bytes_; }

@@ -22,14 +22,15 @@ uint64_t HistogramDim::TotalCount() const {
   return total;
 }
 
-void HistogramDim::BuildCountPrefix() {
+void HistogramDim::BuildCountPrefix(ArrayHolder* arrays) {
   const size_t k = NumBins();
   std::vector<uint64_t> pre(k + 1, 0);
   for (size_t t = 0; t < k; ++t) pre[t + 1] = pre[t] + counts[t];
-  count_prefix = std::move(pre);
+  count_prefix = arrays->Keep(std::move(pre));
 }
 
-void PairHistogram::BuildCellPrefix(std::span<const uint64_t> cells) {
+void PairHistogram::BuildCellPrefix(std::span<const uint64_t> cells,
+                                    ArrayHolder* arrays) {
   const size_t ki = dim_i.NumBins();
   const size_t kj = dim_j.NumBins();
   // Row tp + 1 of each orientation is row tp plus the matching cell
@@ -51,8 +52,8 @@ void PairHistogram::BuildCellPrefix(std::span<const uint64_t> cells) {
       next[tj] = prev[tj] + row[tj];
     }
   }
-  cell_colpre_i = std::move(colpre_i);
-  cell_colpre_j = std::move(colpre_j);
+  cell_colpre_i = arrays->Keep(std::move(colpre_i));
+  cell_colpre_j = arrays->Keep(std::move(colpre_j));
 }
 
 namespace {
@@ -127,7 +128,7 @@ void RefineBin1D(const double* begin, const double* end, double lower,
 // bin t with edges[t] <= v, clamped to [0, k-1]) in amortized O(1).
 class EdgeWalk {
  public:
-  explicit EdgeWalk(const VecView<double>& edges)
+  explicit EdgeWalk(std::span<const double> edges)
       : edges_(edges.data()),
         last_(edges.size() < 2 ? 0 : edges.size() - 2) {}
   size_t Advance(double v) {
@@ -146,7 +147,8 @@ class EdgeWalk {
 HistogramDim BuildHistogram1D(const std::vector<double>& sorted_values,
                               const std::vector<double>& initial_edges,
                               const RefineConfig& config,
-                              const Chi2CriticalCache& critical) {
+                              const Chi2CriticalCache& critical,
+                              ArrayHolder* arrays) {
   HistogramDim dim;
   if (initial_edges.size() < 2) return dim;
   Bins1D out;
@@ -163,11 +165,11 @@ HistogramDim BuildHistogram1D(const std::vector<double>& sorted_values,
     RefineBin1D(cursor, next, lower, upper, 0, config, critical, &out);
     cursor = next;
   }
-  dim.edges = std::move(out.edges);
-  dim.v_min = std::move(out.v_min);
-  dim.v_max = std::move(out.v_max);
-  dim.unique = std::move(out.unique);
-  dim.counts = std::move(out.counts);
+  dim.edges = arrays->Keep(std::move(out.edges));
+  dim.v_min = arrays->Keep(std::move(out.v_min));
+  dim.v_max = arrays->Keep(std::move(out.v_max));
+  dim.unique = arrays->Keep(std::move(out.unique));
+  dim.counts = arrays->Keep(std::move(out.counts));
   return dim;
 }
 
@@ -378,9 +380,10 @@ std::vector<double> MergeEdges(std::span<const double> base,
 // kept its edges copies the 1-d histogram's metadata when `other` has no
 // null (its rows are then all of the 1-d bin's rows); any other 1-d bin
 // walks its own order slice, and a split one records each walked row's
-// refined bin in `ds->row_bin`.
+// refined bin in `ds->row_bin`. The arrays are kept in `arrays`.
 HistogramDim RefinedDim(const ColumnRanks& mine, const ColumnRanks& other,
-                        const HistogramDim& h1, PairBuildScratch::Dim* ds) {
+                        const HistogramDim& h1, PairBuildScratch::Dim* ds,
+                        ArrayHolder* arrays) {
   std::vector<double>& extra = ds->new_edges;
   std::sort(extra.begin(), extra.end());
   extra.erase(std::unique(extra.begin(), extra.end()), extra.end());
@@ -426,12 +429,12 @@ HistogramDim RefinedDim(const ColumnRanks& mine, const ColumnRanks& other,
     }
   }
   HistogramDim dim;
-  dim.edges = std::move(edges);
-  dim.counts = std::move(counts);
-  dim.v_min = std::move(v_min);
-  dim.v_max = std::move(v_max);
-  dim.unique = std::move(unique);
-  dim.parent = std::move(parent);
+  dim.edges = arrays->Keep(std::move(edges));
+  dim.counts = arrays->Keep(std::move(counts));
+  dim.v_min = arrays->Keep(std::move(v_min));
+  dim.v_max = arrays->Keep(std::move(v_max));
+  dim.unique = arrays->Keep(std::move(unique));
+  dim.parent = arrays->Keep(std::move(parent));
   return dim;
 }
 
@@ -451,7 +454,7 @@ PairHistogram BuildPairHistogram(const ColumnRanks& ri, const ColumnRanks& rj,
                                  const HistogramDim& h1_j,
                                  const RefineConfig& config,
                                  const Chi2CriticalCache& critical,
-                                 PairBuildScratch* s) {
+                                 PairBuildScratch* s, ArrayHolder* arrays) {
   PairHistogram ph;
   ph.col_i = col_i;
   ph.col_j = col_j;
@@ -540,8 +543,8 @@ PairHistogram BuildPairHistogram(const ColumnRanks& ri, const ColumnRanks& rj,
     }
   }
 
-  ph.dim_i = RefinedDim(ri, rj, h1_i, &s->dim_i);
-  ph.dim_j = RefinedDim(rj, ri, h1_j, &s->dim_j);
+  ph.dim_i = RefinedDim(ri, rj, h1_i, &s->dim_i, arrays);
+  ph.dim_j = RefinedDim(rj, ri, h1_j, &s->dim_j, arrays);
 
   // Final cell counts on the refined grid: the initial ones unless an edge
   // was gained.
@@ -557,7 +560,7 @@ PairHistogram BuildPairHistogram(const ColumnRanks& ri, const ColumnRanks& rj,
               RefinedBin(s->dim_j, bj, p)];
     }
   }
-  ph.BuildCellPrefix(cells);
+  ph.BuildCellPrefix(cells, arrays);
   return ph;
 }
 

@@ -11,9 +11,10 @@
 #include <cstddef>
 #include <cstdint>
 #include <span>
+#include <utility>
+#include <variant>
 #include <vector>
 
-#include "common/vec_view.h"
 #include "hist/uniformity.h"
 
 namespace pairwisehist {
@@ -26,41 +27,60 @@ struct RefineConfig {
   int max_depth = 64;          ///< recursion guard
 };
 
+/// Owns the arrays of histograms under construction until the seal (see
+/// PairwiseHist::FinishExecIndex) copies them into their synopsis's block.
+/// Keep moves a vector in (its buffer stays put) and returns its span.
+class ArrayHolder {
+ public:
+  template <typename T>
+  std::span<const T> Keep(std::vector<T> v) {
+    const std::span<const T> view(v);
+    arrays_.emplace_back(std::move(v));
+    return view;
+  }
+  /// Drops every array but keeps the holder's own capacity.
+  void Clear() { arrays_.clear(); }
+
+ private:
+  std::vector<std::variant<std::vector<double>, std::vector<uint64_t>,
+                           std::vector<uint32_t>>>
+      arrays_;
+};
+
 /// One dimension of a histogram: k bins delimited by k+1 edges, with the
 /// paper's per-bin metadata. For pairwise histograms, `parent` maps each
 /// refined bin to the 1-d bin of the same column that contains it.
 ///
-/// Every array is a read-only VecView, written once when the histogram
-/// is built or decoded: an owned vector for built/deserialized synopses,
-/// a borrowed zero-copy span into the mapped file for PWS3-opened ones
-/// (see common/vec_view.h).
+/// Every array is a read-only span. In a sealed synopsis they all point
+/// into one 64-byte-aligned block laid out like the PWS3 data region: the
+/// block the build was sealed into, a heap-read file, or a mapped file
+/// (see PairwiseHist). Before the seal they point into an ArrayHolder.
 struct HistogramDim {
-  VecView<double> edges;        ///< k+1 ascending edges, bins [e_t, e_{t+1})
-  VecView<uint64_t> counts;     ///< k bin counts (marginal for 2-d)
-  VecView<double> v_min;        ///< k actual minimum values (v−)
-  VecView<double> v_max;        ///< k actual maximum values (v+)
-  VecView<uint64_t> unique;     ///< k unique-value counts (u)
-  VecView<uint32_t> parent;     ///< k parent 1-d bin indices (2-d only)
+  std::span<const double> edges;     ///< k+1 ascending edges, bins [e_t, e_t+1)
+  std::span<const uint64_t> counts;  ///< k bin counts (marginal for 2-d)
+  std::span<const double> v_min;     ///< k actual minimum values (v−)
+  std::span<const double> v_max;     ///< k actual maximum values (v+)
+  std::span<const uint64_t> unique;  ///< k unique-value counts (u)
+  std::span<const uint32_t> parent;  ///< k parent 1-d bin indices (2-d only)
   /// k+1 exclusive prefix sums of `counts` (execution index, not part of
   /// the compact PWS2 encoding but persisted verbatim by PWS3): count over
   /// bins [a, b) is count_prefix[b] - count_prefix[a]. Derived by
   /// BuildCountPrefix.
-  VecView<uint64_t> count_prefix;
+  std::span<const uint64_t> count_prefix;
   /// Per-bin aggregation metadata cache (execution index, persisted only
   /// by PWS3): midpoint (v− + v+)/2 and the Theorem-1 weighted-centre
   /// bounds already clamped to [v−, v+]. Filled by
   /// PairwiseHist::FinishExecIndex (the bounds need M and the chi-squared
   /// cache) so Table-3 aggregation reads flat arrays instead of
   /// recomputing a sqrt per bin per query.
-  VecView<double> centre_mid;
-  VecView<double> centre_lo;
-  VecView<double> centre_hi;
+  std::span<const double> centre_mid;
+  std::span<const double> centre_lo;
+  std::span<const double> centre_hi;
 
   size_t NumBins() const { return counts.size(); }
-  bool HasCentreCache() const { return centre_mid.size() == counts.size(); }
 
-  /// Derives count_prefix from counts.
-  void BuildCountPrefix();
+  /// Derives count_prefix from counts, kept in `arrays`.
+  void BuildCountPrefix(ArrayHolder* arrays);
 
   /// Bin midpoint c_t = (v− + v+)/2.
   double Midpoint(size_t t) const { return (v_min[t] + v_max[t]) / 2.0; }
@@ -77,11 +97,13 @@ struct HistogramDim {
 /// Builds a refined one-dimensional histogram from `sorted_values`
 /// (ascending, nulls excluded) with the given initial edges (ascending;
 /// first <= min value, last > max value). Implements Algorithm 1 lines 3–12
-/// including RefineBin1D (Algorithm 2) with equal-width splits.
+/// including RefineBin1D (Algorithm 2) with equal-width splits. The arrays
+/// are kept in `arrays`.
 HistogramDim BuildHistogram1D(const std::vector<double>& sorted_values,
                               const std::vector<double>& initial_edges,
                               const RefineConfig& config,
-                              const Chi2CriticalCache& critical);
+                              const Chi2CriticalCache& critical,
+                              ArrayHolder* arrays);
 
 /// A pairwise (2-d) histogram for columns (i, j): refined edges and
 /// metadata in both dimensions plus the cell counts H(ij), held only as
@@ -100,13 +122,13 @@ struct PairHistogram {
   // is the difference of two adjacent rows. cell_colpre_j is the swapped
   // orientation (ki+1 rows of kj). Exact integers (totals stay below
   // 2^53). Built by BuildCellPrefix.
-  VecView<uint64_t> cell_colpre_i;
-  VecView<uint64_t> cell_colpre_j;
+  std::span<const uint64_t> cell_colpre_i;
+  std::span<const uint64_t> cell_colpre_j;
   /// Per 1-d bin of col_i / col_j: fraction of the 1-d rows that have the
   /// OTHER column non-null (clamped to [0, 1]; 1.0 for empty 1-d bins).
   /// Filled by PairwiseHist::FinishExecIndex (needs the 1-d histograms).
-  VecView<double> nonnull_frac_i;
-  VecView<double> nonnull_frac_j;
+  std::span<const double> nonnull_frac_i;
+  std::span<const double> nonnull_frac_j;
 
   /// Cell count H(ij)[ti][tj], from two adjacent rows of cell_colpre_i.
   uint64_t CellCount(size_t ti, size_t tj) const {
@@ -117,8 +139,8 @@ struct PairHistogram {
   /// Builds both column-major prefixes from the row-major
   /// dim_i.NumBins() x dim_j.NumBins() cell counts, so both dims must
   /// already hold their counts. Every producer of cells (the build, the
-  /// PWS2 decoder) ends here.
-  void BuildCellPrefix(std::span<const uint64_t> cells);
+  /// PWS2 decoder) ends here. The prefixes are kept in `arrays`.
+  void BuildCellPrefix(std::span<const uint64_t> cells, ArrayHolder* arrays);
 };
 
 /// One column of a build sample, sorted and binned once and then shared
@@ -197,14 +219,16 @@ struct PairBuildScratch {
 /// column has no null in the sample; every other 1-d bin walks only its
 /// own order slice. The final cells are the initial ones when neither
 /// dimension gained an edge, else one sequential pass. Nothing is sorted or
-/// binary-searched per row, and all temporaries live in `scratch`.
+/// binary-searched per row, and all temporaries live in `scratch`. The
+/// pair's arrays are kept in `arrays`.
 PairHistogram BuildPairHistogram(const ColumnRanks& ri, const ColumnRanks& rj,
                                  uint32_t col_i, uint32_t col_j,
                                  const HistogramDim& h1_i,
                                  const HistogramDim& h1_j,
                                  const RefineConfig& config,
                                  const Chi2CriticalCache& critical,
-                                 PairBuildScratch* scratch);
+                                 PairBuildScratch* scratch,
+                                 ArrayHolder* arrays);
 
 }  // namespace pairwisehist
 

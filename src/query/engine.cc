@@ -188,15 +188,14 @@ AggResult AggregateImpl(const PairwiseHist& ph, const KernelOps& ks,
   // Effective per-bin values, midpoints and weighted-centre bounds in the
   // code domain. Without a same-column clip these are query-independent
   // and read straight from the dimension's centre cache (filled at
-  // FinishExecIndex); with a clip, or on a dimension lacking the cache,
-  // they are materialized per query over the touched range only
-  // (untouched bins carry zero weight).
+  // FinishExecIndex); with a clip they are materialized per query over the
+  // touched range only (untouched bins carry zero weight).
   const double* v_lo;
   const double* v_hi;
   const double* c;
   const double* c_lo;
   const double* c_hi;
-  if (!clip_active && hist.HasCentreCache()) {
+  if (!clip_active) {
     v_lo = hist.v_min.data();
     v_hi = hist.v_max.data();
     c = hist.centre_mid.data();
@@ -208,25 +207,18 @@ AggResult AggregateImpl(const PairwiseHist& ph, const KernelOps& ks,
     double* e_c = arena.Alloc(k);
     double* e_c_lo = arena.Alloc(k);
     double* e_c_hi = arena.Alloc(k);
-    const bool cached = hist.HasCentreCache();
     // Recomputes one bin the clip actually cuts (the raw Theorem-1 bounds
-    // are query-independent: the centre cache supplies them when present,
-    // same doubles as WeightedCentreBounds). A cut bin's estimate uses the
-    // clipped midpoint, so its bounds are the raw bin's deviations from
-    // its own midpoint, scaled to the kept share of the bin and centred on
-    // the clipped midpoint: lower <= centre <= upper by construction.
+    // are query-independent: the centre cache supplies them). A cut bin's
+    // estimate uses the clipped midpoint, so its bounds are the raw bin's
+    // deviations from its own midpoint, scaled to the kept share of the
+    // bin and centred on the clipped midpoint: lower <= centre <= upper by
+    // construction.
     auto slow_bin = [&](size_t t) {
       BinVals bv = EffectiveBin(hist, t, agg_clip);
       e_v_lo[t] = bv.v_lo;
       e_v_hi[t] = bv.v_hi;
       e_c[t] = bv.mid;
-      CentreBounds cb;
-      if (cached) {
-        cb.lo = hist.centre_lo[t];
-        cb.hi = hist.centre_hi[t];
-      } else {
-        cb = ph.WeightedCentreBounds(hist, t);
-      }
+      const CentreBounds cb{hist.centre_lo[t], hist.centre_hi[t]};
       if (bv.kept < 1.0) {
         const double raw_mid = hist.Midpoint(t);
         e_c_lo[t] = std::clamp(bv.mid - (raw_mid - cb.lo) * bv.kept,
@@ -238,45 +230,39 @@ AggResult AggregateImpl(const PairwiseHist& ph, const KernelOps& ks,
         e_c_hi[t] = std::clamp(cb.hi, e_c_lo[t], bv.v_hi);
       }
     };
-    if (cached) {
-      // Bulk path: a bin fully inside one clip piece (or outside every
-      // piece) keeps its raw metadata, so copy the cache wholesale and
-      // recompute only the O(pieces) boundary bins the clip cuts. v_min
-      // and v_max are strictly ascending across bins, so the overlap and
-      // fully-inside bin ranges of each piece are binary searches.
-      std::copy(hist.v_min.begin() + rb, hist.v_min.begin() + re,
-                e_v_lo + rb);
-      std::copy(hist.v_max.begin() + rb, hist.v_max.begin() + re,
-                e_v_hi + rb);
-      std::copy(hist.centre_mid.begin() + rb, hist.centre_mid.begin() + re,
-                e_c + rb);
-      std::copy(hist.centre_lo.begin() + rb, hist.centre_lo.begin() + re,
-                e_c_lo + rb);
-      std::copy(hist.centre_hi.begin() + rb, hist.centre_hi.begin() + re,
-                e_c_hi + rb);
-      for (const auto& piece : agg_clip->pieces) {
-        // Bins whose values overlap the piece at all / lie fully inside.
-        size_t o0 = static_cast<size_t>(
-            std::lower_bound(hist.v_max.begin() + rb, hist.v_max.begin() + re,
-                             piece.first) -
-            hist.v_max.begin());
-        size_t o1 = static_cast<size_t>(
-            std::upper_bound(hist.v_min.begin() + rb, hist.v_min.begin() + re,
-                             piece.second) -
-            hist.v_min.begin());
-        size_t f0 = static_cast<size_t>(
-            std::lower_bound(hist.v_min.begin() + o0, hist.v_min.begin() + o1,
-                             piece.first) -
-            hist.v_min.begin());
-        size_t f1 = static_cast<size_t>(
-            std::upper_bound(hist.v_max.begin() + f0, hist.v_max.begin() + o1,
-                             piece.second) -
-            hist.v_max.begin());
-        for (size_t t = o0; t < f0; ++t) slow_bin(t);
-        for (size_t t = std::max(f0, f1); t < o1; ++t) slow_bin(t);
-      }
-    } else {
-      for (size_t t = rb; t < re; ++t) slow_bin(t);
+    // A bin fully inside one clip piece (or outside every piece) keeps
+    // its raw metadata, so copy the cache wholesale and recompute only the
+    // O(pieces) boundary bins the clip cuts. v_min and v_max are strictly
+    // ascending across bins, so the overlap and fully-inside bin ranges of
+    // each piece are binary searches.
+    std::copy(hist.v_min.begin() + rb, hist.v_min.begin() + re, e_v_lo + rb);
+    std::copy(hist.v_max.begin() + rb, hist.v_max.begin() + re, e_v_hi + rb);
+    std::copy(hist.centre_mid.begin() + rb, hist.centre_mid.begin() + re,
+              e_c + rb);
+    std::copy(hist.centre_lo.begin() + rb, hist.centre_lo.begin() + re,
+              e_c_lo + rb);
+    std::copy(hist.centre_hi.begin() + rb, hist.centre_hi.begin() + re,
+              e_c_hi + rb);
+    for (const auto& piece : agg_clip->pieces) {
+      // Bins whose values overlap the piece at all / lie fully inside.
+      size_t o0 = static_cast<size_t>(
+          std::lower_bound(hist.v_max.begin() + rb, hist.v_max.begin() + re,
+                           piece.first) -
+          hist.v_max.begin());
+      size_t o1 = static_cast<size_t>(
+          std::upper_bound(hist.v_min.begin() + rb, hist.v_min.begin() + re,
+                           piece.second) -
+          hist.v_min.begin());
+      size_t f0 = static_cast<size_t>(
+          std::lower_bound(hist.v_min.begin() + o0, hist.v_min.begin() + o1,
+                           piece.first) -
+          hist.v_min.begin());
+      size_t f1 = static_cast<size_t>(
+          std::upper_bound(hist.v_max.begin() + f0, hist.v_max.begin() + o1,
+                           piece.second) -
+          hist.v_max.begin());
+      for (size_t t = o0; t < f0; ++t) slow_bin(t);
+      for (size_t t = std::max(f0, f1); t < o1; ++t) slow_bin(t);
     }
     v_lo = e_v_lo;
     v_hi = e_v_hi;
@@ -828,7 +814,7 @@ ProbTable LeafProbFast(const PairwiseHist& ph, ExecArena& arena,
                          static_cast<uint32_t>(pmax)) -
         gdim.parent.begin());
   }
-  const VecView<double>& nnf = pair.NonNullFrac();
+  const std::span<const double> nnf = pair.NonNullFrac();
   out.p = arena.Alloc(k);
   out.lo = arena.Alloc(k);
   out.hi = arena.Alloc(k);

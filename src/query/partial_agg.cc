@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <span>
 #include <unordered_map>
 
 namespace pairwisehist {
@@ -26,8 +27,9 @@ AggResult EmptyResult(AggFunc func) {
 /// get one bound and large values the other, so scanning the n+1 splits of
 /// the value-sorted order finds it exactly. Falls back to the plain
 /// min/max of `vals` when every weight interval is zero.
-double WeightedAvgExtreme(std::vector<double> vals, std::vector<double> wlo,
-                          std::vector<double> whi, bool maximize) {
+double WeightedAvgExtreme(std::span<const double> vals,
+                          std::span<const double> wlo,
+                          std::span<const double> whi, bool maximize) {
   const size_t n = vals.size();
   std::vector<size_t> order(n);
   for (size_t i = 0; i < n; ++i) order[i] = i;

@@ -1,8 +1,9 @@
 // Unit tests for the common substrate: Status/StatusOr, bit I/O, Golomb
 // coding, statistical special functions, RNG determinism, serialization,
-// and the read-only VecView array cell.
+// and the read-only histogram array fields.
 #include <cmath>
 #include <cstdint>
+#include <iterator>
 #include <type_traits>
 #include <utility>
 #include <vector>
@@ -15,7 +16,7 @@
 #include "common/serialize.h"
 #include "common/stats.h"
 #include "common/status.h"
-#include "common/vec_view.h"
+#include "hist/histogram.h"
 
 namespace pairwisehist {
 namespace {
@@ -443,7 +444,7 @@ TEST(SerializeTest, TruncatedStringFails) {
 }
 
 // ---------------------------------------------------------------------------
-// VecView: written once (assign a vector or bind a view), then read-only.
+// Histogram arrays: read-only views into a synopsis's block.
 
 template <typename V>
 concept Resizable = requires(V v) { v.resize(size_t{1}); };
@@ -454,43 +455,29 @@ concept HasMutData = requires(V v) { v.mut_data(); };
 template <typename V>
 concept ElementAssignable = requires(V v) { v[0] = 1.0; };
 
-// The concepts hold for std::vector, so their failing on VecView is about
-// VecView, not about a malformed requirement.
+// The concepts hold for std::vector, so their failing on the fields is
+// about the fields, not about a malformed requirement.
 static_assert(Resizable<std::vector<double>>);
 static_assert(PushBackable<std::vector<double>>);
 static_assert(ElementAssignable<std::vector<double>>);
 
-static_assert(!Resizable<VecView<double>>);
-static_assert(!PushBackable<VecView<double>>);
-static_assert(!HasMutData<VecView<double>>);
-static_assert(!ElementAssignable<VecView<double>>);
+using EdgesField = decltype(HistogramDim::edges);
+using CellPrefixField = decltype(PairHistogram::cell_colpre_i);
+static_assert(!Resizable<EdgesField>);
+static_assert(!PushBackable<EdgesField>);
+static_assert(!HasMutData<EdgesField>);
+static_assert(!ElementAssignable<EdgesField>);
+static_assert(!ElementAssignable<CellPrefixField>);
 static_assert(
-    std::is_same_v<decltype(std::declval<VecView<double>&>().data()),
+    std::is_same_v<decltype(std::declval<EdgesField&>().data()),
                    const double*>);
 static_assert(
-    std::is_same_v<decltype(std::declval<VecView<double>&>().begin()),
-                   const double*>);
-
-TEST(VecViewTest, OwnedAndBorrowedReadAlike) {
-  const std::vector<double> backing = {1.5, 2.5, 4.0};
-  VecView<double> owned;
-  owned = std::vector<double>(backing);
-  VecView<double> borrowed;
-  borrowed.BindView(backing.data(), backing.size());
-  EXPECT_FALSE(owned.borrowed());
-  EXPECT_TRUE(borrowed.borrowed());
-  EXPECT_EQ(borrowed.data(), backing.data());  // no copy
-  EXPECT_TRUE(owned == borrowed);
-  EXPECT_EQ(borrowed.back(), 4.0);
-
-  VecView<double> copy = borrowed;  // a copy of a borrow is another borrow
-  EXPECT_EQ(copy.data(), backing.data());
-  borrowed = std::vector<double>{7.0};  // rewriting replaces the borrow
-  EXPECT_FALSE(borrowed.borrowed());
-  EXPECT_EQ(borrowed.size(), 1u);
-  borrowed.clear();
-  EXPECT_TRUE(borrowed.empty());
-}
+    std::is_same_v<decltype(std::declval<CellPrefixField&>().data()),
+                   const uint64_t*>);
+static_assert(std::is_same_v<
+              std::iter_reference_t<
+                  decltype(std::declval<EdgesField&>().begin())>,
+              const double&>);
 
 }  // namespace
 }  // namespace pairwisehist

@@ -1,5 +1,6 @@
 // Tests for the PairwiseHist synopsis: Algorithm-1 build invariants,
 // Theorem-1 weighted-centre bounds, and the Fig.-6 storage encoding.
+#include <algorithm>
 #include <cmath>
 
 #include <gtest/gtest.h>
@@ -223,20 +224,20 @@ TEST(EncodingTest, SerializeDeserializeRoundTripExact) {
   for (size_t c = 0; c < ph->num_columns(); ++c) {
     const HistogramDim& a = ph->hist1d(c);
     const HistogramDim& b = back->hist1d(c);
-    ASSERT_EQ(a.edges, b.edges) << c;
-    ASSERT_EQ(a.counts, b.counts) << c;
-    ASSERT_EQ(a.v_min, b.v_min) << c;
-    ASSERT_EQ(a.v_max, b.v_max) << c;
-    ASSERT_EQ(a.unique, b.unique) << c;
+    ASSERT_TRUE(std::ranges::equal(a.edges, b.edges)) << c;
+    ASSERT_TRUE(std::ranges::equal(a.counts, b.counts)) << c;
+    ASSERT_TRUE(std::ranges::equal(a.v_min, b.v_min)) << c;
+    ASSERT_TRUE(std::ranges::equal(a.v_max, b.v_max)) << c;
+    ASSERT_TRUE(std::ranges::equal(a.unique, b.unique)) << c;
   }
   for (size_t p = 0; p < ph->num_pairs(); ++p) {
-    ASSERT_EQ(ph->pair_at(p).cell_colpre_i, back->pair_at(p).cell_colpre_i)
-        << p;
-    ASSERT_EQ(ph->pair_at(p).cell_colpre_j, back->pair_at(p).cell_colpre_j)
-        << p;
-    ASSERT_EQ(ph->pair_at(p).dim_i.edges, back->pair_at(p).dim_i.edges);
-    ASSERT_EQ(ph->pair_at(p).dim_j.parent, back->pair_at(p).dim_j.parent);
-    ASSERT_EQ(ph->pair_at(p).dim_i.counts, back->pair_at(p).dim_i.counts);
+    const PairHistogram& a = ph->pair_at(p);
+    const PairHistogram& b = back->pair_at(p);
+    ASSERT_TRUE(std::ranges::equal(a.cell_colpre_i, b.cell_colpre_i)) << p;
+    ASSERT_TRUE(std::ranges::equal(a.cell_colpre_j, b.cell_colpre_j)) << p;
+    ASSERT_TRUE(std::ranges::equal(a.dim_i.edges, b.dim_i.edges)) << p;
+    ASSERT_TRUE(std::ranges::equal(a.dim_j.parent, b.dim_j.parent)) << p;
+    ASSERT_TRUE(std::ranges::equal(a.dim_i.counts, b.dim_i.counts)) << p;
   }
 }
 

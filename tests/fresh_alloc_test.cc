@@ -6,6 +6,7 @@
 // scratch its worker reuses grows a bounded number of times. Heap
 // allocations are counted with a global counting allocator, so the budgets
 // are exact and repeatable.
+#include <algorithm>
 #include <atomic>
 #include <cmath>
 #include <cstdio>
@@ -132,8 +133,9 @@ TEST_F(FreshStatementAllocation, ExecuteSqlStaysInBudget) {
 
 // ---- Synopsis construction: the pair phase --------------------------------
 
-// The heap blocks one BuildPairHistogram call returns: edges, counts, v−,
-// v+, unique and parent per dimension, and the two cell prefixes.
+// The heap blocks one BuildPairHistogram call keeps in its ArrayHolder:
+// edges, counts, v−, v+, unique and parent per dimension, and the two cell
+// prefixes.
 constexpr size_t kPairOutputBlocks = 14;
 // The blocks a fresh PairBuildScratch may allocate while its arrays grow to
 // a build's sizes, independent of the number of pairs: the row-sized arrays
@@ -142,7 +144,9 @@ constexpr size_t kScratchGrowthBlocks = 128;
 
 // Every pair of `table` built the way one build worker builds them: shared
 // ranks binned against the synopsis's own 1-d histograms, one scratch. The
-// first pass starts from a fresh scratch, the second reuses it warm.
+// first pass starts from a fresh scratch, the second reuses it warm. Both
+// keep their pairs in one holder, cleared between passes, whose own list
+// grows only during the first.
 void ExpectPairPhaseInBudget(const char* dataset) {
   auto table = MakeDataset(dataset, kRows, 1);
   ASSERT_TRUE(table.ok()) << table.status().ToString();
@@ -169,17 +173,21 @@ void ExpectPairPhaseInBudget(const char* dataset) {
   Chi2CriticalCache critical(ph->alpha());
 
   PairBuildScratch scratch;
+  ArrayHolder arrays;
   size_t npairs = 0;
   auto build_all = [&]() {
     npairs = 0;
+    arrays.Clear();
     const size_t before = g_alloc_count.load();
     for (uint32_t i = 1; i < ranks.size(); ++i) {
       for (uint32_t j = 0; j < i; ++j, ++npairs) {
         PairHistogram pair =
             BuildPairHistogram(ranks[i], ranks[j], i, j, ph->hist1d(i),
-                               ph->hist1d(j), refine, critical, &scratch);
+                               ph->hist1d(j), refine, critical, &scratch,
+                               &arrays);
         // Pairs are slotted in this loop's order.
-        EXPECT_TRUE(pair.cell_colpre_i == ph->pair_at(npairs).cell_colpre_i);
+        EXPECT_TRUE(std::ranges::equal(pair.cell_colpre_i,
+                                       ph->pair_at(npairs).cell_colpre_i));
       }
     }
     return g_alloc_count.load() - before;

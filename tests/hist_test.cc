@@ -52,6 +52,7 @@ TEST(Chi2CriticalCacheTest, MatchesDirectComputation) {
 
 TEST(UniformityTest, UniformDataPasses) {
   Chi2CriticalCache cache(0.001);
+  ArrayHolder arrays;
   auto v = UniformValues(5000, 0, 1000, 3);
   uint64_t u = CountUniqueSorted(v.data(), v.data() + v.size());
   UniformityResult r =
@@ -62,6 +63,7 @@ TEST(UniformityTest, UniformDataPasses) {
 
 TEST(UniformityTest, BimodalDataFails) {
   Chi2CriticalCache cache(0.001);
+  ArrayHolder arrays;
   auto v = BimodalValues(5000, 3);
   uint64_t u = CountUniqueSorted(v.data(), v.data() + v.size());
   UniformityResult r =
@@ -72,6 +74,7 @@ TEST(UniformityTest, BimodalDataFails) {
 
 TEST(UniformityTest, EmptyAndSingletonPass) {
   Chi2CriticalCache cache(0.001);
+  ArrayHolder arrays;
   std::vector<double> empty;
   EXPECT_TRUE(TestUniform(empty.data(), empty.data(), 0, 10, 0, cache)
                   .uniform);
@@ -118,9 +121,10 @@ RefineConfig TestConfig(uint64_t m = 100) {
 
 TEST(Refine1DTest, StructuralInvariants) {
   Chi2CriticalCache cache(0.001);
+  ArrayHolder arrays;
   auto v = BimodalValues(20000, 7);
   HistogramDim h = BuildHistogram1D(v, {0.0, 1001.0}, TestConfig(200),
-                                    cache);
+                                    cache, &arrays);
   ASSERT_GE(h.NumBins(), 2u) << "bimodal data must split";
   // Edges ascending, arrays parallel.
   ASSERT_EQ(h.edges.size(), h.NumBins() + 1);
@@ -144,24 +148,28 @@ TEST(Refine1DTest, StructuralInvariants) {
 
 TEST(Refine1DTest, UniformDataStaysOneBin) {
   Chi2CriticalCache cache(0.001);
+  ArrayHolder arrays;
   auto v = UniformValues(20000, 0, 1000, 8);
   HistogramDim h =
-      BuildHistogram1D(v, {0.0, 1001.0}, TestConfig(200), cache);
+      BuildHistogram1D(v, {0.0, 1001.0}, TestConfig(200), cache, &arrays);
   EXPECT_EQ(h.NumBins(), 1u);
 }
 
 TEST(Refine1DTest, SmallBinsNotSplit) {
   Chi2CriticalCache cache(0.001);
+  ArrayHolder arrays;
   auto v = BimodalValues(50, 9);  // fewer than M points
   HistogramDim h =
-      BuildHistogram1D(v, {0.0, 1001.0}, TestConfig(100), cache);
+      BuildHistogram1D(v, {0.0, 1001.0}, TestConfig(100), cache, &arrays);
   EXPECT_EQ(h.NumBins(), 1u);
 }
 
 TEST(Refine1DTest, SingleUniqueValueBin) {
   Chi2CriticalCache cache(0.001);
+  ArrayHolder arrays;
   std::vector<double> v(500, 42.0);
-  HistogramDim h = BuildHistogram1D(v, {0.0, 100.0}, TestConfig(100), cache);
+  HistogramDim h =
+      BuildHistogram1D(v, {0.0, 100.0}, TestConfig(100), cache, &arrays);
   EXPECT_EQ(h.NumBins(), 1u);
   EXPECT_EQ(h.unique[0], 1u);
   EXPECT_DOUBLE_EQ(h.v_min[0], 42.0);
@@ -171,9 +179,10 @@ TEST(Refine1DTest, SingleUniqueValueBin) {
 
 TEST(Refine1DTest, SeededEdgesPreserved) {
   Chi2CriticalCache cache(0.001);
+  ArrayHolder arrays;
   auto v = UniformValues(5000, 0, 1000, 10);
   HistogramDim h = BuildHistogram1D(v, {0.0, 250.0, 500.0, 750.0, 1001.0},
-                                    TestConfig(100), cache);
+                                    TestConfig(100), cache, &arrays);
   // Uniform data: no splits beyond the seeds.
   EXPECT_EQ(h.NumBins(), 4u);
   EXPECT_DOUBLE_EQ(h.edges[1], 250.0);
@@ -182,9 +191,10 @@ TEST(Refine1DTest, SeededEdgesPreserved) {
 
 TEST(Refine1DTest, EmptySeedBinKeptWithZeroCount) {
   Chi2CriticalCache cache(0.001);
+  ArrayHolder arrays;
   std::vector<double> v{10, 11, 12, 13, 14};
   HistogramDim h = BuildHistogram1D(v, {0.0, 5.0, 20.0}, TestConfig(100),
-                                    cache);
+                                    cache, &arrays);
   ASSERT_EQ(h.NumBins(), 2u);
   EXPECT_EQ(h.counts[0], 0u);
   EXPECT_EQ(h.unique[0], 0u);
@@ -193,9 +203,10 @@ TEST(Refine1DTest, EmptySeedBinKeptWithZeroCount) {
 
 TEST(Refine1DTest, BinIndexLookup) {
   Chi2CriticalCache cache(0.001);
+  ArrayHolder arrays;
   auto v = UniformValues(1000, 0, 100, 11);
   HistogramDim h = BuildHistogram1D(v, {0.0, 50.0, 101.0}, TestConfig(100),
-                                    cache);
+                                    cache, &arrays);
   EXPECT_EQ(h.BinIndex(0.0), 0u);
   EXPECT_EQ(h.BinIndex(49.9), 0u);
   EXPECT_EQ(h.BinIndex(50.0), 1u);
@@ -206,9 +217,10 @@ TEST(Refine1DTest, BinIndexLookup) {
 
 TEST(Refine1DTest, EdgesOnHalfIntegerGrid) {
   Chi2CriticalCache cache(0.001);
+  ArrayHolder arrays;
   auto v = BimodalValues(30000, 12);
   HistogramDim h =
-      BuildHistogram1D(v, {0.0, 1001.0}, TestConfig(300), cache);
+      BuildHistogram1D(v, {0.0, 1001.0}, TestConfig(300), cache, &arrays);
   for (double e : h.edges) {
     double doubled = e * 2.0;
     EXPECT_NEAR(doubled, std::round(doubled), 1e-9) << e;
@@ -217,11 +229,12 @@ TEST(Refine1DTest, EdgesOnHalfIntegerGrid) {
 
 TEST(Refine1DTest, DeeperSplitsWithSmallerM) {
   Chi2CriticalCache cache(0.001);
+  ArrayHolder arrays;
   auto v = BimodalValues(30000, 13);
   HistogramDim coarse =
-      BuildHistogram1D(v, {0.0, 1001.0}, TestConfig(5000), cache);
+      BuildHistogram1D(v, {0.0, 1001.0}, TestConfig(5000), cache, &arrays);
   HistogramDim fine =
-      BuildHistogram1D(v, {0.0, 1001.0}, TestConfig(100), cache);
+      BuildHistogram1D(v, {0.0, 1001.0}, TestConfig(100), cache, &arrays);
   EXPECT_GE(fine.NumBins(), coarse.NumBins());
 }
 
@@ -328,13 +341,14 @@ PairHistogram BuildPairFromValues(const std::vector<double>& xi,
                                   const HistogramDim& h1_i,
                                   const HistogramDim& h1_j,
                                   const RefineConfig& config,
-                                  const Chi2CriticalCache& critical) {
+                                  const Chi2CriticalCache& critical,
+                                  ArrayHolder* arrays) {
   ColumnRanks ri(xi), rj(xj);
   ri.AssignBins(h1_i);
   rj.AssignBins(h1_j);
   PairBuildScratch scratch;
   return BuildPairHistogram(ri, rj, 0, 1, h1_i, h1_j, config, critical,
-                            &scratch);
+                            &scratch, arrays);
 }
 
 TEST(Refine2DTest, CorrelatedDataRefinesCells) {
@@ -354,15 +368,16 @@ TEST(Refine2DTest, CorrelatedDataRefinesCells) {
                                : rng.Uniform(900.0, 1000.0));
   }
   Chi2CriticalCache cache(0.001);
+  ArrayHolder arrays;
   std::vector<double> si = xi, sj = xj;
   std::sort(si.begin(), si.end());
   std::sort(sj.begin(), sj.end());
   HistogramDim h1i =
-      BuildHistogram1D(si, {0.0, 1000.0}, TestConfig(500), cache);
+      BuildHistogram1D(si, {0.0, 1000.0}, TestConfig(500), cache, &arrays);
   HistogramDim h1j =
-      BuildHistogram1D(sj, {0.0, 1000.0}, TestConfig(500), cache);
+      BuildHistogram1D(sj, {0.0, 1000.0}, TestConfig(500), cache, &arrays);
   PairHistogram ph =
-      BuildPairFromValues(xi, xj, h1i, h1j, TestConfig(500), cache);
+      BuildPairFromValues(xi, xj, h1i, h1j, TestConfig(500), cache, &arrays);
   // Strong dependence ⇒ 2-d refinement must add edges beyond the 1-d grid.
   EXPECT_GT(ph.dim_i.NumBins() + ph.dim_j.NumBins(),
             h1i.NumBins() + h1j.NumBins());
@@ -393,15 +408,16 @@ TEST(Refine2DTest, ParentMappingConsistent) {
     xj[r] = std::floor(xi[r] * 2 + rng.Uniform(0, 50));
   }
   Chi2CriticalCache cache(0.001);
+  ArrayHolder arrays;
   std::vector<double> si = xi, sj = xj;
   std::sort(si.begin(), si.end());
   std::sort(sj.begin(), sj.end());
   HistogramDim h1i = BuildHistogram1D(si, {0.0, 501.0}, TestConfig(300),
-                                      cache);
+                                      cache, &arrays);
   HistogramDim h1j = BuildHistogram1D(sj, {0.0, 1051.0}, TestConfig(300),
-                                      cache);
+                                      cache, &arrays);
   PairHistogram ph =
-      BuildPairFromValues(xi, xj, h1i, h1j, TestConfig(300), cache);
+      BuildPairFromValues(xi, xj, h1i, h1j, TestConfig(300), cache, &arrays);
   ASSERT_EQ(ph.dim_i.parent.size(), ph.dim_i.NumBins());
   for (size_t t = 0; t < ph.dim_i.NumBins(); ++t) {
     size_t parent = ph.dim_i.parent[t];
@@ -421,30 +437,36 @@ TEST(Refine2DTest, IndependentUniformDataAddsNoEdges) {
     xj[r] = std::floor(rng.Uniform(0, 800));
   }
   Chi2CriticalCache cache(0.001);
+  ArrayHolder arrays;
   std::vector<double> si = xi, sj = xj;
   std::sort(si.begin(), si.end());
   std::sort(sj.begin(), sj.end());
   HistogramDim h1i = BuildHistogram1D(si, {0.0, 801.0}, TestConfig(500),
-                                      cache);
+                                      cache, &arrays);
   HistogramDim h1j = BuildHistogram1D(sj, {0.0, 801.0}, TestConfig(500),
-                                      cache);
+                                      cache, &arrays);
   PairHistogram ph =
-      BuildPairFromValues(xi, xj, h1i, h1j, TestConfig(500), cache);
+      BuildPairFromValues(xi, xj, h1i, h1j, TestConfig(500), cache, &arrays);
   EXPECT_EQ(ph.dim_i.NumBins(), h1i.NumBins());
   EXPECT_EQ(ph.dim_j.NumBins(), h1j.NumBins());
 }
 
 TEST(Refine2DTest, EmptyInputProducesEmptyCells) {
   Chi2CriticalCache cache(0.001);
+  ArrayHolder arrays;
   std::vector<double> empty;
+  const std::vector<double> edges = {0.0, 10.0}, v_min = {0.0},
+                            v_max = {10.0};
+  const std::vector<uint64_t> zero = {0};
   HistogramDim h1;
-  h1.edges = {0.0, 10.0};
-  h1.counts = {0};
-  h1.v_min = {0.0};
-  h1.v_max = {10.0};
-  h1.unique = {0};
+  h1.edges = edges;
+  h1.counts = zero;
+  h1.v_min = v_min;
+  h1.v_max = v_max;
+  h1.unique = zero;
   PairHistogram ph =
-      BuildPairFromValues(empty, empty, h1, h1, TestConfig(100), cache);
+      BuildPairFromValues(empty, empty, h1, h1, TestConfig(100), cache,
+                          &arrays);
   ASSERT_EQ(ph.dim_i.NumBins(), 1u);
   ASSERT_EQ(ph.dim_j.NumBins(), 1u);
   EXPECT_EQ(ph.CellCount(0, 0), 0u);
@@ -457,12 +479,12 @@ TEST(Refine2DTest, EmptyInputProducesEmptyCells) {
 // produce identical arrays (and so identical bytes).
 
 void ExpectSameDim(const HistogramDim& a, const HistogramDim& b) {
-  EXPECT_TRUE(a.edges == b.edges);
-  EXPECT_TRUE(a.counts == b.counts);
-  EXPECT_TRUE(a.v_min == b.v_min);
-  EXPECT_TRUE(a.v_max == b.v_max);
-  EXPECT_TRUE(a.unique == b.unique);
-  EXPECT_TRUE(a.parent == b.parent);
+  EXPECT_TRUE(std::ranges::equal(a.edges, b.edges));
+  EXPECT_TRUE(std::ranges::equal(a.counts, b.counts));
+  EXPECT_TRUE(std::ranges::equal(a.v_min, b.v_min));
+  EXPECT_TRUE(std::ranges::equal(a.v_max, b.v_max));
+  EXPECT_TRUE(std::ranges::equal(a.unique, b.unique));
+  EXPECT_TRUE(std::ranges::equal(a.parent, b.parent));
 }
 
 // The non-null (non-NaN) values of `x`, ascending.
@@ -476,21 +498,24 @@ std::vector<double> SortedNonNull(const std::vector<double>& x) {
 }
 
 // Builds the pair both ways over 1-d histograms fitted on `initial` edges
-// and expects identical arrays; returns the library's pair. A NaN in `xi`
+// and expects identical arrays; returns the library's pair, whose arrays
+// are kept in `arrays`. A NaN in `xi`
 // or `xj` is a null: the 1-d histograms skip it, and the oracle gets only
 // the rows where both values are non-null.
 PairHistogram ExpectPairMatchesOracle(const std::vector<double>& xi,
                                       const std::vector<double>& xj,
                                       const std::vector<double>& initial_i,
                                       const std::vector<double>& initial_j,
-                                      uint64_t min_points) {
+                                      uint64_t min_points,
+                                      ArrayHolder* arrays) {
   Chi2CriticalCache cache(0.001);
   HistogramDim h1i = BuildHistogram1D(SortedNonNull(xi), initial_i,
-                                      TestConfig(min_points), cache);
+                                      TestConfig(min_points), cache, arrays);
   HistogramDim h1j = BuildHistogram1D(SortedNonNull(xj), initial_j,
-                                      TestConfig(min_points), cache);
+                                      TestConfig(min_points), cache, arrays);
   PairHistogram ph =
-      BuildPairFromValues(xi, xj, h1i, h1j, TestConfig(min_points), cache);
+      BuildPairFromValues(xi, xj, h1i, h1j, TestConfig(min_points), cache,
+                          arrays);
   std::vector<double> pi, pj;
   for (size_t r = 0; r < xi.size(); ++r) {
     if (std::isnan(xi[r]) || std::isnan(xj[r])) continue;
@@ -498,11 +523,11 @@ PairHistogram ExpectPairMatchesOracle(const std::vector<double>& xi,
     pj.push_back(xj[r]);
   }
   PairHistogram ref = oracle::ReferenceBuildPairHistogram(
-      pi, pj, 0, 1, h1i, h1j, TestConfig(min_points), cache);
+      pi, pj, 0, 1, h1i, h1j, TestConfig(min_points), cache, arrays);
   ExpectSameDim(ph.dim_i, ref.dim_i);
   ExpectSameDim(ph.dim_j, ref.dim_j);
-  EXPECT_TRUE(ph.cell_colpre_i == ref.cell_colpre_i);
-  EXPECT_TRUE(ph.cell_colpre_j == ref.cell_colpre_j);
+  EXPECT_TRUE(std::ranges::equal(ph.cell_colpre_i, ref.cell_colpre_i));
+  EXPECT_TRUE(std::ranges::equal(ph.cell_colpre_j, ref.cell_colpre_j));
   return ph;
 }
 
@@ -599,8 +624,9 @@ TEST(RankPathTest, DuplicatesOnOneDAndRefinedEdges) {
                    : std::floor(rng.Uniform(60, 80)) / 2.0;
     if (rng.Bernoulli(0.2)) xj[r] = 20.0;
   }
+  ArrayHolder arrays;
   PairHistogram ph = ExpectPairMatchesOracle(
-      xi, xj, {0.0, 10.0, 20.0, 30.0, 40.5}, {0.0, 20.0, 40.5}, 300);
+      xi, xj, {0.0, 10.0, 20.0, 30.0, 40.5}, {0.0, 20.0, 40.5}, 300, &arrays);
   // The test only means something if refinement did split somewhere.
   EXPECT_GT(ph.dim_i.NumBins() + ph.dim_j.NumBins(), 4u + 2u);
 }
@@ -636,11 +662,13 @@ TEST(RankPathTest, OnlySomeOneDBinsSplit) {
   std::vector<double> xi, xj;
   PartlyDependentValues(20000, 0, 27, &xi, &xj);
   const std::vector<double> initial = {0.0, 500.0, 1000.0};
+  ArrayHolder arrays;
   PairHistogram ph =
-      ExpectPairMatchesOracle(xi, xj, initial, {0.0, 500.0}, 400);
+      ExpectPairMatchesOracle(xi, xj, initial, {0.0, 500.0}, 400, &arrays);
   Chi2CriticalCache cache(0.001);
   const HistogramDim h1i =
-      BuildHistogram1D(SortedNonNull(xi), initial, TestConfig(400), cache);
+      BuildHistogram1D(SortedNonNull(xi), initial, TestConfig(400), cache,
+                       &arrays);
   const std::vector<size_t> per = RefinedPerParent(ph.dim_i, h1i);
   // Some 1-d bin of i split and some did not: both branches ran.
   EXPECT_GT(*std::max_element(per.begin(), per.end()), 1u);
@@ -654,17 +682,19 @@ TEST(RankPathTest, SplitBinsWithNullsInTheOtherColumn) {
   std::vector<double> xi, xj;
   PartlyDependentValues(20000, 5, 28, &xi, &xj);
   const std::vector<double> initial = {0.0, 500.0, 1000.0};
+  ArrayHolder arrays;
   PairHistogram ph =
-      ExpectPairMatchesOracle(xi, xj, initial, {0.0, 500.0}, 400);
+      ExpectPairMatchesOracle(xi, xj, initial, {0.0, 500.0}, 400, &arrays);
   Chi2CriticalCache cache(0.001);
   const HistogramDim h1i =
-      BuildHistogram1D(SortedNonNull(xi), initial, TestConfig(400), cache);
+      BuildHistogram1D(SortedNonNull(xi), initial, TestConfig(400), cache,
+                       &arrays);
   const std::vector<size_t> per = RefinedPerParent(ph.dim_i, h1i);
   EXPECT_GT(*std::max_element(per.begin(), per.end()), 1u);
   EXPECT_EQ(*std::min_element(per.begin(), per.end()), 1u);
   EXPECT_EQ(ph.dim_i.TotalCount(), 16000u);
   // The pair with the columns swapped: the null column is now `mine`.
-  ExpectPairMatchesOracle(xj, xi, {0.0, 500.0}, initial, 400);
+  ExpectPairMatchesOracle(xj, xi, {0.0, 500.0}, initial, 400, &arrays);
 }
 
 TEST(RankPathTest, NoOverFullCellKeepsTheInitialCells) {
@@ -678,8 +708,9 @@ TEST(RankPathTest, NoOverFullCellKeepsTheInitialCells) {
       initial_i.push_back(100.0 * e);
       initial_j.push_back(50.0 * e);
     }
+    ArrayHolder arrays;
     PairHistogram ph =
-        ExpectPairMatchesOracle(xi, xj, initial_i, initial_j, 1000);
+        ExpectPairMatchesOracle(xi, xj, initial_i, initial_j, 1000, &arrays);
     ASSERT_EQ(ph.dim_i.NumBins(), 10u);
     ASSERT_EQ(ph.dim_j.NumBins(), 10u);
     std::vector<uint64_t> cells(100, 0);
@@ -700,15 +731,17 @@ TEST(RankPathTest, SingleUniqueValue) {
   const size_t n = 5000;
   std::vector<double> xi(n, 42.0), xj(n);
   for (size_t r = 0; r < n; ++r) xj[r] = std::floor(rng.Uniform(0, 300));
-  ExpectPairMatchesOracle(xi, xj, {42.0, 43.0}, {0.0, 301.0}, 100);
-  ExpectPairMatchesOracle(xj, xi, {0.0, 301.0}, {42.0, 43.0}, 100);
-  ExpectPairMatchesOracle(xi, xi, {42.0, 43.0}, {42.0, 43.0}, 100);
+  ArrayHolder arrays;
+  ExpectPairMatchesOracle(xi, xj, {42.0, 43.0}, {0.0, 301.0}, 100, &arrays);
+  ExpectPairMatchesOracle(xj, xi, {0.0, 301.0}, {42.0, 43.0}, 100, &arrays);
+  ExpectPairMatchesOracle(xi, xi, {42.0, 43.0}, {42.0, 43.0}, 100, &arrays);
 }
 
 TEST(RankPathTest, EmptyPair) {
   std::vector<double> empty;
-  PairHistogram ph =
-      ExpectPairMatchesOracle(empty, empty, {0.0, 10.0}, {0.0, 4.0, 9.0}, 100);
+  ArrayHolder arrays;
+  PairHistogram ph = ExpectPairMatchesOracle(empty, empty, {0.0, 10.0},
+                                             {0.0, 4.0, 9.0}, 100, &arrays);
   ASSERT_EQ(ph.dim_i.NumBins() * ph.dim_j.NumBins(), 2u);
   EXPECT_EQ(ph.CellCount(0, 0), 0u);
   EXPECT_EQ(ph.CellCount(0, 1), 0u);

@@ -3,17 +3,20 @@
 // file byte-unchanged by the reads), appends that seal heap segments next
 // to mapped ones, rejection of torn/truncated/corrupt files with a clean
 // Status, multi-process shared opens, the PWH_OPEN environment override,
-// and the legacy PWS2 fixture regression (transparent heap conversion +
-// re-save as PWS3).
+// the legacy PWS2 fixture regression (transparent heap conversion +
+// re-save as PWS3), and the one in-memory form of a synopsis: every
+// producer's arrays lie in one aligned block its segment owns.
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <random>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -345,6 +348,160 @@ TEST_F(MmapTest, LegacyPws2FixtureOpensAndUpgrades) {
   }
   std::remove(upgraded.c_str());
 #endif
+}
+
+// ---- One in-memory form ---------------------------------------------------
+
+bool Aligned64(const void* p) {
+  return reinterpret_cast<uintptr_t>(p) % 64 == 0;
+}
+
+// Every non-empty histogram array of `ph` lies inside ph.block(), at a
+// 64-byte-aligned address, and the block itself is 64-byte-aligned.
+void ExpectArraysInBlock(const PairwiseHist& ph, const std::string& ctx) {
+  const std::span<const uint8_t> block = ph.block();
+  ASSERT_FALSE(block.empty()) << ctx;
+  EXPECT_TRUE(Aligned64(block.data())) << ctx;
+  size_t arrays = 0;
+  auto check = [&](auto a) {
+    if (a.empty()) return;
+    ++arrays;
+    const auto* begin = reinterpret_cast<const uint8_t*>(a.data());
+    EXPECT_TRUE(Aligned64(begin)) << ctx;
+    EXPECT_GE(begin, block.data()) << ctx;
+    EXPECT_LE(begin + a.size_bytes(), block.data() + block.size()) << ctx;
+  };
+  auto check_dim = [&](const HistogramDim& h) {
+    check(h.edges);
+    check(h.counts);
+    check(h.v_min);
+    check(h.v_max);
+    check(h.unique);
+    check(h.parent);
+    check(h.count_prefix);
+    check(h.centre_mid);
+    check(h.centre_lo);
+    check(h.centre_hi);
+  };
+  for (size_t c = 0; c < ph.num_columns(); ++c) check_dim(ph.hist1d(c));
+  for (size_t p = 0; p < ph.num_pairs(); ++p) {
+    const PairHistogram& pair = ph.pair_at(p);
+    check_dim(pair.dim_i);
+    check_dim(pair.dim_j);
+    check(pair.cell_colpre_i);
+    check(pair.cell_colpre_j);
+    check(pair.nonnull_frac_i);
+    check(pair.nonnull_frac_j);
+  }
+  EXPECT_GT(arrays, 0u) << ctx;
+}
+
+void ExpectSegmentsInBlocks(const SynopsisSet& set, const std::string& ctx) {
+  for (size_t s = 0; s < set.NumSegments(); ++s) {
+    ExpectArraysInBlock(set.synopsis(s), ctx + " segment " +
+                                             std::to_string(s));
+  }
+}
+
+// Each producer — a build, an appended and a compacted segment, a PWS2
+// decode, a heap open and an mmap open — leaves every array in one aligned
+// block its synopsis owns. A sealed block is byte for byte the data region
+// of the one-segment PWS3 image, and the opens' block is the image.
+TEST_F(MmapTest, EveryProducerLeavesOneAlignedBlock) {
+  DbOptions options;
+  options.synopsis.sample_size = 3000;
+  options.target_segment_rows = 500;
+  options.compact.enabled = true;
+  options.compact.tier0_rows = 1024;
+  options.compact.tier_factor = 4;
+  options.compact.min_merge = 4;
+  options.compact.max_merge = 16;
+  auto built = Db::FromGenerator("power", 4000, 7, options);
+  ASSERT_TRUE(built.ok()) << built.status().ToString();
+  Db db = std::move(built).value();
+  ExpectSegmentsInBlocks(db.synopses(), "build");
+  const PairwiseHist& first = db.synopses().synopsis(0);
+  const std::vector<uint8_t> image =
+      SynopsisSet::FromSingle(first, db.synopses().meta(0)).SerializeMapped();
+  ASSERT_GE(image.size(), Pws3Codec::kHeaderSize + first.block().size());
+  EXPECT_TRUE(std::equal(first.block().begin(), first.block().end(),
+                         image.begin() + Pws3Codec::kHeaderSize));
+
+  auto batch = MakeDataset("power", 700, 99);
+  ASSERT_TRUE(batch.ok());
+  const size_t before_append = db.num_segments();
+  ASSERT_TRUE(db.Append(batch.value()).ok());
+  ExpectArraysInBlock(
+      db.synopses().synopsis(db.num_segments() - 1), "append");
+  auto applied = db.Compact();
+  ASSERT_TRUE(applied.ok()) << applied.status().ToString();
+  EXPECT_LT(db.num_segments(), before_append);  // some run was merged
+  ExpectSegmentsInBlocks(db.synopses(), "compacted");
+
+  auto pws2 = SynopsisSet::Deserialize(db.synopses().Serialize());
+  ASSERT_TRUE(pws2.ok()) << pws2.status().ToString();
+  ExpectSegmentsInBlocks(pws2.value(), "pws2 decode");
+
+  const size_t file_size = ReadAll(*pws3_path_).size();
+  auto heap = SynopsisSet::OpenHeap(*pws3_path_);
+  ASSERT_TRUE(heap.ok()) << heap.status().ToString();
+  auto mmap = SynopsisSet::OpenMapped(*pws3_path_);
+  ASSERT_TRUE(mmap.ok()) << mmap.status().ToString();
+  EXPECT_FALSE(heap->mapped());
+  EXPECT_TRUE(mmap->mapped());
+  for (const SynopsisSet* set : {&heap.value(), &mmap.value()}) {
+    ExpectSegmentsInBlocks(*set, set->mapped() ? "mmap open" : "heap open");
+    for (size_t s = 0; s < set->NumSegments(); ++s) {
+      EXPECT_EQ(set->synopsis(s).block().data(),
+                set->synopsis(0).block().data());
+      EXPECT_EQ(set->synopsis(s).block().size(), file_size);
+    }
+  }
+}
+
+// A PWS3 image at an odd address decodes, through its one copy into an
+// aligned buffer, to the same synopsis as the mapping of the same bytes.
+TEST_F(MmapTest, Pws3AtOddAddressDecodesLikeTheMapping) {
+  const std::vector<uint8_t> good = ReadAll(*pws3_path_);
+  std::vector<uint8_t> shifted(good.size() + 1, 0);
+  std::copy(good.begin(), good.end(), shifted.begin() + 1);
+  const std::span<const uint8_t> odd(shifted.data() + 1, good.size());
+  ASSERT_FALSE(Aligned64(odd.data()));
+  auto heap = SynopsisSet::Deserialize(odd);
+  ASSERT_TRUE(heap.ok()) << heap.status().ToString();
+  auto mmap = SynopsisSet::OpenMapped(*pws3_path_);
+  ASSERT_TRUE(mmap.ok()) << mmap.status().ToString();
+  EXPECT_FALSE(heap->mapped());
+  EXPECT_EQ(heap->SerializeMapped(), good);
+  EXPECT_EQ(heap->SerializeMapped(), mmap->SerializeMapped());
+  ExpectSegmentsInBlocks(heap.value(), "odd-address decode");
+  EXPECT_NE(heap->synopsis(0).block().data(), odd.data());
+}
+
+// A heap open of a truncated PWS3 file is a DataLoss, never a crash.
+TEST_F(MmapTest, TruncatedPws3HeapOpenIsDataLoss) {
+  const std::vector<uint8_t> good = ReadAll(*pws3_path_);
+  const std::string path = ::testing::TempDir() + "/mmap_truncated.pws3";
+  for (size_t keep : {good.size() - 1, good.size() / 2, size_t{80}}) {
+    WriteAll(path, std::vector<uint8_t>(good.begin(), good.begin() + keep));
+    auto set = SynopsisSet::OpenHeap(path);
+    ASSERT_FALSE(set.ok()) << keep;
+    EXPECT_EQ(set.status().code(), StatusCode::kDataLoss) << keep;
+    DbOptions o;
+    o.open_mode = OpenMode::kHeap;
+    auto db = Db::Open(path, o);
+    ASSERT_FALSE(db.ok()) << keep;
+    EXPECT_EQ(db.status().code(), StatusCode::kDataLoss) << keep;
+  }
+  std::remove(path.c_str());
+}
+
+// A heap open of something that is not a regular file fails cleanly.
+TEST_F(MmapTest, HeapOpenOfANonRegularFileFails) {
+  for (const std::string& path : {::testing::TempDir(), std::string("/")}) {
+    auto set = SynopsisSet::OpenHeap(path);
+    EXPECT_FALSE(set.ok()) << path;
+  }
 }
 
 // MappedFile unit coverage: open/advise/move semantics, missing files,

@@ -90,12 +90,12 @@ void RefineBin2D(const std::vector<double>& xi, const std::vector<double>& xj,
 }
 
 // Builds per-dimension metadata (counts, v±, unique, parent) for refined
-// edges over the paired values.
+// edges over the paired values, kept in `arrays`.
 HistogramDim BuildDimMetadata(const std::vector<double>& values,
                               std::vector<double> refined_edges,
-                              const HistogramDim& h1) {
+                              const HistogramDim& h1, ArrayHolder* arrays) {
   HistogramDim dim;
-  dim.edges = std::move(refined_edges);
+  dim.edges = arrays->Keep(std::move(refined_edges));
   size_t k = dim.edges.size() - 1;
   std::vector<uint64_t> counts(k, 0), unique(k, 0);
   std::vector<double> v_min(k, 0), v_max(k, 0);
@@ -128,11 +128,11 @@ HistogramDim BuildDimMetadata(const std::vector<double>& values,
           CountUniqueSorted(sorted.data() + begin, sorted.data() + cursor);
     }
   }
-  dim.counts = std::move(counts);
-  dim.v_min = std::move(v_min);
-  dim.v_max = std::move(v_max);
-  dim.unique = std::move(unique);
-  dim.parent = std::move(parent);
+  dim.counts = arrays->Keep(std::move(counts));
+  dim.v_min = arrays->Keep(std::move(v_min));
+  dim.v_max = arrays->Keep(std::move(v_max));
+  dim.unique = arrays->Keep(std::move(unique));
+  dim.parent = arrays->Keep(std::move(parent));
   return dim;
 }
 
@@ -144,7 +144,8 @@ PairHistogram ReferenceBuildPairHistogram(const std::vector<double>& xi,
                                           const HistogramDim& h1_i,
                                           const HistogramDim& h1_j,
                                           const RefineConfig& config,
-                                          const Chi2CriticalCache& critical) {
+                                          const Chi2CriticalCache& critical,
+                                          ArrayHolder* arrays) {
   PairHistogram ph;
   ph.col_i = col_i;
   ph.col_j = col_j;
@@ -203,8 +204,8 @@ PairHistogram ReferenceBuildPairHistogram(const std::vector<double>& xi,
   std::vector<double> edges_i = merge_edges(h1_i.edges, new_edges_i);
   std::vector<double> edges_j = merge_edges(h1_j.edges, new_edges_j);
 
-  ph.dim_i = BuildDimMetadata(xi, edges_i, h1_i);
-  ph.dim_j = BuildDimMetadata(xj, edges_j, h1_j);
+  ph.dim_i = BuildDimMetadata(xi, edges_i, h1_i, arrays);
+  ph.dim_j = BuildDimMetadata(xj, edges_j, h1_j, arrays);
 
   // Final cell counts on the refined grid.
   size_t ki = ph.dim_i.NumBins();
@@ -215,7 +216,7 @@ PairHistogram ReferenceBuildPairHistogram(const std::vector<double>& xi,
     size_t tj = ph.dim_j.BinIndex(xj[r]);
     ++cells[ti * kj + tj];
   }
-  ph.BuildCellPrefix(cells);
+  ph.BuildCellPrefix(cells, arrays);
   return ph;
 }
 
@@ -301,6 +302,7 @@ StatusOr<PairwiseHist> ReferenceBuild::Build(
   // ---- 1-d histograms ----------------------------------------------------
   // Per column: sorted non-null sampled codes.
   std::vector<std::vector<double>> col_values(d);
+  ArrayHolder arrays;  // every array until FinishExecIndex seals them
   out.hist1d_.resize(d);
   const size_t max_edges = static_cast<size_t>(
       std::ceil(static_cast<double>(ns) / out.min_points_));
@@ -315,7 +317,7 @@ StatusOr<PairwiseHist> ReferenceBuild::Build(
     if (vals.empty()) {
       // All-null column: degenerate single empty bin.
       out.hist1d_[c] = BuildHistogram1D({}, {1.0, 2.0}, refine,
-                                        *out.critical_);
+                                        *out.critical_, &arrays);
       continue;
     }
     std::vector<uint64_t> bases;
@@ -327,17 +329,19 @@ StatusOr<PairwiseHist> ReferenceBuild::Build(
     std::vector<double> edges =
         InitialEdges(bases_ptr, max_edges, vals.front(), vals.back());
     out.hist1d_[c] =
-        BuildHistogram1D(vals, edges, refine, *out.critical_);
+        BuildHistogram1D(vals, edges, refine, *out.critical_, &arrays);
   }
 
   // ---- 2-d histograms ----------------------------------------------------
   // The d(d-1)/2 pair builds are independent and individually deterministic,
   // so they fan out over the shared work-counter pool, each writing its
   // fixed PairSlot — the result is identical for any thread count or
-  // scheduling.
+  // scheduling. Each pair keeps its arrays in its own slot's holder.
+  std::vector<ArrayHolder> pair_arrays;
   if (d > 1) {
     const size_t npairs = d * (d - 1) / 2;
     out.pairs_.resize(npairs);
+    pair_arrays.resize(npairs);
     std::vector<std::pair<uint32_t, uint32_t>> work;
     work.reserve(npairs);
     for (size_t i = 1; i < d; ++i) {
@@ -362,9 +366,10 @@ StatusOr<PairwiseHist> ReferenceBuild::Build(
         xi.push_back(static_cast<double>(ci));
         xj.push_back(static_cast<double>(cj));
       }
-      out.pairs_[PairwiseHist::PairSlot(i, j)] = ReferenceBuildPairHistogram(
+      const size_t slot = PairwiseHist::PairSlot(i, j);
+      out.pairs_[slot] = ReferenceBuildPairHistogram(
           xi, xj, i, j, out.hist1d_[i], out.hist1d_[j], refine,
-          *out.critical_);
+          *out.critical_, &pair_arrays[slot]);
     });
   }
   out.FinishExecIndex();

@@ -24,14 +24,16 @@ namespace pairwisehist {
 namespace oracle {
 
 /// Pair build over explicit paired values (rows where both columns are
-/// non-null), sorting per pair and per refinement node.
+/// non-null), sorting per pair and per refinement node. The pair's arrays
+/// are kept in `arrays`.
 PairHistogram ReferenceBuildPairHistogram(const std::vector<double>& xi,
                                           const std::vector<double>& xj,
                                           uint32_t col_i, uint32_t col_j,
                                           const HistogramDim& h1_i,
                                           const HistogramDim& h1_j,
                                           const RefineConfig& config,
-                                          const Chi2CriticalCache& critical);
+                                          const Chi2CriticalCache& critical,
+                                          ArrayHolder* arrays);
 
 /// PairwiseHist::Build with ReferenceBuildPairHistogram for the pairs.
 class ReferenceBuild {

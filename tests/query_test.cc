@@ -425,20 +425,22 @@ TEST(ConditionToIntervalsTest, CategoricalStrings) {
 // ---------------------------------------------------------------------------
 // Coverage
 
+// One bin whose arrays are kept in `arrays`.
 HistogramDim OneBin(double v_min, double v_max, uint64_t count,
-                    uint64_t unique) {
+                    uint64_t unique, ArrayHolder* arrays) {
   HistogramDim dim;
-  dim.edges = {v_min, v_max + 1};
-  dim.counts = {count};
-  dim.v_min = {v_min};
-  dim.v_max = {v_max};
-  dim.unique = {unique};
+  dim.edges = arrays->Keep(std::vector<double>{v_min, v_max + 1});
+  dim.counts = arrays->Keep(std::vector<uint64_t>{count});
+  dim.v_min = arrays->Keep(std::vector<double>{v_min});
+  dim.v_max = arrays->Keep(std::vector<double>{v_max});
+  dim.unique = arrays->Keep(std::vector<uint64_t>{unique});
   return dim;
 }
 
 TEST(CoverageTest, FullAndEmptyBins) {
   Chi2CriticalCache crit(0.001);
-  HistogramDim dim = OneBin(10, 100, 5000, 80);
+  ArrayHolder arrays;
+  HistogramDim dim = OneBin(10, 100, 5000, 80, &arrays);
   Coverage full = ComputeCoverage(dim, IntervalSet::Of(0, 200), 100, crit);
   EXPECT_DOUBLE_EQ(full.beta[0], 1.0);
   EXPECT_DOUBLE_EQ(full.lo[0], 1.0);
@@ -449,7 +451,8 @@ TEST(CoverageTest, FullAndEmptyBins) {
 
 TEST(CoverageTest, PartialFractionIntegerUniform) {
   Chi2CriticalCache crit(0.001);
-  HistogramDim dim = OneBin(0, 99, 10000, 100);
+  ArrayHolder arrays;
+  HistogramDim dim = OneBin(0, 99, 10000, 100, &arrays);
   // Interval [0, 49]: half of the 100 codes.
   Coverage cov = ComputeCoverage(dim, IntervalSet::Of(0, 49), 100, crit);
   EXPECT_NEAR(cov.beta[0], 0.5, 1e-9);
@@ -462,14 +465,16 @@ TEST(CoverageTest, PartialFractionIntegerUniform) {
 
 TEST(CoverageTest, EqualityUsesUniqueCount) {
   Chi2CriticalCache crit(0.001);
-  HistogramDim dim = OneBin(0, 99, 1000, 25);
+  ArrayHolder arrays;
+  HistogramDim dim = OneBin(0, 99, 1000, 25, &arrays);
   Coverage cov = ComputeCoverage(dim, IntervalSet::Of(50, 50), 100, crit);
   EXPECT_NEAR(cov.beta[0], 1.0 / 25, 1e-9);
 }
 
 TEST(CoverageTest, TwoUniqueValuesHalfRule) {
   Chi2CriticalCache crit(0.001);
-  HistogramDim dim = OneBin(10, 90, 500, 2);
+  ArrayHolder arrays;
+  HistogramDim dim = OneBin(10, 90, 500, 2, &arrays);
   // Covers only the lower extremum.
   Coverage cov = ComputeCoverage(dim, IntervalSet::Of(0, 50), 100, crit);
   EXPECT_DOUBLE_EQ(cov.beta[0], 0.5);
@@ -481,7 +486,8 @@ TEST(CoverageTest, TwoUniqueValuesHalfRule) {
 
 TEST(CoverageTest, NonPassingBinWideBounds) {
   Chi2CriticalCache crit(0.001);
-  HistogramDim dim = OneBin(0, 99, 50, 30);  // h < M = 100
+  ArrayHolder arrays;
+  HistogramDim dim = OneBin(0, 99, 50, 30, &arrays);  // h < M = 100
   Coverage cov = ComputeCoverage(dim, IntervalSet::Of(0, 49), 100, crit);
   EXPECT_NEAR(cov.lo[0], 1.0 / 50, 1e-9);
   EXPECT_NEAR(cov.hi[0], 1.0 - 1.0 / 50, 1e-9);
@@ -489,7 +495,8 @@ TEST(CoverageTest, NonPassingBinWideBounds) {
 
 TEST(CoverageTest, UnionOfPiecesSums) {
   Chi2CriticalCache crit(0.001);
-  HistogramDim dim = OneBin(0, 99, 10000, 100);
+  ArrayHolder arrays;
+  HistogramDim dim = OneBin(0, 99, 10000, 100, &arrays);
   IntervalSet s = IntervalSet::Union(IntervalSet::Of(0, 24),
                                      IntervalSet::Of(75, 99));
   Coverage cov = ComputeCoverage(dim, s, 100, crit);
@@ -498,7 +505,8 @@ TEST(CoverageTest, UnionOfPiecesSums) {
 
 TEST(CoverageTest, EmptyBinStaysZero) {
   Chi2CriticalCache crit(0.001);
-  HistogramDim dim = OneBin(0, 99, 0, 0);
+  ArrayHolder arrays;
+  HistogramDim dim = OneBin(0, 99, 0, 0, &arrays);
   Coverage cov = ComputeCoverage(dim, IntervalSet::All(), 100, crit);
   EXPECT_DOUBLE_EQ(cov.beta[0], 0.0);
 }

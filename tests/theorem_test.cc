@@ -27,14 +27,17 @@ std::vector<double> DrawUniformBin(size_t h, double span, Rng* rng) {
   return v;
 }
 
-HistogramDim BinFromValues(const std::vector<double>& sorted) {
+// One bin over `sorted`, its arrays kept in `arrays`.
+HistogramDim BinFromValues(const std::vector<double>& sorted,
+                           ArrayHolder* arrays) {
   HistogramDim dim;
-  dim.edges = {sorted.front(), sorted.back() + 1};
-  dim.counts = {sorted.size()};
-  dim.v_min = {sorted.front()};
-  dim.v_max = {sorted.back()};
-  dim.unique = {CountUniqueSorted(sorted.data(),
-                                  sorted.data() + sorted.size())};
+  dim.edges =
+      arrays->Keep(std::vector<double>{sorted.front(), sorted.back() + 1});
+  dim.counts = arrays->Keep(std::vector<uint64_t>{sorted.size()});
+  dim.v_min = arrays->Keep(std::vector<double>{sorted.front()});
+  dim.v_max = arrays->Keep(std::vector<double>{sorted.back()});
+  dim.unique = arrays->Keep(std::vector<uint64_t>{
+      CountUniqueSorted(sorted.data(), sorted.data() + sorted.size())});
   return dim;
 }
 
@@ -96,7 +99,8 @@ TEST(Theorem2Test, CoverageBoundsHoldOnUniformDraws) {
   const int kTrials = 300;
   for (int trial = 0; trial < kTrials; ++trial) {
     auto v = DrawUniformBin(3000, 1200.0, &rng);
-    HistogramDim dim = BinFromValues(v);
+    ArrayHolder arrays;
+  HistogramDim dim = BinFromValues(v, &arrays);
     UniformityResult test =
         TestUniform(v.data(), v.data() + v.size(), dim.v_min[0],
                     dim.v_max[0] + 1, dim.unique[0], crit);
@@ -128,7 +132,8 @@ TEST(Theorem2Test, BoundsTightenWithCount) {
   Rng rng(203);
   auto width_at = [&](size_t h) {
     auto v = DrawUniformBin(h, 1000.0, &rng);
-    HistogramDim dim = BinFromValues(v);
+    ArrayHolder arrays;
+  HistogramDim dim = BinFromValues(v, &arrays);
     IntervalSet pred = IntervalSet::Of(-IntervalSet::kInf, 499.0);
     Coverage cov = ComputeCoverage(dim, pred, 100, crit);
     return cov.hi[0] - cov.lo[0];
@@ -147,7 +152,8 @@ TEST_P(CoverageProperties, OrderAndComplementInvariants) {
   Rng rng(GetParam());
   Chi2CriticalCache crit(0.001);
   auto v = DrawUniformBin(4000, 800.0, &rng);
-  HistogramDim dim = BinFromValues(v);
+  ArrayHolder arrays;
+  HistogramDim dim = BinFromValues(v, &arrays);
 
   for (int i = 0; i < 40; ++i) {
     double a = std::floor(rng.Uniform(-50, 850));
@@ -174,7 +180,8 @@ TEST_P(CoverageProperties, MonotoneInInterval) {
   Rng rng(GetParam() + 1000);
   Chi2CriticalCache crit(0.001);
   auto v = DrawUniformBin(4000, 800.0, &rng);
-  HistogramDim dim = BinFromValues(v);
+  ArrayHolder arrays;
+  HistogramDim dim = BinFromValues(v, &arrays);
   // Coverage must be monotone non-decreasing as the interval grows.
   double prev = 0;
   for (double hi = 0; hi <= 800; hi += 40) {
