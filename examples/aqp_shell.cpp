@@ -36,7 +36,6 @@
 
 #include "api/db.h"
 #include "datagen/datasets.h"
-#include "query/batch_exec.h"
 #include "serve/http_server.h"
 #include "serve/service.h"
 #include "serve/serving_db.h"
@@ -242,13 +241,20 @@ int main(int argc, char** argv) {
         std::printf("no queries in '%s'\n", path.c_str());
         continue;
       }
-      auto batch = db.PrepareBatch(sqls);
-      if (!batch.ok()) {
-        std::printf("error: %s\n", batch.status().ToString().c_str());
-        continue;
+      std::vector<PreparedQuery> prepared;
+      Status st;
+      for (const std::string& s : sqls) {
+        auto pq = db.Prepare(s);
+        if (!pq.ok()) {
+          st = pq.status();
+          break;
+        }
+        prepared.push_back(std::move(pq).value());
       }
       std::vector<QueryResult> results;
-      Status st = batch->ExecuteInto(&results);
+      if (st.ok()) {
+        st = db.ExecuteBatch(prepared.data(), prepared.size(), &results);
+      }
       if (!st.ok()) {
         std::printf("error: %s\n", st.ToString().c_str());
         continue;
@@ -258,50 +264,33 @@ int main(int argc, char** argv) {
         PrintResult(results[i]);
       }
       // Batch vs loop timing over the same prepared statements.
-      std::vector<PreparedQuery> prepared;
-      bool all_prepared = true;
-      for (const std::string& s : sqls) {
-        auto pq = db.Prepare(s);
-        if (!pq.ok()) {
-          all_prepared = false;
-          break;
-        }
-        prepared.push_back(std::move(pq).value());
-      }
+      const size_t n = prepared.size();
       const int reps = 200;
       bool timing_ok = true;
       double t0 = NowUs();
       for (int r = 0; r < reps; ++r) {
-        timing_ok = batch->ExecuteInto(&results).ok() && timing_ok;
+        timing_ok =
+            db.ExecuteBatch(prepared.data(), n, &results).ok() && timing_ok;
       }
-      double batch_us = (NowUs() - t0) / reps;
-      double loop_us = 0;
-      if (all_prepared) {
-        std::vector<QueryResult> loop_results(prepared.size());
-        t0 = NowUs();
-        for (int r = 0; r < reps; ++r) {
-          for (size_t i = 0; i < prepared.size(); ++i) {
-            timing_ok =
-                prepared[i].ExecuteInto(&loop_results[i]).ok() && timing_ok;
-          }
+      const double batch_us = (NowUs() - t0) / reps;
+      std::vector<QueryResult> loop_results(n);
+      t0 = NowUs();
+      for (int r = 0; r < reps; ++r) {
+        for (size_t i = 0; i < n; ++i) {
+          timing_ok =
+              prepared[i].ExecuteInto(&loop_results[i]).ok() && timing_ok;
         }
-        loop_us = (NowUs() - t0) / reps;
       }
+      const double loop_us = (NowUs() - t0) / reps;
       if (!timing_ok) {
         std::printf("  timing invalid: executions failed mid-loop\n");
         continue;
       }
       std::printf(
-          "  %zu queries (%zu distinct plans): %.2f us/query batched",
-          batch->size(), batch->NumDistinctPlans(),
-          batch_us / static_cast<double>(batch->size()));
-      if (loop_us > 0) {
-        std::printf(", %.2f us/query looped  (%.2fx speedup)\n",
-                    loop_us / static_cast<double>(batch->size()),
-                    loop_us / batch_us);
-      } else {
-        std::printf("\n");
-      }
+          "  %zu queries: %.2f us/query batched, %.2f us/query looped  "
+          "(%.2fx speedup)\n",
+          n, batch_us / static_cast<double>(n),
+          loop_us / static_cast<double>(n), loop_us / batch_us);
       continue;
     }
     if (line.rfind(".append ", 0) == 0) {

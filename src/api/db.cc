@@ -2,18 +2,14 @@
 
 #include <algorithm>
 #include <cstdlib>
-#include <fstream>
-#include <span>
 #include <utility>
 
-#include "baselines/avi_hist.h"
-#include "baselines/sampling_aqp.h"
-#include "baselines/spn.h"
 #include "datagen/datasets.h"
 #include "gd/preprocess.h"
 #include "query/exact.h"
 #include "query/sql_parser.h"
 #include "storage/csv.h"
+#include "storage/mmap_file.h"
 #include "storage/segment.h"
 
 namespace pairwisehist {
@@ -22,7 +18,6 @@ namespace pairwisehist {
 // PreparedQuery
 
 StatusOr<QueryResult> PreparedQuery::Execute() const {
-  if (backend_ != nullptr) return backend_->Execute(query_);
   if (exec_ == nullptr || !plan_.valid()) {
     return Status::Internal("PreparedQuery used before Db::Prepare");
   }
@@ -30,10 +25,6 @@ StatusOr<QueryResult> PreparedQuery::Execute() const {
 }
 
 Status PreparedQuery::ExecuteInto(QueryResult* result) const {
-  if (backend_ != nullptr) {
-    PH_ASSIGN_OR_RETURN(*result, backend_->Execute(query_));
-    return Status::OK();
-  }
   if (exec_ == nullptr || !plan_.valid()) {
     return Status::Internal("PreparedQuery used before Db::Prepare");
   }
@@ -189,14 +180,10 @@ StatusOr<Db> Db::Open(const std::string& path, const DbOptions& options) {
 }
 
 Status Db::Save(const std::string& path, SaveFormat format) const {
-  if (format == SaveFormat::kPws3) return set_->SaveMapped(path);
-  std::vector<uint8_t> blob = set_->Serialize();
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  if (!out) return Status::InvalidArgument("cannot write '" + path + "'");
-  out.write(reinterpret_cast<const char*>(blob.data()),
-            static_cast<std::streamsize>(blob.size()));
-  if (!out.good()) return Status::DataLoss("error writing '" + path + "'");
-  return Status::OK();
+  const std::vector<uint8_t> image = format == SaveFormat::kPws3
+                                         ? set_->SerializeMapped()
+                                         : set_->Serialize();
+  return WriteFileAtomic(path, image.data(), image.size());
 }
 
 // ---------------------------------------------------------------------------
@@ -210,13 +197,8 @@ StatusOr<PreparedQuery> Db::Prepare(const std::string& sql) const {
 StatusOr<PreparedQuery> Db::Prepare(Query query) const {
   PreparedQuery pq;
   pq.table_ = table_.get();
-  if (backend_ != nullptr) {
-    pq.backend_ = backend_.get();
-    pq.query_ = std::move(query);
-  } else {
-    pq.exec_ = exec_.get();
-    PH_ASSIGN_OR_RETURN(pq.plan_, exec_->Prepare(std::move(query)));
-  }
+  pq.exec_ = exec_.get();
+  PH_ASSIGN_OR_RETURN(pq.plan_, exec_->Prepare(std::move(query)));
   return pq;
 }
 
@@ -228,73 +210,21 @@ StatusOr<QueryResult> Db::ExecuteSql(const std::string& sql) const {
 // ---------------------------------------------------------------------------
 // Batched queries
 
-StatusOr<PreparedBatch> Db::PrepareBatch(
-    const std::vector<std::string>& sqls) const {
-  std::vector<Query> queries;
-  queries.reserve(sqls.size());
-  for (const std::string& sql : sqls) {
-    PH_ASSIGN_OR_RETURN(Query q, ParseSql(sql));
-    queries.push_back(std::move(q));
-  }
-  return PrepareBatch(std::move(queries));
-}
-
-StatusOr<PreparedBatch> Db::PrepareBatch(std::vector<Query> queries) const {
-  if (backend_ != nullptr) {
-    return Status::Unsupported(
-        "batch execution uses the built-in engine; reset the backend "
-        "before PrepareBatch");
-  }
-  PreparedBatch batch;
-  batch.exec_ = exec_.get();
-  batch.plan_of_query_.reserve(queries.size());
-  // Duplicate-plan dedup: statements with identical normalized SQL share
-  // one SegmentedPlan (results are copied at execution time). ToSql is
-  // injective, so equal keys mean equal queries.
-  std::vector<std::string> keys;
-  for (Query& q : queries) {
-    const std::string key = q.ToSql();
-    size_t idx = keys.size();
-    for (size_t i = 0; i < keys.size(); ++i) {
-      if (keys[i] == key) {
-        idx = i;
-        break;
-      }
-    }
-    if (idx == keys.size()) {
-      PH_ASSIGN_OR_RETURN(SegmentedPlan plan, exec_->Prepare(std::move(q)));
-      batch.plans_.push_back(std::move(plan));
-      keys.push_back(key);
-    }
-    batch.plan_of_query_.push_back(idx);
-  }
-  return batch;
-}
-
 Status Db::ExecuteBatch(const PreparedQuery* queries, size_t n,
                         std::vector<QueryResult>* results) const {
-  results->resize(n);
-  // Statements routed through the built-in engine execute as one batch;
-  // anything else (backend-prepared) runs its own path individually.
-  std::vector<const SegmentedPlan*> plans;
-  std::vector<QueryResult*> outs;
-  plans.reserve(n);
-  outs.reserve(n);
+  // A plan compiled against another Db's segments would run on this Db's
+  // engines and answer wrongly, with no error.
   for (size_t i = 0; i < n; ++i) {
-    if (queries[i].compiled()) {
-      plans.push_back(&queries[i].plan());
-      outs.push_back(&(*results)[i]);
-    } else {
-      PH_RETURN_IF_ERROR(queries[i].ExecuteInto(&(*results)[i]));
+    if (queries[i].exec_ != exec_.get()) {
+      return Status::InvalidArgument("ExecuteBatch: statement " +
+                                     std::to_string(i) +
+                                     " was not prepared by this Db");
     }
   }
-  if (plans.empty()) return Status::OK();
-  return exec_->ExecuteBatchInto(plans, outs);
-}
-
-Status Db::ExecuteBatch(const std::vector<PreparedQuery>& queries,
-                        std::vector<QueryResult>* results) const {
-  return ExecuteBatch(queries.data(), queries.size(), results);
+  results->resize(n);
+  return exec_->ExecuteBatchInto(
+      n, [queries](size_t i) { return &queries[i].plan(); },
+      [results](size_t i) { return &(*results)[i]; });
 }
 
 StatusOr<QueryResult> Db::Execute(const Query& query) const {
@@ -425,11 +355,6 @@ Status Db::Append(const Table& batch) {
 }
 
 StatusOr<Db> Db::WithAppended(const Table& batch) const {
-  if (backend_ != nullptr) {
-    return Status::Unsupported(
-        "WithAppended snapshots use the built-in engine; reset the backend "
-        "first");
-  }
   if (compressed_ != nullptr) {
     return Status::Unsupported(
         "WithAppended: the compressed store is single-owner; use Append");
@@ -563,11 +488,6 @@ StatusOr<size_t> Db::Compact() {
 
 StatusOr<Db> Db::WithCompactionApplied(const CompactionSpec& spec,
                                        CompactedRun run) const {
-  if (backend_ != nullptr) {
-    return Status::Unsupported(
-        "WithCompactionApplied snapshots use the built-in engine; reset "
-        "the backend first");
-  }
   PH_ASSIGN_OR_RETURN(auto run_idx,
                       set_->FindRun(spec.row_begin, spec.row_end));
   PH_ASSIGN_OR_RETURN(
@@ -580,38 +500,6 @@ StatusOr<Db> Db::WithCompactionApplied(const CompactionSpec& spec,
     feedback_ledger()->Forget(spec.row_begin, spec.row_end);
   }
   return out;
-}
-
-// ---------------------------------------------------------------------------
-// Backends
-
-Status Db::SetBackend(std::unique_ptr<AqpMethod> backend) {
-  backend_ = std::move(backend);
-  return Status::OK();
-}
-
-StatusOr<std::unique_ptr<AqpMethod>> Db::MakeBaselineBackend(
-    const std::string& kind, size_t sample_size, uint64_t seed) const {
-  if (table_ == nullptr) {
-    return Status::Unsupported(
-        "baseline backends train on the raw table; this Db has none");
-  }
-  if (kind == "sampling") {
-    return std::unique_ptr<AqpMethod>(
-        std::make_unique<SamplingAqp>(*table_, sample_size, seed));
-  }
-  if (kind == "avi") {
-    return std::unique_ptr<AqpMethod>(std::make_unique<AviHistogram>(
-        *table_, sample_size, /*buckets=*/64, seed));
-  }
-  if (kind == "spn") {
-    SpnBaseline::Config cfg;
-    cfg.sample_size = sample_size;
-    return std::unique_ptr<AqpMethod>(
-        std::make_unique<SpnBaseline>(*table_, cfg));
-  }
-  return Status::NotFound("unknown backend kind '" + kind +
-                          "' (try: sampling, avi, spn)");
 }
 
 }  // namespace pairwisehist

@@ -12,9 +12,9 @@
 //
 // Prepare() runs the parse → normalize → grid-selection stages of Fig. 7
 // exactly once per segment; each Execute() then performs only coverage +
-// weighting + aggregation (see AqpEngine::Compile). Alternative AQP
-// backends (sampling / AVI / SPN / DBEst, anything implementing AqpMethod)
-// can be swapped in behind the same interface with SetBackend().
+// weighting + aggregation (see AqpEngine::Compile). Many prepared
+// statements execute together with ExecuteBatch, which shares coverage and
+// weighting across statements on one aggregation grid.
 //
 // Segmentation: a Db holds one sealed PairwiseHist per row segment
 // (DbOptions::target_segment_rows; 0 = the paper's single monolithic
@@ -31,12 +31,10 @@
 #include <utility>
 #include <vector>
 
-#include "baselines/aqp_method.h"
 #include "common/status.h"
 #include "core/pairwise_hist.h"
 #include "core/synopsis_set.h"
 #include "gd/greedy_gd.h"
-#include "query/batch_exec.h"
 #include "query/engine.h"
 #include "query/segment_exec.h"
 #include "storage/compactor.h"
@@ -81,8 +79,8 @@ struct DbOptions {
   /// GreedyGD tuning (used only when `compress` is set).
   GdConfig gd;
   /// Retain the raw table for exact ground-truth execution and for
-  /// training alternative backends. Costs memory; synopsis-only queries
-  /// work without it.
+  /// compaction rebuilds. Costs memory; synopsis-only queries work
+  /// without it.
   bool keep_table = true;
   /// Engine refinement toggles, including the SIMD kernel tier
   /// (`engine.kernels`).
@@ -140,18 +138,16 @@ struct CompactedRun {
 
 /// A SQL statement prepared against a Db: parsed, normalized and planned
 /// once per segment, executable many times. Must not outlive the Db it
-/// came from; Db::Append keeps prepared queries valid (plans for newly
-/// sealed segments compile lazily on first execution), Db::SetBackend
-/// invalidates queries prepared while a different backend was active.
+/// came from; Db::Append and Db::Compact keep prepared queries valid (plans
+/// for newly sealed or replaced segments compile on next execution).
 class PreparedQuery {
  public:
   /// An empty statement (Execute fails with Internal until assigned from
   /// Db::Prepare); lets containers and caches hold PreparedQuery slots.
   PreparedQuery() = default;
 
-  /// Runs the approximate engine (or the active backend) on the captured
-  /// plans. Only coverage + weighting + aggregation (+ cross-segment
-  /// merge) run per call.
+  /// Runs the approximate engine on the captured plans. Only coverage +
+  /// weighting + aggregation (+ cross-segment merge) run per call.
   StatusOr<QueryResult> Execute() const;
 
   /// Same, into a caller-owned result whose group storage is reused. With
@@ -166,39 +162,36 @@ class PreparedQuery {
   /// the Db was opened without one).
   StatusOr<QueryResult> ExecuteExact() const;
 
-  /// The statement as parsed: held once, by the plan when compiled().
-  const Query& query() const { return plan_.valid() ? plan_.query() : query_; }
+  /// The statement as parsed (held once, by the plan; empty before
+  /// Db::Prepare).
+  const Query& query() const { return plan_.query(); }
   std::string ToSql() const { return query().ToSql(); }
-  /// True when Execute() uses the parse-once compiled plans (the built-in
-  /// PairwiseHist engine); false when a swapped-in backend answers.
-  bool compiled() const { return plan_.valid(); }
-  /// The per-segment plan set (valid only when compiled()).
+  /// The per-segment plan set.
   const SegmentedPlan& plan() const { return plan_; }
 
  private:
   friend class Db;
 
-  const SegmentedExecutor* exec_ = nullptr;  // built-in execution path
-  const AqpMethod* backend_ = nullptr;       // set when a backend is active
-  const Table* table_ = nullptr;             // exact fallback (may be null)
-  Query query_;         // set iff backend_ != nullptr; else plan_ holds it
-  SegmentedPlan plan_;  // valid iff backend_ == nullptr
+  const SegmentedExecutor* exec_ = nullptr;
+  const Table* table_ = nullptr;  // exact fallback (may be null)
+  SegmentedPlan plan_;
 };
 
 /// The facade. Movable, not copyable; prepared queries remain valid across
 /// moves (internal components have stable addresses).
 ///
 /// Thread safety:
-///  - All const methods — Prepare, Execute*, ExecuteBatch, PrepareBatch,
-///    Save, introspection — are safe to call concurrently from any number
+///  - All const methods — Prepare, Execute*, ExecuteBatch, Save,
+///    introspection — are safe to call concurrently from any number
 ///    of threads on the same Db. Per-call execution state lives in scratch
 ///    leased from per-engine/per-executor pools (never in shared mutable
 ///    members), cross-segment fan-out serializes on the TaskPool
 ///    internally, and lazy plan extension after Append synchronizes on
 ///    each SegmentedPlan's own mutex with release/acquire publication.
-///  - Append and SetBackend are exclusive writers: no other call (const or
-///    not) may run concurrently with them — Append grows the synopsis
-///    set, raw table and compressed store in place.
+///  - Append, CompactOnce and Compact are exclusive writers: no other call
+///    (const or not) may run concurrently with them — Append grows the
+///    synopsis set, raw table and compressed store in place, and a
+///    compaction replaces segments in place.
 ///  - For readers that must never block during appends, take copy-on-append
 ///    snapshots with WithAppended (sealed segments are immutable and
 ///    shared) and swap whole Db instances — serve/ServingDb packages that
@@ -256,25 +249,16 @@ class Db {
   StatusOr<QueryResult> Execute(const Query& query) const;
 
   // ---- Batched queries --------------------------------------------------
-  /// Prepares many statements as one batch: parsed and planned once per
-  /// segment like Prepare, with duplicate statements sharing one plan.
-  /// Execution amortizes coverage + probability + Eq.-29 weighting across
-  /// statements sharing an aggregation grid and predicate set (see
-  /// query/batch_exec.h); results are bit-identical to executing each
-  /// statement alone. Unsupported while a swapped-in backend is active
-  /// (batching is a built-in-engine feature).
-  StatusOr<PreparedBatch> PrepareBatch(
-      const std::vector<std::string>& sqls) const;
-  StatusOr<PreparedBatch> PrepareBatch(std::vector<Query> queries) const;
-
-  /// Executes `n` already-prepared statements (a contiguous span) as one
-  /// batch; `results` is resized to n with results[i] bit-identical to
-  /// queries[i].Execute(). Statements that do not route through the
-  /// built-in engine (prepared while a backend was active) execute
-  /// individually inside the call.
+  /// Executes `n` prepared statements (a contiguous span) as one batch.
+  /// `results` is resized to n, and results[i] is bit-identical to
+  /// queries[i].ExecuteInto. Statements sharing an aggregation grid and
+  /// predicate set share coverage, probability and Eq.-29 weighting, and
+  /// repeated statements share all of it (see
+  /// SegmentedExecutor::ExecuteBatchInto). With warm results, a batch of
+  /// scalar statements on one live segment allocates nothing. Every
+  /// statement must come from this Db's Prepare (InvalidArgument
+  /// otherwise).
   Status ExecuteBatch(const PreparedQuery* queries, size_t n,
-                      std::vector<QueryResult>* results) const;
-  Status ExecuteBatch(const std::vector<PreparedQuery>& queries,
                       std::vector<QueryResult>* results) const;
 
   /// One-shot exact execution against the kept raw table.
@@ -297,8 +281,8 @@ class Db {
   /// match what Append(batch) would have produced, so old and new Db
   /// answer identically over the shared prefix. The kept raw table (when
   /// present) is deep-copied — O(total rows); open with keep_table = false
-  /// for cheap snapshots. Unsupported with a compressed store or an active
-  /// backend. This is the building block of serve/ServingDb.
+  /// for cheap snapshots. Unsupported with a compressed store. This is the
+  /// building block of serve/ServingDb.
   StatusOr<Db> WithAppended(const Table& batch) const;
 
   /// Name and type of every column an Append batch must supply, in synopsis
@@ -318,7 +302,7 @@ class Db {
   /// (or takes *spec_in), rebuilds the merged segment from the raw table,
   /// replaces the run, refreshes the executor and forgets the range's
   /// ledger entries. Returns false when nothing was eligible. Prepared
-  /// queries/batches stay valid: their plans recompile on next execution
+  /// queries stay valid: their plans recompile on next execution
   /// (structure_generation changed). `applied` receives the spec used.
   StatusOr<bool> CompactOnce(CompactionSpec* applied = nullptr,
                              const CompactionSpec* spec_in = nullptr);
@@ -356,18 +340,6 @@ class Db {
   size_t CompactionBacklogSize() const {
     return CompactionBacklog(*set_, config_.compact);
   }
-
-  // ---- Pluggable AQP backends ------------------------------------------
-  /// Routes subsequent Execute/Prepare calls through `backend` instead of
-  /// the built-in PairwiseHist engine. Passing nullptr restores the
-  /// built-in engine (as does ResetBackend).
-  Status SetBackend(std::unique_ptr<AqpMethod> backend);
-  void ResetBackend() { backend_.reset(); }
-  /// Builds one of the bundled baselines from the kept raw table:
-  /// "sampling", "avi" or "spn". Requires keep_table.
-  StatusOr<std::unique_ptr<AqpMethod>> MakeBaselineBackend(
-      const std::string& kind, size_t sample_size, uint64_t seed = 1) const;
-  const AqpMethod* backend() const { return backend_.get(); }
 
   // ---- Introspection ----------------------------------------------------
   const std::string& name() const { return config_.name; }
@@ -461,7 +433,6 @@ class Db {
   std::unique_ptr<SegmentedExecutor> exec_;
   std::unique_ptr<Table> table_;
   std::unique_ptr<CompressedTable> compressed_;
-  std::unique_ptr<AqpMethod> backend_;
 };
 
 }  // namespace pairwisehist

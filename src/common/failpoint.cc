@@ -45,7 +45,7 @@ const std::vector<std::string>& Points() {
       "wal.append.write",       // WAL record framing write (partial-capable)
       "wal.append.sync",        // before the WAL fsync for a record
       "wal.append.acked",       // record durable, acknowledgement not sent
-      "checkpoint.save",        // before Db::Save of the checkpoint tmp file
+      "checkpoint.save",        // before the checkpoint tmp file is written
       "checkpoint.rename",      // tmp checkpoint durable, not yet renamed
       "checkpoint.truncate_wal",// checkpoint live, WAL not yet truncated
       "recovery.replay",        // before applying each replayed WAL record

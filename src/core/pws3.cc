@@ -517,11 +517,6 @@ std::vector<uint8_t> SynopsisSet::SerializeMapped() const {
   return Pws3Codec::Encode(*this);
 }
 
-Status SynopsisSet::SaveMapped(const std::string& path) const {
-  std::vector<uint8_t> image = Pws3Codec::Encode(*this);
-  return WriteFileAtomic(path, image.data(), image.size());
-}
-
 StatusOr<SynopsisSet> SynopsisSet::OpenMapped(const std::string& path) {
   PH_ASSIGN_OR_RETURN(MappedFile mf, MappedFile::Open(path));
   uint32_t magic = 0;

@@ -137,8 +137,6 @@ class SynopsisSet {
   /// derived structure, so opening needs no recomputation. Larger on disk
   /// than Serialize() — the classic space-for-startup trade.
   std::vector<uint8_t> SerializeMapped() const;
-  /// Atomically writes the PWS3 image (tmp + fsync + rename).
-  Status SaveMapped(const std::string& path) const;
   /// O(1) open: validates the header + metadata stream and binds every
   /// array as a span view into the mapping. The mapping stays alive (and
   /// shared page-cache-backed across processes) until the last segment

@@ -60,7 +60,7 @@ struct Query {
   /// reads the text back to the same query bit for bit: numbers are in
   /// shortest round-trip form and quotes inside string literals doubled.
   /// Distinct parsed queries therefore never share a text, which is what
-  /// lets the serving plan cache and Db::PrepareBatch key on it.
+  /// lets the serving plan cache key on it.
   std::string ToSql() const;
 };
 

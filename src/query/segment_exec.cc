@@ -77,7 +77,10 @@ bool MayMatch(const PredicateNode& node, const PairwiseHist& syn,
 // ---------------------------------------------------------------------------
 // SegmentedPlan
 
-const Query& SegmentedPlan::query() const { return state_->query; }
+const Query& SegmentedPlan::query() const {
+  static const Query kUnprepared;
+  return state_ == nullptr ? kUnprepared : state_->query;
+}
 
 size_t SegmentedPlan::PlannedSegments() const {
   return state_ == nullptr
@@ -255,6 +258,86 @@ void SegmentedExecutor::RecordFeedback(
     }
     options_.ledger->Record(set_->meta(i).row_begin, rel);
   }
+}
+
+Status SegmentedExecutor::ExecuteBatchImpl(FanOutScratch& scratch) const {
+  const SegmentedPlan* const* plans = scratch.plan_ptrs.data();
+  QueryResult* const* results = scratch.result_ptrs.data();
+  const size_t nq = scratch.plan_ptrs.size();
+  for (size_t q = 0; q < nq; ++q) {
+    if (plans[q] == nullptr || !plans[q]->valid()) {
+      return Status::Internal("SegmentedPlan used before Prepare");
+    }
+  }
+  // Extend lazily compiled plans (post-append segments) up front, under
+  // each plan's own mutex, so the fan-out below reads stable state.
+  for (size_t q = 0; q < nq; ++q) {
+    PH_RETURN_IF_ERROR(EnsurePlans(plans[q]->state_.get()));
+  }
+
+  // Fan the batch × segment tasks over the pool: one task per segment,
+  // each running the whole batch's mergeable partials on that segment
+  // through the engine's batched partial path (so grid sharing is
+  // amortized inside every segment too). Pruned (plan, segment) pairs
+  // contribute nothing, exactly like single-plan execution: their slots
+  // are cleared, and the engine overwrites every other slot in place.
+  const size_t nseg = engines_.size();
+  scratch.parts.resize(nq);
+  scratch.statuses.assign(nseg, Status::OK());
+  scratch.task_cps.resize(nseg);
+  scratch.task_outs.resize(nseg);
+  for (size_t q = 0; q < nq; ++q) scratch.parts[q].resize(nseg);
+  auto work = [&](size_t s) {
+    std::vector<const CompiledQuery*>& cps = scratch.task_cps[s];
+    std::vector<PartialResult*>& outs = scratch.task_outs[s];
+    cps.clear();
+    outs.clear();
+    for (size_t q = 0; q < nq; ++q) {
+      SegmentedPlan::State* st = plans[q]->state_.get();
+      if (st->skip[s]) {
+        scratch.parts[q][s].groups.clear();
+        continue;
+      }
+      cps.push_back(&st->plans[s]);
+      outs.push_back(&scratch.parts[q][s]);
+    }
+    if (!cps.empty()) {
+      scratch.statuses[s] = engines_[s]->ExecutePartialBatchInto(cps, outs);
+    }
+  };
+  size_t live = 0;
+  for (size_t s = 0; s < nseg; ++s) {
+    bool any = false;
+    for (size_t q = 0; q < nq && !any; ++q) {
+      any = plans[q]->state_->skip[s] == 0;
+    }
+    live += any ? 1 : 0;
+  }
+  if (live > 1 && pool_ != nullptr) {
+    pool_->Run(nseg, work);
+  } else {
+    for (size_t s = 0; s < nseg; ++s) work(s);
+  }
+  for (const Status& s : scratch.statuses) {
+    if (!s.ok()) return s;
+  }
+  if (options_.ledger != nullptr && nseg > 1) {
+    for (size_t q = 0; q < nq; ++q) {
+      const SegmentedPlan::State& st = *plans[q]->state_;
+      if (st.query.group_by.empty()) RecordFeedback(st, scratch.parts[q]);
+    }
+  }
+
+  // Deterministic serial merge per query in segment order — the same
+  // merge the single-plan path runs, so any exec_threads (and the batch
+  // itself) leaves results bit-identical to the per-query loop.
+  const KernelOps* ks = &GetKernels(options_.engine.kernels);
+  for (size_t q = 0; q < nq; ++q) {
+    const Query& query = plans[q]->state_->query;
+    MergePartialResults(query.func, !query.group_by.empty(),
+                        scratch.parts[q].data(), nseg, results[q], ks);
+  }
+  return Status::OK();
 }
 
 StatusOr<QueryResult> SegmentedExecutor::Execute(

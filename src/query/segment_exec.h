@@ -15,6 +15,19 @@
 // goes stale) under the plan's own mutex. A compaction replaces segments
 // and so recompiles every plan and flag. The steady-state check is two
 // acquire loads (planned count, structure generation).
+//
+// Batches: dashboards issue dozens of aggregates over one table at once,
+// and executed one at a time each re-pays coverage, probability and
+// Eq.-29 weighting that is identical for every statement on the same
+// aggregation grid and predicate set. ExecuteBatchInto runs a batch as one
+// task per segment through AqpEngine::ExecutePartialBatchInto, which
+// computes coverage once per distinct scalar predicate set (so repeated
+// statements share it), weights them all with one batched kernel call,
+// and runs only the per-statement aggregation individually. Each
+// statement's partials then merge exactly as single-plan execution merges
+// them, so batch results are bit-identical to the per-statement loop on
+// every kernel tier, for any exec_threads, before and after appends and
+// compactions (tests/batch_test.cc).
 #ifndef PAIRWISEHIST_QUERY_SEGMENT_EXEC_H_
 #define PAIRWISEHIST_QUERY_SEGMENT_EXEC_H_
 
@@ -56,7 +69,7 @@ class SegmentedPlan {
  public:
   SegmentedPlan() = default;
   /// The statement's one parsed Query (the per-segment plans keep only
-  /// what execution reads).
+  /// what execution reads); empty before Prepare.
   const Query& query() const;
   /// Segments planned so far (grows lazily after appends).
   size_t PlannedSegments() const;
@@ -73,7 +86,7 @@ class SegmentedPlan {
     /// SynopsisSet::structure_generation() the plans were compiled at. A
     /// compaction REPLACES segments (indices shift, engines rebuild), so
     /// on mismatch every plan — not just the tail — recompiles. This is
-    /// what keeps PreparedQuery/PreparedBatch valid across Db::Compact.
+    /// what keeps a PreparedQuery valid across Db::Compact.
     std::atomic<uint64_t> structure_gen{0};
     std::vector<CompiledQuery> plans;  // one per segment
     std::vector<uint8_t> skip;         // 1 = provably no match
@@ -104,23 +117,25 @@ class SegmentedExecutor {
   Status ExecuteInto(const SegmentedPlan& plan, QueryResult* result) const;
   StatusOr<QueryResult> Execute(const SegmentedPlan& plan) const;
 
-  /// Batch execution (implemented in batch_exec.cc): plans execute as one
-  /// batch per segment through AqpEngine::ExecutePartialBatchInto, so
-  /// grid-sharing plans amortize their coverage + weighting within every
-  /// segment. The batch × segment partial tasks fan out over the pool and
-  /// each query merges serially in segment order; results[i] is
-  /// bit-identical to ExecuteInto(*plans[i], results[i]) for any
-  /// exec_threads. Plans extend lazily after appends exactly like
-  /// single-plan execution.
-  Status ExecuteBatchInto(const std::vector<const SegmentedPlan*>& plans,
-                          const std::vector<QueryResult*>& results) const;
-
-  /// Contiguous-array overload: executes plans[i] into results[i] for
-  /// i < n with no caller-side pointer marshalling — all per-call
-  /// bookkeeping lives in pooled scratch, so steady-state batches
-  /// allocate nothing.
-  Status ExecuteBatchInto(const SegmentedPlan* plans, QueryResult* results,
-                          size_t n) const;
+  /// Executes a batch of n statements: plan_at(i) and result_at(i) return
+  /// statement i's `const SegmentedPlan*` and `QueryResult*`. The result is
+  /// bit-identical to ExecuteInto(*plan_at(i), result_at(i)) for any
+  /// exec_threads (see the header comment). Plans extend lazily after
+  /// appends exactly like single-plan execution. The pointers are gathered
+  /// into pooled scratch, so a warm batch allocates nothing here.
+  template <typename PlanAt, typename ResultAt>
+  Status ExecuteBatchInto(size_t n, PlanAt plan_at, ResultAt result_at) const {
+    if (n == 0) return Status::OK();
+    PoolLease<FanOutScratch> lease(scratch_pool_.get());
+    FanOutScratch& scratch = *lease;
+    scratch.plan_ptrs.resize(n);
+    scratch.result_ptrs.resize(n);
+    for (size_t i = 0; i < n; ++i) {
+      scratch.plan_ptrs[i] = plan_at(i);
+      scratch.result_ptrs[i] = result_at(i);
+    }
+    return ExecuteBatchImpl(scratch);
+  }
 
   size_t NumSegments() const { return engines_.size(); }
   const AqpEngine& engine(size_t i) const { return *engines_[i]; }
@@ -143,16 +158,15 @@ class SegmentedExecutor {
   /// engines overwrite live partial slots in place and pruned slots are
   /// cleared (the merge reads every slot).
   struct FanOutScratch {
-    std::vector<const SegmentedPlan*> plan_ptrs;  // contiguous overload
-    std::vector<QueryResult*> result_ptrs;        // contiguous overload
+    std::vector<const SegmentedPlan*> plan_ptrs;    // batch statements
+    std::vector<QueryResult*> result_ptrs;          // and their outputs
     std::vector<std::vector<PartialResult>> parts;  // [query][segment]
     std::vector<std::vector<const CompiledQuery*>> task_cps;  // per segment
     std::vector<std::vector<PartialResult*>> task_outs;       // per segment
     std::vector<Status> statuses;                             // per segment
   };
-  Status ExecuteBatchImpl(const SegmentedPlan* const* plans,
-                          QueryResult* const* results, size_t n,
-                          FanOutScratch& scratch) const;
+  /// Executes scratch.plan_ptrs into scratch.result_ptrs.
+  Status ExecuteBatchImpl(FanOutScratch& scratch) const;
 
   const SynopsisSet* set_;
   SegmentedExecOptions options_;

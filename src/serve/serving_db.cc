@@ -1,7 +1,6 @@
 #include "serve/serving_db.h"
 
 #include <dirent.h>
-#include <fcntl.h>
 #include <sys/stat.h>
 #include <unistd.h>
 
@@ -14,6 +13,7 @@
 #include <utility>
 
 #include "common/failpoint.h"
+#include "storage/mmap_file.h"
 
 namespace pairwisehist {
 
@@ -94,21 +94,6 @@ Status QuarantineStatus(const Db& db) {
       " rows); pass X-Allow-Degraded: 1 to read the surviving segments");
 }
 
-Status FsyncPath(const std::string& path) {
-  const int fd = ::open(path.c_str(), O_RDONLY);
-  if (fd < 0) {
-    return Status::Internal("ServingDb: open-for-fsync '" + path +
-                            "' failed: " + std::strerror(errno));
-  }
-  const int rc = ::fsync(fd);
-  ::close(fd);
-  if (rc != 0) {
-    return Status::Internal("ServingDb: fsync '" + path +
-                            "' failed: " + std::strerror(errno));
-  }
-  return Status::OK();
-}
-
 }  // namespace
 
 ServingDb::ServingDb(Db db, ServingOptions options, uint64_t start_epoch)
@@ -156,16 +141,8 @@ StatusOr<std::unique_ptr<ServingDb>> ServingDb::CreateDurable(
         "' already holds serving state; use Recover()");
   }
   // The epoch-0 checkpoint is the recovery base: WAL replay needs a
-  // checkpoint to re-append onto.
-  const std::string path = CheckpointPath(dir, 0);
-  const std::string tmp = path + ".tmp";
-  PH_RETURN_IF_ERROR(db.Save(tmp));
-  PH_RETURN_IF_ERROR(FsyncPath(tmp));
-  if (::rename(tmp.c_str(), path.c_str()) != 0) {
-    return Status::Internal("ServingDb: rename checkpoint failed: " +
-                            std::string(std::strerror(errno)));
-  }
-  PH_RETURN_IF_ERROR(FsyncPath(dir));
+  // checkpoint to re-append onto. Save writes it atomically.
+  PH_RETURN_IF_ERROR(db.Save(CheckpointPath(dir, 0)));
 
   auto sdb = std::unique_ptr<ServingDb>(
       new ServingDb(std::move(db), options, /*start_epoch=*/0));
@@ -495,15 +472,11 @@ Status ServingDb::QueryBatch(const std::vector<std::string>& sqls,
     return Status::OK();
   }
 
-  // Shared cached plans: `pqs` keeps each one alive for the batch while
-  // `plans` points into it.
+  // Shared cached plans: `pqs` keeps each one alive for the batch, and
+  // pqs[k] answers statement batched[k].
   std::vector<std::shared_ptr<const PreparedQuery>> pqs;
-  std::vector<const SegmentedPlan*> plans;
-  std::vector<QueryResult*> outs;
   std::vector<size_t> batched;
   pqs.reserve(sqls.size());
-  plans.reserve(sqls.size());
-  outs.reserve(sqls.size());
   batched.reserve(sqls.size());
   for (size_t i = 0; i < sqls.size(); ++i) {
     bool hit = false;
@@ -516,21 +489,15 @@ Status ServingDb::QueryBatch(const std::vector<std::string>& sqls,
       errors_.fetch_add(1, std::memory_order_relaxed);
       continue;
     }
-    const PreparedQuery& q = *pqs.emplace_back(std::move(pq).value());
-    if (q.compiled()) {
-      plans.push_back(&q.plan());
-      outs.push_back(&(*results)[i]);
-      batched.push_back(i);
-    } else {
-      (*statement_status)[i] = q.ExecuteInto(&(*results)[i]);
-    }
+    pqs.push_back(std::move(pq).value());
+    batched.push_back(i);
   }
-  if (!plans.empty()) {
-    Status st = snap->db.executor().ExecuteBatchInto(plans, outs);
-    if (!st.ok()) {
-      for (size_t i : batched) (*statement_status)[i] = st;
-      errors_.fetch_add(1, std::memory_order_relaxed);
-    }
+  Status st = snap->db.executor().ExecuteBatchInto(
+      pqs.size(), [&pqs](size_t k) { return &pqs[k]->plan(); },
+      [&](size_t k) { return &(*results)[batched[k]]; });
+  if (!st.ok()) {
+    for (size_t i : batched) (*statement_status)[i] = st;
+    errors_.fetch_add(1, std::memory_order_relaxed);
   }
   return Status::OK();
 }
@@ -582,15 +549,13 @@ Status ServingDb::CheckpointLocked() {
   const std::string path = CheckpointPath(dir, cur->epoch);
   const std::string tmp = path + ".tmp";
 
+  // Db::Save's atomic write, split so that "checkpoint.rename" fires
+  // between the durable tmp file and its rename.
   PH_RETURN_IF_ERROR(failpoint::Fire("checkpoint.save").status);
-  PH_RETURN_IF_ERROR(cur->db.Save(tmp));
-  PH_RETURN_IF_ERROR(FsyncPath(tmp));
+  const std::vector<uint8_t> image = cur->db.synopses().SerializeMapped();
+  PH_RETURN_IF_ERROR(WriteFileDurable(tmp, image.data(), image.size()));
   PH_RETURN_IF_ERROR(failpoint::Fire("checkpoint.rename").status);
-  if (::rename(tmp.c_str(), path.c_str()) != 0) {
-    return Status::Internal("ServingDb: rename checkpoint failed: " +
-                            std::string(std::strerror(errno)));
-  }
-  PH_RETURN_IF_ERROR(FsyncPath(dir));
+  PH_RETURN_IF_ERROR(RenameDurable(tmp, path));
   // The checkpoint is now the recovery base. A crash before the truncate
   // below is harmless: replay skips WAL records with epoch <= cur->epoch.
   PH_RETURN_IF_ERROR(failpoint::Fire("checkpoint.truncate_wal").status);

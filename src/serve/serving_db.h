@@ -159,8 +159,6 @@ class ServingDb {
  public:
   /// Takes ownership of `db` as epoch `start_epoch` (in-memory serving;
   /// durability options in `options` are ignored — use CreateDurable).
-  /// The Db should use the built-in engine (backends execute statement by
-  /// statement).
   explicit ServingDb(Db db, ServingOptions options = {},
                      uint64_t start_epoch = 0);
   ~ServingDb();

@@ -106,33 +106,44 @@ void MappedFile::Advise(Advice advice, size_t offset, size_t length) const {
                   AdviceFlag(advice));
 }
 
-Status WriteFileAtomic(const std::string& path, const uint8_t* data,
-                       size_t size) {
-  const std::string tmp = path + ".tmp";
-  const int fd = ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
-  if (fd < 0) return Errno("WriteFileAtomic: open", tmp);
+Status WriteFileDurable(const std::string& path, const uint8_t* data,
+                        size_t size) {
+  const int fd = ::open(path.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
+  if (fd < 0) return Errno("WriteFileDurable: open", path);
   size_t off = 0;
   while (off < size) {
     const ssize_t n = ::write(fd, data + off, size - off);
     if (n < 0) {
       if (errno == EINTR) continue;
       ::close(fd);
-      ::unlink(tmp.c_str());
-      return Errno("WriteFileAtomic: write", tmp);
+      ::unlink(path.c_str());
+      return Errno("WriteFileDurable: write", path);
     }
     off += static_cast<size_t>(n);
   }
   if (::fsync(fd) != 0) {
     ::close(fd);
-    ::unlink(tmp.c_str());
-    return Errno("WriteFileAtomic: fsync", tmp);
+    ::unlink(path.c_str());
+    return Errno("WriteFileDurable: fsync", path);
   }
   ::close(fd);
-  if (::rename(tmp.c_str(), path.c_str()) != 0) {
-    ::unlink(tmp.c_str());
-    return Errno("WriteFileAtomic: rename", path);
+  return Status::OK();
+}
+
+Status RenameDurable(const std::string& from, const std::string& to) {
+  if (::rename(from.c_str(), to.c_str()) != 0) {
+    const Status st = Errno("RenameDurable: rename", to);
+    ::unlink(from.c_str());
+    return st;
   }
-  return FsyncParentDir(path);
+  return FsyncParentDir(to);
+}
+
+Status WriteFileAtomic(const std::string& path, const uint8_t* data,
+                       size_t size) {
+  const std::string tmp = path + ".tmp";
+  PH_RETURN_IF_ERROR(WriteFileDurable(tmp, data, size));
+  return RenameDurable(tmp, path);
 }
 
 void DropFileCache(const std::string& path) {

@@ -6,9 +6,11 @@
 // demand instead of being deserialized up front (the technique of
 // ExpressionMatrix2's MemoryMappedVector, applied to the Fig.-6 synopsis).
 //
-// WriteFileAtomic is the PR-7 checkpoint discipline as a reusable helper:
-// write <path>.tmp, fsync it, rename over <path>, fsync the directory —
-// a reader never observes a torn file, only the old or the new bytes.
+// WriteFileAtomic is the checkpoint discipline as a reusable helper: write
+// <path>.tmp, fsync it, rename over <path>, fsync the directory — a reader
+// never observes a torn file, only the old or the new bytes. Its two halves
+// (WriteFileDurable, RenameDurable) are exposed for callers that act
+// between them, like the serving checkpoint's failpoints.
 #ifndef PAIRWISEHIST_STORAGE_MMAP_FILE_H_
 #define PAIRWISEHIST_STORAGE_MMAP_FILE_H_
 
@@ -61,10 +63,21 @@ class MappedFile {
   std::string path_;
 };
 
-/// Atomically replaces `path` with `bytes`: tmp + fsync + rename + parent
-/// directory fsync. On failure the previous file (if any) is untouched.
+/// Atomically replaces `path` with `bytes`: WriteFileDurable to
+/// <path>.tmp, then RenameDurable over `path`. On failure the previous
+/// file (if any) is untouched and no <path>.tmp is left behind.
 Status WriteFileAtomic(const std::string& path, const uint8_t* data,
                        size_t size);
+
+/// The first half of WriteFileAtomic: creates or truncates `path`, writes
+/// `bytes` and fsyncs them. Removes the partial file on failure.
+Status WriteFileDurable(const std::string& path, const uint8_t* data,
+                        size_t size);
+
+/// The second half: renames `from` over `to`, then fsyncs `to`'s parent
+/// directory so the rename itself is durable. Removes `from` when the
+/// rename fails.
+Status RenameDurable(const std::string& from, const std::string& to);
 
 /// Drops `path`'s pages from the page cache (posix_fadvise DONTNEED),
 /// best-effort. Lets benchmarks measure cold-open latency without root.

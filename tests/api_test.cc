@@ -1,15 +1,16 @@
 // Tests for the unified Db facade and the prepared-query (parse-once,
 // execute-many) API: open paths, plan/execute equivalence with the one-shot
-// engine entry points, Save/Open round trips, incremental Append, and
-// backend swapping through AqpMethod.
+// engine entry points, Save/Open round trips and incremental Append.
 #include <cstdio>
+#include <filesystem>
+#include <fstream>
+#include <iterator>
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "api/db.h"
-#include "baselines/sampling_aqp.h"
 #include "common/rng.h"
 #include "datagen/datasets.h"
 #include "query/engine.h"
@@ -116,7 +117,7 @@ TEST_F(ApiTest, PreparedReExecutionMatchesExecuteSql) {
     auto prepared = db_->Prepare(sql);
     ASSERT_TRUE(prepared.ok()) << sql << ": "
                                << prepared.status().ToString();
-    EXPECT_TRUE(prepared->compiled());
+    EXPECT_TRUE(prepared->plan().valid());
 
     auto oneshot = db_->engine().ExecuteSql(sql);
     ASSERT_TRUE(oneshot.ok()) << sql;
@@ -179,6 +180,32 @@ TEST_F(ApiTest, SaveOpenRoundTripPreservesAnswers) {
   auto exact = restored->ExecuteExactSql("SELECT COUNT(*) FROM power;");
   EXPECT_FALSE(exact.ok());
   EXPECT_EQ(exact.status().code(), StatusCode::kUnsupported);
+  std::remove(path.c_str());
+}
+
+// A PWS2 save replaces an existing file through the same atomic write as
+// PWS3: the new image lands whole and no temporary file is left behind.
+TEST_F(ApiTest, Pws2SaveOverPws3ReopensBitEqual) {
+  const std::string path = ::testing::TempDir() + "/api_test_overwrite.ph";
+  ASSERT_TRUE(db_->Save(path).ok());  // an existing PWS3 file
+  ASSERT_TRUE(db_->Save(path, SaveFormat::kPws2).ok());
+  EXPECT_FALSE(std::filesystem::exists(path + ".tmp"));
+
+  const std::vector<uint8_t> blob = db_->ToBlob();
+  std::ifstream in(path, std::ios::binary);
+  const std::vector<uint8_t> bytes((std::istreambuf_iterator<char>(in)),
+                                   std::istreambuf_iterator<char>());
+  EXPECT_EQ(bytes, blob);
+
+  auto restored = Db::Open(path);
+  ASSERT_TRUE(restored.ok()) << restored.status().ToString();
+  EXPECT_EQ(restored->ToBlob(), blob);
+  for (const char* sql : kWorkload) {
+    auto a = db_->ExecuteSql(sql);
+    auto b = restored->ExecuteSql(sql);
+    ASSERT_TRUE(a.ok() && b.ok()) << sql;
+    ExpectSameResult(a.value(), b.value(), sql);
+  }
   std::remove(path.c_str());
 }
 
@@ -330,51 +357,6 @@ TEST_F(ApiTest, CompressedDbAnswersAndAppends) {
   EXPECT_DOUBLE_EQ(after->Scalar().estimate, 23000.0);
 }
 
-TEST_F(ApiTest, BackendSwap) {
-  DbOptions options;
-  options.synopsis.sample_size = 8000;
-  auto db = Db::FromGenerator("power", 30000, 21, options);
-  ASSERT_TRUE(db.ok());
-  const char* sql = "SELECT COUNT(voltage) FROM power WHERE voltage > 238;";
-
-  auto ph_result = db->ExecuteSql(sql);
-  ASSERT_TRUE(ph_result.ok());
-
-  // Swap in the sampling baseline behind the same interface.
-  auto sampling = db->MakeBaselineBackend("sampling", 5000, 3);
-  ASSERT_TRUE(sampling.ok()) << sampling.status().ToString();
-  ASSERT_TRUE(db->SetBackend(std::move(sampling).value()).ok());
-  ASSERT_NE(db->backend(), nullptr);
-  EXPECT_EQ(db->backend()->name(), "Sampling");
-
-  auto prepared = db->Prepare(sql);
-  ASSERT_TRUE(prepared.ok());
-  EXPECT_FALSE(prepared->compiled());  // backend path, no compiled plan
-  auto sampled = prepared->Execute();
-  ASSERT_TRUE(sampled.ok());
-  // Both methods estimate the same quantity within loose agreement.
-  EXPECT_NEAR(sampled->Scalar().estimate, ph_result->Scalar().estimate,
-              0.25 * ph_result->Scalar().estimate + 50.0);
-
-  // Direct injection of a caller-built AqpMethod also works.
-  ASSERT_TRUE(db->SetBackend(std::make_unique<SamplingAqp>(
-                                 *db->table(), 4000, 5))
-                  .ok());
-  auto injected = db->ExecuteSql(sql);
-  ASSERT_TRUE(injected.ok());
-
-  // Restoring the built-in engine restores the compiled hot path.
-  db->ResetBackend();
-  EXPECT_EQ(db->backend(), nullptr);
-  auto back = db->Prepare(sql);
-  ASSERT_TRUE(back.ok());
-  EXPECT_TRUE(back->compiled());
-  auto back_result = back->Execute();
-  ASSERT_TRUE(back_result.ok());
-  EXPECT_DOUBLE_EQ(back_result->Scalar().estimate,
-                   ph_result->Scalar().estimate);
-}
-
 TEST_F(ApiTest, KeepTableFalseDropsExactFallback) {
   DbOptions options;
   options.synopsis.sample_size = 2000;
@@ -386,8 +368,6 @@ TEST_F(ApiTest, KeepTableFalseDropsExactFallback) {
   ASSERT_TRUE(approx.ok());
   auto exact = db->ExecuteExactSql("SELECT COUNT(*) FROM temp;");
   EXPECT_EQ(exact.status().code(), StatusCode::kUnsupported);
-  auto backend = db->MakeBaselineBackend("sampling", 100);
-  EXPECT_EQ(backend.status().code(), StatusCode::kUnsupported);
 }
 
 TEST_F(ApiTest, PreparedSurvivesDbMove) {

@@ -1,12 +1,12 @@
-// Batch execution validation (query/batch_exec.h): executing many
-// statements as one batch must produce results BIT-IDENTICAL to looping
-// per-query PreparedQuery::ExecuteInto — same doubles, not approximately
-// equal — across every compiled kernel tier, across exec_threads on a
-// segmented Db, and across Db::Append (lazy plan extension). Plus directed
-// dashboard batches, the duplicate-statement dedup, and API edges.
-// Batch scratch is pooled (common/object_pool.h), so repeated ExecuteInto
-// calls must also be allocation-free in steady state — asserted below
-// with the same counting allocator as fastpath_test.
+// Batch execution validation (Db::ExecuteBatch over a span of prepared
+// statements): executing many statements as one batch must produce results
+// BIT-IDENTICAL to looping per-query PreparedQuery::ExecuteInto — same
+// doubles, not approximately equal — across every compiled kernel tier,
+// across exec_threads on a segmented Db, and across Db::Append (lazy plan
+// extension). Plus directed dashboard batches, repeated statements, and
+// API edges. Batch scratch is pooled (common/object_pool.h), so repeated
+// ExecuteBatch calls must also be allocation-free in steady state —
+// asserted below with the same counting allocator as fastpath_test.
 #include <atomic>
 #include <cmath>
 #include <cstdlib>
@@ -19,7 +19,6 @@
 #include "api/db.h"
 #include "common/rng.h"
 #include "datagen/datasets.h"
-#include "query/batch_exec.h"
 #include "query/sql_parser.h"
 
 // Global allocation counter (this binary only); disabled under ASan, which
@@ -207,10 +206,25 @@ void ExpectIdentical(const QueryResult& want, const QueryResult& got,
   }
 }
 
+// Prepares `sqls` and executes them as one batch.
+StatusOr<std::vector<QueryResult>> RunBatch(
+    const Db& db, const std::vector<std::string>& sqls) {
+  std::vector<PreparedQuery> prepared;
+  for (const std::string& sql : sqls) {
+    PH_ASSIGN_OR_RETURN(PreparedQuery pq, db.Prepare(sql));
+    prepared.push_back(std::move(pq));
+  }
+  std::vector<QueryResult> results;
+  PH_RETURN_IF_ERROR(
+      db.ExecuteBatch(prepared.data(), prepared.size(), &results));
+  return results;
+}
+
 // Generates `n_random` random queries (plus dashboard blocks), keeps the
-// preparable ones, and asserts batch execution — in mixed-size chunks,
-// through both PrepareBatch and the prepared-span ExecuteBatch — matches
-// the per-query loop bitwise. `*checked` reports how many were compared.
+// preparable ones, and asserts batch execution — in mixed-size chunks, over
+// freshly prepared statements and over the ones the loop already ran —
+// matches the per-query loop bitwise. `*checked` reports how many were
+// compared.
 void RunBatchEquivalence(const Db& db, const Table& table, uint64_t seed,
                          size_t n_random, size_t* checked) {
   *checked = 0;
@@ -241,21 +255,24 @@ void RunBatchEquivalence(const Db& db, const Table& table, uint64_t seed,
   }
   EXPECT_GT(kept.size(), n_random / 2);
 
-  // Mixed-size chunks over the whole workload, via PrepareBatch ...
+  // Mixed-size chunks over the whole workload, freshly prepared ...
   const size_t kChunks[] = {1, 3, 8, 17, 32};
   size_t off = 0, c = 0;
   while (off < kept.size()) {
     size_t len = std::min(kChunks[c++ % 5], kept.size() - off);
-    std::vector<Query> chunk(kept.begin() + off, kept.begin() + off + len);
-    auto batch = db.PrepareBatch(std::move(chunk));
-    ASSERT_TRUE(batch.ok()) << batch.status().ToString();
+    std::vector<PreparedQuery> chunk;
+    for (size_t i = off; i < off + len; ++i) {
+      auto pq = db.Prepare(kept[i]);
+      ASSERT_TRUE(pq.ok()) << pq.status().ToString();
+      chunk.push_back(std::move(pq).value());
+    }
     std::vector<QueryResult> got;
-    ASSERT_TRUE(batch->ExecuteInto(&got).ok());
+    ASSERT_TRUE(db.ExecuteBatch(chunk.data(), len, &got).ok());
     ASSERT_EQ(got.size(), len);
     for (size_t i = 0; i < len; ++i) {
       ExpectIdentical(expected[off + i], got[i], kept[off + i].ToSql());
     }
-    // ... and via the prepared-span ExecuteBatch.
+    // ... and over the statements the loop already executed.
     std::vector<QueryResult> got2;
     ASSERT_TRUE(db.ExecuteBatch(prepared.data() + off, len, &got2).ok());
     for (size_t i = 0; i < len; ++i) {
@@ -382,9 +399,7 @@ TEST(BatchEquivalence, DashboardPagesMatchLoop) {
     ASSERT_TRUE(db.ok()) << db.status().ToString();
     ASSERT_EQ(db->num_segments(), nseg);
     for (const std::vector<std::string>& sqls : kBatches) {
-      auto batch = db->PrepareBatch(sqls);
-      ASSERT_TRUE(batch.ok()) << batch.status().ToString();
-      auto got = batch->Execute();
+      auto got = RunBatch(db.value(), sqls);
       ASSERT_TRUE(got.ok()) << got.status().ToString();
       ASSERT_EQ(got->size(), sqls.size());
       for (size_t i = 0; i < sqls.size(); ++i) {
@@ -399,8 +414,9 @@ TEST(BatchEquivalence, DashboardPagesMatchLoop) {
 }
 
 // ---------------------------------------------------------------------------
-// Append: prepared batches stay valid, extend lazily onto fresh segments,
-// and remain bit-identical to the per-query loop afterwards.
+// Append: statements prepared for batching stay valid, extend lazily onto
+// fresh segments, and remain bit-identical to the per-query loop
+// afterwards.
 
 TEST(BatchAppend, LazyExtensionStaysIdentical) {
   auto t = MakeDataset("power", 30000, 21);
@@ -423,12 +439,17 @@ TEST(BatchAppend, LazyExtensionStaysIdentical) {
     prepared.push_back(std::move(pq).value());
   }
   ASSERT_GE(kept.size(), 30u);
-  auto batch = db->PrepareBatch(kept);
-  ASSERT_TRUE(batch.ok()) << batch.status().ToString();
+  // The batch runs its own plans, so the loop's plans extend separately.
+  std::vector<PreparedQuery> batch;
+  for (const Query& q : kept) {
+    auto pq = db->Prepare(q);
+    ASSERT_TRUE(pq.ok()) << pq.status().ToString();
+    batch.push_back(std::move(pq).value());
+  }
 
   // Before the append.
   std::vector<QueryResult> got;
-  ASSERT_TRUE(batch->ExecuteInto(&got).ok());
+  ASSERT_TRUE(db->ExecuteBatch(batch.data(), batch.size(), &got).ok());
   for (size_t i = 0; i < kept.size(); ++i) {
     QueryResult want;
     ASSERT_TRUE(prepared[i].ExecuteInto(&want).ok());
@@ -444,7 +465,7 @@ TEST(BatchAppend, LazyExtensionStaysIdentical) {
   ASSERT_GT(db->num_segments(), before_segments);
 
   std::vector<QueryResult> after;
-  ASSERT_TRUE(batch->ExecuteInto(&after).ok());
+  ASSERT_TRUE(db->ExecuteBatch(batch.data(), batch.size(), &after).ok());
   for (size_t i = 0; i < kept.size(); ++i) {
     QueryResult want;
     ASSERT_TRUE(prepared[i].ExecuteInto(&want).ok());
@@ -452,43 +473,35 @@ TEST(BatchAppend, LazyExtensionStaysIdentical) {
   }
 
   // Sanity: the appended rows are actually visible through the batch.
-  auto count = db->PrepareBatch(
-      std::vector<std::string>{"SELECT COUNT(*) FROM power;"});
-  ASSERT_TRUE(count.ok());
-  auto counted = count->Execute();
+  auto counted = RunBatch(db.value(), {"SELECT COUNT(*) FROM power;"});
   ASSERT_TRUE(counted.ok());
   EXPECT_EQ(counted->at(0).Scalar().estimate,
             static_cast<double>(t->NumRows() + fresh->NumRows()));
 }
 
 // ---------------------------------------------------------------------------
-// Duplicate-statement dedup.
+// Repeated statements: they share coverage and weighting inside the
+// engine's grid grouping, and each still answers as if run alone.
 
-TEST(BatchDedup, DuplicateStatementsShareOnePlan) {
+TEST(BatchDuplicates, RepeatedStatementsMatchSingleRuns) {
   auto db = Db::FromGenerator("power", 20000, 3);
   ASSERT_TRUE(db.ok()) << db.status().ToString();
   const std::string a = "SELECT AVG(voltage) FROM power WHERE hour > 18;";
   const std::string b = "SELECT COUNT(voltage) FROM power WHERE hour > 18;";
-  auto batch =
-      db->PrepareBatch(std::vector<std::string>{a, b, a, a, b});
-  ASSERT_TRUE(batch.ok()) << batch.status().ToString();
-  EXPECT_EQ(batch->size(), 5u);
-  EXPECT_EQ(batch->NumDistinctPlans(), 2u);
-
-  auto results = batch->Execute();
-  ASSERT_TRUE(results.ok());
-  ASSERT_EQ(results->size(), 5u);
-  ExpectIdentical(results->at(0), results->at(2), a);
-  ExpectIdentical(results->at(0), results->at(3), a);
-  ExpectIdentical(results->at(1), results->at(4), b);
-  auto single = db->ExecuteSql(a);
-  ASSERT_TRUE(single.ok());
-  ExpectIdentical(single.value(), results->at(0), a);
+  const std::vector<std::string> sqls = {a, b, a, a, b};
+  auto results = RunBatch(db.value(), sqls);
+  ASSERT_TRUE(results.ok()) << results.status().ToString();
+  ASSERT_EQ(results->size(), sqls.size());
+  for (size_t i = 0; i < sqls.size(); ++i) {
+    auto single = db->ExecuteSql(sqls[i]);
+    ASSERT_TRUE(single.ok());
+    ExpectIdentical(single.value(), results->at(i), sqls[i]);
+  }
 }
 
-// The dedup key is Query::ToSql, which must keep literals that differ past
-// ten significant digits apart.
-TEST(BatchDedup, LiteralsPastTenDigitsGetTheirOwnPlans) {
+// Literals that differ past ten significant digits are different
+// statements and keep different answers within one batch.
+TEST(BatchDuplicates, LiteralsPastTenDigitsKeepTheirAnswers) {
   auto db = Db::FromGenerator("power", 8000, 3);
   ASSERT_TRUE(db.ok()) << db.status().ToString();
   const std::string whole =
@@ -496,11 +509,8 @@ TEST(BatchDedup, LiteralsPastTenDigitsGetTheirOwnPlans) {
   const std::string frac =
       "SELECT COUNT(*) FROM power WHERE timestamp < 1578000000.4;";
   const std::vector<std::string> sqls = {whole, frac, whole, frac};
-  auto batch = db->PrepareBatch(sqls);
-  ASSERT_TRUE(batch.ok()) << batch.status().ToString();
-  EXPECT_EQ(batch->NumDistinctPlans(), 2u);
-  auto results = batch->Execute();
-  ASSERT_TRUE(results.ok());
+  auto results = RunBatch(db.value(), sqls);
+  ASSERT_TRUE(results.ok()) << results.status().ToString();
   for (size_t i = 0; i < sqls.size(); ++i) {
     auto single = db->ExecuteSql(sqls[i]);
     ASSERT_TRUE(single.ok());
@@ -512,34 +522,39 @@ TEST(BatchDedup, LiteralsPastTenDigitsGetTheirOwnPlans) {
 // ---------------------------------------------------------------------------
 // API edges.
 
-TEST(BatchApi, EmptyBatchAndBackendGating) {
+TEST(BatchApi, EmptyBatch) {
   auto db = Db::FromGenerator("power", 15000, 7);
   ASSERT_TRUE(db.ok()) << db.status().ToString();
-
-  auto empty = db->PrepareBatch(std::vector<std::string>{});
-  ASSERT_TRUE(empty.ok());
-  EXPECT_EQ(empty->size(), 0u);
-  std::vector<QueryResult> results;
-  EXPECT_TRUE(empty->ExecuteInto(&results).ok());
+  std::vector<QueryResult> results(3);
+  EXPECT_TRUE(db->ExecuteBatch(nullptr, 0, &results).ok());
   EXPECT_TRUE(results.empty());
+}
 
-  // Batching is a built-in-engine feature: gated while a backend is
-  // active, restored by ResetBackend.
-  auto backend = db->MakeBaselineBackend("sampling", 2000);
-  ASSERT_TRUE(backend.ok());
-  ASSERT_TRUE(db->SetBackend(std::move(backend).value()).ok());
-  auto gated = db->PrepareBatch(
-      std::vector<std::string>{"SELECT COUNT(*) FROM power;"});
-  EXPECT_FALSE(gated.ok());
-  db->ResetBackend();
-  auto restored = db->PrepareBatch(
-      std::vector<std::string>{"SELECT COUNT(*) FROM power;"});
-  EXPECT_TRUE(restored.ok());
+// A statement prepared on another Db holds plans for that Db's segments;
+// running them on this Db's engines would answer wrongly, so the batch
+// refuses it (and an unprepared slot) instead.
+TEST(BatchApi, StatementFromAnotherDbIsRejected) {
+  auto db = Db::FromGenerator("power", 15000, 7);
+  auto other = Db::FromGenerator("power", 4000, 8);
+  ASSERT_TRUE(db.ok() && other.ok());
+  std::vector<PreparedQuery> batch;
+  for (const Db* d : {&db.value(), &other.value()}) {
+    auto pq = d->Prepare("SELECT AVG(voltage) FROM power WHERE hour > 3;");
+    ASSERT_TRUE(pq.ok()) << pq.status().ToString();
+    batch.push_back(std::move(pq).value());
+  }
+  std::vector<QueryResult> results;
+  EXPECT_EQ(db->ExecuteBatch(batch.data(), 2, &results).code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_TRUE(db->ExecuteBatch(batch.data(), 1, &results).ok());
+  const PreparedQuery unprepared;
+  EXPECT_EQ(db->ExecuteBatch(&unprepared, 1, &results).code(),
+            StatusCode::kInvalidArgument);
 }
 
 // ---------------------------------------------------------------------------
-// Steady state: with pooled batch scratch, repeated ExecuteInto over a
-// warm PreparedBatch of distinct scalar statements allocates nothing.
+// Steady state: with pooled batch scratch, repeated Db::ExecuteBatch over
+// warm results of distinct scalar statements allocates nothing.
 
 TEST(BatchSteadyState, RepeatedExecuteIntoIsAllocationFree) {
 #if !PH_COUNTING_ALLOCATOR
@@ -555,25 +570,31 @@ TEST(BatchSteadyState, RepeatedExecuteIntoIsAllocationFree) {
       "SELECT AVG(voltage) FROM power WHERE hour < 6;",
       "SELECT AVG(global_intensity) FROM power WHERE day_of_week < 6;",
   };
-  auto batch = db->PrepareBatch(sqls);
-  ASSERT_TRUE(batch.ok()) << batch.status().ToString();
-  EXPECT_EQ(batch->NumDistinctPlans(), sqls.size());
+  std::vector<PreparedQuery> batch;
+  for (const std::string& sql : sqls) {
+    auto pq = db->Prepare(sql);
+    ASSERT_TRUE(pq.ok()) << pq.status().ToString();
+    batch.push_back(std::move(pq).value());
+  }
+  ASSERT_EQ(db->num_segments(), 1u);
 
   std::vector<QueryResult> results;
   for (int i = 0; i < 3; ++i) {
-    ASSERT_TRUE(batch->ExecuteInto(&results).ok());
+    ASSERT_TRUE(db->ExecuteBatch(batch.data(), batch.size(), &results).ok());
   }
   const std::vector<QueryResult> warm = results;
 
   const size_t before = g_alloc_count.load(std::memory_order_relaxed);
   int failures = 0;
   for (int i = 0; i < 100; ++i) {
-    if (!batch->ExecuteInto(&results).ok()) ++failures;
+    if (!db->ExecuteBatch(batch.data(), batch.size(), &results).ok()) {
+      ++failures;
+    }
   }
   const size_t after = g_alloc_count.load(std::memory_order_relaxed);
   EXPECT_EQ(failures, 0);
   EXPECT_EQ(after - before, 0u)
-      << "batch ExecuteInto allocated in steady state";
+      << "Db::ExecuteBatch allocated in steady state";
   ASSERT_EQ(results.size(), warm.size());
   for (size_t q = 0; q < results.size(); ++q) {
     ExpectIdentical(warm[q], results[q], sqls[q]);

@@ -29,7 +29,6 @@
 #include "common/failpoint.h"
 #include "core/pws3.h"
 #include "datagen/datasets.h"
-#include "query/batch_exec.h"
 #include "serve/serving_db.h"
 #include "storage/compactor.h"
 #include "storage/table.h"
@@ -258,7 +257,7 @@ TEST(DbCompaction, CompactMergesEligibleRuns) {
   }
 }
 
-// Satellite regression: prepared statements (and prepared batches) whose
+// Regression: prepared statements (run alone and as a batch) whose
 // plans were compiled BEFORE a compaction must keep executing afterwards,
 // and must answer exactly like a statement prepared fresh against the
 // compacted structure — i.e. a cached plan never reads a retired segment.
@@ -273,10 +272,15 @@ TEST(DbCompaction, PreparedStatementsSurviveCompact) {
 
   auto pq = db.Prepare(LifecycleSqls()[1]);
   ASSERT_TRUE(pq.ok());
-  auto pb = db.PrepareBatch(LifecycleSqls());
-  ASSERT_TRUE(pb.ok());
+  std::vector<PreparedQuery> pb;
+  for (const std::string& sql : LifecycleSqls()) {
+    auto one = db.Prepare(sql);
+    ASSERT_TRUE(one.ok());
+    pb.push_back(std::move(one).value());
+  }
+  std::vector<QueryResult> batch_results;
   ASSERT_TRUE(pq->Execute().ok());  // plans compiled against 8 segments
-  ASSERT_TRUE(pb->Execute().ok());
+  ASSERT_TRUE(db.ExecuteBatch(pb.data(), pb.size(), &batch_results).ok());
 
   auto applied = db.Compact();
   ASSERT_TRUE(applied.ok()) << applied.status().ToString();
@@ -291,12 +295,12 @@ TEST(DbCompaction, PreparedStatementsSurviveCompact) {
   ASSERT_TRUE(fresh.ok());
   ExpectBitEqual(stale.value(), fresh.value(), "prepared across compact");
 
-  auto stale_batch = pb->Execute();
-  ASSERT_TRUE(stale_batch.ok()) << stale_batch.status().ToString();
+  Status stale_batch = db.ExecuteBatch(pb.data(), pb.size(), &batch_results);
+  ASSERT_TRUE(stale_batch.ok()) << stale_batch.ToString();
   for (size_t q = 0; q < LifecycleSqls().size(); ++q) {
     auto one = db.ExecuteSql(LifecycleSqls()[q]);
     ASSERT_TRUE(one.ok());
-    ExpectBitEqual(stale_batch.value()[q], one.value(),
+    ExpectBitEqual(batch_results[q], one.value(),
                    "batch across compact: " + LifecycleSqls()[q]);
   }
 }

@@ -754,10 +754,14 @@ TEST(SegmentPruning, PrunedToOneSegmentEqualsThatSegment) {
       owner.push_back(c.segment);
     }
   }
-  auto batch = db->PrepareBatch(sqls);
-  ASSERT_TRUE(batch.ok()) << batch.status().ToString();
-  auto batched = batch->Execute();
-  ASSERT_TRUE(batched.ok()) << batched.status().ToString();
+  std::vector<PreparedQuery> batch;
+  for (const std::string& sql : sqls) {
+    auto pq = db->Prepare(sql);
+    ASSERT_TRUE(pq.ok()) << pq.status().ToString();
+    batch.push_back(std::move(pq).value());
+  }
+  std::vector<QueryResult> batched;
+  ASSERT_TRUE(db->ExecuteBatch(batch.data(), batch.size(), &batched).ok());
 
   auto expect_same = [](const QueryResult& want, const QueryResult& got,
                         const std::string& ctx) {
@@ -793,7 +797,7 @@ TEST(SegmentPruning, PrunedToOneSegmentEqualsThatSegment) {
     auto got = pq->Execute();
     ASSERT_TRUE(got.ok()) << sqls[i];
     expect_same(want.value(), got.value(), sqls[i] + " [Prepare]");
-    expect_same(want.value(), (*batched)[i], sqls[i] + " [PrepareBatch]");
+    expect_same(want.value(), batched[i], sqls[i] + " [ExecuteBatch]");
   }
 }
 

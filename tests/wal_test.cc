@@ -9,6 +9,7 @@
 #include <cmath>
 #include <cstdio>
 #include <cstring>
+#include <filesystem>
 #include <fstream>
 #include <string>
 #include <thread>
@@ -462,6 +463,50 @@ TEST(DurableServing, CheckpointRotatesWalAndSurvivesSkew) {
   ServingStats s2 = recovered.value()->Stats();
   EXPECT_EQ(s2.last_checkpoint_epoch, 2u);
   EXPECT_EQ(s2.checkpoints, 1u);
+  RemoveDirIfPresent(dir);
+}
+
+// A checkpoint failing between its durable tmp file and the rename leaves
+// one checkpoint-*.tmp file, recovery ignores it, and the next clean
+// checkpoint of the same epoch renames over it, leaving no tmp file.
+TEST(DurableServing, CheckpointRenameFailureLeavesOneTmpFile) {
+  const std::string dir = TestPath("durable_cp_tmp");
+  RemoveDirIfPresent(dir);
+  ServingOptions opts;
+  opts.durability.dir = dir;
+  auto tmp_files = [&dir] {
+    std::vector<std::string> tmps;
+    for (const auto& e : std::filesystem::directory_iterator(dir)) {
+      const std::string name = e.path().filename().string();
+      if (name.find(".tmp") != std::string::npos) tmps.push_back(name);
+    }
+    return tmps;
+  };
+  {
+    auto sdb = ServingDb::CreateDurable(MakePowerDb(2000, 1000), opts);
+    ASSERT_TRUE(sdb.ok());
+    EXPECT_TRUE(tmp_files().empty());
+    auto b1 = MakeDataset("power", 300, 31);
+    ASSERT_TRUE(b1.ok());
+    ASSERT_TRUE(sdb.value()->Append(b1.value()).ok());
+
+    ASSERT_TRUE(failpoint::Set("checkpoint.rename", "error").ok());
+    Status st = sdb.value()->Checkpoint();
+    failpoint::ClearAll();
+    EXPECT_FALSE(st.ok());
+    const std::vector<std::string> tmps = tmp_files();
+    ASSERT_EQ(tmps.size(), 1u);
+    EXPECT_EQ(tmps[0].size() - tmps[0].rfind(".tmp"), 4u) << tmps[0];
+  }
+
+  auto recovered = ServingDb::Recover(opts);
+  ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
+  EXPECT_EQ(recovered.value()->recovery_info().checkpoint_epoch, 0u);
+  EXPECT_EQ(recovered.value()->Stats().rows, 2000u + 300u);
+  ASSERT_TRUE(recovered.value()->Checkpoint().ok());
+  EXPECT_EQ(recovered.value()->Stats().last_checkpoint_epoch, 1u);
+  // The clean checkpoint renamed its own tmp file over the stale one.
+  EXPECT_TRUE(tmp_files().empty());
   RemoveDirIfPresent(dir);
 }
 
