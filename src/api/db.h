@@ -150,12 +150,13 @@ class PreparedQuery {
   /// weighting + aggregation (+ cross-segment merge) run per call.
   StatusOr<QueryResult> Execute() const;
 
-  /// Same, into a caller-owned result whose group storage is reused. With
-  /// a warm result object the built-in engine performs zero heap
-  /// allocations per call for scalar (non-GROUP-BY) queries whenever at
-  /// most one segment is live after pruning (always, on a single-segment
-  /// Db); grouped executions build label strings, and merging several
-  /// live segments allocates merge scratch.
+  /// Same, into a caller-owned result whose group storage is reused: a
+  /// batch of one through SegmentedExecutor::ExecuteBatchInto, the body
+  /// Db::ExecuteBatch runs. With a warm result object the built-in engine
+  /// performs zero heap allocations per call for scalar (non-GROUP-BY)
+  /// queries whenever at most one segment is live after pruning (always,
+  /// on a single-segment Db); grouped executions build label strings, and
+  /// merging several live segments allocates merge scratch.
   Status ExecuteInto(QueryResult* result) const;
 
   /// Runs the query exactly against the kept raw table (Unsupported when

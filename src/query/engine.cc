@@ -518,8 +518,8 @@ void WeightsInto(const PairwiseHist& ph, const HistogramDim& dim,
   const WidenParams wp = WidenParamsOf(ph);
   WeightRow row = MakeWeightRow(dim, prob, wt);
   // Single-row batch: the kernel's per-row walk is exactly the run walk
-  // this function used to do inline, so single-query and batched
-  // executions share one weighting code path on every tier.
+  // this function used to do inline, so per-group and batched weightings
+  // share one weighting code path on every tier.
   ks.weights_batch(&row, 1, wp.z, wp.fpc, wp.widen ? 1 : 0);
 }
 
@@ -920,9 +920,9 @@ ProbTable EvalNodeFast(const PairwiseHist& ph, ExecArena& arena,
 
 // Shared probability stage: satisfaction probabilities for the
 // WHERE tree (optionally conjoined with the per-value GROUP BY leaf), all
-// in the arena. Used by ComputeWeightSpanFast (single query) and the batch
-// path (which collects one ProbTable per distinct predicate set, then
-// weights every row with a single batched kernel call).
+// in the arena. Used by ComputeWeightSpanFast (one GROUP BY value) and the
+// batch path (which collects one ProbTable per distinct predicate set,
+// then weights every row with a single batched kernel call).
 ProbTable ComputeProbSpanFast(const PairwiseHist& ph, ExecArena& arena,
                              const KernelOps& ks, size_t agg_col,
                              const NormalizedPredicate* where,
@@ -975,7 +975,7 @@ ProbTable ComputeProbSpanFast(const PairwiseHist& ph, ExecArena& arena,
 }
 
 // Shared weighting pipeline: probabilities then Eq. 29 weights, all in the
-// arena. Used by ExecutePartialScalar; the batch path runs the same
+// arena. Used by ExecutePartialGroup; the batch path runs the same
 // probability stage and one batched call of the same weighting kernel.
 WeightTable ComputeWeightSpanFast(const PairwiseHist& ph, ExecArena& arena,
                              const KernelOps& ks, size_t agg_col,
@@ -1014,7 +1014,7 @@ bool NodeEqual(const NormalizedPredicate& a, const NormalizedPredicate& b) {
 
 // ---------------------------------------------------------------------------
 // Execution scratch: a per-execution arena plus a reusable GROUP BY leaf,
-// ExecuteInto's one-part partial and the batch-execution bookkeeping,
+// ExecuteInto's one-part partial and the batch bookkeeping,
 // pooled per engine (ObjectPool) so concurrent executions never share one
 // and steady-state execution allocates nothing.
 
@@ -1023,7 +1023,6 @@ struct AqpEngine::BatchGroup {
   std::vector<size_t> members;
   ProbTable prob;  // shared probabilities (arena-backed)
   WeightTable wt;  // shared weight row (SoA block row)
-  bool need_wt = false;
 };
 
 struct AqpEngine::ExecScratch {
@@ -1032,15 +1031,13 @@ struct AqpEngine::ExecScratch {
   /// ExecuteInto's partial: warm group slots keep their storage.
   PartialResult partial;
 
-  // Batch-execution bookkeeping (ExecutePartialBatchInto): kept in the
+  // Batch bookkeeping (PartialBatchInto): kept in the
   // pooled scratch so repeated batches reuse the group/pointer vector
   // capacity instead of allocating per call.
   // groups[0..n_groups) are live for the current call; the tail keeps its
   // warmed member-vector capacity for the next batch.
   std::vector<BatchGroup> groups;
   size_t n_groups = 0;
-  std::vector<size_t> singles;
-  std::vector<uint8_t> pending;
   std::vector<WeightRow> rows;
 
   ExecScratch() {
@@ -1055,7 +1052,6 @@ struct AqpEngine::ExecScratch {
     g.members.clear();
     g.prob = ProbTable();
     g.wt = WeightTable();
-    g.need_wt = false;
     return g;
   }
 };
@@ -1343,29 +1339,20 @@ PartialAggregate& ScalarSlot(PartialResult* out) {
 
 }  // namespace
 
-void AqpEngine::ExecutePartialScalar(const CompiledQuery& plan,
-                                     const Node* extra_group_leaf,
-                                     const std::vector<uint32_t>* extra_g2ta,
-                                     ExecScratch& scratch,
-                                     PartialAggregate* out) const {
-  // O(log k) COUNT shortcut (see TryCountShortcutFast).
-  AggResult counted;
-  if (extra_group_leaf == nullptr && TryCountShortcutFast(plan, &counted)) {
-    FillPartialFromCount(counted, counted.empty_selection, out);
-    return;
-  }
-
+void AqpEngine::ExecutePartialGroup(const CompiledQuery& plan,
+                                    const Node& group_leaf,
+                                    ExecScratch& scratch,
+                                    PartialAggregate* out) const {
   ExecArena& arena = scratch.arena;
   arena.Reset();
   const size_t agg_col = plan.agg_col_;
   const Grid& grid = plan.grid_;
   const IntervalSet* agg_clip =
-      ResolveAggClip(plan.agg_clip_, extra_group_leaf, agg_col);
-  const bool single =
-      ResolveSingle(plan.single_column_, extra_group_leaf, agg_col);
-  WeightTable wt = ComputeWeightSpanFast(*ph_, arena, *ks_, agg_col,
-                                         plan.where(), extra_group_leaf,
-                                         extra_g2ta, grid);
+      ResolveAggClip(plan.agg_clip_, &group_leaf, agg_col);
+  const bool single = ResolveSingle(plan.single_column_, &group_leaf, agg_col);
+  WeightTable wt =
+      ComputeWeightSpanFast(*ph_, arena, *ks_, agg_col, plan.where(),
+                            &group_leaf, &plan.group_g2ta_, grid);
   FillPartialFromWeights(*ph_, *ks_, plan.func_, agg_col, grid, wt, single,
                          agg_clip, arena, out);
 }
@@ -1373,14 +1360,9 @@ void AqpEngine::ExecutePartialScalar(const CompiledQuery& plan,
 void AqpEngine::PartialInto(const CompiledQuery& plan, ExecScratch& scratch,
                             PartialResult* out) const {
   if (!plan.grouped()) {
-    PartialAggregate& agg = ScalarSlot(out);
-    if (plan.count_star_ && !plan.where_.has_value()) {
-      // COUNT(*) with no predicate: this synopsis's exact row count.
-      const double n = static_cast<double>(ph_->total_rows());
-      FillPartialFromCount(AggResult{n, n, n, false}, n == 0, &agg);
-    } else {
-      ExecutePartialScalar(plan, nullptr, nullptr, scratch, &agg);
-    }
+    // COUNT(*) with no predicate: this synopsis's exact row count.
+    const double n = static_cast<double>(ph_->total_rows());
+    FillPartialFromCount(AggResult{n, n, n, false}, n == 0, &ScalarSlot(out));
     return;
   }
 
@@ -1394,7 +1376,7 @@ void AqpEngine::PartialInto(const CompiledQuery& plan, ExecScratch& scratch,
                                        static_cast<double>(code));
     if (used == out->groups.size()) out->groups.emplace_back();
     PartialResult::Group& g = out->groups[used];
-    ExecutePartialScalar(plan, &leaf, &plan.group_g2ta_, scratch, &g.agg);
+    ExecutePartialGroup(plan, leaf, scratch, &g.agg);
     // Keep any group with estimated mass — even one below the grouped
     // COUNT display threshold: segments accumulate before filtering.
     if (g.agg.empty) continue;
@@ -1404,19 +1386,15 @@ void AqpEngine::PartialInto(const CompiledQuery& plan, ExecScratch& scratch,
   out->groups.resize(used);
 }
 
-Status AqpEngine::ExecutePartialInto(const CompiledQuery& plan,
-                                     PartialResult* out) const {
-  ScratchLease lease(this);
-  PartialInto(plan, *lease, out);
-  return Status::OK();
-}
-
 Status AqpEngine::ExecuteInto(const CompiledQuery& plan,
                               QueryResult* result) const {
+  // A batch of one, then a merge of one part — the identity: this
+  // synopsis's own answer.
   ScratchLease lease(this);
   ExecScratch& scratch = *lease;
-  PartialInto(plan, scratch, &scratch.partial);
-  // A merge of one part is the identity: this synopsis's own answer.
+  const CompiledQuery* plans[1] = {&plan};
+  PartialResult* outs[1] = {&scratch.partial};
+  PartialBatchInto(plans, outs, scratch);
   MergePartialResults(plan.func_, plan.grouped(), &scratch.partial, 1,
                       result, ks_);
   return Status::OK();
@@ -1439,13 +1417,13 @@ StatusOr<QueryResult> AqpEngine::ExecuteSql(const std::string& sql) const {
 }
 
 // ---------------------------------------------------------------------------
-// Batch execution. Plans are grouped by shared weight pipeline — same
+// Batch execution, the engine's only read path (a single statement is a
+// batch of one). Plans are grouped by shared weight pipeline — same
 // aggregation column, same grid, value-equal normalized WHERE tree — so
 // coverage, probabilities and Eq. 29 weighting run once per distinct
 // predicate set while only the cheap Table-3 aggregation runs per plan.
 // Every shared stage is a deterministic pure function of the shared
-// inputs, and the per-plan stages run the exact single-query code, so
-// results are bit-identical to looping ExecutePartialInto.
+// inputs, so a plan's partial is bit-identical whatever batch it runs in.
 
 bool AqpEngine::TryCountShortcutFast(const CompiledQuery& plan,
                                      AggResult* out) const {
@@ -1468,14 +1446,19 @@ bool AqpEngine::TryCountShortcutFast(const CompiledQuery& plan,
   return true;
 }
 
-void AqpEngine::GroupBatchPlans(const std::vector<const CompiledQuery*>& plans,
+void AqpEngine::GroupBatchPlans(PlanSpan plans, OutSpan out,
                                 ExecScratch& scratch) const {
   scratch.n_groups = 0;
-  scratch.singles.clear();
   for (size_t i = 0; i < plans.size(); ++i) {
     const CompiledQuery& p = *plans[i];
     if (p.grouped() || (p.count_star_ && !p.where_.has_value())) {
-      scratch.singles.push_back(i);
+      PartialInto(p, scratch, out[i]);
+      continue;
+    }
+    AggResult counted;
+    if (TryCountShortcutFast(p, &counted)) {
+      FillPartialFromCount(counted, counted.empty_selection,
+                           &ScalarSlot(out[i]));
       continue;
     }
     bool joined = false;
@@ -1494,33 +1477,27 @@ void AqpEngine::GroupBatchPlans(const std::vector<const CompiledQuery*>& plans,
   }
 }
 
-void AqpEngine::WeightBatchGroups(
-    const std::vector<const CompiledQuery*>& plans,
-    ExecScratch& scratch) const {
+void AqpEngine::WeightBatchGroups(PlanSpan plans, ExecScratch& scratch) const {
   ExecArena& arena = scratch.arena;
-  size_t max_bins = 0, n_wt = 0;
-  for (size_t gi = 0; gi < scratch.n_groups; ++gi) {
-    const BatchGroup& g = scratch.groups[gi];
-    if (!g.need_wt) continue;
-    ++n_wt;
-    max_bins =
-        std::max(max_bins, plans[g.members.front()]->grid_.dim->NumBins());
+  const size_t n_wt = scratch.n_groups;
+  size_t max_bins = 0;
+  for (size_t gi = 0; gi < n_wt; ++gi) {
+    const CompiledQuery& head = *plans[scratch.groups[gi].members.front()];
+    max_bins = std::max(max_bins, head.grid_.dim->NumBins());
   }
-  if (n_wt == 0) return;
   // Per-batch arena sizing, then one probability pipeline per group and a
   // single batched Eq.-29 weighting call over the plan-major SoA block.
+  arena.Reset();
   arena.Reserve(BatchArenaBytes(max_bins, n_wt));
   WeightTableBlock block(arena, max_bins, n_wt);
   scratch.rows.clear();
   scratch.rows.reserve(n_wt);
-  size_t slot = 0;
-  for (size_t gi = 0; gi < scratch.n_groups; ++gi) {
+  for (size_t gi = 0; gi < n_wt; ++gi) {
     BatchGroup& g = scratch.groups[gi];
-    if (!g.need_wt) continue;
     const CompiledQuery& head = *plans[g.members.front()];
     g.prob = ComputeProbSpanFast(*ph_, arena, *ks_, head.agg_col_,
                                  head.where(), nullptr, nullptr, head.grid_);
-    g.wt = block.Row(slot++);
+    g.wt = block.Row(gi);
     g.wt.begin = g.prob.begin;
     g.wt.end = g.prob.end;
     scratch.rows.push_back(MakeWeightRow(*head.grid_.dim, g.prob, g.wt));
@@ -1530,65 +1507,42 @@ void AqpEngine::WeightBatchGroups(
                      wp.widen ? 1 : 0);
 }
 
-Status AqpEngine::ExecutePartialBatchInto(
-    const std::vector<const CompiledQuery*>& plans,
-    const std::vector<PartialResult*>& out) const {
+Status AqpEngine::ExecutePartialBatchInto(PlanSpan plans,
+                                          OutSpan out) const {
   if (plans.size() != out.size()) {
     return Status::InvalidArgument("batch plans/results size mismatch");
   }
-  const size_t n = plans.size();
-  for (size_t i = 0; i < n; ++i) {
+  for (size_t i = 0; i < plans.size(); ++i) {
     if (plans[i] == nullptr || out[i] == nullptr) {
       return Status::InvalidArgument("batch plan/result is null");
     }
   }
-
-  // Group scalar plans by shared weight pipeline; everything the batch
-  // path does not cover runs the single-query path — trivially identical
-  // to the loop. All bookkeeping lives in the pooled scratch so repeated
-  // batches are allocation-free in steady state.
   ScratchLease lease(this);
-  ExecScratch& scratch = *lease;
-  GroupBatchPlans(plans, scratch);
-  for (size_t i : scratch.singles) PartialInto(*plans[i], scratch, out[i]);
-  if (scratch.n_groups == 0) return Status::OK();
-  ExecArena& arena = scratch.arena;
-  arena.Reset();
+  PartialBatchInto(plans, out, *lease);
+  return Status::OK();
+}
 
-  // COUNT shortcut members resolve immediately (the shortcut precedes
-  // weighting in the single-query path too); a group whose members
-  // all shortcut never computes weights.
-  scratch.pending.assign(n, 0);
-  for (size_t gi = 0; gi < scratch.n_groups; ++gi) {
-    BatchGroup& g = scratch.groups[gi];
-    for (size_t i : g.members) {
-      AggResult counted;
-      if (TryCountShortcutFast(*plans[i], &counted)) {
-        FillPartialFromCount(counted, counted.empty_selection,
-                             &ScalarSlot(out[i]));
-      } else {
-        scratch.pending[i] = 1;
-        g.need_wt = true;
-      }
-    }
-  }
-
+void AqpEngine::PartialBatchInto(PlanSpan plans, OutSpan out,
+                                 ExecScratch& scratch) const {
+  // Plans that need no weights resolve while grouping; the rest share one
+  // weight table per group. All bookkeeping lives in the pooled scratch so
+  // repeated batches are allocation-free in steady state.
+  GroupBatchPlans(plans, out, scratch);
+  if (scratch.n_groups == 0) return;
   WeightBatchGroups(plans, scratch);
 
   // Table-3 aggregation per plan over its group's shared weights.
   for (size_t gi = 0; gi < scratch.n_groups; ++gi) {
     const BatchGroup& g = scratch.groups[gi];
     for (size_t i : g.members) {
-      if (!scratch.pending[i]) continue;
       const CompiledQuery& p = *plans[i];
       const IntervalSet* clip =
           p.agg_clip_.has_value() ? &*p.agg_clip_ : nullptr;
       FillPartialFromWeights(*ph_, *ks_, p.func_, p.agg_col_, p.grid_, g.wt,
-                             p.single_column_, clip, arena,
+                             p.single_column_, clip, scratch.arena,
                              &ScalarSlot(out[i]));
     }
   }
-  return Status::OK();
 }
 
 }  // namespace pairwisehist

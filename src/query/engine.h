@@ -32,6 +32,7 @@
 
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -163,32 +164,33 @@ class AqpEngine {
   StatusOr<QueryResult> Execute(const CompiledQuery& plan) const;
 
   /// Executes a compiled plan into a caller-owned result, reusing its
-  /// group storage: the per-segment partial pipeline (ExecutePartialInto)
-  /// into pooled scratch, then a merge of that one part, which returns
-  /// the part's own answer unchanged. With a warm result object,
-  /// steady-state scalar (non-GROUP-BY) execution performs zero heap
-  /// allocations; grouped execution still builds per-group label strings.
+  /// group storage: ExecutePartialBatchInto's body for a batch of one into
+  /// pooled scratch, then a merge of that one part, which returns the
+  /// part's own answer unchanged — all under one scratch lease. With a
+  /// warm result object, steady-state scalar (non-GROUP-BY) execution
+  /// performs zero heap allocations; grouped execution still builds
+  /// per-group label strings.
   Status ExecuteInto(const CompiledQuery& plan, QueryResult* result) const;
 
-  /// Per-segment execution: coverage + weighting + Table-3 aggregation,
-  /// emitted as mergeable sufficient statistics (see partial_agg.h) whose
-  /// `value` is this synopsis's own finalized answer. One PartialResult
-  /// group per emitted label ("" for scalar queries); grouped execution
-  /// omits groups with no estimated mass. Group slots are overwritten in
-  /// place, so a warm `out` keeps its storage.
-  Status ExecutePartialInto(const CompiledQuery& plan,
-                            PartialResult* out) const;
-
-  /// Batched ExecutePartialInto: scalar plans are grouped by aggregation
-  /// grid and coverage/weighting is computed once per distinct normalized
-  /// predicate set, the distinct weight tables living in one plan-major
-  /// SoA block filled by a single batched Eq.-29 kernel call; only the
-  /// cheap Table-3 aggregation then runs per plan. Grouped queries and
-  /// predicate-free COUNT(*) run the single-query path inside the batch.
-  /// out[i] is BIT-IDENTICAL to ExecutePartialInto(*plans[i], out[i]) —
-  /// on every kernel tier (asserted by tests/batch_test.cc).
-  Status ExecutePartialBatchInto(const std::vector<const CompiledQuery*>& plans,
-                                 const std::vector<PartialResult*>& out) const;
+  using PlanSpan = std::span<const CompiledQuery* const>;
+  using OutSpan = std::span<PartialResult* const>;
+  /// Per-segment execution of a batch, the engine's only partial entry
+  /// point: coverage + weighting + Table-3 aggregation, emitted as
+  /// mergeable sufficient statistics (see partial_agg.h) whose `value` is
+  /// this synopsis's own finalized answer. out[i] gets one group per
+  /// emitted label ("" for scalar queries); grouped execution omits groups
+  /// with no estimated mass. Group slots are overwritten in place, so a
+  /// warm out[i] keeps its storage.
+  ///
+  /// Scalar plans are grouped by aggregation grid and coverage/weighting
+  /// is computed once per distinct normalized predicate set, the distinct
+  /// weight tables living in one plan-major SoA block filled by a single
+  /// batched Eq.-29 kernel call; only the cheap Table-3 aggregation then
+  /// runs per plan. GROUP BY plans run one pipeline per group value and
+  /// predicate-free COUNT(*) reads the row count. out[i] is BIT-IDENTICAL
+  /// whatever batch plans[i] runs in, a batch of one included, on every
+  /// kernel tier (asserted by tests/batch_test.cc).
+  Status ExecutePartialBatchInto(PlanSpan plans, OutSpan out) const;
 
   /// Executes a parsed query (Compile + Execute).
   StatusOr<QueryResult> Execute(const Query& query) const;
@@ -232,39 +234,39 @@ class AqpEngine {
 
   /// O(log k) COUNT shortcut (single same-column predicate whose pieces
   /// fully cover every touched bin); returns true and fills `out` when it
-  /// applies. Shared by the single-query and batch paths so the two can
-  /// never diverge.
+  /// applies.
   bool TryCountShortcutFast(const CompiledQuery& plan, AggResult* out) const;
 
   /// One batch group: scalar plans sharing a weight pipeline (defined in
   /// engine.cc).
   struct BatchGroup;
-  /// Groups batchable scalar plans by (aggregation column, grid,
-  /// value-equal normalized WHERE); plans the batch path does not cover
-  /// (GROUP BY, predicate-free COUNT(*)) land in scratch.singles instead.
-  /// Groups live in scratch.groups[0..scratch.n_groups) — pooled with the
-  /// scratch so repeated batches reuse the bookkeeping vector capacity
-  /// (a batch of fully-distinct sub-microsecond queries must not pay
-  /// per-call allocations the per-query loop avoids).
-  void GroupBatchPlans(const std::vector<const CompiledQuery*>& plans,
+  /// Resolves the plans that need no weights — GROUP BY and
+  /// predicate-free COUNT(*) through PartialInto, and COUNT shortcut hits
+  /// — and groups the rest by (aggregation column, grid, value-equal
+  /// normalized WHERE). Groups live in scratch.groups[0..scratch.n_groups)
+  /// — pooled with the scratch so repeated batches, batches of one
+  /// included, reuse the bookkeeping vector capacity and allocate nothing.
+  void GroupBatchPlans(PlanSpan plans, OutSpan out,
                        ExecScratch& scratch) const;
-  /// Weight stage for every group with need_wt set: carves one plan-major
-  /// SoA block and fills all rows with a single batched Eq.-29 kernel
-  /// call. Probability/weight spans live in the scratch arena.
-  void WeightBatchGroups(const std::vector<const CompiledQuery*>& plans,
-                         ExecScratch& scratch) const;
+  /// Weight stage for every group: carves one plan-major SoA block and
+  /// fills all rows with a single batched Eq.-29 kernel call.
+  /// Probability/weight spans live in the scratch arena.
+  void WeightBatchGroups(PlanSpan plans, ExecScratch& scratch) const;
+  /// ExecutePartialBatchInto's body over an already-leased scratch.
+  void PartialBatchInto(PlanSpan plans, OutSpan out,
+                        ExecScratch& scratch) const;
 
-  /// ExecutePartialInto over an already-leased scratch.
+  /// Partial of a plan no batch group covers: a GROUP BY plan
+  /// (ExecutePartialGroup per group value) or a predicate-free COUNT(*)
+  /// (this synopsis's exact row count).
   void PartialInto(const CompiledQuery& plan, ExecScratch& scratch,
                    PartialResult* out) const;
-  /// Scalar (or per-group) partial over the scratch arena: the COUNT
-  /// shortcut, else cell prefix index, localized coverage and
-  /// range-restricted weighting, ending in Table-3 aggregation plus the
-  /// extra statistics the cross-segment merge needs.
-  void ExecutePartialScalar(const CompiledQuery& plan,
-                            const Node* extra_group_leaf,
-                            const std::vector<uint32_t>* extra_g2ta,
-                            ExecScratch& scratch, PartialAggregate* out) const;
+  /// One GROUP BY value's partial over the scratch arena: the WHERE tree
+  /// conjoined with `group_leaf` through the cell prefix index, localized
+  /// coverage and range-restricted weighting, ending in Table-3
+  /// aggregation plus the extra statistics the cross-segment merge needs.
+  void ExecutePartialGroup(const CompiledQuery& plan, const Node& group_leaf,
+                           ExecScratch& scratch, PartialAggregate* out) const;
 
   const PairwiseHist* ph_;
   AqpEngineOptions options_;

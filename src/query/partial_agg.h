@@ -1,8 +1,9 @@
 // Mergeable per-segment partial aggregates.
 //
-// Every read splits a query into one ExecutePartialInto call per live
-// segment (coverage + weighting + aggregation on that segment's own
-// synopsis) followed by a deterministic serial merge. A one-segment Db is
+// Every read splits a batch of queries into one ExecutePartialBatchInto
+// call per live segment (coverage + weighting + aggregation on that
+// segment's own synopsis) followed by a deterministic serial merge per
+// query. A one-segment Db is
 // simply a merge of one part. The merge rules:
 //
 //   one part  identity: when at most one segment carries groups, each

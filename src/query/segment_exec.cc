@@ -193,52 +193,9 @@ StatusOr<SegmentedPlan> SegmentedExecutor::Prepare(Query query) const {
 
 Status SegmentedExecutor::ExecuteInto(const SegmentedPlan& plan,
                                       QueryResult* result) const {
-  if (!plan.valid()) {
-    return Status::Internal("SegmentedPlan used before Prepare");
-  }
-  SegmentedPlan::State* st = plan.state_.get();
-  PH_RETURN_IF_ERROR(EnsurePlans(st));
-
-  // Per-call bookkeeping comes from pooled scratch, so a warm read
-  // allocates nothing beyond what the engines and the merge need.
-  PoolLease<FanOutScratch> lease(scratch_pool_.get());
-  FanOutScratch& scratch = *lease;
-  if (scratch.parts.empty()) scratch.parts.emplace_back();
-  std::vector<PartialResult>& parts = scratch.parts[0];
-  const size_t nseg = engines_.size();
-  parts.resize(nseg);
-  scratch.statuses.assign(nseg, Status::OK());
-  auto work = [&](size_t i) {
-    if (st->skip[i]) {
-      parts[i].groups.clear();  // pruned: contributes nothing
-      return;
-    }
-    scratch.statuses[i] =
-        engines_[i]->ExecutePartialInto(st->plans[i], &parts[i]);
-  };
-  size_t live = 0;
-  for (size_t i = 0; i < nseg; ++i) live += st->skip[i] ? 0 : 1;
-  if (live > 1 && pool_ != nullptr) {
-    pool_->Run(nseg, work);
-  } else {
-    for (size_t i = 0; i < nseg; ++i) work(i);
-  }
-  for (const Status& s : scratch.statuses) {
-    if (!s.ok()) return s;
-  }
-  // The ledger feeds the compaction picker, which only has work once
-  // there are several segments.
-  if (options_.ledger != nullptr && nseg > 1 && st->query.group_by.empty()) {
-    RecordFeedback(*st, parts);
-  }
-
-  // Deterministic serial merge in segment order: results are bit-equal for
-  // any exec_threads value. The merge runs on the same kernel tier as the
-  // per-segment executions.
-  MergePartialResults(st->query.func, !st->query.group_by.empty(),
-                      parts.data(), nseg, result,
-                      &GetKernels(options_.engine.kernels));
-  return Status::OK();
+  return ExecuteBatchInto(
+      1, [&plan](size_t) { return &plan; },
+      [result](size_t) { return result; });
 }
 
 void SegmentedExecutor::RecordFeedback(
@@ -279,8 +236,8 @@ Status SegmentedExecutor::ExecuteBatchImpl(FanOutScratch& scratch) const {
   // each running the whole batch's mergeable partials on that segment
   // through the engine's batched partial path (so grid sharing is
   // amortized inside every segment too). Pruned (plan, segment) pairs
-  // contribute nothing, exactly like single-plan execution: their slots
-  // are cleared, and the engine overwrites every other slot in place.
+  // contribute nothing: their slots are cleared, and the engine
+  // overwrites every other slot in place.
   const size_t nseg = engines_.size();
   scratch.parts.resize(nq);
   scratch.statuses.assign(nseg, Status::OK());
@@ -328,9 +285,9 @@ Status SegmentedExecutor::ExecuteBatchImpl(FanOutScratch& scratch) const {
     }
   }
 
-  // Deterministic serial merge per query in segment order — the same
-  // merge the single-plan path runs, so any exec_threads (and the batch
-  // itself) leaves results bit-identical to the per-query loop.
+  // Deterministic serial merge per query in segment order on the same
+  // kernel tier as the per-segment executions, so any exec_threads (and
+  // the batch itself) leaves results bit-identical to the per-query loop.
   const KernelOps* ks = &GetKernels(options_.engine.kernels);
   for (size_t q = 0; q < nq; ++q) {
     const Query& query = plans[q]->state_->query;

@@ -23,11 +23,11 @@
 // task per segment through AqpEngine::ExecutePartialBatchInto, which
 // computes coverage once per distinct scalar predicate set (so repeated
 // statements share it), weights them all with one batched kernel call,
-// and runs only the per-statement aggregation individually. Each
-// statement's partials then merge exactly as single-plan execution merges
-// them, so batch results are bit-identical to the per-statement loop on
-// every kernel tier, for any exec_threads, before and after appends and
-// compactions (tests/batch_test.cc).
+// and runs only the per-statement aggregation individually. A single
+// statement is a batch of one: ExecuteInto runs the same body, so batch
+// results are bit-identical to the per-statement loop on every kernel
+// tier, for any exec_threads, before and after appends and compactions
+// (tests/batch_test.cc).
 #ifndef PAIRWISEHIST_QUERY_SEGMENT_EXEC_H_
 #define PAIRWISEHIST_QUERY_SEGMENT_EXEC_H_
 
@@ -112,8 +112,9 @@ class SegmentedExecutor {
   /// compiled lazily at execution time). The plan takes the query.
   StatusOr<SegmentedPlan> Prepare(Query query) const;
 
-  /// Executes: per-segment partials (fanned out over the pool when more
-  /// than one segment is live), then a deterministic serial merge.
+  /// Executes one plan as a batch of one: per-segment partials (fanned
+  /// out over the pool when more than one segment is live), then a
+  /// deterministic serial merge.
   Status ExecuteInto(const SegmentedPlan& plan, QueryResult* result) const;
   StatusOr<QueryResult> Execute(const SegmentedPlan& plan) const;
 
@@ -121,8 +122,8 @@ class SegmentedExecutor {
   /// statement i's `const SegmentedPlan*` and `QueryResult*`. The result is
   /// bit-identical to ExecuteInto(*plan_at(i), result_at(i)) for any
   /// exec_threads (see the header comment). Plans extend lazily after
-  /// appends exactly like single-plan execution. The pointers are gathered
-  /// into pooled scratch, so a warm batch allocates nothing here.
+  /// appends. The pointers are gathered into pooled scratch, so a warm
+  /// batch allocates nothing here.
   template <typename PlanAt, typename ResultAt>
   Status ExecuteBatchInto(size_t n, PlanAt plan_at, ResultAt result_at) const {
     if (n == 0) return Status::OK();
@@ -152,11 +153,11 @@ class SegmentedExecutor {
   void RecordFeedback(const SegmentedPlan::State& st,
                       const std::vector<PartialResult>& parts) const;
 
-  /// Per-call bookkeeping for single-plan and batch execution, leased
-  /// from a pool so repeated reads reuse warmed capacity and concurrent
-  /// const callers never share mutable state. Vectors only ever grow;
-  /// engines overwrite live partial slots in place and pruned slots are
-  /// cleared (the merge reads every slot).
+  /// Per-call bookkeeping of ExecuteBatchImpl, leased from a pool so
+  /// repeated reads reuse warmed capacity and concurrent const callers
+  /// never share mutable state. Vectors only ever grow; engines overwrite
+  /// live partial slots in place and pruned slots are cleared (the merge
+  /// reads every slot).
   struct FanOutScratch {
     std::vector<const SegmentedPlan*> plan_ptrs;    // batch statements
     std::vector<QueryResult*> result_ptrs;          // and their outputs

@@ -356,30 +356,31 @@ Status ServingDb::Query(const std::string& sql, const ReadOptions& ropts,
                         QueryResult* result, DegradedInfo* degraded,
                         uint64_t* epoch) {
   queries_.fetch_add(1, std::memory_order_relaxed);
-  Status st = QueryOne(sql, ropts, result, degraded, epoch);
-  if (!st.ok()) errors_.fetch_add(1, std::memory_order_relaxed);
-  return st;
+  Status statement;
+  Status st = Read(&sql, 1, ropts, result, &statement, degraded, epoch);
+  return st.ok() ? statement : st;
 }
 
-Status ServingDb::QueryOne(const std::string& sql, const ReadOptions& ropts,
-                           QueryResult* result, DegradedInfo* degraded,
-                           uint64_t* epoch) {
-  std::shared_ptr<const DbSnapshot> snap = Load();
-  if (snap == nullptr) return Status::Internal("ServingDb: no snapshot");
-  if (snap->db.has_quarantine()) {
-    if (!(ropts.allow_degraded || snap->db.allow_degraded())) {
-      return QuarantineStatus(snap->db);
-    }
-    return QueryDegraded(snap, sql, result, degraded, epoch);
-  }
-  bool hit = false;
-  StatusOr<std::shared_ptr<const PreparedQuery>> pq =
-      cache_.Get(snap, sql, &hit);
-  (hit ? cache_hits_ : cache_misses_).fetch_add(1, std::memory_order_relaxed);
-  if (!pq.ok()) return pq.status();
-  PH_RETURN_IF_ERROR(pq.value()->ExecuteInto(result));
-  if (epoch != nullptr) *epoch = snap->epoch;
-  return Status::OK();
+Status ServingDb::QueryBatch(const std::vector<std::string>& sqls,
+                             std::vector<QueryResult>* results,
+                             std::vector<Status>* statement_status,
+                             uint64_t* epoch) {
+  return QueryBatch(sqls, ReadOptions{}, results, statement_status,
+                    /*degraded=*/nullptr, epoch);
+}
+
+Status ServingDb::QueryBatch(const std::vector<std::string>& sqls,
+                             const ReadOptions& ropts,
+                             std::vector<QueryResult>* results,
+                             std::vector<Status>* statement_status,
+                             DegradedInfo* degraded, uint64_t* epoch) {
+  batches_.fetch_add(1, std::memory_order_relaxed);
+  batch_statements_.fetch_add(sqls.size(), std::memory_order_relaxed);
+  results->clear();
+  results->resize(sqls.size());
+  statement_status->assign(sqls.size(), Status::OK());
+  return Read(sqls.data(), sqls.size(), ropts, results->data(),
+              statement_status->data(), degraded, epoch);
 }
 
 StatusOr<std::shared_ptr<const Db>> ServingDb::DegradedDb(
@@ -403,102 +404,82 @@ StatusOr<std::shared_ptr<const Db>> ServingDb::DegradedDb(
   return shared;
 }
 
-Status ServingDb::QueryDegraded(
-    const std::shared_ptr<const DbSnapshot>& snap, const std::string& sql,
-    QueryResult* result, DegradedInfo* degraded, uint64_t* epoch) {
-  // Degraded reads bypass the plan cache (its plans were prepared against
-  // the full snapshot); correctness over throughput while the operator
-  // deals with the corruption.
-  PH_ASSIGN_OR_RETURN(std::shared_ptr<const Db> ddb, DegradedDb(snap));
-  degraded_reads_.fetch_add(1, std::memory_order_relaxed);
-  PH_ASSIGN_OR_RETURN(PreparedQuery pq, ddb->Prepare(sql));
-  PH_RETURN_IF_ERROR(pq.ExecuteInto(result));
-  if (degraded != nullptr) {
-    degraded->degraded = true;
-    degraded->rows_skipped = snap->db.quarantined_rows();
-    degraded->segments_skipped =
-        static_cast<uint32_t>(snap->db.quarantined_segment_count());
+Status ServingDb::Read(const std::string* sqls, size_t n,
+                       const ReadOptions& ropts, QueryResult* results,
+                       Status* statuses, DegradedInfo* degraded,
+                       uint64_t* epoch) {
+  // A refused read fails every statement it carries.
+  auto refuse = [&](Status st) {
+    errors_.fetch_add(n, std::memory_order_relaxed);
+    return st;
+  };
+  std::shared_ptr<const DbSnapshot> snap = Load();
+  if (snap == nullptr) {
+    return refuse(Status::Internal("ServingDb: no snapshot"));
   }
   if (epoch != nullptr) *epoch = snap->epoch;
-  return Status::OK();
-}
 
-Status ServingDb::QueryBatch(const std::vector<std::string>& sqls,
-                             std::vector<QueryResult>* results,
-                             std::vector<Status>* statement_status,
-                             uint64_t* epoch) {
-  return QueryBatch(sqls, ReadOptions{}, results, statement_status,
-                    /*degraded=*/nullptr, epoch);
-}
-
-Status ServingDb::QueryBatch(const std::vector<std::string>& sqls,
-                             const ReadOptions& ropts,
-                             std::vector<QueryResult>* results,
-                             std::vector<Status>* statement_status,
-                             DegradedInfo* degraded, uint64_t* epoch) {
-  batches_.fetch_add(1, std::memory_order_relaxed);
-  batch_statements_.fetch_add(sqls.size(), std::memory_order_relaxed);
-  results->clear();
-  results->resize(sqls.size());
-  statement_status->assign(sqls.size(), Status::OK());
-
-  std::shared_ptr<const DbSnapshot> snap = Load();
-  if (snap == nullptr) return Status::Internal("ServingDb: no snapshot");
-  if (epoch != nullptr) *epoch = snap->epoch;
+  // The quarantine gate: fail closed, or read the degraded view. Degraded
+  // reads bypass the plan cache (its plans were prepared against the full
+  // snapshot) and prepare each statement fresh: correctness over
+  // throughput while the operator deals with the corruption.
+  std::shared_ptr<const Db> ddb;
   if (snap->db.has_quarantine()) {
     if (!(ropts.allow_degraded || snap->db.allow_degraded())) {
-      errors_.fetch_add(1, std::memory_order_relaxed);
-      return QuarantineStatus(snap->db);
+      return refuse(QuarantineStatus(snap->db));
     }
-    // Degraded batch: statement-by-statement against the surviving
-    // segments (no cache, no cross-statement batching — see
-    // QueryDegraded).
-    PH_ASSIGN_OR_RETURN(std::shared_ptr<const Db> ddb, DegradedDb(snap));
-    degraded_reads_.fetch_add(1, std::memory_order_relaxed);
-    for (size_t i = 0; i < sqls.size(); ++i) {
-      StatusOr<PreparedQuery> pq = ddb->Prepare(sqls[i]);
-      (*statement_status)[i] =
-          pq.ok() ? pq.value().ExecuteInto(&(*results)[i]) : pq.status();
-      if (!(*statement_status)[i].ok()) {
-        errors_.fetch_add(1, std::memory_order_relaxed);
-      }
-    }
+    StatusOr<std::shared_ptr<const Db>> view = DegradedDb(snap);
+    if (!view.ok()) return refuse(view.status());
+    ddb = std::move(view).value();
+    degraded_reads_.fetch_add(n, std::memory_order_relaxed);
     if (degraded != nullptr) {
       degraded->degraded = true;
       degraded->rows_skipped = snap->db.quarantined_rows();
       degraded->segments_skipped =
           static_cast<uint32_t>(snap->db.quarantined_segment_count());
     }
-    return Status::OK();
   }
 
-  // Shared cached plans: `pqs` keeps each one alive for the batch, and
-  // pqs[k] answers statement batched[k].
-  std::vector<std::shared_ptr<const PreparedQuery>> pqs;
-  std::vector<size_t> batched;
-  pqs.reserve(sqls.size());
-  batched.reserve(sqls.size());
-  for (size_t i = 0; i < sqls.size(); ++i) {
-    bool hit = false;
+  // Each statement's plan, kept alive for the read; plans[k] answers
+  // statement stmt[k]. A statement that fails to prepare gets its own
+  // error while the rest still execute.
+  PoolLease<ReadScratch> lease(&read_pool_);
+  ReadScratch& scratch = *lease;
+  size_t failed = 0;
+  for (size_t i = 0; i < n; ++i) {
     StatusOr<std::shared_ptr<const PreparedQuery>> pq =
-        cache_.Get(snap, sqls[i], &hit);
-    (hit ? cache_hits_ : cache_misses_)
-        .fetch_add(1, std::memory_order_relaxed);
+        [&]() -> StatusOr<std::shared_ptr<const PreparedQuery>> {
+      if (ddb != nullptr) {
+        PH_ASSIGN_OR_RETURN(PreparedQuery fresh, ddb->Prepare(sqls[i]));
+        return std::make_shared<const PreparedQuery>(std::move(fresh));
+      }
+      bool hit = false;
+      auto cached = cache_.Get(snap, sqls[i], &hit);
+      (hit ? cache_hits_ : cache_misses_)
+          .fetch_add(1, std::memory_order_relaxed);
+      return cached;
+    }();
     if (!pq.ok()) {
-      (*statement_status)[i] = pq.status();
-      errors_.fetch_add(1, std::memory_order_relaxed);
+      statuses[i] = pq.status();
+      ++failed;
       continue;
     }
-    pqs.push_back(std::move(pq).value());
-    batched.push_back(i);
+    scratch.plans.push_back(std::move(pq).value());
+    scratch.stmt.push_back(i);
   }
-  Status st = snap->db.executor().ExecuteBatchInto(
-      pqs.size(), [&pqs](size_t k) { return &pqs[k]->plan(); },
-      [&](size_t k) { return &(*results)[batched[k]]; });
+  const Db& db = ddb != nullptr ? *ddb : snap->db;
+  Status st = db.executor().ExecuteBatchInto(
+      scratch.plans.size(),
+      [&scratch](size_t k) { return &scratch.plans[k]->plan(); },
+      [&](size_t k) { return &results[scratch.stmt[k]]; });
   if (!st.ok()) {
-    for (size_t i : batched) (*statement_status)[i] = st;
-    errors_.fetch_add(1, std::memory_order_relaxed);
+    for (size_t i : scratch.stmt) statuses[i] = st;
+    failed += scratch.stmt.size();
   }
+  // Pooled scratch must not pin the plans (and through them the snapshot).
+  scratch.plans.clear();
+  scratch.stmt.clear();
+  errors_.fetch_add(failed, std::memory_order_relaxed);
   return Status::OK();
 }
 

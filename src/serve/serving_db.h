@@ -24,11 +24,14 @@
 // transparently: responses are bit-identical to uncached execution. A hit
 // executes the cache's shared plan in place — no parse and no plan copy —
 // so a hit into a warm QueryResult allocates nothing whenever the engine
-// does not (see PreparedQuery::ExecuteInto). Each
-// Query executes alone on its caller's thread; grouping statements into
-// one batch execution is the caller's choice, through QueryBatch (the
-// HTTP layer batches /batch bodies and pipelined /query bursts that way).
-// There is no cross-caller grouping.
+// does not (see PreparedQuery::ExecuteInto). Query and QueryBatch run one
+// reader on their caller's thread: load the snapshot, apply the
+// quarantine gate once, take each statement's plan (from the cache, or
+// prepared fresh on a degraded read) and run one batch execution. A Query
+// is a batch of one; grouping statements into a larger batch is the
+// caller's choice, through QueryBatch (the HTTP layer batches /batch
+// bodies and pipelined /query bursts that way). There is no cross-caller
+// grouping.
 #ifndef PAIRWISEHIST_SERVE_SERVING_DB_H_
 #define PAIRWISEHIST_SERVE_SERVING_DB_H_
 
@@ -42,6 +45,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/object_pool.h"
 #include "serve/plan_cache.h"
 #include "serve/snapshot.h"
 #include "storage/wal.h"
@@ -109,9 +113,9 @@ struct ServingStats {
   uint64_t epoch = 0;
   uint64_t segments = 0;
   uint64_t rows = 0;
-  uint64_t queries = 0;           ///< /query statements served
-  uint64_t batches = 0;           ///< /batch calls served
-  uint64_t batch_statements = 0;  ///< statements across /batch calls
+  uint64_t queries = 0;           ///< Query calls (/query statements)
+  uint64_t batches = 0;           ///< QueryBatch calls (/batch, bursts)
+  uint64_t batch_statements = 0;  ///< statements across QueryBatch calls
   /// Always 0 (no cross-caller grouping); kept for existing readers.
   uint64_t coalesced_groups = 0;
   uint64_t coalesced_statements = 0;
@@ -119,6 +123,10 @@ struct ServingStats {
   uint64_t cache_misses = 0;
   uint64_t cache_entries = 0;
   uint64_t appends = 0;
+  /// Statements that got an error, counted alike on Query and QueryBatch:
+  /// a refused read (quarantine gate, no snapshot) counts every statement
+  /// it carried, a failed prepare counts its statement, and a failed batch
+  /// execution counts every statement it was running.
   uint64_t errors = 0;
   /// Bytes of the current snapshot's synopsis borrowed zero-copy from a
   /// memory-mapped PWS3 checkpoint (0 when heap-backed, e.g. built
@@ -139,6 +147,8 @@ struct ServingStats {
   uint64_t quarantined_segments = 0;
   uint64_t quarantined_rows = 0;
   uint64_t scrub_errors = 0;
+  /// Statements read from the degraded view (surviving segments only),
+  /// counted alike on Query and QueryBatch.
   uint64_t degraded_reads = 0;
   uint32_t checkpoints_skipped = 0;
   std::string corrupt_checkpoint;
@@ -197,8 +207,10 @@ class ServingDb {
   std::shared_ptr<const DbSnapshot> snapshot() const;
 
   /// Executes one statement against the current snapshot, through the
-  /// plan cache. `*epoch` (optional) reports the snapshot epoch that
-  /// answered. Fails closed with DataLoss when integrity verification has
+  /// plan cache: a batch of one. `*epoch` (optional) reports the epoch of
+  /// the snapshot the read ran against; it is set on Query and QueryBatch
+  /// alike whenever a snapshot was loaded, even if the read then fails.
+  /// Fails closed with DataLoss when integrity verification has
   /// quarantined any segment, unless the snapshot's Db was opened with
   /// allow_degraded. Same as the ReadOptions overload with defaults.
   Status Query(const std::string& sql, QueryResult* result,
@@ -223,8 +235,8 @@ class ServingDb {
                     uint64_t* epoch = nullptr);
 
   /// Batch with per-read options; quarantine handling as in the Query
-  /// overload (a degraded batch executes statement-by-statement against
-  /// the surviving segments).
+  /// overload (a degraded batch prepares each statement against the
+  /// surviving segments and executes them there as one batch).
   Status QueryBatch(const std::vector<std::string>& sqls,
                     const ReadOptions& ropts,
                     std::vector<QueryResult>* results,
@@ -278,18 +290,21 @@ class ServingDb {
   StatusOr<Db> TakeDb();
 
  private:
-  /// Query's body, without the query/error counters.
-  Status QueryOne(const std::string& sql, const ReadOptions& ropts,
-                  QueryResult* result, DegradedInfo* degraded,
-                  uint64_t* epoch);
+  /// The one read body of Query and QueryBatch over sqls[0..n): loads the
+  /// snapshot, applies the quarantine gate once, takes each statement's
+  /// PreparedQuery (plan cache, or Prepare on the degraded view) and runs
+  /// one ExecuteBatchInto on the executor those plans belong to.
+  /// statuses[0..n) must be OK on entry; statement i's own error lands in
+  /// statuses[i]. A non-OK return refuses the whole read. Counts errors
+  /// and degraded reads per statement.
+  Status Read(const std::string* sqls, size_t n, const ReadOptions& ropts,
+              QueryResult* results, Status* statuses, DegradedInfo* degraded,
+              uint64_t* epoch);
   /// The degraded view of `snap` (surviving segments only), cached per
   /// (snapshot, quarantine version) so repeated degraded reads do not
   /// rebuild the executor.
   StatusOr<std::shared_ptr<const Db>> DegradedDb(
       const std::shared_ptr<const DbSnapshot>& snap);
-  Status QueryDegraded(const std::shared_ptr<const DbSnapshot>& snap,
-                       const std::string& sql, QueryResult* result,
-                       DegradedInfo* degraded, uint64_t* epoch);
   std::shared_ptr<DbSnapshot> Load() const;
   /// Opens the WAL + starts the checkpointer. `recovered` seeds recovery_.
   Status InitDurable(const RecoveryInfo& recovered);
@@ -311,6 +326,13 @@ class ServingDb {
   std::shared_ptr<DbSnapshot> snapshot_;
   std::mutex append_mu_;  ///< serializes Append / Checkpoint / TakeDb
   PlanCache cache_;
+  /// Read's per-call bookkeeping, pooled so a warm read allocates nothing
+  /// here. Empty between reads: a held plan would pin its snapshot.
+  struct ReadScratch {
+    std::vector<std::shared_ptr<const PreparedQuery>> plans;
+    std::vector<size_t> stmt;  ///< plans[k] answers statement stmt[k]
+  };
+  ObjectPool<ReadScratch> read_pool_;
 
   // Durability state (null/empty when serving in-memory).
   std::unique_ptr<Wal> wal_;

@@ -522,6 +522,110 @@ TEST_F(DegradedServing, PipelinedBurstKeepsDegradedMarkers) {
   }
 }
 
+// A degraded QueryBatch is one batch execution on the degraded view. It
+// answers bit-equal to the same statements sent one at a time through
+// degraded Query, from the same epoch, and a statement that fails to
+// prepare gets its own error while its neighbours answer.
+TEST_F(DegradedServing, BatchMatchesSingleDegradedReads) {
+  ServingDb sdb(OpenQuarantined(/*allow_degraded=*/false));
+  const ReadOptions allow{/*allow_degraded=*/true};
+  std::vector<std::string> sqls = Workload();
+  const size_t bad = 2;
+  sqls.insert(sqls.begin() + bad, "SELECT AVG(no_such_column) FROM power;");
+  // Aggregates sharing one WHERE clause, and a repeated statement.
+  sqls.push_back("SELECT MEDIAN(voltage) FROM power WHERE hour >= 18;");
+  sqls.push_back("SELECT VAR(global_active_power) FROM power WHERE hour >= 18;");
+  sqls.push_back("SELECT COUNT(*) FROM power WHERE voltage > 240;");
+  sqls.push_back(sqls[1]);
+
+  std::vector<QueryResult> results;
+  std::vector<Status> statuses;
+  DegradedInfo batch_info;
+  uint64_t batch_epoch = ~uint64_t{0};
+  ASSERT_TRUE(sdb.QueryBatch(sqls, allow, &results, &statuses, &batch_info,
+                             &batch_epoch)
+                  .ok());
+  ASSERT_EQ(results.size(), sqls.size());
+  ASSERT_EQ(statuses.size(), sqls.size());
+  EXPECT_TRUE(batch_info.degraded);
+  EXPECT_GT(batch_info.rows_skipped, 0u);
+  EXPECT_EQ(batch_epoch, sdb.snapshot()->epoch);
+
+  for (size_t i = 0; i < sqls.size(); ++i) {
+    QueryResult single;
+    DegradedInfo info;
+    uint64_t epoch = ~uint64_t{0};
+    const Status st = sdb.Query(sqls[i], allow, &single, &info, &epoch);
+    EXPECT_EQ(epoch, batch_epoch) << sqls[i];
+    EXPECT_TRUE(info.degraded) << sqls[i];
+    EXPECT_EQ(info.rows_skipped, batch_info.rows_skipped) << sqls[i];
+    EXPECT_EQ(info.segments_skipped, batch_info.segments_skipped) << sqls[i];
+    if (i == bad) {
+      EXPECT_FALSE(st.ok());
+      EXPECT_EQ(statuses[i].code(), st.code());
+      EXPECT_EQ(statuses[i].message(), st.message());
+      continue;
+    }
+    ASSERT_TRUE(st.ok()) << sqls[i] << ": " << st.ToString();
+    ASSERT_TRUE(statuses[i].ok()) << sqls[i] << ": " << statuses[i].ToString();
+    ExpectBitEqual(single, results[i], sqls[i]);
+  }
+}
+
+// ServingStats::errors and degraded_reads count statements, alike on
+// Query and QueryBatch.
+TEST_F(DegradedServing, ErrorAndDegradedCountersCountStatements) {
+  const std::vector<std::string> sqls = {
+      "SELECT COUNT(*) FROM power;",
+      "SELECT AVG(no_such_column) FROM power;",
+      "SELECT SUM(voltage) FROM power WHERE voltage > 240;",
+  };
+  std::vector<QueryResult> results;
+  std::vector<Status> statuses;
+  QueryResult r;
+
+  // A clean snapshot: only the statement that fails to prepare counts.
+  {
+    auto db = Db::Open(*path_, MmapNoScrub());
+    ASSERT_TRUE(db.ok()) << db.status().ToString();
+    ServingDb clean(std::move(db).value());
+    ASSERT_TRUE(clean.QueryBatch(sqls, &results, &statuses).ok());
+    EXPECT_EQ(clean.Stats().errors, 1u);
+    EXPECT_FALSE(clean.Query(sqls[1], &r).ok());
+    EXPECT_EQ(clean.Stats().errors, 2u);
+    EXPECT_EQ(clean.Stats().degraded_reads, 0u);
+  }
+
+  ServingDb sdb(OpenQuarantined(/*allow_degraded=*/false));
+  // Refused by the quarantine gate: every statement is an error.
+  EXPECT_EQ(sdb.QueryBatch(sqls, &results, &statuses).code(),
+            StatusCode::kDataLoss);
+  EXPECT_EQ(sdb.Stats().errors, 3u);
+  EXPECT_EQ(sdb.Query(sqls[0], &r).code(), StatusCode::kDataLoss);
+  EXPECT_EQ(sdb.Stats().errors, 4u);
+  EXPECT_EQ(sdb.Stats().degraded_reads, 0u);
+
+  // Degraded: every statement is a degraded read; the bad one is also an
+  // error.
+  const ReadOptions allow{/*allow_degraded=*/true};
+  DegradedInfo info;
+  ASSERT_TRUE(sdb.QueryBatch(sqls, allow, &results, &statuses, &info).ok());
+  EXPECT_EQ(sdb.Stats().degraded_reads, 3u);
+  EXPECT_EQ(sdb.Stats().errors, 5u);
+  EXPECT_FALSE(sdb.Query(sqls[1], allow, &r, &info).ok());
+  EXPECT_EQ(sdb.Stats().degraded_reads, 4u);
+  EXPECT_EQ(sdb.Stats().errors, 6u);
+  ASSERT_TRUE(sdb.Query(sqls[0], allow, &r, &info).ok());
+  EXPECT_EQ(sdb.Stats().degraded_reads, 5u);
+  EXPECT_EQ(sdb.Stats().errors, 6u);
+
+  // The call counters are unchanged by this: calls and statements.
+  const ServingStats stats = sdb.Stats();
+  EXPECT_EQ(stats.queries, 3u);
+  EXPECT_EQ(stats.batches, 2u);
+  EXPECT_EQ(stats.batch_statements, 6u);
+}
+
 // ---------------------------------------------------------------------------
 // /healthz
 

@@ -129,7 +129,11 @@ TEST(ServeAllocation, BatchHandlerPageOfHitsStaysInBudget) {
   const size_t after = g_alloc_count.load(std::memory_order_relaxed);
   const double per_stmt = static_cast<double>(after - before) /
                           static_cast<double>(kRounds * reqs.size());
-  EXPECT_LE(per_stmt, 8.0) << "allocations per statement";
+  RecordProperty("allocations_per_statement", std::to_string(per_stmt));
+  // 37 allocations per 8-statement page (measured): the handler's
+  // per-burst vectors, those QueryBatch fills included, and the response
+  // bodies. ServingDb's own read bookkeeping is pooled.
+  EXPECT_LE(per_stmt, 4.625) << "allocations per statement";
   EXPECT_EQ(serving->Stats().cache_misses, reqs.size());
 }
 
